@@ -8,12 +8,16 @@ Conventions used throughout the package:
   ``ZERO_RTOL`` times the relevant running sup-norm, floored at 1 — absolute
   thresholds are useless here because unstable plants reach ~1e14 within a
   50-step horizon;
-* terminal states are accepted as zero at the looser ``TERMINAL_RTOL``.
+* terminal states are accepted as zero at the looser ``TERMINAL_RTOL``;
+* numerics run on plants of one dimension stacked into arrays
+  (``group_by_dim``); the single-plant scan, reachability test, rollout and
+  deadbeat window run as stacks of one, so both give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,19 @@ class PlantDynamics:
         return self.A.shape[0]
 
 
+class PlantGroup(NamedTuple):
+    """Plants of one state dimension, stacked for batched numerics.
+
+    Row k of ``A`` (n_d x d x d), ``b`` and ``xi`` (n_d x d) belongs to plant
+    ``idx[k]``; the indices are 0-based and ascending.
+    """
+
+    idx: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    xi: np.ndarray
+
+
 @dataclass(frozen=True)
 class NcsInstance:
     """A full co-design problem: plants, initial states, channel capacity, horizon."""
@@ -63,6 +80,8 @@ class NcsInstance:
     xi: tuple[np.ndarray, ...]
     capacity: int
     horizon: int
+    # derived: the plants stacked by dimension, smallest first (``group_by_dim``)
+    groups: tuple[PlantGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plants = tuple(self.plants)
@@ -85,6 +104,19 @@ class NcsInstance:
                 raise ValueError(f"initial state {i + 1} is zero")
         object.__setattr__(self, "plants", plants)
         object.__setattr__(self, "xi", xi)
+        members: dict[int, list[int]] = {}
+        for i, p in enumerate(plants):
+            members.setdefault(p.d, []).append(i)
+        groups = tuple(
+            PlantGroup(
+                idx=_freeze(np.array(ix)),
+                A=_freeze(np.array([plants[i].A for i in ix])),
+                b=_freeze(np.array([plants[i].b for i in ix])),
+                xi=_freeze(np.array([xi[i] for i in ix])),
+            )
+            for _, ix in sorted(members.items())
+        )
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
@@ -158,6 +190,50 @@ class SchedulingLogic:
         return [sorted(i + 1 for i in s) for s in self.slots]
 
 
+def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
+    """The instance's plants (or the given subset) stacked by dimension, smallest first."""
+    if subset is None:
+        return list(inst.groups)
+    chosen = np.zeros(inst.n, dtype=bool)
+    chosen[list(subset)] = True
+    out = []
+    for g in inst.groups:
+        keep = chosen[g.idx]
+        if keep.any():
+            out.append(PlantGroup(*(arr[keep] for arr in g)))
+    return out
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked products ``A[k] @ x[k]``.
+
+    A stacked ``matmul`` runs the same kernel per plant as ``A @ x`` on one
+    plant, so results are bit-identical to it (``einsum`` is not).
+    """
+    return (A @ x[..., None])[..., 0]
+
+
+def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
+    """``A[k]`` raised to ``exponents[k]`` for a stack of square matrices.
+
+    Iterated multiplication from the identity, one stacked product per step.
+    A power that overflows comes back non-finite, without a warning; the
+    caller decides what that means.
+    """
+    e = np.asarray(exponents)
+    if (e < 0).any() or (e != np.floor(e)).any():
+        raise ValueError("exponent must be a nonnegative integer")
+    out = np.empty(A.shape)
+    power = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(e.max(initial=0)) + 1):
+            if k:
+                power = power @ A
+            at_k = e == k
+            out[at_k] = power[at_k]
+    return out
+
+
 def mat_pow(A: np.ndarray, k: int) -> np.ndarray:
     """k-th power of a square matrix by iterated multiplication; A^0 = I."""
     A = np.asarray(A, dtype=float)
@@ -173,21 +249,35 @@ def mat_pow(A: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def reach_matrix(p: PlantDynamics) -> np.ndarray:
-    """Controllability matrix [A^(d-1) b, ..., A b, b]."""
-    cols = [p.b]
-    for _ in range(p.d - 1):
-        cols.append(p.A @ cols[-1])
-    return np.column_stack(cols[::-1])
+def reach_matrices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked controllability matrices [A^(d-1) b, ..., A b, b]."""
+    d = A.shape[-1]
+    psi = np.empty(A.shape)
+    col = b
+    psi[..., d - 1] = col
+    for j in range(d - 2, -1, -1):
+        col = matvec(A, col)
+        psi[..., j] = col
+    return psi
 
 
-def is_reachable(p: PlantDynamics) -> bool:
-    """True iff the controllability matrix has full numerical rank.
+def full_rank(psi: np.ndarray) -> np.ndarray:
+    """Per-matrix full numerical rank of stacked square matrices.
 
     Rank counts singular values above d * eps * sigma_max, the standard
     scale-free cutoff (numpy's default for square matrices).
     """
-    return int(np.linalg.matrix_rank(reach_matrix(p))) == p.d
+    return np.linalg.matrix_rank(psi) == psi.shape[-1]
+
+
+def reach_matrix(p: PlantDynamics) -> np.ndarray:
+    """Controllability matrix [A^(d-1) b, ..., A b, b]."""
+    return reach_matrices(p.A[None], p.b[None])[0]
+
+
+def is_reachable(p: PlantDynamics) -> bool:
+    """True iff the controllability matrix has full numerical rank."""
+    return bool(full_rank(reach_matrices(p.A[None], p.b[None]))[0])
 
 
 def lifted_matrix(p: PlantDynamics, horizon: int) -> np.ndarray:
@@ -207,6 +297,27 @@ def lifted_matrix(p: PlantDynamics, horizon: int) -> np.ndarray:
     return out
 
 
+def open_loop_hit_times(
+    A: np.ndarray, xi: np.ndarray, horizon: int, zero_rtol: float = ZERO_RTOL
+) -> np.ndarray:
+    """Stacked open-loop scan: per plant, the earliest step in 1..horizon at
+    which ``A^tau xi`` is zero relative to ``|xi|``, or 0 when there is none.
+
+    A state that overflows counts as never reaching zero; the overflow itself
+    is not reported.
+    """
+    limit = zero_rtol * np.sqrt(np.vecdot(xi, xi))
+    hit = np.zeros(xi.shape[0], dtype=int)
+    x = xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau in range(1, horizon + 1):
+            x = matvec(A, x)
+            hit[(hit == 0) & (np.sqrt(np.vecdot(x, x)) <= limit)] = tau
+            if hit.all():
+                break
+    return hit
+
+
 def open_loop_hit_time(
     p: PlantDynamics, xi: np.ndarray, horizon: int, zero_rtol: float = ZERO_RTOL
 ) -> int | None:
@@ -218,10 +329,5 @@ def open_loop_hit_time(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("initial state has wrong length")
-    ref = float(np.linalg.norm(xi))
-    x = xi
-    for tau in range(1, horizon + 1):
-        x = p.A @ x
-        if np.linalg.norm(x) <= zero_rtol * ref:
-            return tau
-    return None
+    tau = int(open_loop_hit_times(p.A[None], xi[None], horizon, zero_rtol)[0])
+    return tau or None

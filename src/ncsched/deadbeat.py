@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PlantDynamics, is_reachable, mat_pow, reach_matrix
-from .errors import IllConditionedWarning, NotReachableError, WindowOverflowError
+from .core import PlantDynamics, full_rank, mat_powers, matvec, reach_matrices
+from .errors import (
+    IllConditionedWarning,
+    NonFiniteError,
+    NotReachableError,
+    WindowOverflowError,
+)
 
 COND_WARN_LIMIT = 1e12
 
@@ -59,6 +64,80 @@ class DeadbeatWindow:
         return row
 
 
+def deadbeat_bursts(
+    A: np.ndarray, b: np.ndarray, xi: np.ndarray, offsets, widths
+) -> tuple[np.ndarray, dict[int, tuple[str | None, Exception | None]]]:
+    """Stacked deadbeat bursts for plants of one dimension.
+
+    Row k coasts ``xi[k]`` for ``offsets[k]`` steps and then steers it to zero
+    with a window of ``widths[k]`` steps. Returns the n x d window tails
+    ``-inv(Psi) A^width A^offset xi``, from one factorization-based solve for
+    the stack, and the problems of the rows that have any:
+    ``{row: (ill-conditioning warning text or None, error or None)}``. A row
+    has a warning only if it got as far as the condition check, so replaying
+    each row's warning and then its error in plant order (``raise_in_order``)
+    repeats what building the windows one plant at a time would do.
+    """
+    d = A.shape[-1]
+    offsets = np.asarray(offsets)
+    widths = np.asarray(widths)
+    coast = mat_powers(A, offsets)
+    # widths <= d fail their own check below; give them a harmless exponent
+    steer = mat_powers(A, np.where(widths > d, widths, 0))
+    psi = reach_matrices(A, b)
+    reachable = full_rank(psi)
+    cond = np.linalg.cond(psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = matvec(steer, matvec(coast, xi))
+    coast_ok = np.isfinite(coast).all(axis=(1, 2))
+    steer_ok = np.isfinite(steer).all(axis=(1, 2))
+    ill = cond > COND_WARN_LIMIT
+    problems: dict[int, tuple[str | None, Exception | None]] = {}
+    # the checks in the order one plant meets them
+    for k in np.flatnonzero(~coast_ok | (widths <= d) | ~reachable | ill | ~steer_ok):
+        text = error = None
+        if not coast_ok[k]:
+            error = NonFiniteError(f"matrix power overflowed at exponent {offsets[k]}")
+        elif widths[k] <= d:
+            error = ValueError(f"window length {widths[k]} must exceed dimension {d}")
+        elif not reachable[k]:
+            error = NotReachableError()
+        else:
+            if ill[k]:
+                text = (
+                    f"controllability matrix condition number {cond[k]:.2e} exceeds "
+                    f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade"
+                )
+            if not steer_ok[k]:
+                error = NonFiniteError(f"matrix power overflowed at exponent {widths[k]}")
+        problems[int(k)] = (text, error)
+    solvable = np.ones(len(xi), dtype=bool)
+    solvable[[k for k, (_, error) in problems.items() if error]] = False
+    tails = np.zeros(xi.shape)
+    tails[solvable] = -np.linalg.solve(psi[solvable], rhs[solvable][..., None])[..., 0]
+    return tails, problems
+
+
+def raise_in_order(problems: dict[int, tuple[str | None, Exception | None]]) -> None:
+    """Per plant in index order: emit its warning, then raise its error."""
+    for i in sorted(problems):
+        text, error = problems[i]
+        if text:
+            warnings.warn(text, IllConditionedWarning, stacklevel=3)
+        if error:
+            raise error
+
+
+def _window_inputs(p: PlantDynamics, xi, offset: int, width: int) -> np.ndarray:
+    """One plant's window: ``width - d`` zeros, then its burst; a stack of one."""
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    tails, problems = deadbeat_bursts(p.A[None], p.b[None], xi[None], [offset], [width])
+    raise_in_order(problems)
+    u = np.zeros(width)
+    u[width - p.d :] = tails[0]
+    return u
+
+
 def deadbeat_inputs(p: PlantDynamics, xi: np.ndarray, width: int) -> np.ndarray:
     """Length-``width`` input sequence driving ``xi`` to the zero state.
 
@@ -83,23 +162,7 @@ def deadbeat_inputs(p: PlantDynamics, xi: np.ndarray, width: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("state has wrong length")
-    if width <= p.d:
-        raise ValueError(f"window length {width} must exceed dimension {p.d}")
-    if not is_reachable(p):
-        raise NotReachableError()
-    psi = reach_matrix(p)
-    cond = np.linalg.cond(psi)
-    if cond > COND_WARN_LIMIT:
-        warnings.warn(
-            f"controllability matrix condition number {cond:.2e} exceeds "
-            f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    tail = -np.linalg.solve(psi, mat_pow(p.A, width) @ xi)
-    u = np.zeros(width)
-    u[width - p.d :] = tail
-    return u
+    return _window_inputs(p, xi, 0, width)
 
 
 def windowed_inputs(
@@ -117,18 +180,13 @@ def windowed_inputs(
         raise WindowOverflowError(
             f"window [{offset}, {offset + width}) exceeds horizon {horizon}"
         )
-    shifted = mat_pow(p.A, offset) @ np.asarray(xi, dtype=float).reshape(-1)
-    window = deadbeat_inputs(p, shifted, width)
-    return DeadbeatWindow(plant=0, start=offset, length=width, inputs=window).embed(
-        horizon
-    )
+    return make_window(0, p, xi, offset, width).embed(horizon)
 
 
 def make_window(
     plant: int, p: PlantDynamics, xi: np.ndarray, offset: int, width: int
 ) -> DeadbeatWindow:
     """Steering window for a specific plant index, ready to embed into a row."""
-    shifted = mat_pow(p.A, offset) @ np.asarray(xi, dtype=float).reshape(-1)
     return DeadbeatWindow(
-        plant=plant, start=offset, length=width, inputs=deadbeat_inputs(p, shifted, width)
+        plant=plant, start=offset, length=width, inputs=_window_inputs(p, xi, offset, width)
     )

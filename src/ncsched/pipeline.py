@@ -76,7 +76,7 @@ def solve_instance(
     diagnostics: list[str] = []
     captured: list[str] = []
 
-    hits, closed = split_open_loop(inst)
+    hits, closed = split_open_loop(inst, zero_rtol=zero_rtol)
     if hits:
         shown = ", ".join(str(i + 1) for i in sorted(hits))
         diagnostics.append(
@@ -168,14 +168,14 @@ def solve_instance(
                 warnings_mod.simplefilter("always")
                 logic, plan_dict, extra = run_route(route)
             captured.extend(str(w.message) for w in caught)
+            zeroed = logic.thresholded(zero_rtol)
+            outcome = verify_logic(
+                inst, zeroed, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol
+            )
         except NcsError as exc:
             timings[route] = time.perf_counter() - t0
             attempts.append(f"{route}: {exc}")
             continue
-        zeroed = logic.thresholded(zero_rtol)
-        outcome = verify_logic(
-            inst, zeroed, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol
-        )
         timings[route] = time.perf_counter() - t0
         if not outcome.verified:
             attempts.append(
@@ -185,22 +185,23 @@ def solve_instance(
             continue
         schedule = extract_schedule(zeroed, capacity=inst.capacity, zero_rtol=zero_rtol)
         diagnostics.extend(attempts)
-        timings["total"] = time.perf_counter() - t_start
         seen = set()
         warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]
-        return SolveReport(
+        report = SolveReport(
             method=route,
             plan=plan_dict,
             schedule=schedule.as_report_lists(),
             control=zeroed.u,
             verified=True,
-            residuals=[float(r) for r in outcome.terminal_residuals],
+            residuals=outcome.terminal_residuals.tolist(),
             occupancy_histogram=_occupancy_histogram(zeroed, zero_rtol),
             state_norms=outcome.state_norms(),
             warnings=warn_list,
             diagnostics=diagnostics,
             timings=timings,
         )
+        timings["total"] = time.perf_counter() - t_start
+        return report
 
     reasons = tuple(diagnostics + attempts)
     raise NoSolutionFoundError(

@@ -14,14 +14,23 @@ at most 10 plants) are complete and double as oracles for the heuristics.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlLogic, NcsInstance, is_reachable, open_loop_hit_time
-from .deadbeat import make_window
-from .errors import NotReachableError, TooLargeError
+from .core import (
+    ZERO_RTOL,
+    ControlLogic,
+    NcsInstance,
+    full_rank,
+    group_by_dim,
+    open_loop_hit_times,
+    reach_matrices,
+)
+from .deadbeat import deadbeat_bursts, raise_in_order
+from .errors import NotReachableError, TooLargeError, WindowOverflowError
 
 EXHAUSTIVE_LIMIT = 10
 
@@ -73,23 +82,24 @@ def check_necessary(inst: NcsInstance) -> bool:
     return inst.horizon >= math.ceil(inst.n / inst.capacity)
 
 
-def split_open_loop(inst: NcsInstance) -> tuple[dict[int, int], list[int]]:
+def split_open_loop(
+    inst: NcsInstance, zero_rtol: float = ZERO_RTOL
+) -> tuple[dict[int, int], list[int]]:
     """Partition plants into open-loop-zeroable (with hit times) and the rest."""
-    hits: dict[int, int] = {}
-    closed: list[int] = []
-    for i, (p, x0) in enumerate(zip(inst.plants, inst.xi)):
-        tau = open_loop_hit_time(p, x0, inst.horizon)
-        if tau is None:
-            closed.append(i)
-        else:
-            hits[i] = tau
+    taus = np.zeros(inst.n, dtype=int)
+    for g in group_by_dim(inst):
+        taus[g.idx] = open_loop_hit_times(g.A, g.xi, inst.horizon, zero_rtol)
+    hits = {i: int(tau) for i, tau in enumerate(taus) if tau}
+    closed = [i for i, tau in enumerate(taus) if not tau]
     return hits, closed
 
 
 def _require_reachable(inst: NcsInstance, subset) -> None:
-    bad = [i for i in subset if not is_reachable(inst.plants[i])]
+    bad = []
+    for g in group_by_dim(inst, subset):
+        bad.extend(g.idx[~full_rank(reach_matrices(g.A, g.b))].tolist())
     if bad:
-        raise NotReachableError(bad)
+        raise NotReachableError(sorted(bad))
 
 
 def _default_widths(inst: NcsInstance, subset) -> dict[int, int]:
@@ -122,16 +132,16 @@ def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
 def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
     widths = _default_widths(inst, subset)
     members: list[list[int]] = [[] for _ in range(inst.capacity)]
-    loads = [0] * inst.capacity
     # balanced decreasing packing: biggest windows first, each into the least
-    # loaded lane that still fits; ties go to the lowest lane index
+    # loaded lane, ties to the lowest lane index; if that lane cannot take the
+    # window, no lane can
+    loads = [(0, j) for j in range(inst.capacity)]  # a heap on (load, lane)
     for i in sorted(widths, key=lambda i: (-widths[i], i)):
-        fits = [j for j in range(inst.capacity) if loads[j] + widths[i] <= inst.horizon]
-        if not fits:
+        load, j = loads[0]
+        if load + widths[i] > inst.horizon:
             return None
-        j = min(fits, key=lambda j: (loads[j], j))
+        heapq.heapreplace(loads, (load + widths[i], j))
         members[j].append(i)
-        loads[j] += widths[i]
     lanes = sorted((sorted(m) for m in members if m), key=lambda lane: lane[0])
     return LanePlan(lanes=tuple(tuple(lane) for lane in lanes), widths=widths)
 
@@ -333,11 +343,26 @@ def _lane_offsets(plan: LanePlan) -> dict[int, tuple[int, int]]:
 
 
 def _assemble(inst: NcsInstance, placements: dict[int, tuple[int, int]]) -> ControlLogic:
-    """Rows from per-plant (offset, width) placements; unplaced plants get zeros."""
+    """Rows from per-plant (offset, width) placements; unplaced plants get zeros.
+
+    The windows of each dimension are built as one stack; warnings and errors
+    come out in plant order, as if the plants were done one at a time.
+    """
+    for _, (off, width) in sorted(placements.items()):
+        if off + width > inst.horizon:
+            raise WindowOverflowError(
+                f"window [{off}, {off + width}) exceeds horizon {inst.horizon}"
+            )
     u = np.zeros((inst.n, inst.horizon))
-    for i, (off, width) in sorted(placements.items()):
-        window = make_window(i, inst.plants[i], inst.xi[i], off, width)
-        u[i] = window.embed(inst.horizon)
+    problems: dict[int, tuple] = {}
+    for g in group_by_dim(inst, placements):
+        offsets, widths = np.array([placements[i] for i in g.idx]).T
+        tails, found = deadbeat_bursts(g.A, g.b, g.xi, offsets, widths)
+        problems.update((int(g.idx[k]), found[k]) for k in found)
+        # each burst fills the last d slots of its window
+        d = tails.shape[1]
+        u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
+    raise_in_order(problems)
     return ControlLogic(u)
 
 

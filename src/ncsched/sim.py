@@ -27,15 +27,21 @@ from .core import (
     NcsInstance,
     PlantDynamics,
     SchedulingLogic,
+    group_by_dim,
+    matvec,
 )
 from .errors import CapacityViolationError, NonFiniteError
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Trajectories and the verdict of one closed-NCS run."""
+    """Trajectories and the verdict of one closed-NCS run.
+
+    ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
+    """
 
     trajectories: tuple[np.ndarray, ...]
+    norms: np.ndarray
     terminal_residuals: np.ndarray
     max_column_occupancy: int
     verified: bool
@@ -43,9 +49,7 @@ class SimulationResult:
 
     def state_norms(self) -> list[list[float]]:
         """Per-plant 2-norm series, length T+1 each."""
-        return [
-            [float(np.linalg.norm(x)) for x in traj] for traj in self.trajectories
-        ]
+        return self.norms.tolist()
 
 
 def extract_schedule(
@@ -72,6 +76,43 @@ def extract_schedule(
     return SchedulingLogic(slots)
 
 
+def rollout_stack(
+    A: np.ndarray,
+    b: np.ndarray,
+    xi: np.ndarray,
+    u: np.ndarray,
+    zero_rtol: float = ZERO_RTOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward recursion of stacked plants of one dimension.
+
+    ``A`` is n x d x d, ``b`` and ``xi`` are n x d and ``u`` is n x T. Returns
+    the n x (T+1) x d states, their n x (T+1) 2-norms, and per plant the first
+    step whose state norm is not finite (0 when none; later states of such a
+    plant are meaningless). States are clamped to exact zero once below the
+    running-sup zero threshold (see module docstring); initial states never
+    are.
+    """
+    n, horizon = u.shape
+    states = np.empty((n, horizon + 1, A.shape[-1]))
+    norms = np.empty((n, horizon + 1))
+    overflow = np.zeros(n, dtype=int)
+    x = xi
+    states[:, 0] = x
+    norms[:, 0] = np.sqrt(np.vecdot(xi, xi))
+    sup = np.maximum(1.0, norms[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            x = matvec(A, x) + b * u[:, t, None]
+            norm = np.sqrt(np.vecdot(x, x))
+            overflow[(overflow == 0) & ~np.isfinite(norm)] = t + 1
+            sup = np.maximum(sup, norm)
+            clamp = norm <= zero_rtol * sup
+            x = np.where(clamp[:, None], 0.0, x)
+            states[:, t + 1] = x
+            norms[:, t + 1] = np.where(clamp, 0.0, norm)
+    return states, norms, overflow
+
+
 def rollout(
     p: PlantDynamics,
     xi: np.ndarray,
@@ -80,25 +121,14 @@ def rollout(
 ) -> np.ndarray:
     """Forward recursion of one plant; returns the (T+1) x d state array.
 
-    States are clamped to exact zero once below the running-sup zero
-    threshold (see module docstring); the initial state is never clamped.
+    Raises ``NonFiniteError`` when the state overflows.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
-    out = np.empty((u.shape[0] + 1, p.d))
-    out[0] = xi
-    sup = max(1.0, float(np.linalg.norm(xi)))
-    x = xi
-    for t in range(u.shape[0]):
-        x = p.A @ x + p.b * u[t]
-        norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm):
-            raise NonFiniteError(f"state overflowed at step {t + 1}")
-        sup = max(sup, norm)
-        if norm <= zero_rtol * sup:
-            x = np.zeros(p.d)
-        out[t + 1] = x
-    return out
+    states, _, overflow = rollout_stack(p.A[None], p.b[None], xi[None], u[None], zero_rtol)
+    if overflow[0]:
+        raise NonFiniteError(f"state overflowed at step {overflow[0]}")
+    return states[0]
 
 
 def simulate(
@@ -119,13 +149,23 @@ def simulate(
             f"({inst.n}, {inst.horizon})"
         )
     zeroed = logic.thresholded(zero_rtol)
-    trajectories = []
+    trajectories: list = [None] * inst.n
+    norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
-    for i, (p, x0) in enumerate(zip(inst.plants, inst.xi)):
-        traj = rollout(p, x0, zeroed.u[i], zero_rtol)
-        norms = np.linalg.norm(traj, axis=1)
-        residuals[i] = norms[-1] / max(1.0, float(norms.max()))
-        trajectories.append(traj)
+    overflow = np.zeros(inst.n, dtype=int)
+    for g in group_by_dim(inst):
+        states, norms[g.idx], overflow[g.idx] = rollout_stack(
+            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
+        )
+        # residuals are defined with norm(axis=-1), whose last bits can
+        # differ from the clamp's vecdot norms
+        state_norm = np.linalg.norm(states, axis=-1)
+        residuals[g.idx] = state_norm[:, -1] / np.maximum(1.0, state_norm.max(axis=1))
+        for k, i in enumerate(g.idx):
+            trajectories[i] = states[k]
+    if overflow.any():
+        first = overflow[np.flatnonzero(overflow)[0]]
+        raise NonFiniteError(f"state overflowed at step {first}")
     occupancy = zeroed.occupancy(zero_rtol)
     max_occ = int(occupancy.max()) if occupancy.size else 0
 
@@ -144,6 +184,7 @@ def simulate(
         )
     return SimulationResult(
         trajectories=tuple(trajectories),
+        norms=norms,
         terminal_residuals=residuals,
         max_column_occupancy=max_occ,
         verified=not violations,

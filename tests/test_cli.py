@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestCliFlow:
         assert not report.verified
         assert report.method is None
         assert any("necessary condition" in line for line in report.diagnostics)
+
+    def test_overflow_during_verification_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--dims", "2x100,3x100", "--capacity", "2", "--horizon", "400",
+              "--seed", "7", "--out", str(inst_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow must not leak as a warning
+            code = main(["solve", str(inst_path), "--method", "block",
+                         "--out", str(tmp_path / "rep.json")])
+        assert code == 2
+        assert "block-plan: state overflowed at step 319" in capsys.readouterr().out
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 3

@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -12,6 +13,14 @@ from ncsched import (
     mat_pow,
     open_loop_hit_time,
     reach_matrix,
+)
+from ncsched.core import (
+    ZERO_RTOL,
+    full_rank,
+    group_by_dim,
+    mat_powers,
+    open_loop_hit_times,
+    reach_matrices,
 )
 
 from conftest import random_reachable_plant
@@ -164,3 +173,99 @@ class TestTypes:
         p = PlantDynamics([[2.0]], [1.0])
         with pytest.raises(ValueError):
             p.A[0, 0] = 3.0
+
+
+# Per-plant loops as core ran them before plants were stacked by dimension;
+# the batched kernels must reproduce them bit for bit.
+def reference_hit_time(p, xi, horizon, zero_rtol=ZERO_RTOL):
+    ref = float(np.linalg.norm(xi))
+    x = xi
+    for tau in range(1, horizon + 1):
+        x = p.A @ x
+        if np.linalg.norm(x) <= zero_rtol * ref:
+            return tau
+    return None
+
+
+def reference_reach_matrix(p):
+    cols = [p.b]
+    for _ in range(p.d - 1):
+        cols.append(p.A @ cols[-1])
+    return np.column_stack(cols[::-1])
+
+
+def nilpotent_plant(rng, d):
+    """Strictly upper-triangular state map: every state hits zero by step d."""
+    return PlantDynamics(np.triu(rng.uniform(-2, 2, (d, d)), 1), rng.uniform(-2, 2, d))
+
+
+def mixed_groups(rng, n):
+    """An instance of dimensions 1-4, about a third of it nilpotent, and its groups."""
+    plants = tuple(
+        nilpotent_plant(rng, d) if rng.uniform() < 0.3 else random_reachable_plant(rng, d)
+        for d in rng.integers(1, 5, n)
+    )
+    xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
+    inst = NcsInstance(plants, xi, capacity=1, horizon=20)
+    return inst, group_by_dim(inst)
+
+
+class TestBatchedKernelsMatchLoops:
+    def test_groups_cover_every_plant_once(self):
+        inst, groups = mixed_groups(np.random.default_rng(1), 40)
+        assert sorted(np.concatenate([g.idx for g in groups]).tolist()) == list(range(40))
+        for g in groups:
+            for k, i in enumerate(g.idx):
+                assert np.array_equal(g.A[k], inst.plants[i].A)
+                assert np.array_equal(g.b[k], inst.plants[i].b)
+                assert np.array_equal(g.xi[k], inst.xi[i])
+        subset = [3, 17, 5]
+        picked = group_by_dim(inst, subset)
+        assert sorted(np.concatenate([g.idx for g in picked]).tolist()) == sorted(subset)
+
+    def test_open_loop_hit_times(self):
+        rng = np.random.default_rng(2)
+        inst, groups = mixed_groups(rng, 60)
+        hits = 0
+        for g in groups:
+            got = open_loop_hit_times(g.A, g.xi, inst.horizon)
+            want = [reference_hit_time(inst.plants[i], inst.xi[i], inst.horizon) or 0
+                    for i in g.idx]
+            assert np.array_equal(got, want)
+            hits += int(np.count_nonzero(got))
+        assert hits > 0
+
+    def test_reach_matrices_and_rank(self):
+        rng = np.random.default_rng(3)
+        inst, groups = mixed_groups(rng, 60)
+        for g in groups:
+            psi = reach_matrices(g.A, g.b)
+            for k, i in enumerate(g.idx):
+                want = reference_reach_matrix(inst.plants[i])
+                assert np.array_equal(psi[k], want)
+                assert full_rank(psi)[k] == (np.linalg.matrix_rank(want) == g.A.shape[-1])
+                assert np.linalg.cond(psi)[k] == np.linalg.cond(want)
+
+    def test_mat_powers(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 3, 4):
+            A = rng.uniform(-2, 2, (30, d, d))
+            exponents = rng.integers(0, 15, 30)
+            got = mat_powers(A, exponents)
+            for k, e in enumerate(exponents):
+                want = np.eye(d)
+                for _ in range(e):
+                    want = want @ A[k]
+                assert np.array_equal(got[k], want)
+
+    def test_hit_time_uses_the_given_tolerance(self):
+        # |0.01^tau| first drops below 1e-9 at tau=5, below 1e-5 at tau=3
+        p = PlantDynamics([[0.01]], [1.0])
+        assert open_loop_hit_time(p, [1.0], 10) == 5
+        assert open_loop_hit_time(p, [1.0], 10, zero_rtol=1e-5) == 3
+
+    def test_overflow_never_hits_and_stays_silent(self):
+        p = PlantDynamics([[1e200]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert open_loop_hit_time(p, [1.0], 10) is None

@@ -6,6 +6,7 @@ from ncsched import (
     NcsInstance,
     NoSolutionFoundError,
     PlantDynamics,
+    generate_instance,
     solve_instance,
     verify_logic,
 )
@@ -100,3 +101,21 @@ class TestSolveCascade:
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(ValueError):
             solve_instance(inst, method="magic")
+
+    def test_overflow_in_verification_fails_only_that_route(self):
+        # the block plan coasts 2-d plants so long that verification overflows
+        inst = generate_instance(
+            200, 2, 400, [2] * 100 + [3] * 100, value_range=2.0, seed=7
+        ).instance
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(inst, method="block")
+        assert err.value.code == "routes_exhausted"
+        assert "block-plan: state overflowed at step 319" in err.value.reasons
+
+    def test_zero_rtol_reaches_the_open_loop_scan(self):
+        # plant 1 drops below 1e-5 of its start at step 3, below 1e-9 only at 5
+        inst = scalar_instance([0.01, 2.0, 3.0], capacity=1, horizon=4)
+        with pytest.raises(NoSolutionFoundError):
+            solve_instance(inst, method="lane")
+        report = solve_instance(inst, method="lane", zero_rtol=1e-5)
+        assert report.plan["open_loop"] == [1]

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from ncsched import (
+    IllConditionedWarning,
     LanePlan,
     NcsInstance,
     NotReachableError,
@@ -19,6 +21,8 @@ from ncsched import (
     split_open_loop,
     verify_logic,
 )
+from ncsched.deadbeat import COND_WARN_LIMIT
+from ncsched.planner import _block_offsets, _lane_offsets
 
 from conftest import companion_plant, random_reachable_plant, scalar_instance
 
@@ -268,3 +272,115 @@ class TestSplitOpenLoop:
         hits, closed = split_open_loop(inst)
         assert hits == {0: 2}
         assert closed == [1]
+
+
+# Per-plant code as the planner ran it before plants were stacked by
+# dimension; the batched packing and window synthesis must reproduce it.
+def reference_lane_plan(inst):
+    """Balanced decreasing packing by an O(N*M) scan of the lanes that fit."""
+    widths = {i: inst.plants[i].d + 1 for i in range(inst.n)}
+    members = [[] for _ in range(inst.capacity)]
+    loads = [0] * inst.capacity
+    for i in sorted(widths, key=lambda i: (-widths[i], i)):
+        fits = [j for j in range(inst.capacity) if loads[j] + widths[i] <= inst.horizon]
+        if not fits:
+            return None
+        j = min(fits, key=lambda j: (loads[j], j))
+        members[j].append(i)
+        loads[j] += widths[i]
+    lanes = sorted((sorted(m) for m in members if m), key=lambda lane: lane[0])
+    return LanePlan(lanes=tuple(tuple(lane) for lane in lanes), widths=widths)
+
+
+def reference_rows(inst, placements):
+    """Input rows window by window, in plant order, with each window's warning."""
+    u = np.zeros((inst.n, inst.horizon))
+    for i, (off, width) in sorted(placements.items()):
+        p = inst.plants[i]
+        cols = [p.b]
+        for _ in range(p.d - 1):
+            cols.append(p.A @ cols[-1])
+        psi = np.column_stack(cols[::-1])
+        cond = np.linalg.cond(psi)
+        if cond > COND_WARN_LIMIT:
+            warnings.warn(
+                f"controllability matrix condition number {cond:.2e} exceeds "
+                f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade",
+                IllConditionedWarning,
+            )
+        power = np.eye(p.d)
+        for _ in range(off):
+            power = power @ p.A
+        shifted = power @ inst.xi[i]
+        power = np.eye(p.d)
+        for _ in range(width):
+            power = power @ p.A
+        u[i, off + width - p.d : off + width] = -np.linalg.solve(psi, power @ shifted)
+    return u
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def ill_conditioned_plant(d, eps):
+    """Chain whose couplings are eps: Psi is nearly singular for small eps."""
+    A = np.eye(d) + eps * np.eye(d, k=1)
+    b = np.zeros(d)
+    b[-1] = 1.0
+    return PlantDynamics(A, b)
+
+
+class TestBatchedPlannerMatchesLoop:
+    def test_lane_packing_random_widths(self):
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            dims = rng.integers(1, 7, n)
+            plants = tuple(companion_plant(int(d), gain=1.5) for d in dims)
+            xi = tuple(np.ones(int(d)) for d in dims)
+            capacity = int(rng.integers(1, n))
+            horizon = int(rng.integers(2, 4 * n // capacity + 8))
+            inst = NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
+            plan = find_lane_plan(inst)
+            assert plan == reference_lane_plan(inst)
+            outcomes.add(plan is None)
+        assert outcomes == {True, False}
+
+    def test_window_rows_mixed_dims(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n = int(rng.integers(4, 30))
+            inst = random_instance(rng, n, max(1, n // 3), 60, max_d=4)
+            lane = find_lane_plan(inst)
+            assert np.array_equal(
+                build_from_lane_plan(inst, lane).u, reference_rows(inst, _lane_offsets(lane))
+            )
+            block = find_block_plan(inst)
+            if block is not None:
+                assert np.array_equal(
+                    build_from_block_plan(inst, block).u,
+                    reference_rows(inst, _block_offsets(block)),
+                )
+
+    def test_warnings_come_out_in_plant_order(self):
+        rng = np.random.default_rng(41)
+        plants = (
+            ill_conditioned_plant(3, 1e-7),
+            random_reachable_plant(rng, 2),
+            ill_conditioned_plant(2, 1e-13),
+            ill_conditioned_plant(3, 1e-6),
+            random_reachable_plant(rng, 1),
+        )
+        xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
+        inst = NcsInstance(plants, xi, capacity=2, horizon=12)
+        plan = find_lane_plan(inst)
+        got, got_warnings = recorded(build_from_lane_plan, inst, plan)
+        want, want_warnings = recorded(reference_rows, inst, _lane_offsets(plan))
+        assert np.array_equal(got.u, want)
+        assert len(want_warnings) == 3
+        assert got_warnings == want_warnings

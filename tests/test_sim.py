@@ -5,13 +5,18 @@ from ncsched import (
     CapacityViolationError,
     ControlLogic,
     NcsInstance,
+    NonFiniteError,
     PlantDynamics,
+    build_from_lane_plan,
     extract_schedule,
+    find_lane_plan,
+    rollout,
     simulate,
     verify_logic,
 )
+from ncsched.core import ZERO_RTOL
 
-from conftest import scalar_instance
+from conftest import random_reachable_plant, scalar_instance
 
 
 class TestExtractSchedule:
@@ -107,3 +112,92 @@ class TestSimulate:
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(ValueError):
             simulate(inst, ControlLogic(np.zeros((2, 3))))
+
+
+# Per-plant loops as the simulator ran them before plants were stacked by
+# dimension; the batched kernels must reproduce them bit for bit.
+def reference_rollout(p, xi, u, zero_rtol=ZERO_RTOL):
+    out = np.empty((u.shape[0] + 1, p.d))
+    out[0] = xi
+    sup = max(1.0, float(np.linalg.norm(xi)))
+    x = xi
+    for t in range(u.shape[0]):
+        x = p.A @ x + p.b * u[t]
+        norm = float(np.linalg.norm(x))
+        if not np.isfinite(norm):
+            raise NonFiniteError(f"state overflowed at step {t + 1}")
+        sup = max(sup, norm)
+        if norm <= zero_rtol * sup:
+            x = np.zeros(p.d)
+        out[t + 1] = x
+    return out
+
+
+def reference_simulate(inst, logic, zero_rtol=ZERO_RTOL):
+    """(trajectories, residuals, state norm series) from one plant at a time."""
+    zeroed = logic.thresholded(zero_rtol)
+    trajectories, residuals = [], []
+    for i, (p, x0) in enumerate(zip(inst.plants, inst.xi)):
+        traj = reference_rollout(p, x0, zeroed.u[i], zero_rtol)
+        norms = np.linalg.norm(traj, axis=1)
+        residuals.append(norms[-1] / max(1.0, float(norms.max())))
+        trajectories.append(traj)
+    state_norms = [[float(np.linalg.norm(x)) for x in traj] for traj in trajectories]
+    return trajectories, residuals, state_norms
+
+
+def mixed_instance(rng, n, horizon):
+    """Plants of dimensions 1-4 in shuffled order, unstable and reachable."""
+    plants = tuple(
+        random_reachable_plant(rng, int(rng.integers(1, 5)), unstable=True) for _ in range(n)
+    )
+    xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
+    return NcsInstance(plants, xi, capacity=max(1, n // 4), horizon=horizon)
+
+
+def assert_matches_reference(inst, logic):
+    result = simulate(inst, logic)
+    trajectories, residuals, state_norms = reference_simulate(inst, logic)
+    for got, want in zip(result.trajectories, trajectories):
+        assert np.array_equal(got, want)
+    assert np.array_equal(result.terminal_residuals, residuals)
+    assert result.state_norms() == state_norms
+    return result
+
+
+class TestBatchedRolloutMatchesLoop:
+    def test_random_inputs_mixed_dims(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            inst = mixed_instance(rng, int(rng.integers(2, 30)), int(rng.integers(1, 25)))
+            u = rng.uniform(-3, 3, (inst.n, inst.horizon))
+            u[rng.uniform(size=u.shape) < 0.5] = 0.0
+            assert_matches_reference(inst, ControlLogic(u))
+
+    def test_steered_rows_clamp_to_zero(self):
+        # deadbeat windows end on ~1e-15 rounding that the clamp zeroes
+        rng = np.random.default_rng(5)
+        inst = mixed_instance(rng, 24, 40)
+        logic = build_from_lane_plan(inst, find_lane_plan(inst))
+        result = assert_matches_reference(inst, logic)
+        assert result.verified
+        clamped = [traj for traj in result.trajectories if not traj[-1].any()]
+        assert len(clamped) == inst.n
+
+    def test_single_plant_rollout_is_a_stack_of_one(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 4):
+            p = random_reachable_plant(rng, d, unstable=True)
+            xi = rng.uniform(-1, 1, d)
+            u = rng.uniform(-2, 2, 30)
+            assert np.array_equal(rollout(p, xi, u), reference_rollout(p, xi, u))
+
+    def test_overflow_reports_the_first_plant_in_index_order(self):
+        # the norm squares the state: plant 2 overflows at step 2, plant 3 at 1
+        inst = scalar_instance([0.5, 1e100, 1e200, 2.0], capacity=1, horizon=4)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="at step 2"):
+            reference_rollout(inst.plants[1], inst.xi[1], np.zeros(4))
+        with pytest.raises(NonFiniteError, match="at step 2"):
+            simulate(inst, ControlLogic(np.zeros((4, 4))))
+        with pytest.raises(NonFiniteError, match="at step 1"):
+            rollout(inst.plants[2], inst.xi[2], np.zeros(4))
