@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic
 from .errors import NcsError, NoSolutionFoundError, SchemaError
@@ -127,7 +128,10 @@ def _cmd_solve(args) -> int:
             write_report(args.out, failure)
         return EXIT_NO_SOLUTION
     if args.out:
+        t0 = time.perf_counter()
         write_report(args.out, report)
+        # console only: timings are never serialized
+        report.timings["write"] = time.perf_counter() - t0
     worst = max(report.residuals) if report.residuals else 0.0
     occ = max((row[0] for row in report.occupancy_histogram), default=0)
     print(

@@ -270,6 +270,23 @@ def full_rank(psi: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_rank(psi) == psi.shape[-1]
 
 
+def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix full rank (as ``full_rank``) and 2-norm condition number
+    of stacked square matrices, from one SVD.
+
+    Gives the bits of ``full_rank(psi)`` and ``np.linalg.cond(psi)``, which
+    take an SVD each: the same cutoff, and a singular matrix's 0/0 read as
+    infinite unless the matrix holds a NaN.
+    """
+    s = np.linalg.svd(psi, compute_uv=False)
+    cutoff = s.max(axis=-1, keepdims=True) * (psi.shape[-1] * np.finfo(float).eps)
+    full = (s > cutoff).all(axis=-1)
+    with np.errstate(all="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    cond[np.isnan(cond) & ~np.isnan(psi).any(axis=(-2, -1))] = np.inf
+    return full, cond
+
+
 def reach_matrix(p: PlantDynamics) -> np.ndarray:
     """Controllability matrix [A^(d-1) b, ..., A b, b]."""
     return reach_matrices(p.A[None], p.b[None])[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PlantDynamics, full_rank, mat_powers, matvec, reach_matrices
+from .core import PlantDynamics, mat_powers, matvec, rank_and_cond, reach_matrices
 from .errors import (
     IllConditionedWarning,
     NonFiniteError,
@@ -85,8 +85,7 @@ def deadbeat_bursts(
     # widths <= d fail their own check below; give them a harmless exponent
     steer = mat_powers(A, np.where(widths > d, widths, 0))
     psi = reach_matrices(A, b)
-    reachable = full_rank(psi)
-    cond = np.linalg.cond(psi)
+    reachable, cond = rank_and_cond(psi)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = matvec(steer, matvec(coast, xi))
     coast_ok = np.isfinite(coast).all(axis=(1, 2))

@@ -52,6 +52,18 @@ class TestCliFlow:
         assert main(["solve", str(inst_path), "--out", str(rep_b)]) == 0
         assert rep_a.read_bytes() == rep_b.read_bytes()
 
+    def test_solve_prints_write_time_only_with_out(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--dims", "2x4", "--capacity", "2", "--horizon", "15",
+              "--seed", "9", "--out", str(inst_path)])
+        capsys.readouterr()
+        assert main(["solve", str(inst_path)]) == 0
+        assert "time write" not in capsys.readouterr().out
+        assert main(["solve", str(inst_path), "--out", str(tmp_path / "rep.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("  time write: ")
+        assert lines[-2].startswith("  time total: ")
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         main(["gen", "--dims", "1,1", "--capacity", "1", "--horizon", "1",

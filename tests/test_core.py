@@ -20,6 +20,7 @@ from ncsched.core import (
     group_by_dim,
     mat_powers,
     open_loop_hit_times,
+    rank_and_cond,
     reach_matrices,
 )
 
@@ -245,6 +246,20 @@ class TestBatchedKernelsMatchLoops:
                 assert np.array_equal(psi[k], want)
                 assert full_rank(psi)[k] == (np.linalg.matrix_rank(want) == g.A.shape[-1])
                 assert np.linalg.cond(psi)[k] == np.linalg.cond(want)
+
+    def test_rank_and_cond_from_one_svd(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 4):
+            psi = rng.uniform(-2, 2, (40, d, d))
+            psi[0] = 0.0  # 0/0 condition number, read as infinite
+            psi[1, :, -1] = 3 * psi[1, :, 0]  # exactly singular for d > 1
+            psi[2] = np.diag(10.0 ** -(8.0 * np.arange(d)))  # ill-conditioned
+            psi[3] = np.diag(1.0 + np.arange(d) * d * np.finfo(float).eps)
+            full, cond = rank_and_cond(psi)
+            assert np.array_equal(full, np.linalg.matrix_rank(psi) == d)
+            assert np.array_equal(cond, np.linalg.cond(psi))
+            assert np.isinf(cond[0]) and not full[0]
+            assert not full[1] or d == 1
 
     def test_mat_powers(self):
         rng = np.random.default_rng(4)
