@@ -20,9 +20,8 @@ from .core import (
     lifted_matrix,
     mat_pow,
     open_loop_hit_time,
-    reach_matrix,
 )
-from .deadbeat import DeadbeatWindow, deadbeat_inputs, make_window, windowed_inputs
+from .deadbeat import deadbeat_inputs, windowed_inputs
 from .errors import (
     CapacityViolationError,
     HorizonTooShortError,
@@ -48,10 +47,7 @@ from .pipeline import solve_instance
 from .planner import (
     BlockPlan,
     LanePlan,
-    block_plan_from_lanes,
-    build_from_block_plan,
-    build_from_lane_plan,
-    check_necessary,
+    build_from_plan,
     exhaustive_block_plan,
     exhaustive_lane_plan,
     find_block_plan,
@@ -59,7 +55,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport, export_plots, read_report, write_report
-from .sim import SimulationResult, extract_schedule, rollout, simulate, verify_logic
+from .sim import SimulationResult, extract_schedule, rollout, verify_logic
 from .sparse import (
     RelaxationResult,
     RipReport,
@@ -82,7 +78,6 @@ __all__ = [
     "BlockPlan",
     "CapacityViolationError",
     "ControlLogic",
-    "DeadbeatWindow",
     "HorizonTooShortError",
     "IllConditionedWarning",
     "InstanceFile",
@@ -104,10 +99,7 @@ __all__ = [
     "SparsitySolution",
     "TooLargeError",
     "WindowOverflowError",
-    "block_plan_from_lanes",
-    "build_from_block_plan",
-    "build_from_lane_plan",
-    "check_necessary",
+    "build_from_plan",
     "deadbeat_inputs",
     "exhaustive_block_plan",
     "exhaustive_lane_plan",
@@ -121,17 +113,14 @@ __all__ = [
     "l0_feasible_bruteforce",
     "l1_min_inputs",
     "lifted_matrix",
-    "make_window",
     "mat_pow",
     "measure_sparsity",
     "min_l1",
     "open_loop_hit_time",
     "read_instance",
     "read_report",
-    "reach_matrix",
     "rip_delta",
     "rollout",
-    "simulate",
     "solve_instance",
     "solve_via_relaxation",
     "spectral_radius",

@@ -181,10 +181,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SchemaError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except NcsError as exc:
+    except (NcsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -27,6 +27,17 @@ ZERO_RTOL = 1e-9
 TERMINAL_RTOL = 1e-6
 
 
+def check_tolerances(zero_rtol: float, terminal_rtol: float) -> None:
+    """Raise ``ValueError`` unless both tolerances lie strictly between 0 and 1.
+
+    Outside that range the zero tests turn vacuous: at 1 or above (or NaN) a
+    state that never moved counts as steered to zero.
+    """
+    for name, value in (("zero_rtol", zero_rtol), ("terminal_rtol", terminal_rtol)):
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -285,11 +296,6 @@ def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cond = s[..., 0] / s[..., -1]
     cond[np.isnan(cond) & ~np.isnan(psi).any(axis=(-2, -1))] = np.inf
     return full, cond
-
-
-def reach_matrix(p: PlantDynamics) -> np.ndarray:
-    """Controllability matrix [A^(d-1) b, ..., A b, b]."""
-    return reach_matrices(p.A[None], p.b[None])[0]
 
 
 def is_reachable(p: PlantDynamics) -> bool:

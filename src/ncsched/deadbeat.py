@@ -10,7 +10,6 @@ inputs no matter how long its window is.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,45 +24,6 @@ from .errors import (
 COND_WARN_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class DeadbeatWindow:
-    """One plant's steering burst placed inside the horizon.
-
-    ``inputs`` has length ``length`` and starts with a run of exact zeros;
-    ``start + length`` must not exceed the horizon it is embedded into.
-    """
-
-    plant: int
-    start: int
-    length: int
-    inputs: np.ndarray
-
-    def __post_init__(self):
-        inputs = np.array(self.inputs, dtype=float)
-        if self.plant < 0 or self.start < 0:
-            raise ValueError("plant index and start must be nonnegative")
-        if inputs.shape != (self.length,):
-            raise ValueError(
-                f"window holds {inputs.shape} inputs, expected ({self.length},)"
-            )
-        inputs.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-    def embed(self, horizon: int) -> np.ndarray:
-        """Full-horizon input row: zeros outside [start, start+length)."""
-        if self.end > horizon:
-            raise WindowOverflowError(
-                f"window [{self.start}, {self.end}) exceeds horizon {horizon}"
-            )
-        row = np.zeros(horizon)
-        row[self.start : self.end] = self.inputs
-        return row
-
-
 def deadbeat_bursts(
     A: np.ndarray, b: np.ndarray, xi: np.ndarray, offsets, widths
 ) -> tuple[np.ndarray, dict[int, tuple[str | None, Exception | None]]]:
@@ -72,7 +32,8 @@ def deadbeat_bursts(
     Row k coasts ``xi[k]`` for ``offsets[k]`` steps and then steers it to zero
     with a window of ``widths[k]`` steps. Returns the n x d window tails
     ``-inv(Psi) A^width A^offset xi``, from one factorization-based solve for
-    the stack, and the problems of the rows that have any:
+    the stack, and the problems of the rows that have any (a burst that is
+    not finite is a ``NonFiniteError``):
     ``{row: (ill-conditioning warning text or None, error or None)}``. A row
     has a warning only if it got as far as the condition check, so replaying
     each row's warning and then its error in plant order (``raise_in_order``)
@@ -114,6 +75,10 @@ def deadbeat_bursts(
     solvable[[k for k, (_, error) in problems.items() if error]] = False
     tails = np.zeros(xi.shape)
     tails[solvable] = -np.linalg.solve(psi[solvable], rhs[solvable][..., None])[..., 0]
+    # a finite right-hand side can still overflow in the solve
+    for k in np.flatnonzero(~np.isfinite(tails).all(axis=1)):
+        text = problems.get(int(k), (None, None))[0]
+        problems[int(k)] = (text, NonFiniteError("deadbeat burst overflowed"))
     return tails, problems
 
 
@@ -125,16 +90,6 @@ def raise_in_order(problems: dict[int, tuple[str | None, Exception | None]]) -> 
             warnings.warn(text, IllConditionedWarning, stacklevel=3)
         if error:
             raise error
-
-
-def _window_inputs(p: PlantDynamics, xi, offset: int, width: int) -> np.ndarray:
-    """One plant's window: ``width - d`` zeros, then its burst; a stack of one."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    tails, problems = deadbeat_bursts(p.A[None], p.b[None], xi[None], [offset], [width])
-    raise_in_order(problems)
-    u = np.zeros(width)
-    u[width - p.d :] = tails[0]
-    return u
 
 
 def deadbeat_inputs(p: PlantDynamics, xi: np.ndarray, width: int) -> np.ndarray:
@@ -161,7 +116,7 @@ def deadbeat_inputs(p: PlantDynamics, xi: np.ndarray, width: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("state has wrong length")
-    return _window_inputs(p, xi, 0, width)
+    return windowed_inputs(p, xi, 0, width, width)
 
 
 def windowed_inputs(
@@ -179,13 +134,9 @@ def windowed_inputs(
         raise WindowOverflowError(
             f"window [{offset}, {offset + width}) exceeds horizon {horizon}"
         )
-    return make_window(0, p, xi, offset, width).embed(horizon)
-
-
-def make_window(
-    plant: int, p: PlantDynamics, xi: np.ndarray, offset: int, width: int
-) -> DeadbeatWindow:
-    """Steering window for a specific plant index, ready to embed into a row."""
-    return DeadbeatWindow(
-        plant=plant, start=offset, length=width, inputs=_window_inputs(p, xi, offset, width)
-    )
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    tails, problems = deadbeat_bursts(p.A[None], p.b[None], xi[None], [offset], [width])
+    raise_in_order(problems)
+    row = np.zeros(horizon)
+    row[offset + width - p.d : offset + width] = tails[0]
+    return row

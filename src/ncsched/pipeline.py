@@ -22,17 +22,13 @@ import warnings as warnings_mod
 
 import numpy as np
 
-from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic, NcsInstance
+from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic, NcsInstance, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
     _assemble,
-    _block_offsets,
     _block_plan_for,
-    _check_block_plan,
-    _check_lane_plan,
     _exhaustive_block_for,
     _exhaustive_lane_for,
-    _lane_offsets,
     _lane_plan_for,
     _require_reachable,
     split_open_loop,
@@ -67,10 +63,12 @@ def solve_instance(
     Raises ``NoSolutionFoundError`` when every requested route is exhausted;
     its ``reasons`` list one line per failed route, plus the pigeonhole
     verdict. ``exhaustive`` swaps the plan heuristics for the complete
-    searches (at most 10 plants).
+    searches (at most 10 plants). Both tolerances must lie strictly between
+    0 and 1 (``ValueError`` otherwise).
     """
     if method not in _METHOD_ROUTES:
         raise ValueError(f"unknown method {method!r}")
+    check_tolerances(zero_rtol, terminal_rtol)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     diagnostics: list[str] = []
@@ -103,33 +101,18 @@ def solve_instance(
 
     def run_route(name: str):
         """Returns (logic, plan_dict, extra_warnings) or raises NcsError."""
-        if name == "lane-plan":
+        if name in ("lane-plan", "block-plan"):
+            lane = name == "lane-plan"
             _require_reachable(inst, closed)
-            plan = (
-                _exhaustive_lane_for(inst, closed)
-                if exhaustive
-                else _lane_plan_for(inst, closed)
-            )
+            if exhaustive:
+                plan = (_exhaustive_lane_for if lane else _exhaustive_block_for)(inst, closed)
+            else:
+                plan = (_lane_plan_for if lane else _block_plan_for)(inst, closed)
             if plan is None:
+                found = "lane packing found" if lane else "block partition fits the horizon"
                 qualifier = "" if exhaustive else " (heuristic; not a proof of nonexistence)"
-                raise NoSolutionFoundError(f"no lane packing found{qualifier}")
-            _check_lane_plan(inst, plan, set(closed))
-            logic = _assemble(inst, _lane_offsets(plan))
-            plan_dict = plan.to_report_dict()
-            plan_dict["open_loop"] = open_loop_report
-            return logic, plan_dict, []
-        if name == "block-plan":
-            _require_reachable(inst, closed)
-            plan = (
-                _exhaustive_block_for(inst, closed)
-                if exhaustive
-                else _block_plan_for(inst, closed)
-            )
-            if plan is None:
-                qualifier = "" if exhaustive else " (heuristic; not a proof of nonexistence)"
-                raise NoSolutionFoundError(f"no block partition fits the horizon{qualifier}")
-            _check_block_plan(inst, plan, set(closed))
-            logic = _assemble(inst, _block_offsets(plan))
+                raise NoSolutionFoundError(f"no {found}{qualifier}")
+            logic = _assemble(inst, plan, closed)
             plan_dict = plan.to_report_dict()
             plan_dict["open_loop"] = open_loop_report
             return logic, plan_dict, []

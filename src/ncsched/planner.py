@@ -7,6 +7,10 @@ segment. A *lane plan* runs at most M parallel queues; each queue serves its
 plants back-to-back with per-plant window lengths, so at any instant at most
 one plant per lane is active.
 
+Either plan yields per-plant (offset, width) placements, and one checked
+synthesis (``_assemble``) turns them into input rows: each window ends in its
+plant's deadbeat burst, and no slot may hold more than M bursts.
+
 The searches here are deterministic heuristics: failure to find a plan means
 this heuristic found none, not that none exists. The exhaustive variants (for
 at most 10 plants) are complete and double as oracles for the heuristics.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,16 +40,31 @@ from .errors import NotReachableError, TooLargeError, WindowOverflowError
 EXHAUSTIVE_LIMIT = 10
 
 
+def _place(out: dict[int, tuple[int, int]], i: int, off: int, width: int) -> None:
+    if i in out:
+        raise ValueError(f"plan places plant {i + 1} twice")
+    out[i] = (off, width)
+
+
 @dataclass(frozen=True)
 class BlockPlan:
     """Consecutive horizon segments: group j owns [offsets[j], offsets[j]+block_lengths[j])."""
 
     blocks: tuple[tuple[int, ...], ...]
     block_lengths: tuple[int, ...]
-    offsets: tuple[int, ...]
 
-    def total_length(self) -> int:
-        return sum(self.block_lengths)
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """Segment starts: the running sum of the lengths before each segment."""
+        return tuple(accumulate(self.block_lengths, initial=0))[:-1]
+
+    def placements(self) -> dict[int, tuple[int, int]]:
+        """``{plant: (offset, width)}``: every member's window spans its segment."""
+        out: dict[int, tuple[int, int]] = {}
+        for blk, off, width in zip(self.blocks, self.offsets, self.block_lengths, strict=True):
+            for i in blk:
+                _place(out, i, off, width)
+        return out
 
     def to_report_dict(self) -> dict:
         return {
@@ -65,21 +85,22 @@ class LanePlan:
     def lane_loads(self) -> tuple[int, ...]:
         return tuple(sum(self.widths[i] for i in lane) for lane in self.lanes)
 
+    def placements(self) -> dict[int, tuple[int, int]]:
+        """``{plant: (offset, width)}``: each lane's windows run back to back from 0."""
+        out: dict[int, tuple[int, int]] = {}
+        for lane in self.lanes:
+            off = 0
+            for i in lane:
+                _place(out, i, off, self.widths[i])
+                off += self.widths[i]
+        return out
+
     def to_report_dict(self) -> dict:
         return {
             "kind": "lane",
             "lanes": [[i + 1 for i in lane] for lane in self.lanes],
             "widths": [[i + 1, self.widths[i]] for i in sorted(self.widths)],
         }
-
-
-def check_necessary(inst: NcsInstance) -> bool:
-    """Pigeonhole bound: T slots of capacity M can serve N plants only if T >= ceil(N/M).
-
-    A False return proves infeasibility whenever no plant's state reaches zero
-    open-loop within the horizon.
-    """
-    return inst.horizon >= math.ceil(inst.n / inst.capacity)
 
 
 def split_open_loop(
@@ -118,15 +139,7 @@ def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
     lengths = [1 + max(inst.plants[i].d for i in blk) for blk in blocks]
     if sum(lengths) > inst.horizon:
         return None
-    offsets, acc = [], 0
-    for w in lengths:
-        offsets.append(acc)
-        acc += w
-    return BlockPlan(
-        blocks=tuple(blocks),
-        block_lengths=tuple(lengths),
-        offsets=tuple(offsets),
-    )
+    return BlockPlan(blocks=tuple(blocks), block_lengths=tuple(lengths))
 
 
 def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
@@ -207,15 +220,7 @@ def _exhaustive_block_for(
             continue
         blocks = [tuple(sorted(blk)) for blk in parts] + [()] * (n_blocks - len(parts))
         lengths = lengths + [1] * (n_blocks - len(parts))
-        offsets, acc = [], 0
-        for w in lengths:
-            offsets.append(acc)
-            acc += w
-        return BlockPlan(
-            blocks=tuple(blocks),
-            block_lengths=tuple(lengths),
-            offsets=tuple(offsets),
-        )
+        return BlockPlan(blocks=tuple(blocks), block_lengths=tuple(lengths))
     return None
 
 
@@ -252,107 +257,35 @@ def exhaustive_lane_plan(inst: NcsInstance, limit: int = EXHAUSTIVE_LIMIT) -> La
     return _exhaustive_lane_for(inst, range(inst.n), limit)
 
 
-def block_plan_from_lanes(inst: NcsInstance, plan: LanePlan) -> BlockPlan:
-    """Transpose an equal-length lane plan into a block plan.
+def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLogic:
+    """Checked input rows for a plan that places exactly the plants in ``cover``.
 
-    Group k collects the k-th member of every lane and spans the largest of
-    their window lengths. Requires every lane to have the same number of
-    members; the result satisfies the block-plan conditions whenever its total
-    length fits the horizon.
+    A window of width w > d at offset o holds its plant's deadbeat burst in its
+    last d slots, [o + w - d, o + w), and zeros elsewhere; unplaced plants get
+    zero rows. The plan is rejected (``ValueError``) unless it places exactly
+    ``cover``, every window is longer than its plant's dimension and no slot
+    holds more than M bursts; a window outside [0, T) raises
+    ``WindowOverflowError``. The windows of each dimension are built as one
+    stack; warnings and errors come out in plant order, as if the plants were
+    done one at a time.
     """
-    sizes = {len(lane) for lane in plan.lanes}
-    if len(sizes) != 1:
-        raise ValueError("lane plan must have equal-length lanes to transpose")
-    depth = sizes.pop()
-    blocks = []
-    lengths = []
-    for k in range(depth):
-        members = tuple(sorted(lane[k] for lane in plan.lanes))
-        blocks.append(members)
-        lengths.append(max(plan.widths[i] for i in members))
-    offsets = [0]
-    for w in lengths[:-1]:
-        offsets.append(offsets[-1] + w)
-    return BlockPlan(
-        blocks=tuple(blocks), block_lengths=tuple(lengths), offsets=tuple(offsets)
-    )
-
-
-def _check_block_plan(inst: NcsInstance, plan: BlockPlan, cover: set[int]) -> None:
-    seen: set[int] = set()
-    if not (len(plan.blocks) == len(plan.block_lengths) == len(plan.offsets)):
-        raise ValueError("block plan fields have mismatched lengths")
-    for blk, width in zip(plan.blocks, plan.block_lengths):
-        if len(blk) > inst.capacity:
-            raise ValueError("block exceeds channel capacity")
-        if seen & set(blk):
-            raise ValueError("blocks are not disjoint")
-        seen.update(blk)
-        for i in blk:
-            if width <= inst.plants[i].d:
-                raise ValueError(
-                    f"segment length {width} too short for plant {i + 1}"
-                )
-    if seen != cover:
-        raise ValueError("blocks do not cover the expected plants")
-    if plan.total_length() > inst.horizon:
-        raise ValueError("block lengths exceed the horizon")
-    expect = 0
-    for off, width in zip(plan.offsets, plan.block_lengths):
-        if off != expect:
-            raise ValueError("offsets are not the running sum of lengths")
-        expect = off + width
-
-
-def _check_lane_plan(inst: NcsInstance, plan: LanePlan, cover: set[int]) -> None:
-    if len(plan.lanes) > inst.capacity:
-        raise ValueError("more lanes than channel capacity")
-    seen: set[int] = set()
-    for lane in plan.lanes:
-        if seen & set(lane):
-            raise ValueError("lanes are not disjoint")
-        seen.update(lane)
-        load = 0
-        for i in lane:
-            width = plan.widths[i]
-            if width <= inst.plants[i].d:
-                raise ValueError(f"window length {width} too short for plant {i + 1}")
-            load += width
-        if load > inst.horizon:
-            raise ValueError("lane load exceeds the horizon")
-    if seen != cover:
-        raise ValueError("lanes do not cover the expected plants")
-
-
-def _block_offsets(plan: BlockPlan) -> dict[int, tuple[int, int]]:
-    out = {}
-    for blk, off, width in zip(plan.blocks, plan.offsets, plan.block_lengths):
-        for i in blk:
-            out[i] = (off, width)
-    return out
-
-
-def _lane_offsets(plan: LanePlan) -> dict[int, tuple[int, int]]:
-    out = {}
-    for lane in plan.lanes:
-        off = 0
-        for i in lane:
-            out[i] = (off, plan.widths[i])
-            off += plan.widths[i]
-    return out
-
-
-def _assemble(inst: NcsInstance, placements: dict[int, tuple[int, int]]) -> ControlLogic:
-    """Rows from per-plant (offset, width) placements; unplaced plants get zeros.
-
-    The windows of each dimension are built as one stack; warnings and errors
-    come out in plant order, as if the plants were done one at a time.
-    """
-    for _, (off, width) in sorted(placements.items()):
-        if off + width > inst.horizon:
+    placements = plan.placements()
+    if placements.keys() != set(cover):
+        raise ValueError("plan does not place exactly the expected plants")
+    starts = [0] * (inst.horizon + 1)  # +1 at a burst's first slot, -1 past its last
+    for i, (off, width) in sorted(placements.items()):
+        d = inst.plants[i].d
+        if width <= d:
+            raise ValueError(f"window length {width} too short for plant {i + 1}")
+        if off < 0 or off + width > inst.horizon:
             raise WindowOverflowError(
                 f"window [{off}, {off + width}) exceeds horizon {inst.horizon}"
             )
+        starts[off + width - d] += 1
+        starts[off + width] -= 1
+    for t, bursts in enumerate(accumulate(starts)):
+        if bursts > inst.capacity:
+            raise ValueError(f"slot {t} holds {bursts} bursts, capacity is {inst.capacity}")
     u = np.zeros((inst.n, inst.horizon))
     problems: dict[int, tuple] = {}
     for g in group_by_dim(inst, placements):
@@ -366,13 +299,10 @@ def _assemble(inst: NcsInstance, placements: dict[int, tuple[int, int]]) -> Cont
     return ControlLogic(u)
 
 
-def build_from_block_plan(inst: NcsInstance, plan: BlockPlan) -> ControlLogic:
-    """Input rows for a validated block plan; at most M plants active per slot."""
-    _check_block_plan(inst, plan, set(range(inst.n)))
-    return _assemble(inst, _block_offsets(plan))
+def build_from_plan(inst: NcsInstance, plan: BlockPlan | LanePlan) -> ControlLogic:
+    """Input rows for a lane or block plan that places every plant.
 
-
-def build_from_lane_plan(inst: NcsInstance, plan: LanePlan) -> ControlLogic:
-    """Input rows for a validated lane plan; at most one active plant per lane."""
-    _check_lane_plan(inst, plan, set(range(inst.n)))
-    return _assemble(inst, _lane_offsets(plan))
+    At most M bursts share a slot, so at most M plants are active per slot;
+    a malformed plan raises ``ValueError`` (see ``_assemble``).
+    """
+    return _assemble(inst, plan, range(inst.n))

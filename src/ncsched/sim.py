@@ -27,6 +27,7 @@ from .core import (
     NcsInstance,
     PlantDynamics,
     SchedulingLogic,
+    check_tolerances,
     group_by_dim,
     matvec,
 )
@@ -131,7 +132,7 @@ def rollout(
     return states[0]
 
 
-def simulate(
+def verify_logic(
     inst: NcsInstance,
     logic: ControlLogic,
     zero_rtol: float = ZERO_RTOL,
@@ -141,8 +142,11 @@ def simulate(
 
     ``verified`` is true iff every relative terminal residual is at most
     ``terminal_rtol`` and no slot is over capacity. The residual denominator
-    is the plant's trajectory sup-norm floored at 1.
+    is the plant's trajectory sup-norm floored at 1. This flag is the single
+    source of truth used by the solve pipeline and the acceptance tests. Both
+    tolerances must lie strictly between 0 and 1.
     """
+    check_tolerances(zero_rtol, terminal_rtol)
     if logic.u.shape != (inst.n, inst.horizon):
         raise ValueError(
             f"control logic shape {logic.u.shape} does not match instance "
@@ -190,17 +194,3 @@ def simulate(
         verified=not violations,
         violations=tuple(violations),
     )
-
-
-def verify_logic(
-    inst: NcsInstance,
-    logic: ControlLogic,
-    zero_rtol: float = ZERO_RTOL,
-    terminal_rtol: float = TERMINAL_RTOL,
-) -> SimulationResult:
-    """Simulate and check both requirements: zero terminal states, capacity.
-
-    The returned ``verified`` flag is the single source of truth used by the
-    solve pipeline and the acceptance tests.
-    """
-    return simulate(inst, logic, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)

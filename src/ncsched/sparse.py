@@ -40,7 +40,6 @@ from .errors import (
     SolverStallError,
     TooLargeError,
 )
-from .sim import simulate
 
 RIP_CERT_BOUND = math.sqrt(2.0) - 1.0
 RESIDUAL_RTOL = 1e-8
@@ -83,7 +82,6 @@ class RelaxationResult:
     solution: SparsitySolution
     rip_reports: dict[int, RipReport]
     certification: dict[int, str]
-    verified: bool
     warnings: list[str] = field(default_factory=list)
 
 
@@ -267,12 +265,10 @@ def l0_feasible_bruteforce(
     Desk scale only: refuses when (number of admissible access sets)^T
     exceeds ``cap``.
     """
+    n_sets = sum(math.comb(inst.n, size) for size in range(inst.capacity + 1))
+    if n_sets**inst.horizon > cap:
+        raise TooLargeError(f"{n_sets}^{inst.horizon} assignments exceed the cap of {cap}")
     subsets, masks = _subset_masks(inst.n, inst.capacity)
-    total = len(subsets) ** inst.horizon
-    if total > cap:
-        raise TooLargeError(
-            f"{len(subsets)}^{inst.horizon} assignments exceed the cap of {cap}"
-        )
     phis = [lifted_matrix(p, inst.horizon) for p in inst.plants]
     targets = [
         -(mat_pow(p.A, inst.horizon) @ x) for p, x in zip(inst.plants, inst.xi)
@@ -340,6 +336,9 @@ def solve_via_relaxation(
     "uncertified" when it fails, "cap-exceeded" when the exhaustive check is
     too large, "trivial" for the all-zero solution. Uniqueness of the l1
     minimizer is assumed, not checked; the result carries that warning.
+
+    The returned logic is not simulated here: the solve cascade verifies
+    every route's output, and ``verify_logic`` judges it directly.
     """
     subset = sorted(range(inst.n) if plants is None else plants)
     bad = [i for i in subset if not is_reachable(inst.plants[i])]
@@ -409,7 +408,6 @@ def solve_via_relaxation(
             solution=solution,
             rip_reports=rip_reports,
             certification=certification,
-            verified=False,
             warnings=warnings_out,
         )
     solution.groups = groups
@@ -417,13 +415,10 @@ def solve_via_relaxation(
     u = np.zeros((inst.n, inst.horizon))
     for i in subset:
         u[i] = inputs[i]
-    logic = ControlLogic(u).thresholded(zero_rtol)
-    outcome = simulate(inst, logic, zero_rtol=zero_rtol)
     return RelaxationResult(
-        logic=logic,
+        logic=ControlLogic(u).thresholded(zero_rtol),
         solution=solution,
         rip_reports=rip_reports,
         certification=certification,
-        verified=outcome.verified,
         warnings=warnings_out,
     )

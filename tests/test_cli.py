@@ -87,6 +87,27 @@ class TestCliFlow:
         assert code == 2
         assert "block-plan: state overflowed at step 319" in capsys.readouterr().out
 
+    def test_overflowing_burst_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--dims", "2x155,3x155", "--capacity", "2", "--horizon", "620",
+              "--seed", "1", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--method", "lane"]) == 2
+        assert "lane-plan: deadbeat burst overflowed" in capsys.readouterr().out
+
+    def test_verify_rejects_vacuous_tolerance(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
+              "--seed", "4", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        report = read_report(rep_path)
+        report.control = np.zeros_like(report.control)
+        write_report(rep_path, report)
+        assert main(["verify", str(inst_path), str(rep_path)]) == 2
+        capsys.readouterr()
+        assert main(["verify", str(inst_path), str(rep_path), "--terminal-rtol", "nan"]) == 3
+        assert "terminal_rtol must lie strictly between 0 and 1" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 3
 

@@ -12,7 +12,6 @@ from ncsched import (
     lifted_matrix,
     mat_pow,
     open_loop_hit_time,
-    reach_matrix,
 )
 from ncsched.core import (
     ZERO_RTOL,
@@ -61,15 +60,15 @@ class TestMatPow:
 class TestReachMatrix:
     def test_shift_register(self):
         p = PlantDynamics([[0, 1], [0, 0]], [0, 1])
-        np.testing.assert_array_equal(reach_matrix(p), np.eye(2))
+        np.testing.assert_array_equal(lifted_matrix(p, p.d), np.eye(2))
 
     def test_scalar(self):
         p = PlantDynamics([[2.0]], [1.0])
-        np.testing.assert_array_equal(reach_matrix(p), [[1.0]])
+        np.testing.assert_array_equal(lifted_matrix(p, p.d), [[1.0]])
 
     def test_column_order(self):
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
-        np.testing.assert_array_equal(reach_matrix(p), [[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(lifted_matrix(p, p.d), [[1.0, 0.0], [1.0, 1.0]])
 
 
 class TestIsReachable:
@@ -110,7 +109,9 @@ class TestLiftedMatrix:
 
     def test_equals_reach_matrix_at_dimension(self):
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
-        np.testing.assert_array_equal(lifted_matrix(p, 2), reach_matrix(p))
+        np.testing.assert_array_equal(
+            lifted_matrix(p, 2), reach_matrices(p.A[None], p.b[None])[0]
+        )
 
     def test_tail_columns_equal_reach_matrix(self):
         rng = np.random.default_rng(11)
@@ -119,7 +120,9 @@ class TestLiftedMatrix:
             p = random_reachable_plant(rng, d)
             horizon = d + int(rng.integers(0, 5))
             phi = lifted_matrix(p, horizon)
-            np.testing.assert_allclose(phi[:, horizon - d :], reach_matrix(p))
+            np.testing.assert_allclose(
+                phi[:, horizon - d :], reach_matrices(p.A[None], p.b[None])[0]
+            )
 
 
 class TestOpenLoopHitTime:

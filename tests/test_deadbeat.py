@@ -3,6 +3,7 @@ import pytest
 
 from ncsched import (
     IllConditionedWarning,
+    NonFiniteError,
     NotReachableError,
     PlantDynamics,
     WindowOverflowError,
@@ -86,6 +87,12 @@ class TestWindowedInputs:
         p = PlantDynamics([[2.0]], [1.0])
         with pytest.raises(WindowOverflowError):
             windowed_inputs(p, [1.0], 3, 2, 4)
+
+    def test_overflowing_burst_raises(self):
+        # A^2 x = 4 is finite, but the burst 4 / b is not
+        p = PlantDynamics([[2.0]], [1e-308])
+        with pytest.raises(NonFiniteError, match="deadbeat burst overflowed"):
+            windowed_inputs(p, [1.0], 0, 2, 2)
 
     def test_shift_identity(self):
         rng = np.random.default_rng(9)

@@ -47,6 +47,17 @@ class TestSolveCascade:
             solve_instance(inst)
         assert err.value.code == "necessary_condition"
 
+    def test_necessary_condition_met_with_equality(self):
+        # four plants fill T=2 slots of capacity 2 exactly; brute force finds it
+        inst = scalar_instance([2.0] * 4, capacity=2, horizon=2)
+        report = solve_instance(inst)
+        assert report.verified
+        assert report.method == "bruteforce"
+        assert (
+            "necessary condition: horizon 2 meets ceil(remaining/capacity) = 2"
+            in report.diagnostics
+        )
+
     def test_open_loop_plants_get_zero_rows(self):
         plants = (
             PlantDynamics([[0.0]], [1.0]),  # open-loop zeroable
@@ -119,3 +130,31 @@ class TestSolveCascade:
             solve_instance(inst, method="lane")
         report = solve_instance(inst, method="lane", zero_rtol=1e-5)
         assert report.plan["open_loop"] == [1]
+
+    def test_overflowing_burst_fails_only_that_route(self):
+        # the solve for the last 3-d plant's burst overflows a finite target
+        inst = generate_instance(
+            310, 2, 620, [2] * 155 + [3] * 155, value_range=2.0, seed=1
+        ).instance
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(inst)
+        assert err.value.code == "routes_exhausted"
+        routes = [line.split(":")[0] for line in err.value.reasons[1:]]
+        assert routes == ["lane-plan", "block-plan", "relaxation", "bruteforce"]
+        assert "lane-plan: deadbeat burst overflowed" in err.value.reasons
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"terminal_rtol": float("nan")},
+            {"terminal_rtol": 1.0},
+            {"terminal_rtol": 0.0},
+            {"zero_rtol": 1.0},
+            {"zero_rtol": -1e-9},
+            {"zero_rtol": float("nan")},
+        ],
+    )
+    def test_rejects_vacuous_tolerances(self, tolerances):
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=3)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            solve_instance(inst, **tolerances)

@@ -5,24 +5,24 @@ import numpy as np
 import pytest
 
 from ncsched import (
+    BlockPlan,
     IllConditionedWarning,
     LanePlan,
     NcsInstance,
+    NonFiniteError,
     NotReachableError,
     PlantDynamics,
-    block_plan_from_lanes,
-    build_from_block_plan,
-    build_from_lane_plan,
-    check_necessary,
+    WindowOverflowError,
+    build_from_plan,
     exhaustive_block_plan,
     exhaustive_lane_plan,
+    extract_schedule,
     find_block_plan,
     find_lane_plan,
     split_open_loop,
     verify_logic,
 )
 from ncsched.deadbeat import COND_WARN_LIMIT
-from ncsched.planner import _block_offsets, _lane_offsets
 
 from conftest import companion_plant, random_reachable_plant, scalar_instance
 
@@ -61,18 +61,6 @@ def random_instance(rng, n, capacity, horizon, max_d=3):
     )
     xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
     return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
-
-
-class TestCheckNecessary:
-    def test_demo_dimensions(self):
-        inst = scalar_instance([2.0] * 100, capacity=10, horizon=50)
-        assert check_necessary(inst)
-
-    def test_too_short(self):
-        assert not check_necessary(scalar_instance([2.0, 3.0], capacity=1, horizon=1))
-
-    def test_boundary_equality(self):
-        assert check_necessary(scalar_instance([2.0] * 4, capacity=2, horizon=2))
 
 
 class TestFindBlockPlan:
@@ -140,64 +128,29 @@ class TestFindLanePlan:
             plan = find_lane_plan(inst)
             if plan is not None:
                 assert_lane_plan_valid(inst, plan)
-                logic = build_from_lane_plan(inst, plan)
+                logic = build_from_plan(inst, plan)
                 assert verify_logic(inst, logic).verified
                 found += 1
             bplan = find_block_plan(inst)
             if bplan is not None:
                 assert_block_plan_valid(inst, bplan)
-                logic = build_from_block_plan(inst, bplan)
+                logic = build_from_plan(inst, bplan)
                 assert verify_logic(inst, logic).verified
         assert found > 5
-
-
-class TestLaneBlockBridge:
-    def test_equal_length_lanes_transpose(self, demo_instance):
-        plan = find_lane_plan(demo_instance)
-        bridged = block_plan_from_lanes(demo_instance, plan)
-        assert_block_plan_valid(demo_instance, bridged)
-        logic = build_from_block_plan(demo_instance, bridged)
-        assert verify_logic(demo_instance, logic).verified
-
-    def test_random_equal_lane_instances_transpose(self):
-        # same-dimension plants with n = capacity * depth pack into equal lanes
-        rng = np.random.default_rng(67)
-        for _ in range(10):
-            capacity = int(rng.integers(2, 4))
-            depth = int(rng.integers(2, 4))
-            d = int(rng.integers(1, 4))
-            n = capacity * depth
-            plants = tuple(random_reachable_plant(rng, d) for _ in range(n))
-            xi = tuple(rng.uniform(-1, 1, d) for _ in range(n))
-            inst = NcsInstance(plants, xi, capacity=capacity, horizon=depth * (d + 1))
-            plan = find_lane_plan(inst)
-            assert plan is not None
-            assert {len(lane) for lane in plan.lanes} == {depth}
-            bridged = block_plan_from_lanes(inst, plan)
-            if sum(bridged.block_lengths) <= inst.horizon:
-                assert_block_plan_valid(inst, bridged)
-                logic = build_from_block_plan(inst, bridged)
-                assert verify_logic(inst, logic).verified
-
-    def test_unequal_lanes_rejected(self, mixed_dims_instance):
-        plan = find_lane_plan(mixed_dims_instance)
-        ragged = type(plan)(lanes=(plan.lanes[0][:1], plan.lanes[1]), widths=plan.widths)
-        with pytest.raises(ValueError):
-            block_plan_from_lanes(mixed_dims_instance, ragged)
 
 
 class TestBuildFromBlockPlan:
     def test_two_scalar_plants_rows(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         plan = find_block_plan(inst)
-        logic = build_from_block_plan(inst, plan)
+        logic = build_from_plan(inst, plan)
         np.testing.assert_allclose(logic.u[0], [0.0, -4.0, 0.0, 0.0])
         np.testing.assert_allclose(logic.u[1], [0.0, 0.0, 0.0, -81.0])
         assert verify_logic(inst, logic).verified
 
     def test_demo_family_capacity_and_idle_tail(self, demo_instance):
         plan = find_block_plan(demo_instance)
-        logic = build_from_block_plan(demo_instance, plan)
+        logic = build_from_plan(demo_instance, plan)
         assert int(logic.occupancy().max()) <= 10
         np.testing.assert_array_equal(logic.u[:, 35:], np.zeros((100, 15)))
         assert verify_logic(demo_instance, logic).verified
@@ -205,20 +158,16 @@ class TestBuildFromBlockPlan:
     def test_rejects_plan_not_covering_all_plants(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         plan = find_block_plan(inst)
-        broken = type(plan)(
-            blocks=(plan.blocks[0],),
-            block_lengths=(plan.block_lengths[0],),
-            offsets=(plan.offsets[0],),
-        )
+        broken = type(plan)(blocks=(plan.blocks[0],), block_lengths=(plan.block_lengths[0],))
         with pytest.raises(ValueError):
-            build_from_block_plan(inst, broken)
+            build_from_plan(inst, broken)
 
 
 class TestBuildFromLanePlan:
     def test_mixed_dims_window_placement(self, mixed_dims_instance):
         inst = mixed_dims_instance
         plan = find_lane_plan(inst)
-        logic = build_from_lane_plan(inst, plan)
+        logic = build_from_plan(inst, plan)
         # plant 1: [0,2), plant 4: [2,7), plant 2: [0,3), plant 3: [3,7)
         assert np.array_equal(logic.u[0, 2:], np.zeros(5))
         assert np.array_equal(logic.u[3, :2], np.zeros(2))
@@ -228,7 +177,7 @@ class TestBuildFromLanePlan:
 
     def test_demo_family_verifies(self, demo_instance):
         plan = find_lane_plan(demo_instance)
-        logic = build_from_lane_plan(demo_instance, plan)
+        logic = build_from_plan(demo_instance, plan)
         assert int(logic.occupancy().max()) <= 10
         assert verify_logic(demo_instance, logic).verified
 
@@ -239,7 +188,7 @@ class TestBuildFromLanePlan:
         widths = {i: demo_instance.plants[i].d + 1 for i in range(demo_instance.n)}
         plan = LanePlan(lanes=block.blocks, widths=widths)
         assert_lane_plan_valid(demo_instance, plan)
-        logic = build_from_lane_plan(demo_instance, plan)
+        logic = build_from_plan(demo_instance, plan)
         assert verify_logic(demo_instance, logic).verified
 
     def test_single_plant_lane_is_windowed_row(self):
@@ -247,7 +196,7 @@ class TestBuildFromLanePlan:
 
         inst = scalar_instance([2.0, 3.0, 0.5], capacity=2, horizon=4)
         plan = LanePlan(lanes=((0,), (1, 2)), widths={0: 2, 1: 2, 2: 2})
-        logic = build_from_lane_plan(inst, plan)
+        logic = build_from_plan(inst, plan)
         np.testing.assert_array_equal(
             logic.u[0], windowed_inputs(inst.plants[0], inst.xi[0], 0, 2, 4)
         )
@@ -256,9 +205,61 @@ class TestBuildFromLanePlan:
         plan_a = find_lane_plan(demo_instance)
         plan_b = find_lane_plan(demo_instance)
         assert json.dumps(plan_a.to_report_dict()) == json.dumps(plan_b.to_report_dict())
-        logic_a = build_from_lane_plan(demo_instance, plan_a)
-        logic_b = build_from_lane_plan(demo_instance, plan_b)
+        logic_a = build_from_plan(demo_instance, plan_a)
+        logic_b = build_from_plan(demo_instance, plan_b)
         assert logic_a.u.tobytes() == logic_b.u.tobytes()
+
+
+class TestPlanChecks:
+    def test_block_offsets_are_the_running_sum(self):
+        plan = BlockPlan(blocks=((0, 1), (2,), ()), block_lengths=(3, 2, 1))
+        assert plan.offsets == (0, 3, 5)
+        assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
+        assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
+
+    def test_more_bursts_than_capacity_in_one_slot_rejected(self):
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=4)
+        lanes = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 2, 2: 2})
+        with pytest.raises(ValueError, match="slot 1 holds 3 bursts, capacity is 2"):
+            build_from_plan(inst, lanes)
+        block = BlockPlan(blocks=((0, 1, 2),), block_lengths=(2,))
+        with pytest.raises(ValueError, match="slot 1 holds 3 bursts"):
+            build_from_plan(inst, block)
+
+    def test_more_lanes_than_capacity_with_disjoint_bursts_verify(self):
+        # three lanes on a one-plant channel: the bursts sit in slots 1, 3, 5
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=6)
+        plan = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 4, 2: 6})
+        logic = build_from_plan(inst, plan)
+        assert extract_schedule(logic, capacity=1).as_report_lists() == [
+            [], [1], [], [2], [], [3]
+        ]
+        assert verify_logic(inst, logic).verified
+
+    def test_window_not_longer_than_dimension_rejected(self, mixed_dims_instance):
+        plan = find_lane_plan(mixed_dims_instance)
+        short = LanePlan(lanes=plan.lanes, widths={**plan.widths, 2: 3})
+        with pytest.raises(ValueError, match="window length 3 too short for plant 3"):
+            build_from_plan(mixed_dims_instance, short)
+
+    def test_plant_placed_twice_rejected(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
+        plan = LanePlan(lanes=((0, 1), (1,)), widths={0: 2, 1: 2})
+        with pytest.raises(ValueError, match="places plant 2 twice"):
+            build_from_plan(inst, plan)
+
+    def test_window_past_horizon_overflows(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=3)
+        plan = LanePlan(lanes=((0, 1),), widths={0: 2, 1: 2})
+        with pytest.raises(WindowOverflowError, match=r"window \[2, 4\) exceeds horizon 3"):
+            build_from_plan(inst, plan)
+
+    def test_overflowing_burst_raises(self):
+        # A^2 x = 4 is finite, but the burst 4 / b is not
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4, inputs=[1e-308, 1.0])
+        plan = LanePlan(lanes=((0, 1),), widths={0: 2, 1: 2})
+        with pytest.raises(NonFiniteError, match="deadbeat burst overflowed"):
+            build_from_plan(inst, plan)
 
 
 class TestSplitOpenLoop:
@@ -358,13 +359,13 @@ class TestBatchedPlannerMatchesLoop:
             inst = random_instance(rng, n, max(1, n // 3), 60, max_d=4)
             lane = find_lane_plan(inst)
             assert np.array_equal(
-                build_from_lane_plan(inst, lane).u, reference_rows(inst, _lane_offsets(lane))
+                build_from_plan(inst, lane).u, reference_rows(inst, lane.placements())
             )
             block = find_block_plan(inst)
             if block is not None:
                 assert np.array_equal(
-                    build_from_block_plan(inst, block).u,
-                    reference_rows(inst, _block_offsets(block)),
+                    build_from_plan(inst, block).u,
+                    reference_rows(inst, block.placements()),
                 )
 
     def test_warnings_come_out_in_plant_order(self):
@@ -379,8 +380,8 @@ class TestBatchedPlannerMatchesLoop:
         xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
         inst = NcsInstance(plants, xi, capacity=2, horizon=12)
         plan = find_lane_plan(inst)
-        got, got_warnings = recorded(build_from_lane_plan, inst, plan)
-        want, want_warnings = recorded(reference_rows, inst, _lane_offsets(plan))
+        got, got_warnings = recorded(build_from_plan, inst, plan)
+        want, want_warnings = recorded(reference_rows, inst, plan.placements())
         assert np.array_equal(got.u, want)
         assert len(want_warnings) == 3
         assert got_warnings == want_warnings

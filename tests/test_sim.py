@@ -7,11 +7,10 @@ from ncsched import (
     NcsInstance,
     NonFiniteError,
     PlantDynamics,
-    build_from_lane_plan,
+    build_from_plan,
     extract_schedule,
     find_lane_plan,
     rollout,
-    simulate,
     verify_logic,
 )
 from ncsched.core import ZERO_RTOL
@@ -53,7 +52,7 @@ class TestSimulate:
         xi = (np.array([1.0]), np.array([1.0]))
         inst = NcsInstance(plants, xi, capacity=1, horizon=2)
         logic = ControlLogic(np.array([[0.0, -4.0], [0.0, 0.0]]))
-        result = simulate(inst, logic)
+        result = verify_logic(inst, logic)
         np.testing.assert_allclose(
             np.concatenate(result.trajectories[0]), [1.0, 2.0, 0.0]
         )
@@ -67,13 +66,13 @@ class TestSimulate:
         )
         xi = (np.array([1.0, 1.0]), np.array([1.0]))
         inst = NcsInstance(plants, xi, capacity=1, horizon=2)
-        result = simulate(inst, ControlLogic(np.zeros((2, 2))))
+        result = verify_logic(inst, ControlLogic(np.zeros((2, 2))))
         np.testing.assert_array_equal(result.trajectories[0][-1], np.zeros(2))
         assert result.verified
 
     def test_open_loop_growth_not_verified(self):
         inst = scalar_instance([2.0, 0.0], capacity=1, horizon=3)
-        result = simulate(inst, ControlLogic(np.zeros((2, 3))))
+        result = verify_logic(inst, ControlLogic(np.zeros((2, 3))))
         assert result.trajectories[0][-1][0] == 8.0
         assert not result.verified
         assert result.violations
@@ -111,7 +110,18 @@ class TestSimulate:
     def test_shape_mismatch_rejected(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(ValueError):
-            simulate(inst, ControlLogic(np.zeros((2, 3))))
+            verify_logic(inst, ControlLogic(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{"terminal_rtol": float("nan")}, {"terminal_rtol": 1.0}, {"zero_rtol": 1.0}],
+    )
+    def test_vacuous_tolerances_rejected(self, demo_instance, tolerances):
+        # with any of these, the all-zero logic would pass as verified
+        zero = ControlLogic(np.zeros((demo_instance.n, demo_instance.horizon)))
+        assert not verify_logic(demo_instance, zero).verified
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            verify_logic(demo_instance, zero, **tolerances)
 
 
 # Per-plant loops as the simulator ran them before plants were stacked by
@@ -156,7 +166,7 @@ def mixed_instance(rng, n, horizon):
 
 
 def assert_matches_reference(inst, logic):
-    result = simulate(inst, logic)
+    result = verify_logic(inst, logic)
     trajectories, residuals, state_norms = reference_simulate(inst, logic)
     for got, want in zip(result.trajectories, trajectories):
         assert np.array_equal(got, want)
@@ -178,7 +188,7 @@ class TestBatchedRolloutMatchesLoop:
         # deadbeat windows end on ~1e-15 rounding that the clamp zeroes
         rng = np.random.default_rng(5)
         inst = mixed_instance(rng, 24, 40)
-        logic = build_from_lane_plan(inst, find_lane_plan(inst))
+        logic = build_from_plan(inst, find_lane_plan(inst))
         result = assert_matches_reference(inst, logic)
         assert result.verified
         clamped = [traj for traj in result.trajectories if not traj[-1].any()]
@@ -198,6 +208,6 @@ class TestBatchedRolloutMatchesLoop:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="at step 2"):
             reference_rollout(inst.plants[1], inst.xi[1], np.zeros(4))
         with pytest.raises(NonFiniteError, match="at step 2"):
-            simulate(inst, ControlLogic(np.zeros((4, 4))))
+            verify_logic(inst, ControlLogic(np.zeros((4, 4))))
         with pytest.raises(NonFiniteError, match="at step 1"):
             rollout(inst.plants[2], inst.xi[2], np.zeros(4))
