@@ -59,8 +59,6 @@ from .sim import SimulationResult, extract_schedule, rollout, verify_logic
 from .sparse import (
     RelaxationResult,
     RipReport,
-    SparsitySolution,
-    group_by_capacity,
     l0_feasible_bruteforce,
     l1_min_inputs,
     measure_sparsity,
@@ -96,7 +94,6 @@ __all__ = [
     "SimulationResult",
     "SolveReport",
     "SolverStallError",
-    "SparsitySolution",
     "TooLargeError",
     "WindowOverflowError",
     "build_from_plan",
@@ -108,7 +105,6 @@ __all__ = [
     "find_block_plan",
     "find_lane_plan",
     "generate_instance",
-    "group_by_capacity",
     "is_reachable",
     "l0_feasible_bruteforce",
     "l1_min_inputs",

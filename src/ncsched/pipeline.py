@@ -100,7 +100,11 @@ def solve_instance(
     attempts: list[str] = []
 
     def run_route(name: str):
-        """Returns (logic, plan_dict, extra_warnings) or raises NcsError."""
+        """Returns (logic, plan, extra_warnings) or raises NcsError.
+
+        ``plan`` gives the report's plan dict through ``to_report_dict()``;
+        brute force has none.
+        """
         if name in ("lane-plan", "block-plan"):
             lane = name == "lane-plan"
             _require_reachable(inst, closed)
@@ -112,29 +116,10 @@ def solve_instance(
                 found = "lane packing found" if lane else "block partition fits the horizon"
                 qualifier = "" if exhaustive else " (heuristic; not a proof of nonexistence)"
                 raise NoSolutionFoundError(f"no {found}{qualifier}")
-            logic = _assemble(inst, plan, closed)
-            plan_dict = plan.to_report_dict()
-            plan_dict["open_loop"] = open_loop_report
-            return logic, plan_dict, []
+            return _assemble(inst, plan, closed), plan, []
         if name == "relaxation":
             res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol)
-            if res.logic is None:
-                raise NoSolutionFoundError(
-                    "support-disjoint grouping failed (per-plant l1 solutions "
-                    "collide in time); not a proof of nonexistence"
-                )
-            plan_dict = {
-                "kind": "relaxation",
-                "groups": [sorted(i + 1 for i in g) for g in res.solution.groups],
-                "sparsity": [[i + 1, res.solution.sparsity[i]] for i in sorted(res.solution.sparsity)],
-                "certification": [[i + 1, res.certification[i]] for i in sorted(res.certification)],
-                "rip": [
-                    [i + 1, rep.order, rep.delta, rep.certified]
-                    for i, rep in sorted(res.rip_reports.items())
-                ],
-                "open_loop": open_loop_report,
-            }
-            return res.logic, plan_dict, list(res.warnings)
+            return res.logic, res, list(res.warnings)
         if name == "bruteforce":
             logic = l0_feasible_bruteforce(inst)
             if logic is None:
@@ -149,7 +134,7 @@ def solve_instance(
         try:
             with warnings_mod.catch_warnings(record=True) as caught:
                 warnings_mod.simplefilter("always")
-                logic, plan_dict, extra = run_route(route)
+                logic, plan, extra = run_route(route)
             captured.extend(str(w.message) for w in caught)
             zeroed = logic.thresholded(zero_rtol)
             outcome = verify_logic(
@@ -167,6 +152,9 @@ def solve_instance(
             )
             continue
         schedule = extract_schedule(zeroed, capacity=inst.capacity, zero_rtol=zero_rtol)
+        plan_dict = None if plan is None else {
+            **plan.to_report_dict(), "open_loop": open_loop_report
+        }
         diagnostics.extend(attempts)
         seen = set()
         warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]

@@ -8,17 +8,16 @@ are exposed:
   problem exactly at desk scale;
 * ``l1_min_inputs`` solves the per-plant convex surrogate
   ``min |u|_1  s.t.  Phi u = -A^T xi`` as a split-variable LP;
-* ``solve_via_relaxation`` stacks the per-plant l1 solutions, groups plants so
-  that supports never collide inside a group, and certifies each plant's
-  solution as the sparsest possible whenever the lifted matrix passes the
-  restricted-isometry test at twice the observed sparsity.
+* ``solve_via_relaxation`` stacks the per-plant l1 solutions (the solve
+  cascade's verifier judges whether any slot holds more than M inputs) and
+  certifies each plant's solution as the sparsest possible whenever the
+  lifted matrix passes the restricted-isometry test at twice the observed
+  sparsity.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -61,43 +60,37 @@ class RipReport:
 
 
 @dataclass
-class SparsitySolution:
-    """Per-plant steering inputs with their sparsity bookkeeping."""
-
-    per_plant_inputs: dict[int, np.ndarray]
-    sparsity: dict[int, int]
-    supports: dict[int, tuple[int, ...]]
-    groups: list[set[int]] | None = None
-
-
-@dataclass
 class RelaxationResult:
     """Outcome of the stacked l1 route.
 
-    ``logic`` is None when support-disjoint grouping failed; the per-plant
-    solutions stay available in ``solution`` for inspection either way.
+    ``logic`` stacks every plant's minimum-l1 row; whether it keeps at most M
+    inputs per slot is left to ``verify_logic``. ``supports`` lists the slots
+    each plant's row uses, so its size is the plant's sparsity.
     """
 
-    logic: ControlLogic | None
-    solution: SparsitySolution
+    logic: ControlLogic
+    supports: dict[int, tuple[int, ...]]
     rip_reports: dict[int, RipReport]
     certification: dict[int, str]
     warnings: list[str] = field(default_factory=list)
 
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NCS_THREADS", "1")))
-    except ValueError:
-        return 1
+    def to_report_dict(self) -> dict:
+        return {
+            "kind": "relaxation",
+            "sparsity": [[i + 1, len(supp)] for i, supp in sorted(self.supports.items())],
+            "certification": [[i + 1, c] for i, c in sorted(self.certification.items())],
+            "rip": [
+                [i + 1, rep.order, rep.delta, rep.certified]
+                for i, rep in sorted(self.rip_reports.items())
+            ],
+        }
 
 
 def measure_sparsity(u: np.ndarray, scale: float, zero_rtol: float = ZERO_RTOL) -> int:
     """Number of entries exceeding the zero threshold at the given scale."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    u = np.asarray(u, dtype=float)
-    return int((np.abs(u) > zero_rtol * scale).sum())
+    return len(support_set(u, scale, zero_rtol))
 
 
 def support_set(u: np.ndarray, scale: float, zero_rtol: float = ZERO_RTOL) -> tuple[int, ...]:
@@ -183,38 +176,6 @@ def l1_min_inputs(p: PlantDynamics, xi: np.ndarray, horizon: int) -> np.ndarray:
     return min_l1(lifted_matrix(p, horizon), target)
 
 
-def group_by_capacity(
-    sparsities: dict[int, int],
-    supports: dict[int, tuple[int, ...]],
-    capacity: int,
-    horizon: int,
-) -> list[set[int]] | None:
-    """Pack plants into ``capacity`` groups with non-colliding supports.
-
-    Within a group, supports must be pairwise disjoint (so at most one member
-    is active at any time) and sparsities must sum to at most the horizon.
-    Greedy: densest plants first, first group that fits. None when the greedy
-    packing fails; that is not a proof that no grouping exists.
-    """
-    for i, supp in supports.items():
-        if len(supp) != sparsities[i]:
-            raise ValueError(f"support of plant {i + 1} does not match its sparsity")
-    groups: list[set[int]] = [set() for _ in range(capacity)]
-    used: list[set[int]] = [set() for _ in range(capacity)]
-    load = [0] * capacity
-    for i in sorted(sparsities, key=lambda i: (-sparsities[i], i)):
-        supp = set(supports[i])
-        for g in range(capacity):
-            if load[g] + sparsities[i] <= horizon and used[g].isdisjoint(supp):
-                groups[g].add(i)
-                used[g] |= supp
-                load[g] += sparsities[i]
-                break
-        else:
-            return None
-    return groups
-
-
 def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipReport:
     """Exact restricted-isometry constant by exhausting all column supports.
 
@@ -241,12 +202,9 @@ def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipR
     return RipReport(order=order, delta=float(delta), certified=bool(delta < RIP_CERT_BOUND))
 
 
-def _subset_masks(n: int, capacity: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    subsets: list[tuple[int, ...]] = []
-    for size in range(capacity + 1):
-        subsets.extend(combinations(range(n), size))
-    masks = [sum(1 << i for i in s) for s in subsets]
-    return subsets, masks
+def _access_sets(n: int, capacity: int) -> list[tuple[int, ...]]:
+    """Every set of at most ``capacity`` of ``n`` plants, smaller sets first."""
+    return [s for size in range(capacity + 1) for s in combinations(range(n), size)]
 
 
 def l0_feasible_bruteforce(
@@ -265,23 +223,26 @@ def l0_feasible_bruteforce(
     Desk scale only: refuses when (number of admissible access sets)^T
     exceeds ``cap``.
     """
-    n_sets = sum(math.comb(inst.n, size) for size in range(inst.capacity + 1))
-    if n_sets**inst.horizon > cap:
-        raise TooLargeError(f"{n_sets}^{inst.horizon} assignments exceed the cap of {cap}")
-    subsets, masks = _subset_masks(inst.n, inst.capacity)
-    phis = [lifted_matrix(p, inst.horizon) for p in inst.plants]
-    targets = [
-        -(mat_pow(p.A, inst.horizon) @ x) for p, x in zip(inst.plants, inst.xi)
-    ]
+    n, horizon = inst.n, inst.horizon
+    n_sets = sum(math.comb(n, size) for size in range(inst.capacity + 1))
+    # a running product stops at the cap instead of forming n_sets**horizon
+    assignments = 1
+    for _ in range(horizon):
+        assignments *= n_sets
+        if assignments > cap:
+            raise TooLargeError(f"{n_sets}^{horizon} assignments exceed the cap of {cap}")
+    subsets = _access_sets(n, inst.capacity)
+    phis = [lifted_matrix(p, horizon) for p in inst.plants]
+    targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
     tols = [residual_rtol * (1.0 + float(np.linalg.norm(t))) for t in targets]
-    memo: list[dict[int, np.ndarray | None]] = [{} for _ in range(inst.n)]
+    memo: list[dict[int, np.ndarray | None]] = [{} for _ in range(n)]
 
     def feasible(i: int, mask: int) -> np.ndarray | None:
         try:
             return memo[i][mask]
         except KeyError:
             pass
-        cols = [t for t in range(inst.horizon) if mask >> t & 1]
+        cols = [t for t in range(horizon) if mask >> t & 1]
         if not cols:
             w = np.zeros(0) if np.linalg.norm(targets[i]) <= tols[i] else None
         else:
@@ -291,19 +252,19 @@ def l0_feasible_bruteforce(
         memo[i][mask] = w
         return w
 
-    plant_masks = [0] * inst.n
+    plant_masks = [0] * n
 
     def search(t: int) -> ControlLogic | None:
-        if t == inst.horizon:
+        if t == horizon:
             ws = []
-            for i in range(inst.n):
+            for i in range(n):
                 w = feasible(i, plant_masks[i])
                 if w is None:
                     return None
                 ws.append(w)
-            u = np.zeros((inst.n, inst.horizon))
+            u = np.zeros((n, horizon))
             for i, w in enumerate(ws):
-                cols = [t for t in range(inst.horizon) if plant_masks[i] >> t & 1]
+                cols = [t for t in range(horizon) if plant_masks[i] >> t & 1]
                 u[i, cols] = w
             return ControlLogic(u)
         bit = 1 << t
@@ -324,21 +285,23 @@ def solve_via_relaxation(
     inst: NcsInstance,
     plants=None,
     zero_rtol: float = ZERO_RTOL,
-    rip_cap: int = RIP_SUPPORT_CAP,
 ) -> RelaxationResult:
-    """Stacked l1 route: per-plant LPs, support-disjoint grouping, RIP certificates.
+    """Stacked l1 route: per-plant LPs, stacked rows, RIP certificates.
 
     ``plants`` restricts the route to a subset (the solve cascade passes the
     plants that cannot coast to zero open-loop; the rest keep zero rows). All
     selected plants must be reachable with horizon greater than their
-    dimension. Certification per plant: "certified" when the lifted matrix
-    passes the restricted-isometry test at twice the observed sparsity,
-    "uncertified" when it fails, "cap-exceeded" when the exhaustive check is
-    too large, "trivial" for the all-zero solution. Uniqueness of the l1
-    minimizer is assumed, not checked; the result carries that warning.
+    dimension. The rows are returned as they are: the solve cascade verifies
+    every route's output, and ``verify_logic`` judges both the terminal
+    states and the channel rule (at most M nonzero inputs per slot).
 
-    The returned logic is not simulated here: the solve cascade verifies
-    every route's output, and ``verify_logic`` judges it directly.
+    Certification per plant with sparsity s and dimension d: "trivial" for
+    the all-zero row; "uncertified" when 2s > d, since any 2s columns of the
+    d-row lifted matrix are then dependent, so delta >= 1 and the test cannot
+    pass; otherwise the exhaustive restricted-isometry test at order 2s gives
+    "certified" or "uncertified", or "cap-exceeded" when it would enumerate
+    more than ``RIP_SUPPORT_CAP`` supports. Uniqueness of the l1 minimizer is
+    assumed, not checked; the result carries that warning.
     """
     subset = sorted(range(inst.n) if plants is None else plants)
     bad = [i for i in subset if not is_reachable(inst.plants[i])]
@@ -352,72 +315,36 @@ def solve_via_relaxation(
             f"(1-based): {shown}"
         )
 
-    def solve_one(i: int) -> np.ndarray:
-        return l1_min_inputs(inst.plants[i], inst.xi[i], inst.horizon)
-
-    workers = _worker_count()
-    if workers > 1 and len(subset) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, subset))
-    else:
-        rows = [solve_one(i) for i in subset]
-
-    inputs: dict[int, np.ndarray] = {}
-    sparsity: dict[int, int] = {}
+    u = np.zeros((inst.n, inst.horizon))
     supports: dict[int, tuple[int, ...]] = {}
-    for i, u in zip(subset, rows):
-        scale = max(1.0, float(np.abs(u).max())) if u.size else 1.0
-        inputs[i] = u
-        sparsity[i] = measure_sparsity(u, scale, zero_rtol)
-        supports[i] = support_set(u, scale, zero_rtol)
-
+    rip_reports: dict[int, RipReport] = {}
+    certification: dict[int, str] = {}
     warnings_out = [
         "l1 minimizer uniqueness is assumed for every plant, not certified"
     ]
-    rip_reports: dict[int, RipReport] = {}
-    certification: dict[int, str] = {}
     for i in subset:
-        s = sparsity[i]
-        if s == 0:
+        p = inst.plants[i]
+        phi = lifted_matrix(p, inst.horizon)
+        u[i] = min_l1(phi, -(mat_pow(p.A, inst.horizon) @ inst.xi[i]))
+        supports[i] = support_set(u[i], max(1.0, float(np.abs(u[i]).max())), zero_rtol)
+        order = 2 * len(supports[i])
+        if order == 0:
             certification[i] = "trivial"
-            continue
-        order = 2 * s
-        phi = lifted_matrix(inst.plants[i], inst.horizon)
-        if order > inst.horizon or math.comb(inst.horizon, order) > rip_cap:
+        elif order > p.d:
+            certification[i] = "uncertified"
+        elif math.comb(inst.horizon, order) > RIP_SUPPORT_CAP:
             certification[i] = "cap-exceeded"
             warnings_out.append(
                 f"plant {i + 1}: isometry check at order {order} exceeds the "
                 "enumeration cap; l1 optimality uncertified"
             )
-            continue
-        report = rip_delta(phi, order, cap=rip_cap)
-        rip_reports[i] = report
-        certification[i] = "certified" if report.certified else "uncertified"
+        else:
+            rip_reports[i] = rip_delta(phi, order)
+            certification[i] = "certified" if rip_reports[i].certified else "uncertified"
 
-    solution = SparsitySolution(
-        per_plant_inputs=inputs, sparsity=sparsity, supports=supports
-    )
-    groups = group_by_capacity(sparsity, supports, inst.capacity, inst.horizon)
-    if groups is None:
-        warnings_out.append(
-            "support-disjoint grouping failed; the stacked l1 logic may exceed "
-            "capacity and is not returned"
-        )
-        return RelaxationResult(
-            logic=None,
-            solution=solution,
-            rip_reports=rip_reports,
-            certification=certification,
-            warnings=warnings_out,
-        )
-    solution.groups = groups
-
-    u = np.zeros((inst.n, inst.horizon))
-    for i in subset:
-        u[i] = inputs[i]
     return RelaxationResult(
         logic=ControlLogic(u).thresholded(zero_rtol),
-        solution=solution,
+        supports=supports,
         rip_reports=rip_reports,
         certification=certification,
         warnings=warnings_out,

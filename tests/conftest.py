@@ -40,6 +40,19 @@ def scalar_instance(gains, capacity, horizon, inputs=None, states=None):
     return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
 
 
+def one_burst_instance():
+    """A 2-d plant that one input at slot 0 zeroes, plus a scalar plant; M=1, T=3.
+
+    The 2-d plant's l1 row has sparsity s=1, so 2s = d and the relaxation
+    route runs its restricted-isometry check at order 2.
+    """
+    plants = (
+        PlantDynamics([[2.0, 0.0], [0.0, 3.0]], [2.0, 3.0]),
+        PlantDynamics([[0.5]], [1.0]),
+    )
+    return NcsInstance(plants, (np.array([1.0, 1.0]), np.array([1.0])), capacity=1, horizon=3)
+
+
 @pytest.fixture(scope="session")
 def demo_instance():
     """The mixed second/third-order family: N=100, M=10, T=50."""

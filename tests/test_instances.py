@@ -26,7 +26,7 @@ from ncsched.instances import (
 )
 from ncsched.report import report_to_dict
 
-from conftest import scalar_instance
+from conftest import one_burst_instance, scalar_instance
 
 # the four benchmark families (perfbench/workloads.py) and interleaved
 # dimensions, where every run of equal dimensions has length one or two
@@ -227,7 +227,7 @@ class TestDumpJson:
 
     def test_relaxation_report(self):
         # rip rows mix ints, a float and a bool: [plant, order, delta, certified]
-        rep = solve_instance(scalar_instance([2.0, 0.5], capacity=1, horizon=3), method="relax")
+        rep = solve_instance(one_burst_instance(), method="relax")
         data = report_to_dict(rep)
         assert any(isinstance(row[3], bool) for row in data["plan"]["rip"])
         assert dump_json(data) == json_dumps(data)

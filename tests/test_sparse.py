@@ -7,19 +7,20 @@ import pytest
 import ncsched.sparse
 from ncsched import (
     HorizonTooShortError,
+    NcsInstance,
     PlantDynamics,
     TooLargeError,
-    group_by_capacity,
     l0_feasible_bruteforce,
     l1_min_inputs,
     measure_sparsity,
     min_l1,
     rip_delta,
+    solve_instance,
     solve_via_relaxation,
     verify_logic,
 )
 
-from conftest import scalar_instance
+from conftest import one_burst_instance, scalar_instance
 
 
 def l0_min_by_enumeration(gamma, target, rtol=1e-9):
@@ -104,26 +105,6 @@ class TestL1MinInputs:
             l1_min_inputs(p, [1.0, 0.0], 2)
 
 
-class TestGroupByCapacity:
-    def test_disjoint_supports_share_group(self):
-        groups = group_by_capacity({0: 2, 1: 2}, {0: (0, 1), 1: (2, 3)}, 1, 4)
-        assert groups == [{0, 1}]
-
-    def test_colliding_supports_fail(self):
-        assert group_by_capacity({0: 1, 1: 1}, {0: (0,), 1: (0,)}, 1, 4) is None
-
-    def test_three_plants_two_groups(self):
-        groups = group_by_capacity(
-            {0: 1, 1: 1, 2: 1}, {0: (0,), 1: (1,), 2: (0,)}, 2, 2
-        )
-        assert groups == [{0, 1}, {2}]
-
-    def test_load_limit_respected(self):
-        # supports disjoint but sparsities cannot share a horizon-3 group
-        groups = group_by_capacity({0: 2, 1: 2}, {0: (0, 1), 1: (2, 3)}, 1, 3)
-        assert groups is None
-
-
 class TestRipDelta:
     def test_identity_is_isometry(self):
         report = rip_delta(np.eye(5), 3)
@@ -180,9 +161,16 @@ class TestBruteForce:
         def refuse(*args):
             raise AssertionError("access sets listed before the cap check")
 
-        monkeypatch.setattr(ncsched.sparse, "_subset_masks", refuse)
+        monkeypatch.setattr(ncsched.sparse, "_access_sets", refuse)
         with pytest.raises(TooLargeError, match=r"^19415908147836\^50 assignments exceed"):
             l0_feasible_bruteforce(demo_instance)
+
+    def test_cap_boundary(self):
+        # N=2, M=1: 3 access sets per slot, so T=2 gives exactly 3^2 = 9 assignments
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=2)
+        assert verify_logic(inst, l0_feasible_bruteforce(inst, cap=9)).verified
+        with pytest.raises(TooLargeError, match=r"^3\^2 assignments exceed the cap of 8$"):
+            l0_feasible_bruteforce(inst, cap=8)
 
 
 class TestPlantedRecovery:
@@ -204,22 +192,39 @@ class TestPlantedRecovery:
             np.testing.assert_allclose(oracle, planted, atol=1e-6)
 
 
+def triangle_instance():
+    """Three 2-d plants, M=2, T=3, with l1 supports {0,1}, {1,2} and {0,2}.
+
+    Every slot holds two bursts, so the stacked rows keep the channel rule,
+    yet no two of the three supports are disjoint.
+    """
+    plants = (
+        PlantDynamics([[1.5, 1.7], [0.8, 0.2]], [1.7, -1.6]),
+        PlantDynamics([[-0.7, 0.8], [-0.8, 1.0]], [-0.9, 1.1]),
+        PlantDynamics([[1.5, -0.9], [0.4, 1.1]], [0.9, 1.7]),
+    )
+    xi = (np.array([-0.3, 0.2]), np.array([1.0, 1.0]), np.array([0.7, 0.8]))
+    return NcsInstance(plants, xi, capacity=2, horizon=3)
+
+
 class TestSolveViaRelaxation:
     def test_distinct_supports_verify(self):
         # |a|>1 prefers the earliest slot, |a|<1 the latest: supports differ
         inst = scalar_instance([2.0, 0.5], capacity=1, horizon=3)
         res = solve_via_relaxation(inst)
-        assert res.logic is not None
-        assert res.solution.supports[0] != res.solution.supports[1]
+        assert res.supports[0] != res.supports[1]
         assert verify_logic(inst, res.logic).verified
 
     def test_colliding_supports_return_absent_with_solutions(self):
+        # both rows are returned; the verifier rejects the collision
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=3)
         res = solve_via_relaxation(inst)
-        assert res.logic is None
-        assert set(res.solution.per_plant_inputs) == {0, 1}
-        assert res.solution.groups is None
-        assert any("grouping failed" in w for w in res.warnings)
+        assert res.supports == {0: (0,), 1: (0,)}
+        outcome = verify_logic(inst, res.logic)
+        assert not outcome.verified
+        assert outcome.violations == (
+            "capacity violation: slot 0 holds 2 plants, capacity is 1",
+        )
 
     def test_horizon_at_dimension_rejected(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=1)
@@ -233,11 +238,13 @@ class TestSolveViaRelaxation:
 
     def test_demo_family_reaches_grouping_stage(self, demo_instance):
         res = solve_via_relaxation(demo_instance)
-        assert len(res.solution.per_plant_inputs) == 100
+        assert len(res.supports) == 100
+        assert all(len(s) <= 3 for s in res.supports.values())
         # minimum-l1 bursts of unstable plants pile onto the earliest slots,
-        # so support-disjoint grouping cannot succeed here
-        assert res.logic is None
-        assert all(s <= 3 for s in res.solution.sparsity.values())
+        # far past the capacity of 10
+        outcome = verify_logic(demo_instance, res.logic)
+        assert outcome.max_column_occupancy > 10
+        assert any(v.startswith("capacity violation") for v in outcome.violations)
 
     def test_success_implies_bruteforce_feasible(self):
         rng = np.random.default_rng(41)
@@ -246,21 +253,40 @@ class TestSolveViaRelaxation:
             gains = rng.choice([0.4, 0.6, 1.8, 2.5], size=2)
             inst = scalar_instance(gains, capacity=1, horizon=3)
             res = solve_via_relaxation(inst)
-            if res.logic is not None and verify_logic(inst, res.logic).verified:
+            if verify_logic(inst, res.logic).verified:
                 assert l0_feasible_bruteforce(inst) is not None
                 agreements += 1
         assert agreements > 0
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        inst = scalar_instance([2.0, 0.5, 1.5, 0.8], capacity=2, horizon=4)
-        base = solve_via_relaxation(inst)
-        monkeypatch.setenv("NCS_THREADS", "4")
-        threaded = solve_via_relaxation(inst)
-        assert (base.logic is None) == (threaded.logic is None)
-        if base.logic is not None:
-            np.testing.assert_array_equal(base.logic.u, threaded.logic.u)
-        for i in base.solution.per_plant_inputs:
-            np.testing.assert_array_equal(
-                base.solution.per_plant_inputs[i],
-                threaded.solution.per_plant_inputs[i],
-            )
+    def test_overlapping_supports_within_capacity_verify(self):
+        inst = triangle_instance()
+        res = solve_via_relaxation(inst)
+        assert res.supports == {0: (0, 1), 1: (1, 2), 2: (0, 2)}
+        report = solve_instance(inst, method="relax")
+        assert report.verified
+        assert report.schedule == [[1, 3], [1, 2], [2, 3]]
+        assert "groups" not in report.plan
+        assert solve_instance(inst).method == "relaxation"
+        assert solve_instance(inst, method="brute").schedule == [[1, 2], [1, 3], [2, 3]]
+
+    def test_rank_rule_skips_isometry_enumeration(self, monkeypatch):
+        # scalar plants with one burst: 2s = 2 > d = 1, so delta >= 1 for sure
+        def refuse(*args, **kwargs):
+            raise AssertionError("rip_delta called at an order above the rank")
+
+        monkeypatch.setattr(ncsched.sparse, "rip_delta", refuse)
+        res = solve_via_relaxation(scalar_instance([2.0, 0.5], capacity=1, horizon=3))
+        assert res.certification == {0: "uncertified", 1: "uncertified"}
+        assert res.rip_reports == {}
+        assert not any("enumeration cap" in w for w in res.warnings)
+
+    def test_isometry_enumerated_when_order_fits_dimension(self):
+        res = solve_via_relaxation(one_burst_instance())
+        assert res.supports == {0: (0,), 1: (2,)}
+        assert set(res.rip_reports) == {0}
+        rep = res.rip_reports[0]
+        assert rep.order == 2
+        assert res.certification[0] == ("certified" if rep.certified else "uncertified")
+        plan = res.to_report_dict()
+        assert plan["rip"] == [[1, 2, rep.delta, rep.certified]]
+        assert plan["sparsity"] == [[1, 1], [2, 1]]
