@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="instance JSON path")
     solve.add_argument("--method", choices=["auto", "lane", "block", "relax", "brute"],
                        default="auto")
-    solve.add_argument("--exhaustive", action="store_true",
-                       help="use complete plan searches (at most 10 plants)")
     solve.add_argument("--out", help="report JSON path")
     solve.add_argument("--terminal-rtol", type=float, default=TERMINAL_RTOL,
                        help=f"terminal-state tolerance (default {TERMINAL_RTOL:g})")
@@ -105,7 +103,6 @@ def _cmd_solve(args) -> int:
         report = solve_instance(
             rec.instance,
             method=args.method,
-            exhaustive=args.exhaustive,
             zero_rtol=args.zero_rtol,
             terminal_rtol=args.terminal_rtol,
         )

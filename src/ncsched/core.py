@@ -100,6 +100,11 @@ class NcsInstance:
         n = len(plants)
         if len(xi) != n:
             raise ValueError(f"{len(xi)} initial states for {n} plants")
+        for name in ("capacity", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 < self.capacity < n:
             raise ValueError(
                 f"capacity must satisfy 0 < M < N, got M={self.capacity}, N={n}"

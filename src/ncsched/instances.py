@@ -151,6 +151,8 @@ def instance_from_dict(data: dict) -> InstanceFile:
                 f"unsupported schema_version {data['schema_version']}"
             )
         n, capacity, horizon = data["N"], data["M"], data["T"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SchemaError(f"N must be an integer, got {n!r}")
         plants = []
         for entry in data["plants"]:
             b = np.asarray(entry["b"], dtype=float)

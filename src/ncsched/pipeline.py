@@ -5,8 +5,9 @@ Route order for ``method="auto"``:
 1. plants whose state coasts to zero open-loop within the horizon are set
    aside with all-zero input rows; if the remainder outnumbers what T slots
    of capacity M can serve, infeasibility is proven and reported;
-2. lane plan over the remaining plants;
-3. block plan over the remaining plants;
+2. lane plan over the remaining plants: balanced decreasing packing, backed
+   by the complete search when it fails on at most 10 plants;
+3. block plan over the remaining plants (the greedy grouping is complete);
 4. stacked l1 relaxation over the remaining plants;
 5. brute-force enumeration over the full instance, when within its cap.
 
@@ -25,9 +26,9 @@ import numpy as np
 from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic, NcsInstance, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
+    EXHAUSTIVE_LIMIT,
     _assemble,
     _block_plan_for,
-    _exhaustive_block_for,
     _exhaustive_lane_for,
     _lane_plan_for,
     _require_reachable,
@@ -54,7 +55,6 @@ def _occupancy_histogram(logic: ControlLogic, zero_rtol: float) -> list[list[int
 def solve_instance(
     inst: NcsInstance,
     method: str = "auto",
-    exhaustive: bool = False,
     zero_rtol: float = ZERO_RTOL,
     terminal_rtol: float = TERMINAL_RTOL,
 ) -> SolveReport:
@@ -62,8 +62,9 @@ def solve_instance(
 
     Raises ``NoSolutionFoundError`` when every requested route is exhausted;
     its ``reasons`` list one line per failed route, plus the pigeonhole
-    verdict. ``exhaustive`` swaps the plan heuristics for the complete
-    searches (at most 10 plants). Both tolerances must lie strictly between
+    verdict. A failed block route and a failed lane route on at most 10
+    plants are proofs that no such plan exists; only a lane failure on more
+    plants is marked as heuristic. Both tolerances must lie strictly between
     0 and 1 (``ValueError`` otherwise).
     """
     if method not in _METHOD_ROUTES:
@@ -108,13 +109,13 @@ def solve_instance(
         if name in ("lane-plan", "block-plan"):
             lane = name == "lane-plan"
             _require_reachable(inst, closed)
-            if exhaustive:
-                plan = (_exhaustive_lane_for if lane else _exhaustive_block_for)(inst, closed)
-            else:
-                plan = (_lane_plan_for if lane else _block_plan_for)(inst, closed)
+            plan = (_lane_plan_for if lane else _block_plan_for)(inst, closed)
+            complete = not lane or len(closed) <= EXHAUSTIVE_LIMIT
+            if plan is None and lane and complete:
+                plan = _exhaustive_lane_for(inst, closed)
             if plan is None:
                 found = "lane packing found" if lane else "block partition fits the horizon"
-                qualifier = "" if exhaustive else " (heuristic; not a proof of nonexistence)"
+                qualifier = "" if complete else " (heuristic; not a proof of nonexistence)"
                 raise NoSolutionFoundError(f"no {found}{qualifier}")
             return _assemble(inst, plan, closed), plan, []
         if name == "relaxation":

@@ -11,15 +11,16 @@ Either plan yields per-plant (offset, width) placements, and one checked
 synthesis (``_assemble``) turns them into input rows: each window ends in its
 plant's deadbeat burst, and no slot may hold more than M bursts.
 
-The searches here are deterministic heuristics: failure to find a plan means
-this heuristic found none, not that none exists. The exhaustive variants (for
-at most 10 plants) are complete and double as oracles for the heuristics.
+The block search is complete: chunking the plants by decreasing dimension
+gives the shortest block plan, so when it does not fit none does. The lane
+search is balanced decreasing packing (LPT), which can miss a packing;
+``exhaustive_lane_plan`` (at most 10 plants) is complete and backs it up.
+All searches are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -129,12 +130,10 @@ def _default_widths(inst: NcsInstance, subset) -> dict[int, int]:
 
 
 def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
-    subset = sorted(subset)
-    n_blocks = math.ceil(len(subset) / inst.capacity)
     ordered = sorted(subset, key=lambda i: (-inst.plants[i].d, i))
     blocks = [
-        tuple(sorted(ordered[k * inst.capacity : (k + 1) * inst.capacity]))
-        for k in range(n_blocks)
+        tuple(sorted(ordered[k : k + inst.capacity]))
+        for k in range(0, len(ordered), inst.capacity)
     ]
     lengths = [1 + max(inst.plants[i].d for i in blk) for blk in blocks]
     if sum(lengths) > inst.horizon:
@@ -160,14 +159,24 @@ def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
 
 
 def find_block_plan(inst: NcsInstance) -> BlockPlan | None:
-    """Search for a valid block plan covering every plant; None if the heuristic fails.
+    """The block plan of least total length; None proves that no block plan fits.
 
-    Plants are sorted by descending dimension and chunked into ceil(N/M)
-    groups of at most M; each group's segment length is one more than its
-    largest member dimension. Deterministic for a given instance.
+    Plants are sorted by descending dimension (ties by index) and chunked into
+    ceil(N/M) groups of at most M; each group's segment length is one more
+    than its largest member dimension. No grouping is shorter: take any
+    grouping into k >= ceil(N/M) groups with maxima m_1 >= ... >= m_k. The
+    (j-1)M+1 largest plants do not fit in the j-1 groups of largest maxima,
+    so one of them lies in a group whose maximum is at most m_j; hence
+    m_j >= d_((j-1)M+1), the j-th chunk's maximum. Summing 1 + m_j over j
+    bounds every grouping's length below by the chunks' length.
+    Deterministic for a given instance.
     """
     _require_reachable(inst, range(inst.n))
     return _block_plan_for(inst, range(inst.n))
+
+
+# the greedy block search is already complete; the old name stays an alias
+exhaustive_block_plan = find_block_plan
 
 
 def find_lane_plan(inst: NcsInstance) -> LanePlan | None:
@@ -176,85 +185,56 @@ def find_lane_plan(inst: NcsInstance) -> LanePlan | None:
     return _lane_plan_for(inst, range(inst.n))
 
 
-def _partitions(items: list[int], max_parts: int, max_size: int):
-    """All set partitions of ``items`` into at most max_parts parts of at most max_size.
+def _partitions(items: list[int], weights: dict[int, int], max_parts: int, cap: int):
+    """All set partitions of ``items`` into at most max_parts parts of weight at most cap.
 
     Canonical enumeration: each item joins an earlier part or opens a new one,
-    so the first part always holds the first item. Deterministic.
+    so the first part always holds the first item. A part is never extended
+    past ``cap``, so no branch that cannot fit is explored. Deterministic.
     """
     parts: list[list[int]] = []
+    loads: list[int] = []
 
     def rec(k: int):
         if k == len(items):
             yield [tuple(p) for p in parts]
             return
-        for p in parts:
-            if len(p) < max_size:
-                p.append(items[k])
+        i = items[k]
+        for j, p in enumerate(parts):
+            if loads[j] + weights[i] <= cap:
+                p.append(i)
+                loads[j] += weights[i]
                 yield from rec(k + 1)
+                loads[j] -= weights[i]
                 p.pop()
-        if len(parts) < max_parts:
-            parts.append([items[k]])
+        if len(parts) < max_parts and weights[i] <= cap:
+            parts.append([i])
+            loads.append(weights[i])
             yield from rec(k + 1)
+            loads.pop()
             parts.pop()
 
-    if not items:
-        yield []
-        return
     yield from rec(0)
 
 
-def _exhaustive_block_for(
-    inst: NcsInstance, subset, limit: int = EXHAUSTIVE_LIMIT
-) -> BlockPlan | None:
+def _exhaustive_lane_for(inst: NcsInstance, subset) -> LanePlan | None:
     subset = sorted(subset)
-    if len(subset) > limit:
+    if len(subset) > EXHAUSTIVE_LIMIT:
         raise TooLargeError(
-            f"exhaustive search limited to {limit} plants, got {len(subset)}"
-        )
-    n_blocks = math.ceil(len(subset) / inst.capacity)
-    for parts in _partitions(subset, n_blocks, inst.capacity):
-        lengths = [1 + max(inst.plants[i].d for i in blk) for blk in parts]
-        cost = sum(lengths) + (n_blocks - len(parts))
-        if cost > inst.horizon:
-            continue
-        blocks = [tuple(sorted(blk)) for blk in parts] + [()] * (n_blocks - len(parts))
-        lengths = lengths + [1] * (n_blocks - len(parts))
-        return BlockPlan(blocks=tuple(blocks), block_lengths=tuple(lengths))
-    return None
-
-
-def exhaustive_block_plan(inst: NcsInstance, limit: int = EXHAUSTIVE_LIMIT) -> BlockPlan | None:
-    """Complete block-plan search for small instances; None proves nonexistence.
-
-    Minimal segment lengths (1 + largest member dimension) are used, and any
-    group slot left unused still costs one step, so a None result rules out
-    every admissible choice of groups and lengths.
-    """
-    _require_reachable(inst, range(inst.n))
-    return _exhaustive_block_for(inst, range(inst.n), limit)
-
-
-def _exhaustive_lane_for(
-    inst: NcsInstance, subset, limit: int = EXHAUSTIVE_LIMIT
-) -> LanePlan | None:
-    subset = sorted(subset)
-    if len(subset) > limit:
-        raise TooLargeError(
-            f"exhaustive search limited to {limit} plants, got {len(subset)}"
+            f"exhaustive search limited to {EXHAUSTIVE_LIMIT} plants, got {len(subset)}"
         )
     widths = _default_widths(inst, subset)
-    for parts in _partitions(subset, inst.capacity, max(len(subset), 1)):
-        if all(sum(widths[i] for i in lane) <= inst.horizon for lane in parts):
-            lanes = sorted((tuple(sorted(lane)) for lane in parts), key=lambda lane: lane[0])
-            return LanePlan(lanes=tuple(lanes), widths=widths)
-    return None
+    parts = next(_partitions(subset, widths, inst.capacity, inst.horizon), None)
+    if parts is None:
+        return None
+    lanes = sorted((tuple(sorted(lane)) for lane in parts), key=lambda lane: lane[0])
+    return LanePlan(lanes=tuple(lanes), widths=widths)
 
 
-def exhaustive_lane_plan(inst: NcsInstance, limit: int = EXHAUSTIVE_LIMIT) -> LanePlan | None:
-    """Complete lane-plan search for small instances; None proves nonexistence."""
+def exhaustive_lane_plan(inst: NcsInstance) -> LanePlan | None:
+    """Complete lane-plan search for at most 10 plants; None proves nonexistence."""
     _require_reachable(inst, range(inst.n))
-    return _exhaustive_lane_for(inst, range(inst.n), limit)
+    return _exhaustive_lane_for(inst, range(inst.n))
 
 
 def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLogic:

@@ -55,16 +55,26 @@ def report_from_dict(data: dict) -> SolveReport:
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
-        control = data["control"]
+        control, norms = data["control"], data["state_norms"]
+        if control is not None:
+            control = np.asarray(control, dtype=float)
+            if control.ndim != 2:
+                raise SchemaError("control must be an N x T matrix")
+        # null, or N lists of T+1 numbers for the N x T control
+        shape = None if control is None else (control.shape[0], control.shape[1] + 1)
+        if norms is not None and (
+            np.shape(norms) != shape or np.asarray(norms).dtype.kind not in "fiu"
+        ):
+            raise SchemaError("state_norms must be null or N lists of T+1 numbers")
         return SolveReport(
             method=data["method"],
             plan=data["plan"],
             schedule=[list(map(int, slot)) for slot in data["schedule"]],
-            control=None if control is None else np.asarray(control, dtype=float),
+            control=control,
             verified=bool(data["verified"]),
             residuals=[float(r) for r in data["residuals"]],
             occupancy_histogram=[list(map(int, row)) for row in data["occupancy_histogram"]],
-            state_norms=data["state_norms"],
+            state_norms=norms,
             warnings=list(data.get("warnings", [])),
             diagnostics=list(data.get("diagnostics", [])),
         )
@@ -89,6 +99,9 @@ def read_report(path) -> SolveReport:
 def export_plots(report_path, out_dir) -> list[Path]:
     """Write control.csv, schedule.csv, trajectories.csv next to any plot tool.
 
+    The report is checked in full before any file is written, so a report
+    that cannot be exported leaves ``out_dir`` untouched.
+
     Plant columns are 1-based; time columns are 0-based steps. schedule.csv
     has one row per active slot member, so empty slots and always-silent
     plants simply contribute no rows.
@@ -96,6 +109,8 @@ def export_plots(report_path, out_dir) -> list[Path]:
     rep = read_report(report_path)
     if rep.control is None:
         raise SchemaError("report has no control matrix to export")
+    if rep.state_norms is None:
+        raise SchemaError("report has no state norms to export")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     control = np.asarray(rep.control)
@@ -118,8 +133,6 @@ def export_plots(report_path, out_dir) -> list[Path]:
                 w.writerow([t, plant])
 
     traj_path = out / "trajectories.csv"
-    if rep.state_norms is None:
-        raise SchemaError("report has no state norms to export")
     with traj_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "plant", "state_norm_2"])

@@ -3,7 +3,10 @@
 import re
 from pathlib import Path
 
+import argparse
+
 import ncsched
+from ncsched.cli import build_parser
 
 
 def test_every_export_resolves():
@@ -21,10 +24,14 @@ def test_star_import():
     assert set(ncsched.__all__) <= namespace.keys()
 
 
+def readme_paragraph(opening: str) -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(opening, 1)[1].split("\n\n", 1)[0]
+
+
 def test_readme_entry_points_are_exported():
     # every plain name quoted in README's "Lower-level entry points" paragraph
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    paragraph = readme.split("Lower-level entry points:", 1)[1].split("\n\n", 1)[0]
+    paragraph = readme_paragraph("Lower-level entry points:")
     names = [
         quoted
         for quoted in re.findall(r"`([^`]+)`", paragraph)
@@ -32,3 +39,19 @@ def test_readme_entry_points_are_exported():
     ]
     assert len(names) >= 10
     assert [name for name in names if name not in ncsched.__all__] == []
+
+
+def test_readme_flags_exist():
+    # every --flag named in README's "Flags:" paragraph is a gen or solve option
+    flags = set(re.findall(r"--[a-z][a-z-]*", readme_paragraph("Flags:")))
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    known = {
+        flag
+        for name in ("gen", "solve")
+        for flag in commands.choices[name]._option_string_actions
+    }
+    assert len(flags) >= 4
+    assert flags - known == set()

@@ -116,6 +116,37 @@ class TestCliFlow:
         bad.write_text('{"schema_version": 99}')
         assert main(["solve", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("N", 2.0, "N"), ("M", 1.0, "capacity"), ("T", 8.0, "horizon"), ("M", True, "capacity")],
+    )
+    def test_non_integer_size_exit_code(self, tmp_path, capsys, field, value, name):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--dims", "1,2", "--capacity", "1", "--horizon", "8",
+              "--seed", "1", "--out", str(inst_path)])
+        data = json.loads(inst_path.read_text())
+        data[field] = value
+        inst_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["solve", str(inst_path)]) == 3
+        assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("norms", [[1.0, 2.0], None])
+    def test_plots_rejects_bad_state_norms_before_writing(self, tmp_path, capsys, norms):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
+              "--seed", "4", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        data = json.loads(rep_path.read_text())
+        data["state_norms"] = norms
+        rep_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out_dir = tmp_path / "csv"
+        assert main(["plots", str(rep_path), "--out-dir", str(out_dir)]) == 3
+        assert "state norms" in capsys.readouterr().err.replace("_", " ")
+        assert list(out_dir.glob("*.csv")) == []
+
 
 class TestReportRoundTrip:
     def _sample_report(self):

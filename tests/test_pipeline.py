@@ -90,12 +90,33 @@ class TestSolveCascade:
         assert report.method == "lane-plan"
         assert report.plan["lanes"] == [[2]]
 
-    def test_exhaustive_flag(self, mixed_dims_instance):
-        report = solve_instance(mixed_dims_instance, method="lane", exhaustive=True)
+    def test_plan_route_failures_are_proofs(self, mixed_dims_instance):
+        report = solve_instance(mixed_dims_instance, method="lane")
         assert report.verified
+        # the greedy block search is complete at every size
         with pytest.raises(NoSolutionFoundError) as err:
-            solve_instance(mixed_dims_instance, method="block", exhaustive=True)
+            solve_instance(mixed_dims_instance, method="block")
         assert "not a proof" not in str(err.value)
+        # the lane route backs its packing with the complete search on <= 10 plants
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(scalar_instance([2.0, 3.0], capacity=1, horizon=3), method="lane")
+        assert "lane-plan: no lane packing found" in err.value.reasons
+        # beyond that, a lane failure stays a heuristic's verdict
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(scalar_instance([2.0] * 12, capacity=2, horizon=11), method="lane")
+        assert (
+            "lane-plan: no lane packing found (heuristic; not a proof of nonexistence)"
+            in err.value.reasons
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complete_lane_search_finds_what_packing_misses(self, seed):
+        # widths 3, 3, 2, 2, 2 fill two lanes of 6 only as {3, 3}, {2, 2, 2}
+        inst = generate_instance(5, 2, 6, [2, 2, 1, 1, 1], value_range=2.0, seed=seed).instance
+        report = solve_instance(inst)
+        assert report.method == "lane-plan"
+        assert report.plan["lanes"] == [[1, 2], [3, 4, 5]]
+        assert verify_logic(inst, ControlLogic(np.asarray(report.control))).verified
 
     def test_report_replays_from_control_matrix(self):
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=4)

@@ -12,9 +12,9 @@ from ncsched import (
     NonFiniteError,
     NotReachableError,
     PlantDynamics,
+    TooLargeError,
     WindowOverflowError,
     build_from_plan,
-    exhaustive_block_plan,
     exhaustive_lane_plan,
     extract_schedule,
     find_block_plan,
@@ -63,6 +63,64 @@ def random_instance(rng, n, capacity, horizon, max_d=3):
     return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
 
 
+def reference_partitions(items, max_parts, max_size):
+    """All set partitions of ``items`` into at most max_parts parts of at most max_size."""
+    parts = []
+
+    def rec(k):
+        if k == len(items):
+            yield [tuple(p) for p in parts]
+            return
+        for p in parts:
+            if len(p) < max_size:
+                p.append(items[k])
+                yield from rec(k + 1)
+                p.pop()
+        if len(parts) < max_parts:
+            parts.append([items[k]])
+            yield from rec(k + 1)
+            parts.pop()
+
+    yield from rec(0)
+
+
+def reference_block_plan(inst):
+    """Every grouping into ceil(N/M) groups of at most M, tried in turn."""
+    n_blocks = -(-inst.n // inst.capacity)
+    for parts in reference_partitions(list(range(inst.n)), n_blocks, inst.capacity):
+        lengths = [1 + max(inst.plants[i].d for i in blk) for blk in parts]
+        if sum(lengths) <= inst.horizon:
+            return BlockPlan(tuple(tuple(sorted(b)) for b in parts), tuple(lengths))
+    return None
+
+
+def reference_lane_plan_complete(inst):
+    """The first partition into at most M lanes, in canonical order, whose loads fit."""
+    widths = {i: inst.plants[i].d + 1 for i in range(inst.n)}
+    for parts in reference_partitions(list(range(inst.n)), inst.capacity, inst.n):
+        if all(sum(widths[i] for i in lane) <= inst.horizon for lane in parts):
+            lanes = sorted((tuple(sorted(lane)) for lane in parts), key=lambda lane: lane[0])
+            return LanePlan(lanes=tuple(lanes), widths=widths)
+    return None
+
+
+def companion_instance(dims, capacity, horizon):
+    """Plan feasibility depends only on the dimensions, M and T."""
+    plants = tuple(companion_plant(int(d)) for d in dims)
+    xi = tuple(np.ones(int(d)) for d in dims)
+    return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
+
+
+def random_small_instances(seed, count, max_n=8):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        dims = rng.integers(1, 5, n)
+        capacity = int(rng.integers(1, n))
+        horizon = int(rng.integers(2, 3 * n // capacity + 6))
+        yield companion_instance(dims, capacity, horizon)
+
+
 class TestFindBlockPlan:
     def test_demo_family(self, demo_instance):
         plan = find_block_plan(demo_instance)
@@ -74,7 +132,7 @@ class TestFindBlockPlan:
 
     def test_mixed_dimensions_infeasible(self, mixed_dims_instance):
         assert find_block_plan(mixed_dims_instance) is None
-        assert exhaustive_block_plan(mixed_dims_instance) is None
+        assert reference_block_plan(mixed_dims_instance) is None
 
     def test_two_scalar_plants(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
@@ -83,8 +141,8 @@ class TestFindBlockPlan:
         assert plan.blocks == ((0,), (1,))
         assert plan.block_lengths == (2, 2)
         assert_block_plan_valid(inst, plan)
-        # complete search agrees that a plan exists
-        assert exhaustive_block_plan(inst) is not None
+        # the enumeration agrees that a plan exists
+        assert reference_block_plan(inst) is not None
 
     def test_unreachable_plant_reported(self):
         bad = PlantDynamics([[1, 0], [0, 1]], [1, 0])
@@ -137,6 +195,47 @@ class TestFindLanePlan:
                 logic = build_from_plan(inst, bplan)
                 assert verify_logic(inst, logic).verified
         assert found > 5
+
+
+class TestCompleteSearches:
+    def test_greedy_block_plan_agrees_with_enumeration(self):
+        outcomes = set()
+        for inst in random_small_instances(43, 300):
+            block = find_block_plan(inst)
+            assert (block is None) == (reference_block_plan(inst) is None)
+            if block is not None:
+                assert_block_plan_valid(inst, block)
+                # a block plan's groups also pack as lanes
+                assert exhaustive_lane_plan(inst) is not None
+            outcomes.add(block is None)
+        assert outcomes == {True, False}
+
+    def test_load_pruned_lane_search_matches_enumeration(self):
+        outcomes = set()
+        for inst in random_small_instances(47, 300):
+            plan = exhaustive_lane_plan(inst)
+            assert plan == reference_lane_plan_complete(inst)
+            if plan is not None:
+                assert_lane_plan_valid(inst, plan)
+            outcomes.add(plan is None)
+        assert outcomes == {True, False}
+
+    def test_lane_search_finds_what_packing_misses(self):
+        # widths 3, 3, 2, 2, 2 in two lanes of 6: balanced packing puts the
+        # two 3s apart and strands a 2; the complete search pairs them
+        inst = companion_instance([2, 2, 1, 1, 1], capacity=2, horizon=6)
+        assert find_lane_plan(inst) is None
+        plan = exhaustive_lane_plan(inst)
+        assert [[i + 1 for i in lane] for lane in plan.lanes] == [[1, 2], [3, 4, 5]]
+
+    def test_window_wider_than_horizon_is_never_placed(self):
+        inst = companion_instance([4] + [1] * 9, capacity=9, horizon=4)
+        assert exhaustive_lane_plan(inst) is None
+
+    def test_lane_search_limited_to_ten_plants(self):
+        inst = companion_instance([1] * 11, capacity=2, horizon=20)
+        with pytest.raises(TooLargeError, match="limited to 10 plants, got 11"):
+            exhaustive_lane_plan(inst)
 
 
 class TestBuildFromBlockPlan:
