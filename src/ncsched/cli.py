@@ -32,7 +32,10 @@ def parse_dims(text: str) -> list[int]:
             continue
         if "x" in token:
             d_str, count_str = token.split("x", 1)
-            dims.extend([int(d_str)] * int(count_str))
+            count = int(count_str)
+            if count < 1:
+                raise ValueError(f"bad dimension spec: {text!r}")
+            dims.extend([int(d_str)] * count)
         else:
             dims.append(int(token))
     if not dims or any(d < 1 for d in dims):

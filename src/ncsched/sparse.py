@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,6 +44,7 @@ RIP_CERT_BOUND = math.sqrt(2.0) - 1.0
 RESIDUAL_RTOL = 1e-8
 BRUTE_FORCE_CAP = 10**6
 RIP_SUPPORT_CAP = 200_000
+RIP_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,8 @@ def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipR
 
     ``delta`` is the largest deviation of a support-submatrix Gram spectrum
     from 1. Exhaustive rather than sampled, so the certificate is sound; the
-    support count is capped to keep it at desk scale.
+    support count is capped to keep it at desk scale. The sub-Gram matrices
+    are stacked in chunks of supports, one batched eigenvalue call each.
     """
     gamma = np.asarray(gamma, dtype=float)
     width = gamma.shape[1]
@@ -194,10 +196,16 @@ def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipR
         )
     gram = gamma.T @ gamma
     lo, hi = np.inf, -np.inf
-    for supp in combinations(range(width), order):
-        eigs = np.linalg.eigvalsh(gram[np.ix_(supp, supp)])
-        lo = min(lo, eigs[0])
-        hi = max(hi, eigs[-1])
+    supports = combinations(range(width), order)
+    # the sub-Gram stack of one chunk holds at most RIP_CHUNK_ENTRIES floats
+    chunk = max(1, RIP_CHUNK_ENTRIES // (order * order))
+    while batch := list(islice(supports, chunk)):
+        idx = np.array(batch)
+        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        # fmin/fmax skip NaN spectra (overflowed Gram entries) as a
+        # support-by-support min/max does, so one cannot mask a whole chunk
+        lo = min(lo, np.fmin.reduce(eigs[:, 0]))
+        hi = max(hi, np.fmax.reduce(eigs[:, -1]))
     delta = max(hi - 1.0, 1.0 - lo, 0.0)
     return RipReport(order=order, delta=float(delta), certified=bool(delta < RIP_CERT_BOUND))
 
@@ -214,11 +222,17 @@ def l0_feasible_bruteforce(
 ) -> ControlLogic | None:
     """Exact decision of the stacked feasibility problem by enumeration.
 
-    Every assignment of per-slot access sets (at most M plants each) is
-    tried; for each plant, least squares on the allowed columns of its lifted
-    matrix decides whether those slots suffice. The first feasible assignment
-    (in deterministic order: smaller sets first, then lexicographic) is
-    returned; None after exhausting all assignments proves infeasibility.
+    Assignments of per-slot access sets (at most M plants each) are walked
+    slot by slot in deterministic order: smaller sets first, then
+    lexicographic. For each plant, least squares on the allowed columns of
+    its lifted matrix decides whether a slot mask suffices (residual within
+    ``residual_rtol`` of the target). A branch is entered only while every
+    plant's mask over the slots assigned so far has at least one feasible
+    completion over the remaining slots; that test is memoized per plant and
+    per prefix, and filled lazily. Pruned branches hold no feasible
+    assignment, so the first feasible assignment of the full walk is
+    returned, and None is still a proof of infeasibility relative to
+    ``residual_rtol``.
 
     Desk scale only: refuses when (number of admissible access sets)^T
     exceeds ``cap``.
@@ -252,20 +266,35 @@ def l0_feasible_bruteforce(
         memo[i][mask] = w
         return w
 
+    # completable[i][t][mask]: plant i's mask over slots < t extends to a
+    # feasible mask over all slots
+    completable: list[list[dict[int, bool]]] = [
+        [{} for _ in range(horizon + 1)] for _ in range(n)
+    ]
+
+    def can_complete(i: int, t: int, mask: int) -> bool:
+        table = completable[i][t]
+        try:
+            return table[mask]
+        except KeyError:
+            pass
+        if t == horizon:
+            ok = feasible(i, mask) is not None
+        else:
+            # the fuller mask first: it is the likeliest to be feasible
+            ok = can_complete(i, t + 1, mask | 1 << t) or can_complete(i, t + 1, mask)
+        table[mask] = ok
+        return ok
+
     plant_masks = [0] * n
 
     def search(t: int) -> ControlLogic | None:
+        if not all(can_complete(i, t, mask) for i, mask in enumerate(plant_masks)):
+            return None
         if t == horizon:
-            ws = []
-            for i in range(n):
-                w = feasible(i, plant_masks[i])
-                if w is None:
-                    return None
-                ws.append(w)
             u = np.zeros((n, horizon))
-            for i, w in enumerate(ws):
-                cols = [t for t in range(horizon) if plant_masks[i] >> t & 1]
-                u[i, cols] = w
+            for i, mask in enumerate(plant_masks):
+                u[i, [s for s in range(horizon) if mask >> s & 1]] = feasible(i, mask)
             return ControlLogic(u)
         bit = 1 << t
         for subset in subsets:

@@ -21,6 +21,19 @@ class TestParseDims:
         with pytest.raises(ValueError):
             parse_dims(",")
 
+    @pytest.mark.parametrize("spec", ["2x0,3", "2x-4,1", "3x0"])
+    def test_rejects_non_positive_count(self, spec):
+        with pytest.raises(ValueError, match="bad dimension spec"):
+            parse_dims(spec)
+
+    def test_gen_with_zero_count_exits_3(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert main([
+            "gen", "--dims", "2x0,3,3", "--capacity", "1", "--horizon", "8",
+            "--out", str(out),
+        ]) == 3
+        assert not out.exists()
+
 
 class TestCliFlow:
     def test_gen_solve_verify_plots(self, tmp_path, capsys):

@@ -10,8 +10,11 @@ from ncsched import (
     NcsInstance,
     PlantDynamics,
     TooLargeError,
+    generate_instance,
     l0_feasible_bruteforce,
     l1_min_inputs,
+    lifted_matrix,
+    mat_pow,
     measure_sparsity,
     min_l1,
     rip_delta,
@@ -42,6 +45,66 @@ def l0_min_by_enumeration(gamma, target, rtol=1e-9):
                 u[list(supp)] = sol
                 return u
     return None
+
+
+def reference_rip_delta(gamma, order):
+    """The isometry constant by one eigenvalue call per column support."""
+    gram = gamma.T @ gamma
+    lo, hi = np.inf, -np.inf
+    for supp in combinations(range(gamma.shape[1]), order):
+        eigs = np.linalg.eigvalsh(gram[np.ix_(supp, supp)])
+        lo = min(lo, eigs[0])
+        hi = max(hi, eigs[-1])
+    return float(max(hi - 1.0, 1.0 - lo, 0.0))
+
+
+def reference_bruteforce(inst, residual_rtol=1e-8):
+    """Full walk over every assignment of per-slot access sets.
+
+    Smaller sets first, then lexicographic; plants are judged only at the
+    leaves, by least squares on the lifted-matrix columns of their slots.
+    """
+    n, horizon = inst.n, inst.horizon
+    subsets = [s for k in range(inst.capacity + 1) for s in combinations(range(n), k)]
+    phis = [lifted_matrix(p, horizon) for p in inst.plants]
+    targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
+    tols = [residual_rtol * (1.0 + float(np.linalg.norm(t))) for t in targets]
+    memo = [{} for _ in range(n)]
+
+    def feasible(i, mask):
+        if mask not in memo[i]:
+            cols = [t for t in range(horizon) if mask >> t & 1]
+            if not cols:
+                w = np.zeros(0) if np.linalg.norm(targets[i]) <= tols[i] else None
+            else:
+                sol, *_ = np.linalg.lstsq(phis[i][:, cols], targets[i], rcond=None)
+                resid = np.linalg.norm(phis[i][:, cols] @ sol - targets[i])
+                w = sol if resid <= tols[i] else None
+            memo[i][mask] = w
+        return memo[i][mask]
+
+    masks = [0] * n
+
+    def search(t):
+        if t == horizon:
+            ws = [feasible(i, masks[i]) for i in range(n)]
+            if any(w is None for w in ws):
+                return None
+            u = np.zeros((n, horizon))
+            for i, w in enumerate(ws):
+                u[i, [s for s in range(horizon) if masks[i] >> s & 1]] = w
+            return u
+        for subset in subsets:
+            for i in subset:
+                masks[i] |= 1 << t
+            found = search(t + 1)
+            for i in subset:
+                masks[i] &= ~(1 << t)
+            if found is not None:
+                return found
+        return None
+
+    return search(0)
 
 
 class TestMeasureSparsity:
@@ -130,6 +193,27 @@ class TestRipDelta:
         with pytest.raises(ValueError):
             rip_delta(np.eye(3), 4)
 
+    @pytest.mark.parametrize("chunk_entries", [1 << 20, 12])
+    def test_matches_per_support_loop(self, chunk_entries, monkeypatch):
+        # 12 entries hold three order-2 supports: chunks end mid-enumeration
+        monkeypatch.setattr(ncsched.sparse, "RIP_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            width = int(rng.integers(2, 9))
+            gamma = rng.standard_normal((int(rng.integers(1, 7)), width))
+            order = int(rng.integers(1, width + 1))
+            assert rip_delta(gamma, order).delta == reference_rip_delta(gamma, order)
+        # wide lifted matrices of an unstable plant: column norms span many decades
+        p = PlantDynamics([[1.3, 0.4], [-0.2, 0.9]], [1.0, 0.5])
+        for horizon in (40, 150):
+            gamma = lifted_matrix(p, horizon)
+            assert rip_delta(gamma, 2).delta == reference_rip_delta(gamma, 2)
+        # a column whose Gram entries overflow gives NaN spectra next to finite ones
+        gamma = rng.standard_normal((3, 7))
+        gamma[:, 3] *= 1e160
+        with np.errstate(all="ignore"):
+            assert rip_delta(gamma, 2).delta == reference_rip_delta(gamma, 2)
+
 
 class TestBruteForce:
     def test_two_plants_two_slots(self):
@@ -164,6 +248,44 @@ class TestBruteForce:
         monkeypatch.setattr(ncsched.sparse, "_access_sets", refuse)
         with pytest.raises(TooLargeError, match=r"^19415908147836\^50 assignments exceed"):
             l0_feasible_bruteforce(demo_instance)
+
+    @pytest.mark.parametrize(
+        "dims, capacity, horizon, feasible",
+        [
+            ((1, 2, 3, 4), 2, 5, True),
+            ((2, 2, 1, 1), 2, 5, True),
+            ((3, 3, 2), 1, 6, False),
+            ((2, 2, 2), 1, 5, False),
+        ],
+    )
+    def test_matches_full_walk(self, dims, capacity, horizon, feasible):
+        for seed in range(4):
+            inst = generate_instance(len(dims), capacity, horizon, list(dims), seed=seed).instance
+            logic = l0_feasible_bruteforce(inst)
+            expected = reference_bruteforce(inst)
+            assert (logic is not None) == feasible
+            assert (expected is not None) == feasible
+            if feasible:
+                assert logic.u.tobytes() == expected.tobytes()
+
+    def test_unsteerable_plant_refused_without_full_walk(self, monkeypatch):
+        # the last plant has no input, so no slot mask zeroes it; the walk
+        # must not solve every mask of the steerable plants before noticing
+        n, horizon = 3, 8
+        inst = scalar_instance([2.0, 3.0, 2.0], capacity=1, horizon=horizon, inputs=[1.0, 1.0, 0.0])
+        calls = 0
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        assert l0_feasible_bruteforce(inst) is None
+        assert calls <= n * 2**horizon
+        # every nonempty mask of the unsteerable plant, one full mask per other plant
+        assert calls == (2**horizon - 1) + (n - 1)
 
     def test_cap_boundary(self):
         # N=2, M=1: 3 access sets per slot, so T=2 gives exactly 3^2 = 9 assignments
