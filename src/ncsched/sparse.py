@@ -8,11 +8,12 @@ are exposed:
   problem exactly at desk scale;
 * ``l1_min_inputs`` solves the per-plant convex surrogate
   ``min |u|_1  s.t.  Phi u = -A^T xi`` as a split-variable LP;
-* ``solve_via_relaxation`` stacks the per-plant l1 solutions (the solve
-  cascade's verifier judges whether any slot holds more than M inputs) and
-  certifies each plant's solution as the sparsest possible whenever the
-  lifted matrix passes the restricted-isometry test at twice the observed
-  sparsity.
+* ``solve_via_relaxation`` solves every plant's l1 program as one LP
+  (``min_l1_stack``: the split systems are blocks of one block-diagonal
+  equality system), stacks the rows (the solve cascade's verifier judges
+  whether any slot holds more than M inputs) and certifies each plant's
+  solution as the sparsest possible whenever the lifted matrix passes the
+  restricted-isometry test at twice the observed sparsity.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from itertools import combinations, islice
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 from .core import (
     ZERO_RTOL,
@@ -39,6 +41,7 @@ from .errors import (
     SolverStallError,
     TooLargeError,
 )
+from .planner import _require_reachable
 
 RIP_CERT_BOUND = math.sqrt(2.0) - 1.0
 RESIDUAL_RTOL = 1e-8
@@ -100,22 +103,14 @@ def support_set(u: np.ndarray, scale: float, zero_rtol: float = ZERO_RTOL) -> tu
     return tuple(np.nonzero(np.abs(u) > zero_rtol * scale)[0].tolist())
 
 
-def min_l1(gamma: np.ndarray, target: np.ndarray, residual_rtol: float = RESIDUAL_RTOL) -> np.ndarray:
-    """Minimum-l1-norm solution of ``gamma @ u = target``.
-
-    Solved as the standard split LP (u = up - un, up/un >= 0, minimize their
-    sum). The equality system is first projected onto the orthonormal basis
-    of its row space (an exact, invertible transformation): lifted matrices
-    of unstable plants mix column scales across ~30 orders of magnitude, and
-    without this preconditioning the LP backend cannot see the small singular
-    direction at all. The residual of the returned solution is checked in the
-    original coordinates against ``residual_rtol * (1 + |target|)``.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    target = np.asarray(target, dtype=float).reshape(-1)
+def _row_space_system(
+    gamma: np.ndarray, target: np.ndarray, residual_rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma @ u = target`` projected onto the orthonormal basis of its row
+    space, as ``(rows, rhs)``; ``SolverStallError`` when the target leaves the
+    matrix range."""
     if gamma.ndim != 2 or gamma.shape[0] != target.shape[0]:
         raise ValueError("matrix and target shapes do not match")
-    width = gamma.shape[1]
     left, sigma, right = np.linalg.svd(gamma, full_matrices=False)
     cutoff = max(gamma.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
     keep = sigma > cutoff
@@ -127,31 +122,28 @@ def min_l1(gamma: np.ndarray, target: np.ndarray, residual_rtol: float = RESIDUA
         raise SolverStallError(
             "equality system is inconsistent: target leaves the matrix range"
         )
-    a_rows = right[keep]
-    rhs = projected[keep] / sigma[keep]
-    a_eq = np.hstack([a_rows, -a_rows])
-    res = linprog(
-        np.ones(2 * width),
-        A_eq=a_eq,
-        b_eq=rhs,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise SolverStallError(
-            f"LP backend status {res.status}: {res.message} "
-            f"(shape {gamma.shape}, |target|={np.linalg.norm(target):.3e})"
-        )
-    u = res.x[:width] - res.x[width:]
+    return right[keep], projected[keep] / sigma[keep]
+
+
+def _polish(
+    gamma: np.ndarray,
+    target: np.ndarray,
+    u: np.ndarray,
+    residual_rtol: float,
+    zero_rtol: float,
+) -> np.ndarray:
+    """The LP row, or its least-squares re-solve on its support when that has
+    the smaller residual; ``SolverStallError`` when the residual exceeds
+    ``residual_rtol * (1 + |target|)``."""
     resid = float(np.linalg.norm(gamma @ u - target))
-    # polish: a vertex solution has few significant entries; a least-squares
-    # re-solve on that support pushes the equality residual to machine level
+    # a vertex solution has few significant entries; a least-squares re-solve
+    # on that support pushes the equality residual to machine level
     scale = float(np.abs(u).max()) if u.size else 0.0
     if resid > 0.0 and scale > 0.0:
-        supp = np.nonzero(np.abs(u) > ZERO_RTOL * max(1.0, scale))[0]
+        supp = np.nonzero(np.abs(u) > zero_rtol * max(1.0, scale))[0]
         if supp.size:
             w, *_ = np.linalg.lstsq(gamma[:, supp], target, rcond=None)
-            polished = np.zeros(width)
+            polished = np.zeros(u.size)
             polished[supp] = w
             polished_resid = float(np.linalg.norm(gamma @ polished - target))
             if polished_resid < resid:
@@ -162,6 +154,63 @@ def min_l1(gamma: np.ndarray, target: np.ndarray, residual_rtol: float = RESIDUA
             f"LP residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
     return u
+
+
+def min_l1_stack(
+    gammas,
+    targets,
+    residual_rtol: float = RESIDUAL_RTOL,
+    zero_rtol: float = ZERO_RTOL,
+) -> list[np.ndarray]:
+    """Minimum-l1-norm solutions of every system ``gammas[k] @ u = targets[k]``.
+
+    The systems share no unknowns, so one LP solves them all: the standard
+    split form (u = up - un, up/un >= 0, minimize their sum) of each system
+    is one block of a block-diagonal equality system, passed to HiGHS in a
+    single call. Each system is first projected onto the orthonormal basis of
+    its row space (an exact, invertible transformation): lifted matrices of
+    unstable plants mix column scales across ~30 orders of magnitude, and
+    without this preconditioning the LP backend cannot see the small singular
+    direction at all. Each returned row is then polished by least squares on
+    its support (entries above ``zero_rtol`` times the larger of 1 and its
+    largest magnitude), and its residual is checked in the original
+    coordinates against ``residual_rtol * (1 + |target|)``. When a system has
+    several minimizers, the vertex HiGHS returns for it may depend on the
+    other systems in the stack. Any inconsistent system, a failed LP or a
+    residual out of tolerance raises ``SolverStallError``.
+    """
+    systems = [
+        (np.asarray(g, dtype=float), np.asarray(t, dtype=float).reshape(-1))
+        for g, t in zip(gammas, targets, strict=True)
+    ]
+    if not systems:
+        return []
+    projected = [_row_space_system(g, t, residual_rtol) for g, t in systems]
+    a_eq = block_diag([np.hstack([rows, -rows]) for rows, _ in projected], format="csc")
+    res = linprog(
+        np.ones(a_eq.shape[1]),
+        A_eq=a_eq,
+        b_eq=np.concatenate([rhs for _, rhs in projected]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise SolverStallError(
+            f"LP backend status {res.status}: {res.message} "
+            f"({len(systems)} systems, stacked shape {a_eq.shape})"
+        )
+    # system k owns the columns [x+ | x-] of block k
+    ends = np.cumsum([2 * g.shape[1] for g, _ in systems])
+    return [
+        _polish(g, t, x[: g.shape[1]] - x[g.shape[1] :], residual_rtol, zero_rtol)
+        for (g, t), x in zip(systems, np.split(res.x, ends[:-1]))
+    ]
+
+
+def min_l1(gamma: np.ndarray, target: np.ndarray, residual_rtol: float = RESIDUAL_RTOL) -> np.ndarray:
+    """Minimum-l1-norm solution of ``gamma @ u = target``: ``min_l1_stack``
+    on a stack of one."""
+    return min_l1_stack([gamma], [target], residual_rtol)[0]
 
 
 def l1_min_inputs(p: PlantDynamics, xi: np.ndarray, horizon: int) -> np.ndarray:
@@ -183,7 +232,9 @@ def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipR
     ``delta`` is the largest deviation of a support-submatrix Gram spectrum
     from 1. Exhaustive rather than sampled, so the certificate is sound; the
     support count is capped to keep it at desk scale. The sub-Gram matrices
-    are stacked in chunks of supports, one batched eigenvalue call each.
+    are stacked in chunks of supports, one batched eigenvalue call each. A
+    support whose spectrum is not finite (overflowed Gram entries) gives
+    ``delta = inf``, never a certificate.
     """
     gamma = np.asarray(gamma, dtype=float)
     width = gamma.shape[1]
@@ -202,10 +253,11 @@ def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipR
     while batch := list(islice(supports, chunk)):
         idx = np.array(batch)
         eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-        # fmin/fmax skip NaN spectra (overflowed Gram entries) as a
-        # support-by-support min/max does, so one cannot mask a whole chunk
-        lo = min(lo, np.fmin.reduce(eigs[:, 0]))
-        hi = max(hi, np.fmax.reduce(eigs[:, -1]))
+        if not np.isfinite(eigs).all():
+            # an overflowed Gram entry: no finite isometry constant holds
+            return RipReport(order=order, delta=math.inf, certified=False)
+        lo = min(lo, eigs[:, 0].min())
+        hi = max(hi, eigs[:, -1].max())
     delta = max(hi - 1.0, 1.0 - lo, 0.0)
     return RipReport(order=order, delta=float(delta), certified=bool(delta < RIP_CERT_BOUND))
 
@@ -315,14 +367,20 @@ def solve_via_relaxation(
     plants=None,
     zero_rtol: float = ZERO_RTOL,
 ) -> RelaxationResult:
-    """Stacked l1 route: per-plant LPs, stacked rows, RIP certificates.
+    """Stacked l1 route: one LP for every plant's l1 program, stacked rows,
+    RIP certificates.
 
     ``plants`` restricts the route to a subset (the solve cascade passes the
     plants that cannot coast to zero open-loop; the rest keep zero rows). All
-    selected plants must be reachable with horizon greater than their
-    dimension. The rows are returned as they are: the solve cascade verifies
-    every route's output, and ``verify_logic`` judges both the terminal
-    states and the channel rule (at most M nonzero inputs per slot).
+    selected plants must be reachable (one stacked rank test; the
+    ``NotReachableError`` lists every unreachable plant) with horizon greater
+    than their dimension. Every plant's lifted matrix and target is built
+    before ``min_l1_stack`` solves them all in one LP, so an overflow, an
+    unreachable plant or a short horizon fails the route before the LP runs.
+    ``zero_rtol`` picks both the LP polish support and the reported supports.
+    The rows are returned as they are: the solve cascade verifies every
+    route's output, and ``verify_logic`` judges both the terminal states and
+    the channel rule (at most M nonzero inputs per slot).
 
     Certification per plant with sparsity s and dimension d: "trivial" for
     the all-zero row; "uncertified" when 2s > d, since any 2s columns of the
@@ -330,12 +388,12 @@ def solve_via_relaxation(
     pass; otherwise the exhaustive restricted-isometry test at order 2s gives
     "certified" or "uncertified", or "cap-exceeded" when it would enumerate
     more than ``RIP_SUPPORT_CAP`` supports. Uniqueness of the l1 minimizer is
-    assumed, not checked; the result carries that warning.
+    assumed, not checked; the result carries that warning. Where a plant's
+    minimizers tie, the vertex chosen for it may depend on the other plants
+    in the stack.
     """
     subset = sorted(range(inst.n) if plants is None else plants)
-    bad = [i for i in subset if not is_reachable(inst.plants[i])]
-    if bad:
-        raise NotReachableError(bad)
+    _require_reachable(inst, subset)
     short = [i for i in subset if inst.horizon <= inst.plants[i].d]
     if short:
         shown = ", ".join(str(i + 1) for i in short)
@@ -343,6 +401,9 @@ def solve_via_relaxation(
             f"horizon {inst.horizon} does not exceed the dimension of plants "
             f"(1-based): {shown}"
         )
+    phis = [lifted_matrix(inst.plants[i], inst.horizon) for i in subset]
+    targets = [-(mat_pow(inst.plants[i].A, inst.horizon) @ inst.xi[i]) for i in subset]
+    rows = min_l1_stack(phis, targets, zero_rtol=zero_rtol)
 
     u = np.zeros((inst.n, inst.horizon))
     supports: dict[int, tuple[int, ...]] = {}
@@ -351,15 +412,13 @@ def solve_via_relaxation(
     warnings_out = [
         "l1 minimizer uniqueness is assumed for every plant, not certified"
     ]
-    for i in subset:
-        p = inst.plants[i]
-        phi = lifted_matrix(p, inst.horizon)
-        u[i] = min_l1(phi, -(mat_pow(p.A, inst.horizon) @ inst.xi[i]))
-        supports[i] = support_set(u[i], max(1.0, float(np.abs(u[i]).max())), zero_rtol)
+    for i, phi, row in zip(subset, phis, rows):
+        u[i] = row
+        supports[i] = support_set(row, max(1.0, float(np.abs(row).max())), zero_rtol)
         order = 2 * len(supports[i])
         if order == 0:
             certification[i] = "trivial"
-        elif order > p.d:
+        elif order > inst.plants[i].d:
             certification[i] = "uncertified"
         elif math.comb(inst.horizon, order) > RIP_SUPPORT_CAP:
             certification[i] = "cap-exceeded"

@@ -3,12 +3,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import ncsched.sparse
 from ncsched import (
     HorizonTooShortError,
     NcsInstance,
+    NonFiniteError,
+    NotReachableError,
     PlantDynamics,
+    RipReport,
+    SolverStallError,
     TooLargeError,
     generate_instance,
     l0_feasible_bruteforce,
@@ -20,6 +25,7 @@ from ncsched import (
     rip_delta,
     solve_instance,
     solve_via_relaxation,
+    support_set,
     verify_logic,
 )
 
@@ -45,6 +51,60 @@ def l0_min_by_enumeration(gamma, target, rtol=1e-9):
                 u[list(supp)] = sol
                 return u
     return None
+
+
+def reference_min_l1(gamma, target, residual_rtol=1e-8, zero_rtol=1e-9):
+    """One system's split LP, solved alone: row-space projection, a dense
+    ``linprog`` call, least-squares polish on the support, residual check."""
+    gamma = np.asarray(gamma, dtype=float)
+    target = np.asarray(target, dtype=float).reshape(-1)
+    width = gamma.shape[1]
+    left, sigma, right = np.linalg.svd(gamma, full_matrices=False)
+    cutoff = max(gamma.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
+    keep = sigma > cutoff
+    projected = left.T @ target
+    dropped = projected[~keep]
+    tol = residual_rtol * (1.0 + float(np.linalg.norm(target)))
+    if dropped.size and np.abs(dropped).max() > tol:
+        raise SolverStallError("inconsistent")
+    a_rows = right[keep]
+    res = linprog(
+        np.ones(2 * width),
+        A_eq=np.hstack([a_rows, -a_rows]),
+        b_eq=projected[keep] / sigma[keep],
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise SolverStallError(res.message)
+    u = res.x[:width] - res.x[width:]
+    resid = float(np.linalg.norm(gamma @ u - target))
+    scale = float(np.abs(u).max()) if u.size else 0.0
+    if resid > 0.0 and scale > 0.0:
+        supp = np.nonzero(np.abs(u) > zero_rtol * max(1.0, scale))[0]
+        if supp.size:
+            w, *_ = np.linalg.lstsq(gamma[:, supp], target, rcond=None)
+            polished = np.zeros(width)
+            polished[supp] = w
+            polished_resid = float(np.linalg.norm(gamma @ polished - target))
+            if polished_resid < resid:
+                u, resid = polished, polished_resid
+    if resid > tol:
+        raise SolverStallError("residual")
+    return u
+
+
+def count_linprog(monkeypatch):
+    """Counts the LP backend calls the sparse module makes."""
+    calls = []
+    backend = ncsched.sparse.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return backend(*args, **kwargs)
+
+    monkeypatch.setattr(ncsched.sparse, "linprog", counting)
+    return calls
 
 
 def reference_rip_delta(gamma, order):
@@ -153,6 +213,60 @@ class TestMinL1:
                     assert np.abs(u + eps * z).sum() >= base - 1e-9
 
 
+class TestMinL1Stack:
+    def test_stack_of_one_matches_single_system_lp(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            d = int(rng.integers(1, 5))
+            gamma = rng.standard_normal((d, d + int(rng.integers(1, 8))))
+            target = rng.standard_normal(d)
+            expected = reference_min_l1(gamma, target)
+            assert min_l1(gamma, target).tobytes() == expected.tobytes()
+            stacked = ncsched.sparse.min_l1_stack([gamma], [target])
+            assert [row.tobytes() for row in stacked] == [expected.tobytes()]
+
+    @pytest.mark.parametrize(
+        "dims, capacity, horizon",
+        # the relax-tight and desk-cascade benchmark families
+        [((2,) * 5 + (3,) * 5, 2, 12), ((1, 2, 3, 4), 2, 5)],
+    )
+    def test_stack_keeps_every_single_system_support(self, dims, capacity, horizon):
+        for seed in range(12345, 12365):
+            inst = generate_instance(
+                len(dims), capacity, horizon, list(dims), value_range=2.0, seed=seed
+            ).instance
+            gammas = [lifted_matrix(p, horizon) for p in inst.plants]
+            targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
+            rows = ncsched.sparse.min_l1_stack(gammas, targets)
+            for gamma, target, row in zip(gammas, targets, rows):
+                alone = reference_min_l1(gamma, target)
+                scale = float(np.abs(alone).max())
+                assert support_set(row, max(1.0, float(np.abs(row).max()))) == support_set(
+                    alone, max(1.0, scale)
+                )
+                np.testing.assert_allclose(row, alone, rtol=0, atol=1e-9 * scale)
+
+    def test_inconsistent_system_stalls_before_the_lp(self, monkeypatch):
+        calls = count_linprog(monkeypatch)
+        rng = np.random.default_rng(67)
+        # system 2 has rank one, and its target is off the range line
+        gammas = [
+            rng.standard_normal((2, 5)),
+            rng.standard_normal((2, 5)),
+            np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]),
+            rng.standard_normal((1, 4)),
+        ]
+        targets = [rng.standard_normal(2), rng.standard_normal(2), np.array([1.0, 0.0]), [0.5]]
+        with pytest.raises(SolverStallError, match="inconsistent"):
+            ncsched.sparse.min_l1_stack(gammas, targets)
+        assert calls == []
+
+    def test_empty_stack(self, monkeypatch):
+        calls = count_linprog(monkeypatch)
+        assert ncsched.sparse.min_l1_stack([], []) == []
+        assert calls == []
+
+
 class TestL1MinInputs:
     def test_scalar_plant(self):
         p = PlantDynamics([[2.0]], [1.0])
@@ -208,11 +322,15 @@ class TestRipDelta:
         for horizon in (40, 150):
             gamma = lifted_matrix(p, horizon)
             assert rip_delta(gamma, 2).delta == reference_rip_delta(gamma, 2)
-        # a column whose Gram entries overflow gives NaN spectra next to finite ones
+        # a column whose Gram entries overflow gives NaN spectra next to finite
+        # ones; no isometry constant holds, so nothing is certified
+        uncertified = RipReport(order=2, delta=math.inf, certified=False)
         gamma = rng.standard_normal((3, 7))
         gamma[:, 3] *= 1e160
         with np.errstate(all="ignore"):
-            assert rip_delta(gamma, 2).delta == reference_rip_delta(gamma, 2)
+            assert rip_delta(gamma, 2) == uncertified
+            # every support overflowed: no finite spectrum is left to bound
+            assert rip_delta(1e160 * rng.standard_normal((3, 4)), 2) == uncertified
 
 
 class TestBruteForce:
@@ -352,6 +470,41 @@ class TestSolveViaRelaxation:
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=1)
         with pytest.raises(HorizonTooShortError):
             solve_via_relaxation(inst)
+
+    def test_unreachable_plants_all_listed(self):
+        inst = scalar_instance([2.0, 3.0, 1.5, 0.5], capacity=2, horizon=3, inputs=[0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(NotReachableError) as err:
+            solve_via_relaxation(inst)
+        assert err.value.plants == (0, 2)
+
+    def test_one_lp_per_route_call(self, monkeypatch):
+        calls = count_linprog(monkeypatch)
+        inst = generate_instance(10, 2, 12, [2] * 5 + [3] * 5, value_range=2.0, seed=12345).instance
+        res = solve_via_relaxation(inst)
+        assert len(res.supports) == 10
+        assert len(calls) == 1
+
+    def test_overflowing_later_plant_fails_before_any_lp(self, monkeypatch):
+        calls = count_linprog(monkeypatch)
+        # the last plant's lifted matrix holds 1e200^2, which overflows
+        inst = scalar_instance([2.0, 0.5, 1e200], capacity=2, horizon=3)
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="lifted matrix overflowed"
+        ):
+            solve_via_relaxation(inst)
+        assert calls == []
+
+    def test_zero_tolerance_reaches_the_lp_polish(self, monkeypatch):
+        seen = []
+        stack = ncsched.sparse.min_l1_stack
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["zero_rtol"])
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(ncsched.sparse, "min_l1_stack", recording)
+        solve_instance(scalar_instance([2.0, 0.5], capacity=1, horizon=3), method="relax", zero_rtol=1e-5)
+        assert seen == [1e-5]
 
     def test_uniqueness_reported_as_assumption(self):
         inst = scalar_instance([2.0, 0.5], capacity=1, horizon=3)
