@@ -10,8 +10,10 @@ Conventions used throughout the package:
   50-step horizon;
 * terminal states are accepted as zero at the looser ``TERMINAL_RTOL``;
 * numerics run on plants of one dimension stacked into arrays
-  (``group_by_dim``); the single-plant scan, reachability test, rollout and
-  deadbeat window run as stacks of one, so both give the same bits.
+  (``group_by_dim``), whose controllability matrices, rank test and condition
+  numbers are computed once, when the instance is built; the single-plant
+  scan, reachability test, lifted matrix, rollout and deadbeat window run as
+  stacks of one, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -74,13 +76,27 @@ class PlantGroup(NamedTuple):
     """Plants of one state dimension, stacked for batched numerics.
 
     Row k of ``A`` (n_d x d x d), ``b`` and ``xi`` (n_d x d) belongs to plant
-    ``idx[k]``; the indices are 0-based and ascending.
+    ``idx[k]``; the indices are 0-based and ascending. ``psi`` holds the
+    controllability matrices [A^(d-1) b, ..., A b, b] (non-finite if they
+    overflow), ``reachable`` and ``cond`` their ``rank_and_cond``.
     """
 
     idx: np.ndarray
     A: np.ndarray
     b: np.ndarray
     xi: np.ndarray
+    psi: np.ndarray
+    reachable: np.ndarray
+    cond: np.ndarray
+
+
+def stack_plants(idx, plants, xi) -> PlantGroup:
+    """Plants ``idx`` (of one dimension) and their states, as a ``PlantGroup``."""
+    A = np.array([plants[i].A for i in idx])
+    b = np.array([plants[i].b for i in idx])
+    psi = lifted_matrices(A, b, A.shape[-1])
+    stacked = (np.array(idx), A, b, np.array([xi[i] for i in idx]), psi, *rank_and_cond(psi))
+    return PlantGroup(*map(_freeze, stacked))
 
 
 @dataclass(frozen=True)
@@ -123,15 +139,7 @@ class NcsInstance:
         members: dict[int, list[int]] = {}
         for i, p in enumerate(plants):
             members.setdefault(p.d, []).append(i)
-        groups = tuple(
-            PlantGroup(
-                idx=_freeze(np.array(ix)),
-                A=_freeze(np.array([plants[i].A for i in ix])),
-                b=_freeze(np.array([plants[i].b for i in ix])),
-                xi=_freeze(np.array([xi[i] for i in ix])),
-            )
-            for _, ix in sorted(members.items())
-        )
+        groups = tuple(stack_plants(ix, plants, xi) for _, ix in sorted(members.items()))
         object.__setattr__(self, "groups", groups)
 
     @property
@@ -265,36 +273,33 @@ def mat_pow(A: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def reach_matrices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked controllability matrices [A^(d-1) b, ..., A b, b]."""
-    d = A.shape[-1]
-    psi = np.empty(A.shape)
-    col = b
-    psi[..., d - 1] = col
-    for j in range(d - 2, -1, -1):
-        col = matvec(A, col)
-        psi[..., j] = col
-    return psi
+def lifted_matrices(A: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """Stacked lifted matrices [A^(steps-1) b, ..., A b, b] (n x d x steps).
 
-
-def full_rank(psi: np.ndarray) -> np.ndarray:
-    """Per-matrix full numerical rank of stacked square matrices.
-
-    Rank counts singular values above d * eps * sigma_max, the standard
-    scale-free cutoff (numpy's default for square matrices).
+    At ``steps = d`` these are the controllability matrices. A column that
+    overflows comes back non-finite, without a warning.
     """
-    return np.linalg.matrix_rank(psi) == psi.shape[-1]
+    out = np.empty((*b.shape, steps))
+    col = b
+    out[..., steps - 1] = col
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps - 2, -1, -1):
+            col = matvec(A, col)
+            out[..., j] = col
+    return out
 
 
 def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix full rank (as ``full_rank``) and 2-norm condition number
-    of stacked square matrices, from one SVD.
+    """Per-matrix full numerical rank and 2-norm condition number, one SVD.
 
-    Gives the bits of ``full_rank(psi)`` and ``np.linalg.cond(psi)``, which
-    take an SVD each: the same cutoff, and a singular matrix's 0/0 read as
-    infinite unless the matrix holds a NaN.
+    Rank counts singular values above d * eps * sigma_max, numpy's default
+    scale-free cutoff; the bits are those of numpy's rank and ``cond``, which
+    take an SVD each. A singular matrix's 0/0 reads as infinite. A matrix that
+    is not finite is never full rank, with condition number NaN if it holds a
+    NaN (numpy's SVD would raise on it) and infinite otherwise.
     """
-    s = np.linalg.svd(psi, compute_uv=False)
+    finite = np.isfinite(psi).all(axis=(-2, -1), keepdims=True)
+    s = np.linalg.svd(np.where(finite, psi, 0.0), compute_uv=False)
     cutoff = s.max(axis=-1, keepdims=True) * (psi.shape[-1] * np.finfo(float).eps)
     full = (s > cutoff).all(axis=-1)
     with np.errstate(all="ignore"):
@@ -305,21 +310,18 @@ def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def is_reachable(p: PlantDynamics) -> bool:
     """True iff the controllability matrix has full numerical rank."""
-    return bool(full_rank(reach_matrices(p.A[None], p.b[None]))[0])
+    return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
 
 
 def lifted_matrix(p: PlantDynamics, horizon: int) -> np.ndarray:
     """d x T map from an input sequence to its effect on the state at time T.
 
     Column t (0-based) is ``A^(T-1-t) b``, so the full terminal state is
-    ``A^T x(0) + lifted_matrix(p, T) @ u``.
+    ``A^T x(0) + lifted_matrix(p, T) @ u``. A stack of one of ``lifted_matrices``.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    cols = [p.b]
-    for _ in range(horizon - 1):
-        cols.append(p.A @ cols[-1])
-    out = np.column_stack(cols[::-1])
+    out = lifted_matrices(p.A[None], p.b[None], horizon)[0]
     if not np.isfinite(out).all():
         raise NonFiniteError("lifted matrix overflowed")
     return out

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .core import PlantDynamics, mat_powers, matvec, rank_and_cond, reach_matrices
+from .core import PlantDynamics, PlantGroup, mat_powers, matvec, stack_plants
 from .errors import (
     IllConditionedWarning,
     NonFiniteError,
@@ -25,56 +25,56 @@ COND_WARN_LIMIT = 1e12
 
 
 def deadbeat_bursts(
-    A: np.ndarray, b: np.ndarray, xi: np.ndarray, offsets, widths
+    g: PlantGroup, offsets, widths
 ) -> tuple[np.ndarray, dict[int, tuple[str | None, Exception | None]]]:
-    """Stacked deadbeat bursts for plants of one dimension.
+    """Stacked deadbeat bursts for a group of plants of one dimension.
 
-    Row k coasts ``xi[k]`` for ``offsets[k]`` steps and then steers it to zero
-    with a window of ``widths[k]`` steps. Returns the n x d window tails
+    Row k coasts ``g.xi[k]`` for ``offsets[k]`` steps and then steers it to
+    zero with a window of ``widths[k]`` steps. Returns the n x d window tails
     ``-inv(Psi) A^width A^offset xi``, from one factorization-based solve for
     the stack, and the problems of the rows that have any (a burst that is
     not finite is a ``NonFiniteError``):
     ``{row: (ill-conditioning warning text or None, error or None)}``. A row
     has a warning only if it got as far as the condition check, so replaying
     each row's warning and then its error in plant order (``raise_in_order``)
-    repeats what building the windows one plant at a time would do.
+    repeats what building the windows one plant at a time would do. Psi, its
+    rank test and its condition number are the group's own (``g.psi``,
+    ``g.reachable``, ``g.cond``); nothing is factored here but the solve.
     """
-    d = A.shape[-1]
+    d = g.A.shape[-1]
     offsets = np.asarray(offsets)
     widths = np.asarray(widths)
-    coast = mat_powers(A, offsets)
+    coast = mat_powers(g.A, offsets)
     # widths <= d fail their own check below; give them a harmless exponent
-    steer = mat_powers(A, np.where(widths > d, widths, 0))
-    psi = reach_matrices(A, b)
-    reachable, cond = rank_and_cond(psi)
+    steer = mat_powers(g.A, np.where(widths > d, widths, 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = matvec(steer, matvec(coast, xi))
+        rhs = matvec(steer, matvec(coast, g.xi))
     coast_ok = np.isfinite(coast).all(axis=(1, 2))
     steer_ok = np.isfinite(steer).all(axis=(1, 2))
-    ill = cond > COND_WARN_LIMIT
+    ill = g.cond > COND_WARN_LIMIT
     problems: dict[int, tuple[str | None, Exception | None]] = {}
     # the checks in the order one plant meets them
-    for k in np.flatnonzero(~coast_ok | (widths <= d) | ~reachable | ill | ~steer_ok):
+    for k in np.flatnonzero(~coast_ok | (widths <= d) | ~g.reachable | ill | ~steer_ok):
         text = error = None
         if not coast_ok[k]:
             error = NonFiniteError(f"matrix power overflowed at exponent {offsets[k]}")
         elif widths[k] <= d:
             error = ValueError(f"window length {widths[k]} must exceed dimension {d}")
-        elif not reachable[k]:
+        elif not g.reachable[k]:
             error = NotReachableError()
         else:
             if ill[k]:
                 text = (
-                    f"controllability matrix condition number {cond[k]:.2e} exceeds "
+                    f"controllability matrix condition number {g.cond[k]:.2e} exceeds "
                     f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade"
                 )
             if not steer_ok[k]:
                 error = NonFiniteError(f"matrix power overflowed at exponent {widths[k]}")
         problems[int(k)] = (text, error)
-    solvable = np.ones(len(xi), dtype=bool)
+    solvable = np.ones(len(g.xi), dtype=bool)
     solvable[[k for k, (_, error) in problems.items() if error]] = False
-    tails = np.zeros(xi.shape)
-    tails[solvable] = -np.linalg.solve(psi[solvable], rhs[solvable][..., None])[..., 0]
+    tails = np.zeros(g.xi.shape)
+    tails[solvable] = -np.linalg.solve(g.psi[solvable], rhs[solvable][..., None])[..., 0]
     # a finite right-hand side can still overflow in the solve
     for k in np.flatnonzero(~np.isfinite(tails).all(axis=1)):
         text = problems.get(int(k), (None, None))[0]
@@ -135,7 +135,7 @@ def windowed_inputs(
             f"window [{offset}, {offset + width}) exceeds horizon {horizon}"
         )
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    tails, problems = deadbeat_bursts(p.A[None], p.b[None], xi[None], [offset], [width])
+    tails, problems = deadbeat_bursts(stack_plants([0], [p], [xi]), [offset], [width])
     raise_in_order(problems)
     row = np.zeros(horizon)
     row[offset + width - p.d : offset + width] = tails[0]

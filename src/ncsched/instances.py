@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NcsInstance, PlantDynamics, full_rank, reach_matrices
+from .core import NcsInstance, PlantDynamics, lifted_matrices, rank_and_cond
 from .errors import RejectionBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -54,8 +54,8 @@ def generate_instance(
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
     if not 0 < capacity < n:
         raise ValueError(f"capacity must satisfy 0 < M < N, got M={capacity}, N={n}")
-    if value_range <= 0:
-        raise ValueError("value range must be positive")
+    if not (value_range > 0 and math.isfinite(2.0 * value_range)):
+        raise ValueError(f"value range must be positive with 2 * range finite: {value_range!r}")
     if min(dims) < 1:
         raise ValueError("plant dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -118,7 +118,7 @@ def _draw_plants(
         block = rng.uniform(-value_range, value_range, (size, width))
         A = block[:, : d * d].reshape(size, d, d)
         ok = np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN
-        ok[ok] = full_rank(reach_matrices(A[ok], block[ok, d * d :]))
+        ok[ok] = rank_and_cond(lifted_matrices(A[ok], block[ok, d * d :], d))[0]
         # the block ends within max_draws of the previous acceptance, so an
         # acceptance inside it is always within the budget
         accepted += (drawn + np.flatnonzero(ok)).tolist()[: need - len(accepted)]

@@ -30,10 +30,8 @@ from .core import (
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
-    full_rank,
     group_by_dim,
     open_loop_hit_times,
-    reach_matrices,
 )
 from .deadbeat import deadbeat_bursts, raise_in_order
 from .errors import NotReachableError, TooLargeError, WindowOverflowError
@@ -119,7 +117,7 @@ def split_open_loop(
 def _require_reachable(inst: NcsInstance, subset) -> None:
     bad = []
     for g in group_by_dim(inst, subset):
-        bad.extend(g.idx[~full_rank(reach_matrices(g.A, g.b))].tolist())
+        bad.extend(g.idx[~g.reachable].tolist())
     if bad:
         raise NotReachableError(sorted(bad))
 
@@ -270,7 +268,7 @@ def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLo
     problems: dict[int, tuple] = {}
     for g in group_by_dim(inst, placements):
         offsets, widths = np.array([placements[i] for i in g.idx]).T
-        tails, found = deadbeat_bursts(g.A, g.b, g.xi, offsets, widths)
+        tails, found = deadbeat_bursts(g, offsets, widths)
         problems.update((int(g.idx[k]), found[k]) for k in found)
         # each burst fills the last d slots of its window
         d = tails.shape[1]

@@ -34,6 +34,30 @@ class TestParseDims:
         ]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_gen_with_range_that_overflows_exits_3(self, tmp_path, capsys, value):
+        out = tmp_path / "inst.json"
+        assert main([
+            "gen", "--dims", "2,2,1", "--capacity", "1", "--horizon", "8",
+            "--range", value, "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: value range must be positive with 2 * range finite")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_gen_rejects_overflowing_draws_silently(self, tmp_path, capsys):
+        # every controllability matrix overflows, so every draw is unreachable
+        out = tmp_path / "inst.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "gen", "--dims", "2,2,1", "--capacity", "1", "--horizon", "8",
+                "--range", "1e200", "--out", str(out),
+            ]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: plant 1: no unstable reachable draw in 10000 tries\n"
+
 
 class TestCliFlow:
     def test_gen_solve_verify_plots(self, tmp_path, capsys):

@@ -103,6 +103,12 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(3, 1, 5, [1, 0, 2], seed=0)
 
+    @pytest.mark.parametrize("value_range", [math.inf, math.nan, 1e308])
+    def test_range_must_be_finite_with_a_finite_double(self, value_range):
+        # uniform(-r, r) draws r - (-r), which overflows at 1e308
+        with pytest.raises(ValueError, match=r"value range must be positive with 2 \* range finite"):
+            generate_instance(3, 1, 5, [1, 1, 2], value_range=value_range, seed=0)
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_sequential_loop(self, family):
         dims, capacity, horizon = FAMILIES[family]
