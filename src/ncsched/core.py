@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * terminal states are accepted as zero at the looser ``TERMINAL_RTOL``;
 * numerics run on plants of one dimension stacked into arrays
   (``group_by_dim``), whose controllability matrices, rank test and condition
-  numbers are computed once, when the instance is built; the single-plant
+  numbers are computed once, when the instance is built (a generated instance
+  takes its stacks, and those facts, from the generator's draws); the single-plant
   scan, reachability test, lifted matrix, rollout and deadbeat window run as
   stacks of one, so both give the same bits.
 """
@@ -99,6 +100,52 @@ def stack_plants(idx, plants, xi) -> PlantGroup:
     return PlantGroup(*map(_freeze, stacked))
 
 
+def _checked_sizes(capacity, horizon, n: int) -> tuple[int, int]:
+    """Capacity and horizon as ints, checked against ``n`` plants."""
+    sizes = []
+    for name, value in (("capacity", capacity), ("horizon", horizon)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        sizes.append(int(value))
+    capacity, horizon = sizes
+    if not 0 < capacity < n:
+        raise ValueError(f"capacity must satisfy 0 < M < N, got M={capacity}, N={n}")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    return capacity, horizon
+
+
+def _check_states(groups) -> None:
+    """Raise for the first initial state, in plant order, that is not finite or is zero."""
+    bad = []
+    for g in groups:
+        finite = np.isfinite(g.xi).all(axis=1)
+        for k in np.flatnonzero(~finite | ~g.xi.any(axis=1))[:1]:
+            bad.append((int(g.idx[k]), "is zero" if finite[k] else "is not finite"))
+    if bad:
+        i, problem = min(bad)
+        raise ValueError(f"initial state {i + 1} {problem}")
+
+
+def _in_plant_order(groups, per_group) -> tuple:
+    """Each group's items, one per row, placed at its plants' indices ``g.idx``."""
+    out = [None] * sum(len(g.idx) for g in groups)
+    for g, items in zip(groups, per_group):
+        for i, item in zip(g.idx.tolist(), items):
+            out[i] = item
+    return tuple(out)
+
+
+def _plant_views(g: PlantGroup):
+    """The group's plants over rows of its frozen, already checked stacks,
+    with no per-plant copy or check."""
+    for A, b in zip(g.A, g.b):
+        p = object.__new__(PlantDynamics)
+        object.__setattr__(p, "A", A)
+        object.__setattr__(p, "b", b)
+        yield p
+
+
 @dataclass(frozen=True)
 class NcsInstance:
     """A full co-design problem: plants, initial states, channel capacity, horizon."""
@@ -112,35 +159,45 @@ class NcsInstance:
 
     def __post_init__(self):
         plants = tuple(self.plants)
-        xi = tuple(_freeze(np.array(x, dtype=float).reshape(-1)) for x in self.xi)
+        xi = [np.array(x, dtype=float).reshape(-1) for x in self.xi]
         n = len(plants)
         if len(xi) != n:
             raise ValueError(f"{len(xi)} initial states for {n} plants")
-        for name in ("capacity", "horizon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 < self.capacity < n:
-            raise ValueError(
-                f"capacity must satisfy 0 < M < N, got M={self.capacity}, N={n}"
-            )
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        for i, (p, x) in enumerate(zip(plants, xi)):
-            if x.shape[0] != p.d:
-                raise ValueError(f"initial state {i + 1} has wrong length")
-            if not np.isfinite(x).all():
-                raise ValueError(f"initial state {i + 1} is not finite")
-            if not x.any():
-                raise ValueError(f"initial state {i + 1} is zero")
-        object.__setattr__(self, "plants", plants)
-        object.__setattr__(self, "xi", xi)
+        capacity, horizon = _checked_sizes(self.capacity, self.horizon, n)
+        # a state of the wrong length cannot join its group's stack, so only
+        # the plants before it are stacked, and checked first
+        wrong = next((i for i, (p, x) in enumerate(zip(plants, xi)) if x.shape[0] != p.d), n)
         members: dict[int, list[int]] = {}
-        for i, p in enumerate(plants):
+        for i, p in enumerate(plants[:wrong]):
             members.setdefault(p.d, []).append(i)
         groups = tuple(stack_plants(ix, plants, xi) for _, ix in sorted(members.items()))
-        object.__setattr__(self, "groups", groups)
+        _check_states(groups)
+        if wrong < n:
+            raise ValueError(f"initial state {wrong + 1} has wrong length")
+        self._adopt(plants, capacity, horizon, groups)
+
+    @classmethod
+    def _from_groups(cls, groups, capacity: int, horizon: int) -> "NcsInstance":
+        """An instance over plants already stacked by dimension (the generator's draws).
+
+        ``groups`` must be what ``stack_plants`` builds from the same plants:
+        sorted by dimension, indices ascending and covering 0..N-1 once, with
+        finite, well-shaped matrices. Sizes and states are checked as the
+        constructor checks them; the plants are views of the stacked rows.
+        """
+        groups = tuple(PlantGroup(*map(_freeze, g)) for g in groups)
+        capacity, horizon = _checked_sizes(capacity, horizon, sum(len(g.idx) for g in groups))
+        _check_states(groups)
+        inst = object.__new__(cls)
+        inst._adopt(_in_plant_order(groups, map(_plant_views, groups)), capacity, horizon, groups)
+        return inst
+
+    def _adopt(self, plants, capacity, horizon, groups) -> None:
+        """Set the fields; the states are views of the groups' rows."""
+        xi = _in_plant_order(groups, [g.xi for g in groups])
+        values = (plants, xi, capacity, horizon, groups)
+        for name, value in zip(("plants", "xi", "capacity", "horizon", "groups"), values):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -156,6 +213,8 @@ class ControlLogic:
     """Stacked input matrix: row i, column t holds plant i's input at time t."""
 
     u: np.ndarray
+    # nonzero_mask's results, by tolerance
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.u, dtype=float)
@@ -180,13 +239,24 @@ class ControlLogic:
         return np.maximum(1.0, np.abs(self.u).max(axis=1))
 
     def nonzero_mask(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
-        """Boolean N x T mask of inputs that count as nonzero."""
-        return np.abs(self.u) > zero_rtol * self.row_scales()[:, None]
+        """Read-only boolean N x T mask of inputs that count as nonzero.
+
+        Computed once per tolerance: ``u`` is read-only.
+        """
+        mask = self._masks.get(zero_rtol)
+        if mask is None:
+            mask = np.abs(self.u) > zero_rtol * self.row_scales()[:, None]
+            self._masks[zero_rtol] = mask = _freeze(mask)
+        return mask
 
     def thresholded(self, zero_rtol: float = ZERO_RTOL) -> "ControlLogic":
         """Copy with sub-threshold entries set to exactly zero."""
-        out = np.where(self.nonzero_mask(zero_rtol), self.u, 0.0)
-        return ControlLogic(out)
+        mask = self.nonzero_mask(zero_rtol)
+        out = ControlLogic(np.where(mask, self.u, 0.0))
+        # the zeroing keeps each row's largest entry, or clears a row whose
+        # scale is 1, so the copy has the same row scales and mask
+        out._masks[zero_rtol] = mask
+        return out
 
     def occupancy(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
         """Number of active plants in each time slot."""

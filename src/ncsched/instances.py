@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NcsInstance, PlantDynamics, lifted_matrices, rank_and_cond
+from .core import NcsInstance, PlantDynamics, PlantGroup, lifted_matrices, rank_and_cond
 from .errors import RejectionBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -59,26 +59,21 @@ def generate_instance(
     if min(dims) < 1:
         raise ValueError("plant dimensions must be positive")
     rng = np.random.default_rng(seed)
-    plants = []
+    runs: dict[int, list] = {}  # per dimension, the drawn runs' stacks
+    first = 0
     for d, run in itertools.groupby(dims):
-        plants += _draw_plants(rng, d, len(list(run)), value_range, max_draws, len(plants))
-    # one uniform per state entry unless a state comes out exactly zero
-    state = rng.bit_generator.state
-    flat = rng.uniform(-1.0, 1.0, sum(dims))
+        need = len(list(run))
+        stacks = _draw_plants(rng, d, need, value_range, max_draws, first)
+        runs.setdefault(d, []).append((np.arange(first, first + need), *stacks))
+        first += need
     starts = np.cumsum([0, *dims[:-1]])
-    if np.logical_or.reduceat(flat != 0, starts).all():
-        xi = np.split(flat, starts[1:])
-    else:
-        rng.bit_generator.state = state
-        xi = []
-        for d in dims:
-            x = rng.uniform(-1.0, 1.0, d)
-            while not x.any():
-                x = rng.uniform(-1.0, 1.0, d)
-            xi.append(x)
-    instance = NcsInstance(
-        plants=tuple(plants), xi=tuple(xi), capacity=capacity, horizon=horizon
-    )
+    states = _draw_states(rng, dims, starts)
+    groups = []
+    for d, parts in sorted(runs.items()):
+        idx, A, b, psi, reachable, cond = (np.concatenate(f) for f in zip(*parts))
+        xi = states[starts[idx, None] + np.arange(d)]
+        groups.append(PlantGroup(idx, A, b, xi, psi, reachable, cond))
+    instance = NcsInstance._from_groups(groups, capacity, horizon)
     provenance = (
         f"generated: n={n} capacity={capacity} horizon={horizon} "
         f"range={value_range} seed={seed}"
@@ -93,39 +88,68 @@ def _draw_plants(
     value_range: float,
     max_draws: int,
     first: int,
-) -> list[PlantDynamics]:
+) -> tuple[np.ndarray, ...]:
     """``need`` consecutive plants of dimension ``d``, numbered from ``first``.
 
-    Every candidate, accepted or not, takes the next ``d*d + d`` uniforms
-    (A row-major, then b), so blocks of candidates are drawn and checked at
-    once. The stream is then rewound and exactly the candidates up to the
-    last acceptance are drawn again, leaving the generator where drawing one
-    candidate at a time would have left it.
+    Returns the stacks ``A``, ``b``, ``psi``, ``reachable`` and ``cond`` of a
+    ``PlantGroup``. Every candidate, accepted or not, takes the next
+    ``d*d + d`` uniforms (A row-major, then b), so blocks of candidates are
+    drawn and checked at once. The first block holds as many candidates as
+    plants are needed, and each later one as many as the acceptance rate
+    seen so far says the rest need, plus a tenth. The stream is then rewound
+    and advanced past the last acceptance, leaving the generator where
+    drawing one candidate at a time would have left it.
     """
     width = d * d + d
     state = rng.bit_generator.state
-    accepted: list[int] = []  # candidate positions counted from the run start
-    drawn = 0
-    while len(accepted) < need:
-        # rejections since the previous acceptance
-        misses = drawn - (accepted[-1] if accepted else -1) - 1
+    kept = []  # per block, the accepted candidates' rows and controllability facts
+    accepted = drawn = 0
+    last = -1  # the latest acceptance's position, counted from the run start
+    while accepted < need:
+        misses = drawn - last - 1  # rejections since the previous acceptance
         if misses >= max_draws:
             raise RejectionBudgetError(
-                f"plant {first + len(accepted) + 1}: "
+                f"plant {first + accepted + 1}: "
                 f"no unstable reachable draw in {max_draws} tries"
             )
-        size = min(2 * (need - len(accepted)) + 8, max_draws - misses)
+        left = need - accepted
+        size = left if not drawn else math.ceil(1.1 * left * drawn / max(accepted, 1))
+        size = min(size + 8, max_draws - misses)
         block = rng.uniform(-value_range, value_range, (size, width))
         A = block[:, : d * d].reshape(size, d, d)
-        ok = np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN
-        ok[ok] = rank_and_cond(lifted_matrices(A[ok], block[ok, d * d :], d))[0]
+        unstable = np.flatnonzero(np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN)
+        psi = lifted_matrices(A[unstable], block[unstable, d * d :], d)
+        full, cond = rank_and_cond(psi)
         # the block ends within max_draws of the previous acceptance, so an
         # acceptance inside it is always within the budget
-        accepted += (drawn + np.flatnonzero(ok)).tolist()[: need - len(accepted)]
+        take = np.flatnonzero(full)[:left]
+        if take.size:
+            kept.append((block[unstable[take]], psi[take], full[take], cond[take]))
+            accepted += take.size
+            last = drawn + unstable[take[-1]]
         drawn += size
     rng.bit_generator.state = state
-    used = rng.uniform(-value_range, value_range, (accepted[-1] + 1, width))[accepted]
-    return [PlantDynamics(row[: d * d].reshape(d, d), row[d * d :]) for row in used]
+    rng.uniform(-value_range, value_range, (last + 1) * width)
+    rows, psi, reachable, cond = (np.concatenate(f) for f in zip(*kept))
+    return rows[:, : d * d].reshape(need, d, d), rows[:, d * d :], psi, reachable, cond
+
+
+def _draw_states(rng: np.random.Generator, dims, starts: np.ndarray) -> np.ndarray:
+    """The initial states, concatenated (state i at ``starts[i]``): uniform on
+    [-1, 1]^d, redrawn if exactly zero."""
+    # one uniform per state entry unless a state comes out exactly zero
+    state = rng.bit_generator.state
+    flat = rng.uniform(-1.0, 1.0, sum(dims))
+    if np.logical_or.reduceat(flat != 0, starts).all():
+        return flat
+    rng.bit_generator.state = state
+    xi = []
+    for d in dims:
+        x = rng.uniform(-1.0, 1.0, d)
+        while not x.any():
+            x = rng.uniform(-1.0, 1.0, d)
+        xi.append(x)
+    return np.concatenate(xi)
 
 
 def instance_to_dict(rec: InstanceFile) -> dict:
@@ -185,16 +209,59 @@ def dump_json(data: dict) -> str:
 
     The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``,
     but lists of plain floats or ints are joined in one call instead of
-    going through the pure-Python encoder item by item. Floats use Python's
-    shortest round-trip representation, so write -> read -> write is
-    byte-identical. Unlike ``json.dumps``, a dict key that is not a ``str``
-    raises ``TypeError``; no caller has one.
+    going through the pure-Python encoder item by item. A float ndarray is
+    written as ``json.dumps`` writes its ``tolist()``, with ``0.0`` spelled
+    out and only the other entries formatted. Floats use Python's shortest
+    round-trip representation, so write -> read -> write is byte-identical.
+    Unlike ``json.dumps``, a dict key that is not a ``str`` raises
+    ``TypeError``; no caller has one.
     """
-    return _encode(data, "\n") + "\n"
+    out: list[str] = []
+    _encode(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(obj, newline: str) -> str:
-    """One JSON value; ``newline`` is a line break plus the current indent."""
+def _encode(obj, newline: str, out: list[str]) -> None:
+    """Append the text of one JSON value to ``out``.
+
+    ``newline`` is a line break plus the current indent. Pieces are appended,
+    not concatenated, so a large report is copied once, by the final join,
+    instead of once per nesting level.
+    """
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        items = _join_numbers(obj, sep)
+        if items is not None:
+            out.append("[" + inner + items + newline + "]")
+            return
+        out.append("[" + inner)
+        for k, item in enumerate(obj):
+            if k:
+                out.append(sep)
+            _encode(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{" + inner)
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        for k, key in enumerate(sorted(obj)):
+            out.append((sep if k else "") + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, out)
+        out.append(newline + "}")
+    elif isinstance(obj, np.ndarray):
+        _encode_array(obj, newline, out)
+    else:
+        out.append(_encode_scalar(obj))
+
+
+def _encode_scalar(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -207,24 +274,6 @@ def _encode(obj, newline: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _encode_float(obj)
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = _join_numbers(obj, sep)
-        if items is None:
-            items = sep.join(_encode(item, inner) for item in obj)
-        return "[" + inner + items + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = sep.join(
-            encode_basestring_ascii(key) + ": " + _encode(obj[key], inner)
-            for key in sorted(obj)
-        )
-        return "{" + inner + items + newline + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -238,25 +287,64 @@ def _encode_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _join_numbers(items, sep: str) -> str | None:
-    """All-float or all-int items, joined by ``sep``; None for any other list.
+def _encode_array(arr: np.ndarray, newline: str, out: list[str]) -> None:
+    """A float ndarray as ``json.dumps`` writes its ``tolist()``.
 
-    ``float.__repr__`` and ``int.__repr__`` reject every other type except
-    bool, an int subclass that JSON spells ``true``/``false``. A non-finite
-    float shows as ``nan``/``inf``, which JSON spells ``NaN``/``Infinity``.
+    Control and state-norm matrices are mostly exact zeros, so every +0.0 is
+    the literal ``0.0`` and only the other entries go through the float
+    formatting, which is most of the cost.
+    """
+    # tolist() gives Python floats for float16/32/64, not for longdouble
+    if arr.dtype.kind != "f" or arr.dtype.itemsize > 8:
+        raise TypeError(f"Object of type ndarray ({arr.dtype}) is not JSON serializable")
+    if arr.ndim == 0:
+        out.append(_encode_float(float(arr)))
+        return
+    flat = arr.reshape(-1)
+    shown = np.flatnonzero((flat != 0) | np.signbit(flat))  # -0.0 is shown too
+    text = ["0.0"] * flat.size
+    fmt = float.__repr__ if np.isfinite(flat).all() else _encode_float
+    for i, item in zip(shown.tolist(), map(fmt, flat[shown].tolist())):
+        text[i] = item
+    _nest(text, arr.shape, newline, out)
+
+
+def _nest(text: list[str], shape: tuple[int, ...], newline: str, out: list[str]) -> None:
+    """Append the JSON array of ``shape`` whose entries, in C order, are ``text``."""
+    if not shape[0]:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if len(shape) == 1:
+        out.append("[" + inner + sep.join(text) + newline + "]")
+        return
+    step = len(text) // shape[0]
+    out.append("[" + inner)
+    for k in range(shape[0]):
+        if k:
+            out.append(sep)
+        _nest(text[k * step : (k + 1) * step], shape[1:], inner, out)
+    out.append(newline + "]")
+
+
+def _join_numbers(items, sep: str) -> str | None:
+    """All-int or all-float items, joined by ``sep``; None for any other list.
+
+    The first item picks the join. ``int.__repr__`` and ``float.__repr__``
+    raise on every other type except bool, an int subclass that JSON spells
+    ``true``/``false``. A non-finite float shows as ``nan``/``inf``, which
+    JSON spells ``NaN``/``Infinity``.
     """
     try:
-        text = sep.join(map(float.__repr__, items))
+        if isinstance(items[0], int):
+            return None if bool in set(map(type, items)) else sep.join(map(int.__repr__, items))
+        if isinstance(items[0], float):
+            text = sep.join(map(float.__repr__, items))
+            return None if "n" in text else text
     except TypeError:
         pass
-    else:
-        return None if "n" in text else text
-    if bool in set(map(type, items)):
-        return None
-    try:
-        return sep.join(map(int.__repr__, items))
-    except TypeError:
-        return None
+    return None
 
 
 def write_instance(path, rec: InstanceFile) -> None:

@@ -167,7 +167,7 @@ def solve_instance(
             verified=True,
             residuals=outcome.terminal_residuals.tolist(),
             occupancy_histogram=_occupancy_histogram(zeroed, zero_rtol),
-            state_norms=outcome.state_norms(),
+            state_norms=outcome.norms,
             warnings=warn_list,
             diagnostics=diagnostics,
             timings=timings,

@@ -29,26 +29,39 @@ class SolveReport:
     verified: bool
     residuals: list[float]
     occupancy_histogram: list[list[int]]
-    state_norms: list[list[float]] | None
+    state_norms: np.ndarray | None  # N x (T+1) state 2-norms
     warnings: list[str] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def report_to_dict(rep: SolveReport) -> dict:
+def _fields(rep: SolveReport) -> dict:
+    """The serialized fields, with the two matrices as float arrays."""
+    control, norms = (
+        None if m is None else np.asarray(m, dtype=float) for m in (rep.control, rep.state_norms)
+    )
     return {
         "schema_version": SCHEMA_VERSION,
         "method": rep.method,
         "plan": rep.plan,
         "schedule": rep.schedule,
-        "control": None if rep.control is None else np.asarray(rep.control).tolist(),
+        "control": control,
         "verified": rep.verified,
         "residuals": [float(r) for r in rep.residuals],
         "occupancy_histogram": rep.occupancy_histogram,
-        "state_norms": rep.state_norms,
+        "state_norms": norms,
         "warnings": rep.warnings,
         "diagnostics": rep.diagnostics,
     }
+
+
+def report_to_dict(rep: SolveReport) -> dict:
+    """The serialized report as plain JSON types."""
+    data = _fields(rep)
+    for key in ("control", "state_norms"):
+        if data[key] is not None:
+            data[key] = data[key].tolist()
+    return data
 
 
 def report_from_dict(data: dict) -> SolveReport:
@@ -62,10 +75,11 @@ def report_from_dict(data: dict) -> SolveReport:
                 raise SchemaError("control must be an N x T matrix")
         # null, or N lists of T+1 numbers for the N x T control
         shape = None if control is None else (control.shape[0], control.shape[1] + 1)
-        if norms is not None and (
-            np.shape(norms) != shape or np.asarray(norms).dtype.kind not in "fiu"
-        ):
-            raise SchemaError("state_norms must be null or N lists of T+1 numbers")
+        if norms is not None:
+            norms = np.asarray(norms)
+            if norms.shape != shape or norms.dtype.kind not in "fiu":
+                raise SchemaError("state_norms must be null or N lists of T+1 numbers")
+            norms = norms.astype(float)
         return SolveReport(
             method=data["method"],
             plan=data["plan"],
@@ -85,7 +99,7 @@ def report_from_dict(data: dict) -> SolveReport:
 
 
 def write_report(path, rep: SolveReport) -> None:
-    Path(path).write_text(dump_json(report_to_dict(rep)))
+    Path(path).write_text(dump_json(_fields(rep)))
 
 
 def read_report(path) -> SolveReport:

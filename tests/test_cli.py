@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncsched import read_report, write_report
+from ncsched import generate_instance, read_report, solve_instance, write_report
 from ncsched.cli import main, parse_dims
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
 
@@ -223,6 +223,39 @@ class TestReportRoundTrip:
     def test_dict_round_trip(self):
         rep = self._sample_report()
         assert report_to_dict(report_from_dict(report_to_dict(rep))) == report_to_dict(rep)
+
+    def test_solved_report_round_trips_at_scale(self, tmp_path):
+        dims = [2] * 200 + [3] * 200
+        rec = generate_instance(len(dims), 40, 50, dims, seed=12345)
+        rep = solve_instance(rec.instance)
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(path_a, rep)
+        back = read_report(path_a)
+        write_report(path_b, back)
+        assert path_a.read_bytes() == path_b.read_bytes()
+        for r in (rep, back):
+            assert isinstance(r.state_norms, np.ndarray)
+            assert r.state_norms.dtype == float
+            # plain JSON types, and the bytes the writer writes
+            data = report_to_dict(r)
+            assert type(data["control"][0][0]) is float
+            assert type(data["state_norms"][0][0]) is float
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            assert text.encode() == path_a.read_bytes()
+
+        # the CSV bytes are those of the lists json.loads gives back
+        out_a, out_b = tmp_path / "csv_a", tmp_path / "csv_b"
+        export_plots(path_a, out_a)
+        export_plots(path_b, out_b)
+        data = json.loads(path_a.read_text())
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "plant", "state_norm_2"])
+            for i, series in enumerate(data["state_norms"]):
+                w.writerows([t, i + 1, repr(norm)] for t, norm in enumerate(series))
+        assert (out_a / "trajectories.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        for name in ("control.csv", "schedule.csv", "trajectories.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestExportPlots:

@@ -26,7 +26,7 @@ from ncsched.core import (
     stack_plants,
 )
 
-from conftest import random_reachable_plant
+from conftest import companion_plant, random_reachable_plant
 
 
 class TestMatPow:
@@ -156,6 +156,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             PlantDynamics([[np.inf, 0], [0, 1]], [1, 1])
 
+    def test_plant_rejects_nonfinite_input_map(self):
+        # generated plants skip this check, built plants still make it
+        with pytest.raises(ValueError, match="plant matrices must be finite"):
+            PlantDynamics([[1, 0], [0, 1]], [np.nan, 1])
+
     def test_instance_rejects_full_capacity(self):
         p = PlantDynamics([[2.0]], [1.0])
         with pytest.raises(ValueError):
@@ -165,6 +170,44 @@ class TestTypes:
         p = PlantDynamics([[2.0]], [1.0])
         with pytest.raises(ValueError):
             NcsInstance((p, p), (np.array([1.0]), np.array([0.0])), capacity=1, horizon=3)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({1: "zero", 4: "nan"}, "initial state 2 is zero"),
+        ({1: "nan", 4: "zero"}, "initial state 2 is not finite"),
+        ({4: "nan", 6: "zero"}, "initial state 5 is not finite"),
+        ({0: "long", 1: "nan"}, "initial state 1 has wrong length"),
+        ({1: "nan", 3: "long"}, "initial state 2 is not finite"),
+        ({2: "zero", 3: "long", 5: "nan"}, "initial state 3 is zero"),
+        ({5: "inf", 6: "long"}, "initial state 6 is not finite"),
+        ({6: "long", 0: "zero"}, "initial state 1 is zero"),
+    ])
+    def test_instance_reports_first_bad_state_in_plant_order(self, bad, message):
+        # dimensions 2, 3, 1, 2, 2, 1, 3: each group holds one of the offenders
+        dims = (2, 3, 1, 2, 2, 1, 3)
+        plants = tuple(companion_plant(d) for d in dims)
+        xi = [np.full(d, 0.5) for d in dims]
+        values = {"zero": 0.0, "nan": np.nan, "inf": -np.inf}
+        for i, kind in bad.items():
+            if kind == "long":
+                xi[i] = np.ones(dims[i] + 1)
+            else:
+                xi[i][-1] = values[kind]
+                if kind == "zero":
+                    xi[i][:] = 0.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NcsInstance(plants, tuple(xi), capacity=1, horizon=9)
+
+    def test_stacked_instance_checks_as_the_constructor(self):
+        inst = generate_instance(6, 2, 9, [1, 2, 2, 3, 3, 2], seed=3).instance
+        g = inst.groups[1]
+        zeroed = g._replace(xi=np.where(g.idx[:, None] == 5, 0.0, g.xi))
+        groups = (inst.groups[0], zeroed, inst.groups[2])
+        with pytest.raises(ValueError, match="^initial state 6 is zero$"):
+            NcsInstance._from_groups(groups, 2, 9)
+        with pytest.raises(ValueError, match="capacity must satisfy 0 < M < N, got M=6, N=6"):
+            NcsInstance._from_groups(inst.groups, 6, 9)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            NcsInstance._from_groups(inst.groups, 2, 9.0)
 
     def test_control_logic_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -180,6 +223,22 @@ class TestTypes:
         p = PlantDynamics([[2.0]], [1.0])
         with pytest.raises(ValueError):
             p.A[0, 0] = 3.0
+
+    def test_thresholded_copy_keeps_the_mask(self):
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(40, 12)) * 10.0 ** rng.integers(-12, 12, size=(40, 1))
+        u[rng.uniform(size=u.shape) < 0.3] = 0.0
+        u[:3] = 1e-10  # rows whose every entry is below the threshold
+        for zero_rtol in (1e-9, 1e-3, 0.5):
+            logic = ControlLogic(u)
+            mask = logic.nonzero_mask(zero_rtol)
+            assert not mask.flags.writeable
+            assert logic.nonzero_mask(zero_rtol) is mask
+            zeroed = logic.thresholded(zero_rtol)
+            assert zeroed.nonzero_mask(zero_rtol) is mask
+            # a fresh logic over the same inputs computes the same mask
+            assert np.array_equal(ControlLogic(zeroed.u).nonzero_mask(zero_rtol), mask)
+            assert not mask[:3].any()
 
 
 # Per-plant loops as core ran them before plants were stacked by dimension;

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncsched import (
+    NcsInstance,
     PlantDynamics,
     RejectionBudgetError,
     SchemaError,
@@ -116,6 +117,37 @@ class TestGenerateInstance:
             rec = generate_instance(len(dims), capacity, horizon, list(dims), seed=seed)
             plants, xi = sequential_draws(np.random.default_rng(seed), dims, 2.0)
             assert_same_draws(rec, plants, xi)
+
+    @pytest.mark.parametrize("dims, value_range", [
+        # 1-D draws on +-1.05 pass with probability about 0.05
+        ((1,) * 12 + (2,) + (1,) * 3, 1.05),
+        # on +-1e6 essentially every draw passes; two runs of 1-D plants
+        # share one group
+        ((1,) * 30 + (2,) * 30 + (1,) * 5 + (3,) * 20, 1e6),
+    ], ids=["low-acceptance", "full-acceptance"])
+    def test_matches_sequential_loop_at_any_acceptance(self, dims, value_range):
+        for seed in range(20):
+            rec = generate_instance(
+                len(dims), 2, 10, list(dims), value_range=value_range, seed=seed
+            )
+            plants, xi = sequential_draws(np.random.default_rng(seed), dims, value_range)
+            assert_same_draws(rec, plants, xi)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_groups_match_the_constructor(self, family):
+        # the generator stacks its accepted draws itself and keeps the
+        # controllability facts it computed while drawing them
+        dims, capacity, horizon = FAMILIES[family]
+        for seed in range(12345, 12348):
+            inst = generate_instance(len(dims), capacity, horizon, list(dims), seed=seed).instance
+            rebuilt = NcsInstance(inst.plants, inst.xi, capacity, horizon)
+            for got, want in zip(inst.groups, rebuilt.groups, strict=True):
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
+            assert all(not (p.A.flags.writeable or p.b.flags.writeable) for p in inst.plants)
+            assert all(not x.flags.writeable for x in inst.xi)
+            assert [p.d for p in inst.plants] == list(dims)
 
     def test_budget_error_names_same_plant(self):
         # entries within +-0.8 can make a 2-D plant unstable but never a 1-D one
@@ -285,6 +317,40 @@ class TestDumpJson:
         data = {"value": value, "nested": [value, {"inner": value}]}
         assert dump_json(data) == json_dumps(data)
         assert dump_json(value) == json_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        np.array([[-0.0, 0.0, 5e-324], [1e16, -1e16, 0.1]]),
+        np.array([[np.nan, np.inf, -np.inf], [0.0, 0.0, 0.0], [-0.0, 1.0, -np.nan]]),
+        np.zeros((3, 4)),
+        np.array([[2.5]]),
+        np.zeros((0, 5)),
+        np.zeros((4, 0)),
+        np.zeros((2, 0, 3)),
+        np.array([0.0, -2.0, 1e-300]),
+        np.zeros(0),
+        np.array(-0.0),
+        np.arange(-12.0, 12.0).reshape(2, 3, 4) / 7,
+        np.arange(6.0).reshape(2, 3).T,
+        np.array([[0.1, 0.0]], dtype=np.float32),
+        np.where(np.random.default_rng(0).uniform(size=(60, 21)) < 0.9, 0.0,
+                 np.random.default_rng(1).normal(size=(60, 21))),
+    ])
+    def test_float_arrays(self, value):
+        plain = value.tolist()
+        data = {"value": value, "nested": [value, {"inner": value}]}
+        as_lists = {"value": plain, "nested": [plain, {"inner": plain}]}
+        assert dump_json(data) == json_dumps(as_lists)
+        assert dump_json(value) == json_dumps(plain)
+
+    @pytest.mark.parametrize("value", [
+        np.array([1, 2]), np.array([[True, False]]), np.array([1.5, None], dtype=object),
+        np.array([1.5], dtype=np.longdouble), np.zeros(0, dtype=int),
+    ])
+    def test_other_arrays_raise(self, value):
+        with pytest.raises(TypeError):
+            dump_json({"value": value})
+        with pytest.raises(TypeError):
+            dump_json([value])
 
     @pytest.mark.parametrize("value", [{1: "a"}, {"a": 1, 2: "b"}, {None: 0}, {2.5: 0}])
     def test_non_str_key_raises(self, value):

@@ -129,6 +129,17 @@ class TestSolveCascade:
         assert sum(c for _, c in report.occupancy_histogram) == 7
         assert max(occ for occ, _ in report.occupancy_histogram) <= 2
 
+    @pytest.mark.parametrize("method", ["auto", "block"])
+    def test_verified_route_computes_its_mask_once(self, demo_instance, method, monkeypatch):
+        # thresholding, verification, schedule and histogram share one mask
+        calls = []
+        real = ControlLogic.row_scales
+        monkeypatch.setattr(ControlLogic, "row_scales", lambda self: calls.append(1) or real(self))
+        report = solve_instance(demo_instance, method=method)
+        assert len(calls) == 1
+        assert isinstance(report.state_norms, np.ndarray)
+        assert report.state_norms.shape == (demo_instance.n, demo_instance.horizon + 1)
+
     def test_rejects_unknown_method(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(ValueError):
