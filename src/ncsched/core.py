@@ -41,6 +41,13 @@ def check_tolerances(zero_rtol: float, terminal_rtol: float) -> None:
             raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
+def nonzero_entries(u: np.ndarray, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
+    """Boolean mask of the entries of the rows of ``u`` (n x T) that count as
+    nonzero: above ``zero_rtol`` times the row's sup-norm, floored at 1."""
+    scales = np.maximum(1.0, np.abs(u).max(axis=1, initial=0.0))
+    return np.abs(u) > zero_rtol * scales[:, None]
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -225,18 +232,8 @@ class ControlLogic:
         object.__setattr__(self, "u", _freeze(u))
 
     @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    @property
     def horizon(self) -> int:
         return self.u.shape[1]
-
-    def row_scales(self) -> np.ndarray:
-        """Per-plant zero-test scale: sup-norm of the input row, floored at 1."""
-        if self.horizon == 0:
-            return np.ones(self.n)
-        return np.maximum(1.0, np.abs(self.u).max(axis=1))
 
     def nonzero_mask(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
         """Read-only boolean N x T mask of inputs that count as nonzero.
@@ -245,8 +242,7 @@ class ControlLogic:
         """
         mask = self._masks.get(zero_rtol)
         if mask is None:
-            mask = np.abs(self.u) > zero_rtol * self.row_scales()[:, None]
-            self._masks[zero_rtol] = mask = _freeze(mask)
+            self._masks[zero_rtol] = mask = _freeze(nonzero_entries(self.u, zero_rtol))
         return mask
 
     def thresholded(self, zero_rtol: float = ZERO_RTOL) -> "ControlLogic":

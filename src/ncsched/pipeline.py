@@ -2,9 +2,9 @@
 
 Route order for ``method="auto"``:
 
-1. plants whose state coasts to zero open-loop within the horizon are set
-   aside with all-zero input rows; if the remainder outnumbers what T slots
-   of capacity M can serve, infeasibility is proven and reported;
+1. plants that coast to zero open-loop within the horizon keep all-zero
+   rows; if the rest outnumber what T slots of capacity M serve, so do those
+   whose zero rows verify, and infeasibility is reported if the rest still do;
 2. lane plan over the remaining plants: balanced decreasing packing, backed
    by the complete search when it fails on at most 10 plants;
 3. block plan over the remaining plants (the greedy grouping is complete);
@@ -35,7 +35,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport
-from .sim import extract_schedule, verify_logic
+from .sim import at_rest, extract_schedule, verify_logic
 from .sparse import l0_feasible_bruteforce, solve_via_relaxation
 
 _METHOD_ROUTES = {
@@ -76,6 +76,11 @@ def solve_instance(
     captured: list[str] = []
 
     hits, closed = split_open_loop(inst, zero_rtol=zero_rtol)
+    if inst.horizon < math.ceil(len(closed) / inst.capacity):
+        # before claiming a proof, let the verifier judge the zero rows: a plant
+        # can end within terminal_rtol of zero without reaching the scan's zero
+        hits.update((i, inst.horizon) for i in at_rest(inst, closed, zero_rtol, terminal_rtol))
+        closed = [i for i in closed if i not in hits]
     if hits:
         shown = ", ".join(str(i + 1) for i in sorted(hits))
         diagnostics.append(
@@ -122,10 +127,12 @@ def solve_instance(
             res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol)
             return res.logic, res, list(res.warnings)
         if name == "bruteforce":
-            logic = l0_feasible_bruteforce(inst)
+            logic = l0_feasible_bruteforce(inst, zero_rtol, terminal_rtol)
             if logic is None:
                 raise NoSolutionFoundError(
-                    "exhaustive enumeration proves the instance infeasible"
+                    f"no assignment of at most {inst.capacity} plants per slot has "
+                    "least-squares rows that pass the verifier at "
+                    f"zero_rtol={zero_rtol:g}, terminal_rtol={terminal_rtol:g}"
                 )
             return logic, None, []
         raise ValueError(name)

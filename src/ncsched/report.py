@@ -127,31 +127,20 @@ def export_plots(report_path, out_dir) -> list[Path]:
         raise SchemaError("report has no state norms to export")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    control = np.asarray(rep.control)
-    n, horizon = control.shape
+    def write(name: str, header: list[str], rows) -> Path:
+        with (out / name).open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)  # a float is written as its repr
+        return out / name
 
-    control_path = out / "control.csv"
-    with control_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "plant", "u"])
-        for t in range(horizon):
-            for i in range(n):
-                w.writerow([t, i + 1, repr(float(control[i, t]))])
-
-    schedule_path = out / "schedule.csv"
-    with schedule_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "plant"])
-        for t, slot in enumerate(rep.schedule):
-            for plant in sorted(slot):
-                w.writerow([t, plant])
-
-    traj_path = out / "trajectories.csv"
-    with traj_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "plant", "state_norm_2"])
-        for i, series in enumerate(rep.state_norms):
-            for t, norm in enumerate(series):
-                w.writerow([t, i + 1, repr(float(norm))])
-
-    return [control_path, schedule_path, traj_path]
+    control = np.asarray(rep.control).T.tolist()
+    norms = np.asarray(rep.state_norms).tolist()
+    return [
+        write("control.csv", ["t", "plant", "u"],
+              ([t, i, u] for t, col in enumerate(control) for i, u in enumerate(col, 1))),
+        write("schedule.csv", ["t", "plant"],
+              ([t, i] for t, slot in enumerate(rep.schedule) for i in sorted(slot))),
+        write("trajectories.csv", ["t", "plant", "state_norm_2"],
+              ([t, i, x] for i, series in enumerate(norms, 1) for t, x in enumerate(series))),
+    ]

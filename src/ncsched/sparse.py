@@ -4,8 +4,9 @@ The stacked feasibility problem asks for input rows that zero every plant's
 terminal state while at most M rows are nonzero in any column. Three routes
 are exposed:
 
-* ``l0_feasible_bruteforce`` enumerates per-slot access sets and decides the
-  problem exactly at desk scale;
+* ``l0_feasible_bruteforce`` enumerates per-slot access sets at desk scale,
+  judging each plant's least-squares row on each slot mask by the verifier's
+  own rule (``sim.steers_to_zero``);
 * ``l1_min_inputs`` solves the per-plant convex surrogate
   ``min |u|_1  s.t.  Phi u = -A^T xi`` as a split-variable LP;
 * ``solve_via_relaxation`` solves every plant's l1 program as one LP
@@ -27,10 +28,13 @@ from scipy.optimize import linprog
 from scipy.sparse import block_diag
 
 from .core import (
+    TERMINAL_RTOL,
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
     PlantDynamics,
+    check_tolerances,
+    group_by_dim,
     is_reachable,
     lifted_matrix,
     mat_pow,
@@ -42,6 +46,7 @@ from .errors import (
     TooLargeError,
 )
 from .planner import _require_reachable
+from .sim import steers_to_zero
 
 RIP_CERT_BOUND = math.sqrt(2.0) - 1.0
 RESIDUAL_RTOL = 1e-8
@@ -267,28 +272,46 @@ def _access_sets(n: int, capacity: int) -> list[tuple[int, ...]]:
     return [s for size in range(capacity + 1) for s in combinations(range(n), size)]
 
 
+def _mask_table(inst: NcsInstance, zero_rtol: float, terminal_rtol: float):
+    """Per plant and slot mask (bit t = slot t), N x 2^T: the least-squares row
+    on the mask's columns of the T-terminal lifted matrix (one stacked ``pinv``
+    per dimension group and mask size), and whether ``steers_to_zero`` accepts it."""
+    horizon, n_masks = inst.horizon, 2**inst.horizon
+    bits = np.arange(n_masks)[:, None] >> np.arange(horizon) & 1
+    rows = np.zeros((inst.n, n_masks, horizon))
+    ok = np.empty((inst.n, n_masks), dtype=bool)
+    for g in group_by_dim(inst):
+        phi = np.stack([lifted_matrix(inst.plants[i], horizon) for i in g.idx])
+        target = -np.array([[mat_pow(inst.plants[i].A, horizon) @ inst.xi[i]] for i in g.idx])
+        for size in range(1, horizon + 1):
+            masks = np.flatnonzero(bits.sum(axis=1) == size)
+            cols = np.nonzero(bits[masks])[1].reshape(len(masks), size)
+            sub = np.linalg.pinv(np.moveaxis(phi[:, :, cols], 2, 1))
+            rows[g.idx[:, None, None], masks[:, None], cols] = (sub @ target[..., None])[..., 0]
+        stack = (np.repeat(a, n_masks, axis=0) for a in (g.A, g.b, g.xi))
+        accept = steers_to_zero(*stack, rows[g.idx].reshape(-1, horizon), zero_rtol, terminal_rtol)
+        ok[g.idx] = accept.reshape(-1, n_masks)
+    return rows, ok
+
+
 def l0_feasible_bruteforce(
     inst: NcsInstance,
-    residual_rtol: float = RESIDUAL_RTOL,
+    zero_rtol: float = ZERO_RTOL,
+    terminal_rtol: float = TERMINAL_RTOL,
     cap: int = BRUTE_FORCE_CAP,
 ) -> ControlLogic | None:
-    """Exact decision of the stacked feasibility problem by enumeration.
+    """First assignment of at most M plants per slot whose rows the verifier accepts.
 
-    Assignments of per-slot access sets (at most M plants each) are walked
-    slot by slot in deterministic order: smaller sets first, then
-    lexicographic. For each plant, least squares on the allowed columns of
-    its lifted matrix decides whether a slot mask suffices (residual within
-    ``residual_rtol`` of the target). A branch is entered only while every
-    plant's mask over the slots assigned so far has at least one feasible
-    completion over the remaining slots; that test is memoized per plant and
-    per prefix, and filled lazily. Pruned branches hold no feasible
-    assignment, so the first feasible assignment of the full walk is
-    returned, and None is still a proof of infeasibility relative to
-    ``residual_rtol``.
-
-    Desk scale only: refuses when (number of admissible access sets)^T
-    exceeds ``cap``.
+    Each plant's slot mask is tried with its least-squares row (``_mask_table``)
+    and judged by ``verify_logic``'s own rule at ``zero_rtol`` and
+    ``terminal_rtol``. Assignments of per-slot access sets are walked slot by
+    slot, smaller sets first, then lexicographic; a branch is entered only
+    while every plant's mask so far extends to an accepted mask, so the full
+    walk's first accepted assignment is returned. None: no assignment has
+    least-squares rows that pass (other inputs on the same masks are not
+    tried). Refuses when (number of access sets)^T exceeds ``cap``.
     """
+    check_tolerances(zero_rtol, terminal_rtol)
     n, horizon = inst.n, inst.horizon
     n_sets = sum(math.comb(n, size) for size in range(inst.capacity + 1))
     # a running product stops at the cap instead of forming n_sets**horizon
@@ -298,56 +321,16 @@ def l0_feasible_bruteforce(
         if assignments > cap:
             raise TooLargeError(f"{n_sets}^{horizon} assignments exceed the cap of {cap}")
     subsets = _access_sets(n, inst.capacity)
-    phis = [lifted_matrix(p, horizon) for p in inst.plants]
-    targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
-    tols = [residual_rtol * (1.0 + float(np.linalg.norm(t))) for t in targets]
-    memo: list[dict[int, np.ndarray | None]] = [{} for _ in range(n)]
-
-    def feasible(i: int, mask: int) -> np.ndarray | None:
-        try:
-            return memo[i][mask]
-        except KeyError:
-            pass
-        cols = [t for t in range(horizon) if mask >> t & 1]
-        if not cols:
-            w = np.zeros(0) if np.linalg.norm(targets[i]) <= tols[i] else None
-        else:
-            sol, *_ = np.linalg.lstsq(phis[i][:, cols], targets[i], rcond=None)
-            resid = np.linalg.norm(phis[i][:, cols] @ sol - targets[i])
-            w = sol if resid <= tols[i] else None
-        memo[i][mask] = w
-        return w
-
-    # completable[i][t][mask]: plant i's mask over slots < t extends to a
-    # feasible mask over all slots
-    completable: list[list[dict[int, bool]]] = [
-        [{} for _ in range(horizon + 1)] for _ in range(n)
-    ]
-
-    def can_complete(i: int, t: int, mask: int) -> bool:
-        table = completable[i][t]
-        try:
-            return table[mask]
-        except KeyError:
-            pass
-        if t == horizon:
-            ok = feasible(i, mask) is not None
-        else:
-            # the fuller mask first: it is the likeliest to be feasible
-            ok = can_complete(i, t + 1, mask | 1 << t) or can_complete(i, t + 1, mask)
-        table[mask] = ok
-        return ok
-
+    rows, ok = _mask_table(inst, zero_rtol, terminal_rtol)
+    # extendable[t][i][mask]: plant i's mask over slots < t extends to an accepted one
+    extendable = [ok.reshape(n, -1, 2**t).any(axis=1).tolist() for t in range(horizon + 1)]
     plant_masks = [0] * n
 
     def search(t: int) -> ControlLogic | None:
-        if not all(can_complete(i, t, mask) for i, mask in enumerate(plant_masks)):
+        if not all(table[mask] for table, mask in zip(extendable[t], plant_masks)):
             return None
         if t == horizon:
-            u = np.zeros((n, horizon))
-            for i, mask in enumerate(plant_masks):
-                u[i, [s for s in range(horizon) if mask >> s & 1]] = feasible(i, mask)
-            return ControlLogic(u)
+            return ControlLogic(rows[np.arange(n), plant_masks])
         bit = 1 << t
         for subset in subsets:
             for i in subset:

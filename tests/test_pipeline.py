@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import ncsched.core
 from ncsched import (
     ControlLogic,
     NcsInstance,
     NoSolutionFoundError,
     PlantDynamics,
     generate_instance,
+    l0_feasible_bruteforce,
     solve_instance,
     verify_logic,
 )
@@ -46,6 +48,31 @@ class TestSolveCascade:
         with pytest.raises(NoSolutionFoundError) as err:
             solve_instance(inst)
         assert err.value.code == "necessary_condition"
+
+    def test_zero_rows_the_verifier_accepts_need_no_slot(self):
+        # 0.0005^2 = 2.5e-7 is above the open-loop scan's zero (1e-9 of |x0|)
+        # but within the default terminal_rtol, so no plant needs the channel
+        inst = NcsInstance([PlantDynamics([[0.0005]], [1.0])] * 3, [[1.0]] * 3, 1, 2)
+        for method in ("auto", "brute"):
+            report = solve_instance(inst, method=method)
+            assert report.verified
+            assert report.schedule == [[], []]
+        assert not l0_feasible_bruteforce(inst).u.any()
+        # at terminal_rtol=1e-7 each plant needs one of the two slots
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(inst, terminal_rtol=1e-7)
+        assert err.value.code == "necessary_condition"
+        assert l0_feasible_bruteforce(inst, terminal_rtol=1e-7) is None
+
+    def test_bruteforce_masks_are_judged_by_the_verifier(self):
+        # a residual test of brute force's own accepts a mask for plant 2
+        # whose least-squares row the verifier rejects
+        inst = generate_instance(3, 1, 8, [2, 3, 3], value_range=2.0, seed=12363).instance
+        for method in ("brute", "auto"):
+            report = solve_instance(inst, method=method)
+            assert report.method == "bruteforce"
+            assert report.verified
+            assert report.schedule == [[], [2], [1], [2], [1], [3], [3], [3]]
 
     def test_necessary_condition_met_with_equality(self):
         # four plants fill T=2 slots of capacity 2 exactly; brute force finds it
@@ -131,10 +158,13 @@ class TestSolveCascade:
 
     @pytest.mark.parametrize("method", ["auto", "block"])
     def test_verified_route_computes_its_mask_once(self, demo_instance, method, monkeypatch):
-        # thresholding, verification, schedule and histogram share one mask
+        # thresholding, the occupancy check, schedule and histogram share the
+        # logic's one mask (the verifier's kernel thresholds each group's rows)
         calls = []
-        real = ControlLogic.row_scales
-        monkeypatch.setattr(ControlLogic, "row_scales", lambda self: calls.append(1) or real(self))
+        real = ncsched.core.nonzero_entries
+        monkeypatch.setattr(
+            ncsched.core, "nonzero_entries", lambda *a: calls.append(1) or real(*a)
+        )
         report = solve_instance(demo_instance, method=method)
         assert len(calls) == 1
         assert isinstance(report.state_norms, np.ndarray)

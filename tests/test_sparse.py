@@ -7,6 +7,9 @@ from scipy.optimize import linprog
 
 import ncsched.sparse
 from ncsched import (
+    TERMINAL_RTOL,
+    ZERO_RTOL,
+    ControlLogic,
     HorizonTooShortError,
     NcsInstance,
     NonFiniteError,
@@ -15,6 +18,7 @@ from ncsched import (
     RipReport,
     SolverStallError,
     TooLargeError,
+    extract_schedule,
     generate_instance,
     l0_feasible_bruteforce,
     l1_min_inputs,
@@ -28,6 +32,7 @@ from ncsched import (
     support_set,
     verify_logic,
 )
+from ncsched.sparse import _mask_table
 
 from conftest import one_burst_instance, scalar_instance
 
@@ -118,42 +123,35 @@ def reference_rip_delta(gamma, order):
     return float(max(hi - 1.0, 1.0 - lo, 0.0))
 
 
-def reference_bruteforce(inst, residual_rtol=1e-8):
+def reference_bruteforce(inst, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL):
     """Full walk over every assignment of per-slot access sets.
 
     Smaller sets first, then lexicographic; plants are judged only at the
-    leaves, by least squares on the lifted-matrix columns of their slots.
+    leaves, each by ``verify_logic`` on its least-squares row (one ``lstsq``
+    on the lifted-matrix columns of its slots).
     """
     n, horizon = inst.n, inst.horizon
     subsets = [s for k in range(inst.capacity + 1) for s in combinations(range(n), k)]
     phis = [lifted_matrix(p, horizon) for p in inst.plants]
     targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
-    tols = [residual_rtol * (1.0 + float(np.linalg.norm(t))) for t in targets]
-    memo = [{} for _ in range(n)]
+    memo = {}
 
-    def feasible(i, mask):
-        if mask not in memo[i]:
+    def accepted_row(i, mask):
+        if (i, mask) not in memo:
             cols = [t for t in range(horizon) if mask >> t & 1]
-            if not cols:
-                w = np.zeros(0) if np.linalg.norm(targets[i]) <= tols[i] else None
-            else:
-                sol, *_ = np.linalg.lstsq(phis[i][:, cols], targets[i], rcond=None)
-                resid = np.linalg.norm(phis[i][:, cols] @ sol - targets[i])
-                w = sol if resid <= tols[i] else None
-            memo[i][mask] = w
-        return memo[i][mask]
+            u = np.zeros((n, horizon))
+            if cols:
+                u[i, cols], *_ = np.linalg.lstsq(phis[i][:, cols], targets[i], rcond=None)
+            outcome = verify_logic(inst, ControlLogic(u), zero_rtol, terminal_rtol)
+            memo[i, mask] = u[i] if outcome.terminal_residuals[i] <= terminal_rtol else None
+        return memo[i, mask]
 
     masks = [0] * n
 
     def search(t):
         if t == horizon:
-            ws = [feasible(i, masks[i]) for i in range(n)]
-            if any(w is None for w in ws):
-                return None
-            u = np.zeros((n, horizon))
-            for i, w in enumerate(ws):
-                u[i, [s for s in range(horizon) if masks[i] >> s & 1]] = w
-            return u
+            rows = [accepted_row(i, masks[i]) for i in range(n)]
+            return None if any(r is None for r in rows) else ControlLogic(np.array(rows))
         for subset in subsets:
             for i in subset:
                 masks[i] |= 1 << t
@@ -384,26 +382,43 @@ class TestBruteForce:
             assert (logic is not None) == feasible
             assert (expected is not None) == feasible
             if feasible:
-                assert logic.u.tobytes() == expected.tobytes()
+                assert extract_schedule(logic) == extract_schedule(expected)
+                assert verify_logic(inst, logic).verified
+                assert verify_logic(inst, expected).verified
+
+    def test_mask_verdicts_are_the_verifiers(self):
+        # desk-cascade instances: every plant's verdict on every slot mask is
+        # verify_logic's verdict on the same row
+        for seed in range(12345, 12365):
+            inst = generate_instance(4, 2, 5, [1, 2, 3, 4], value_range=2.0, seed=seed).instance
+            rows, ok = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
+            for mask in range(2**inst.horizon):
+                outcome = verify_logic(inst, ControlLogic(rows[:, mask]))
+                assert np.array_equal(ok[:, mask], outcome.terminal_residuals <= TERMINAL_RTOL)
+
+    def test_decaying_mode_needs_no_input_to_reach_zero(self):
+        # A = diag(2, 0.001): u_0 = -2 zeroes the unstable mode, and the stable
+        # one decays to 1e-15 by T = 5, so slot {0} alone passes both tests
+        plants = [PlantDynamics(np.diag([2.0, 0.001]), [1.0, 1.0]), PlantDynamics([[2.0]], [1.0])]
+        inst = NcsInstance(plants, [[1.0, 1.0], [1.0]], capacity=1, horizon=5)
+        rows, ok = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
+        assert ok[0, 0b00001]
+        row = np.zeros((2, 5))
+        row[0] = rows[0, 0b00001]
+        assert row[0, 0] == pytest.approx(-2.0)
+        assert verify_logic(inst, ControlLogic(row)).terminal_residuals[0] <= TERMINAL_RTOL
 
     def test_unsteerable_plant_refused_without_full_walk(self, monkeypatch):
         # the last plant has no input, so no slot mask zeroes it; the walk
-        # must not solve every mask of the steerable plants before noticing
-        n, horizon = 3, 8
-        inst = scalar_instance([2.0, 3.0, 2.0], capacity=1, horizon=horizon, inputs=[1.0, 1.0, 0.0])
-        calls = 0
-        lstsq = np.linalg.lstsq
+        # must refuse before entering any slot branch
+        inst = scalar_instance([2.0, 3.0, 2.0], capacity=1, horizon=8, inputs=[1.0, 1.0, 0.0])
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return lstsq(*args, **kwargs)
+        class NoBranches:
+            def __iter__(self):
+                raise AssertionError("a slot branch was entered")
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        monkeypatch.setattr(ncsched.sparse, "_access_sets", lambda n, capacity: NoBranches())
         assert l0_feasible_bruteforce(inst) is None
-        assert calls <= n * 2**horizon
-        # every nonempty mask of the unsteerable plant, one full mask per other plant
-        assert calls == (2**horizon - 1) + (n - 1)
 
     def test_cap_boundary(self):
         # N=2, M=1: 3 access sets per slot, so T=2 gives exactly 3^2 = 9 assignments
