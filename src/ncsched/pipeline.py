@@ -76,18 +76,19 @@ def solve_instance(
     captured: list[str] = []
 
     hits, closed = split_open_loop(inst, zero_rtol=zero_rtol)
-    if inst.horizon < math.ceil(len(closed) / inst.capacity):
-        # before claiming a proof, let the verifier judge the zero rows: a plant
-        # can end within terminal_rtol of zero without reaching the scan's zero
-        hits.update((i, inst.horizon) for i in at_rest(inst, closed, zero_rtol, terminal_rtol))
-        closed = [i for i in closed if i not in hits]
-    if hits:
-        shown = ", ".join(str(i + 1) for i in sorted(hits))
-        diagnostics.append(
-            f"{len(hits)} plants reach zero open-loop within the horizon and "
-            f"keep zero input rows (1-based: {shown})"
-        )
     needed = math.ceil(len(closed) / inst.capacity)
+    # before claiming a proof, let the verifier judge the zero rows: a plant
+    # can end within terminal_rtol of zero without reaching the scan's zero
+    resting = at_rest(inst, closed, zero_rtol, terminal_rtol) if inst.horizon < needed else set()
+    closed = [i for i in closed if i not in resting]
+    needed = math.ceil(len(closed) / inst.capacity)
+    for aside, why in (
+        (hits, "reach zero open-loop within the horizon"),
+        (resting, "end within terminal_rtol of zero without input"),
+    ):
+        if aside:
+            line = f"{len(aside)} plants {why} and keep zero input rows (1-based: "
+            diagnostics.append(line + ", ".join(str(i + 1) for i in sorted(aside)) + ")")
     necessary_ok = inst.horizon >= needed
     verdict = (
         f"necessary condition: horizon {inst.horizon} "
@@ -102,7 +103,7 @@ def solve_instance(
             reasons=tuple(diagnostics),
         )
 
-    open_loop_report = sorted(i + 1 for i in hits)
+    open_loop_report = sorted(i + 1 for i in [*hits, *resting])
     attempts: list[str] = []
 
     def run_route(name: str):
@@ -127,7 +128,7 @@ def solve_instance(
             res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol)
             return res.logic, res, list(res.warnings)
         if name == "bruteforce":
-            logic = l0_feasible_bruteforce(inst, zero_rtol, terminal_rtol)
+            logic = l0_feasible_bruteforce(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
             if logic is None:
                 raise NoSolutionFoundError(
                     f"no assignment of at most {inst.capacity} plants per slot has "

@@ -134,11 +134,9 @@ def rollout(
 
 
 def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
-    """The verifier's test of input rows ``u`` for stacked plants of one dimension:
-    thresholded (``nonzero_entries``) and rolled out (``rollout_stack``), they
-    give the states, their norms, each terminal norm over its trajectory's
-    sup-norm floored at 1, and the overflow steps."""
-    u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
+    """The verifier's test of thresholded input rows ``u`` for stacked plants of one
+    dimension: rolled out (``rollout_stack``), they give the states, their norms, each
+    terminal norm over its trajectory's sup-norm floored at 1, and the overflow steps."""
     states, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol)
     # residuals are defined with norm(axis=-1), whose last bits can differ
     # from the clamp's vecdot norms
@@ -147,17 +145,19 @@ def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
 
 
 def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.ndarray:
-    """Per row of ``u``: whether ``verify_logic`` finds its plant steered to zero."""
+    """Per row of ``u``, thresholded: whether ``verify_logic`` finds its plant steered to zero."""
+    u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
     _, _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
     return (overflow == 0) & (residuals <= terminal_rtol)
 
 
-def at_rest(inst: NcsInstance, subset, zero_rtol: float, terminal_rtol: float) -> list[int]:
+def at_rest(inst: NcsInstance, subset, zero_rtol: float, terminal_rtol: float) -> set[int]:
     """The plants of ``subset`` whose all-zero input row ``steers_to_zero`` accepts."""
-    accepted = []
+    accepted = set()
     for g in group_by_dim(inst, subset):
         zero = np.zeros((len(g.idx), inst.horizon))
-        accepted += g.idx[steers_to_zero(g.A, g.b, g.xi, zero, zero_rtol, terminal_rtol)].tolist()
+        ok = steers_to_zero(g.A, g.b, g.xi, zero, zero_rtol, terminal_rtol)
+        accepted.update(g.idx[ok].tolist())
     return accepted
 
 
@@ -169,7 +169,7 @@ def verify_logic(
 ) -> SimulationResult:
     """Run every plant under the (thresholded) logic and judge the outcome.
 
-    Each dimension group's rows are judged by ``terminal_residuals``;
+    Each dimension group's rows, thresholded, are judged by ``terminal_residuals``;
     ``verified`` is true iff every relative terminal residual is at most
     ``terminal_rtol`` and no slot is over capacity. This flag is the single
     source of truth used by the solve pipeline and the acceptance tests. Both
@@ -181,20 +181,21 @@ def verify_logic(
             f"control logic shape {logic.u.shape} does not match instance "
             f"({inst.n}, {inst.horizon})"
         )
+    zeroed = logic.thresholded(zero_rtol)
     trajectories: list = [None] * inst.n
     norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
     overflow = np.zeros(inst.n, dtype=int)
     for g in group_by_dim(inst):
         states, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
-            g.A, g.b, g.xi, logic.u[g.idx], zero_rtol
+            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
         )
         for k, i in enumerate(g.idx):
             trajectories[i] = states[k]
     if overflow.any():
         first = overflow[np.flatnonzero(overflow)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
-    occupancy = logic.occupancy(zero_rtol)
+    occupancy = zeroed.occupancy(zero_rtol)
     max_occ = int(occupancy.max()) if occupancy.size else 0
 
     violations = []

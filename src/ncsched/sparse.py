@@ -273,21 +273,19 @@ def _access_sets(n: int, capacity: int) -> list[tuple[int, ...]]:
 
 
 def _mask_table(inst: NcsInstance, zero_rtol: float, terminal_rtol: float):
-    """Per plant and slot mask (bit t = slot t), N x 2^T: the least-squares row
-    on the mask's columns of the T-terminal lifted matrix (one stacked ``pinv``
-    per dimension group and mask size), and whether ``steers_to_zero`` accepts it."""
+    """Per plant and slot mask (bit t = slot t), N x 2^T: the least-squares row on the
+    mask's columns of the T-terminal lifted matrix (one stacked ``pinv`` of the lifted
+    matrices with the other columns zeroed, whose rounding off the mask is cleared),
+    and whether ``steers_to_zero`` accepts it."""
     horizon, n_masks = inst.horizon, 2**inst.horizon
     bits = np.arange(n_masks)[:, None] >> np.arange(horizon) & 1
-    rows = np.zeros((inst.n, n_masks, horizon))
+    rows = np.empty((inst.n, n_masks, horizon))
     ok = np.empty((inst.n, n_masks), dtype=bool)
     for g in group_by_dim(inst):
         phi = np.stack([lifted_matrix(inst.plants[i], horizon) for i in g.idx])
-        target = -np.array([[mat_pow(inst.plants[i].A, horizon) @ inst.xi[i]] for i in g.idx])
-        for size in range(1, horizon + 1):
-            masks = np.flatnonzero(bits.sum(axis=1) == size)
-            cols = np.nonzero(bits[masks])[1].reshape(len(masks), size)
-            sub = np.linalg.pinv(np.moveaxis(phi[:, :, cols], 2, 1))
-            rows[g.idx[:, None, None], masks[:, None], cols] = (sub @ target[..., None])[..., 0]
+        target = -np.array([mat_pow(inst.plants[i].A, horizon) @ inst.xi[i] for i in g.idx])
+        sub = np.linalg.pinv(phi[:, None] * bits[None, :, None, :])
+        rows[g.idx] = (sub @ target[:, None, :, None])[..., 0] * bits
         stack = (np.repeat(a, n_masks, axis=0) for a in (g.A, g.b, g.xi))
         accept = steers_to_zero(*stack, rows[g.idx].reshape(-1, horizon), zero_rtol, terminal_rtol)
         ok[g.idx] = accept.reshape(-1, n_masks)
@@ -296,6 +294,7 @@ def _mask_table(inst: NcsInstance, zero_rtol: float, terminal_rtol: float):
 
 def l0_feasible_bruteforce(
     inst: NcsInstance,
+    *,
     zero_rtol: float = ZERO_RTOL,
     terminal_rtol: float = TERMINAL_RTOL,
     cap: int = BRUTE_FORCE_CAP,

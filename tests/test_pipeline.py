@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncsched.core
+import ncsched.sim
 from ncsched import (
     ControlLogic,
     NcsInstance,
@@ -57,6 +58,11 @@ class TestSolveCascade:
             report = solve_instance(inst, method=method)
             assert report.verified
             assert report.schedule == [[], []]
+            assert report.diagnostics[0] == (
+                "3 plants end within terminal_rtol of zero without input and "
+                "keep zero input rows (1-based: 1, 2, 3)"
+            )
+            assert not any("open-loop" in line for line in report.diagnostics)
         assert not l0_feasible_bruteforce(inst).u.any()
         # at terminal_rtol=1e-7 each plant needs one of the two slots
         with pytest.raises(NoSolutionFoundError) as err:
@@ -158,13 +164,13 @@ class TestSolveCascade:
 
     @pytest.mark.parametrize("method", ["auto", "block"])
     def test_verified_route_computes_its_mask_once(self, demo_instance, method, monkeypatch):
-        # thresholding, the occupancy check, schedule and histogram share the
-        # logic's one mask (the verifier's kernel thresholds each group's rows)
+        # thresholding, verification, schedule and histogram share one mask
         calls = []
         real = ncsched.core.nonzero_entries
-        monkeypatch.setattr(
-            ncsched.core, "nonzero_entries", lambda *a: calls.append(1) or real(*a)
-        )
+        for module in (ncsched.core, ncsched.sim):
+            monkeypatch.setattr(
+                module, "nonzero_entries", lambda *a: calls.append(1) or real(*a)
+            )
         report = solve_instance(demo_instance, method=method)
         assert len(calls) == 1
         assert isinstance(report.state_norms, np.ndarray)

@@ -427,6 +427,11 @@ class TestBruteForce:
         with pytest.raises(TooLargeError, match=r"^3\^2 assignments exceed the cap of 8$"):
             l0_feasible_bruteforce(inst, cap=8)
 
+    def test_tolerances_are_keyword_only(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=2)
+        with pytest.raises(TypeError):
+            l0_feasible_bruteforce(inst, 1e-8)
+
 
 class TestPlantedRecovery:
     def test_orthonormal_columns_recover_planted(self):
