@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--terminal-rtol", type=float, default=TERMINAL_RTOL)
     verify.add_argument("--zero-rtol", type=float, default=ZERO_RTOL)
 
-    plots = sub.add_parser("plots", help="export report CSVs for plotting")
+    plots = sub.add_parser("plots", help="export report CSVs, replaying the trajectories")
+    plots.add_argument("instance", help="instance JSON path")
     plots.add_argument("report", help="report JSON path")
     plots.add_argument("--out-dir", required=True)
 
@@ -122,7 +123,6 @@ def _cmd_solve(args) -> int:
                 verified=False,
                 residuals=[],
                 occupancy_histogram=[],
-                state_norms=None,
                 diagnostics=list(exc.reasons),
             )
             write_report(args.out, failure)
@@ -165,7 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plots(args) -> int:
-    paths = export_plots(args.report, args.out_dir)
+    rec = read_instance(args.instance)
+    paths = export_plots(rec.instance, args.report, args.out_dir)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

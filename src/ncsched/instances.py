@@ -209,10 +209,9 @@ def dump_json(data: dict) -> str:
 
     The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``,
     but lists of plain floats or ints are joined in one call instead of
-    going through the pure-Python encoder item by item. A float ndarray is
-    written as ``json.dumps`` writes its ``tolist()``, with ``0.0`` spelled
-    out and only the other entries formatted. Floats use Python's shortest
-    round-trip representation, so write -> read -> write is byte-identical.
+    going through the pure-Python encoder item by item. Floats use Python's
+    shortest round-trip representation, so write -> read -> write is
+    byte-identical.
     Unlike ``json.dumps``, a dict key that is not a ``str`` raises
     ``TypeError``; no caller has one.
     """
@@ -255,8 +254,6 @@ def _encode(obj, newline: str, out: list[str]) -> None:
             out.append((sep if k else "") + encode_basestring_ascii(key) + ": ")
             _encode(obj[key], inner, out)
         out.append(newline + "}")
-    elif isinstance(obj, np.ndarray):
-        _encode_array(obj, newline, out)
     else:
         out.append(_encode_scalar(obj))
 
@@ -285,47 +282,6 @@ def _encode_float(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _encode_array(arr: np.ndarray, newline: str, out: list[str]) -> None:
-    """A float ndarray as ``json.dumps`` writes its ``tolist()``.
-
-    Control and state-norm matrices are mostly exact zeros, so every +0.0 is
-    the literal ``0.0`` and only the other entries go through the float
-    formatting, which is most of the cost.
-    """
-    # tolist() gives Python floats for float16/32/64, not for longdouble
-    if arr.dtype.kind != "f" or arr.dtype.itemsize > 8:
-        raise TypeError(f"Object of type ndarray ({arr.dtype}) is not JSON serializable")
-    if arr.ndim == 0:
-        out.append(_encode_float(float(arr)))
-        return
-    flat = arr.reshape(-1)
-    shown = np.flatnonzero((flat != 0) | np.signbit(flat))  # -0.0 is shown too
-    text = ["0.0"] * flat.size
-    fmt = float.__repr__ if np.isfinite(flat).all() else _encode_float
-    for i, item in zip(shown.tolist(), map(fmt, flat[shown].tolist())):
-        text[i] = item
-    _nest(text, arr.shape, newline, out)
-
-
-def _nest(text: list[str], shape: tuple[int, ...], newline: str, out: list[str]) -> None:
-    """Append the JSON array of ``shape`` whose entries, in C order, are ``text``."""
-    if not shape[0]:
-        out.append("[]")
-        return
-    inner = newline + "  "
-    sep = "," + inner
-    if len(shape) == 1:
-        out.append("[" + inner + sep.join(text) + newline + "]")
-        return
-    step = len(text) // shape[0]
-    out.append("[" + inner)
-    for k in range(shape[0]):
-        if k:
-            out.append(sep)
-        _nest(text[k * step : (k + 1) * step], shape[1:], inner, out)
-    out.append(newline + "]")
 
 
 def _join_numbers(items, sep: str) -> str | None:

@@ -1,21 +1,32 @@
 """Solve reports: canonical JSON serialization and CSV exports for plotting.
 
-Wall-clock timings live only on the in-memory object (and the CLI's console
-output); the serialized report is fully deterministic so that identical runs
-produce byte-identical files.
+A report file (schema version 2) stores only what cannot be recomputed: the
+route, plan and schedule, the verdict, and the control inputs as their
+nonzeros, ``{"shape": [N, T], "plant": [...], "t": [...], "u": [...]}`` with
+1-based plants, 0-based steps and the entries in row-major order. State
+trajectories follow from the control and the instance by simulation, so
+``verify`` and ``plots`` replay them instead of reading them. Version 1
+reports, which held a dense control and the state norms, are refused.
+
+Wall-clock timings and the state norms live only on the in-memory object;
+the serialized report is fully deterministic so that identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .core import ControlLogic, NcsInstance
 from .errors import SchemaError
-from .instances import SCHEMA_VERSION, dump_json
+from .instances import dump_json
+from .sim import verify_logic
+
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -29,77 +40,103 @@ class SolveReport:
     verified: bool
     residuals: list[float]
     occupancy_histogram: list[list[int]]
-    state_norms: np.ndarray | None  # N x (T+1) state 2-norms
+    # N x (T+1) state 2-norms from verification; like timings, never serialized
+    state_norms: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _fields(rep: SolveReport) -> dict:
-    """The serialized fields, with the two matrices as float arrays."""
-    control, norms = (
-        None if m is None else np.asarray(m, dtype=float) for m in (rep.control, rep.state_norms)
-    )
+def _sparse_control(control) -> dict | None:
+    if control is None:
+        return None
+    u = np.asarray(control, dtype=float)
+    plant, t = np.nonzero(u)
+    return {"shape": list(u.shape), "plant": (plant + 1).tolist(), "t": t.tolist(),
+            "u": u[plant, t].tolist()}
+
+
+def report_to_dict(rep: SolveReport) -> dict:
+    """The serialized report as plain JSON types."""
     return {
         "schema_version": SCHEMA_VERSION,
         "method": rep.method,
         "plan": rep.plan,
         "schedule": rep.schedule,
-        "control": control,
+        "control": _sparse_control(rep.control),
         "verified": rep.verified,
         "residuals": [float(r) for r in rep.residuals],
         "occupancy_histogram": rep.occupancy_histogram,
-        "state_norms": norms,
         "warnings": rep.warnings,
         "diagnostics": rep.diagnostics,
     }
 
 
-def report_to_dict(rep: SolveReport) -> dict:
-    """The serialized report as plain JSON types."""
-    data = _fields(rep)
-    for key in ("control", "state_norms"):
-        if data[key] is not None:
-            data[key] = data[key].tolist()
-    return data
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a JSON list of integers (booleans excluded)."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise SchemaError(f"{what} must be a list of integers")
+    return values
+
+
+def _numbers(values, what: str) -> list:
+    """``values`` if it is a JSON list of numbers (booleans excluded)."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise SchemaError(f"{what} must be a list of numbers")
+    return values
+
+
+def _dense_control(data: dict) -> np.ndarray:
+    """The N x T float matrix of a control's nonzero triplets, checked in full."""
+    shape = _ints(data["shape"], "control shape")
+    if len(shape) != 2 or min(shape) < 0:
+        raise SchemaError(f"control shape must be [N, T], got {shape}")
+    n, horizon = shape
+    plant = np.array(_ints(data["plant"], "control plants"), dtype=np.int64) - 1
+    t = np.array(_ints(data["t"], "control steps"), dtype=np.int64)
+    u = np.array(_numbers(data["u"], "control inputs"), dtype=float)
+    if not plant.size == t.size == u.size:
+        raise SchemaError("control plant, t and u lists differ in length")
+    if plant.size and not (plant.min() >= 0 and plant.max() < n and t.min() >= 0
+                           and t.max() < horizon):
+        raise SchemaError(f"control entry outside plants 1..{n} or steps 0..{horizon - 1}")
+    if np.any(np.diff(plant * horizon + t) <= 0):
+        raise SchemaError("control entries must be distinct and in row-major order")
+    if np.any(u == 0):
+        raise SchemaError("control lists a zero input")
+    dense = np.zeros((n, horizon))
+    dense[plant, t] = u
+    return dense
 
 
 def report_from_dict(data: dict) -> SolveReport:
     try:
         if data["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {data['schema_version']}")
-        control, norms = data["control"], data["state_norms"]
-        if control is not None:
-            control = np.asarray(control, dtype=float)
-            if control.ndim != 2:
-                raise SchemaError("control must be an N x T matrix")
-        # null, or N lists of T+1 numbers for the N x T control
-        shape = None if control is None else (control.shape[0], control.shape[1] + 1)
-        if norms is not None:
-            norms = np.asarray(norms)
-            if norms.shape != shape or norms.dtype.kind not in "fiu":
-                raise SchemaError("state_norms must be null or N lists of T+1 numbers")
-            norms = norms.astype(float)
+            raise SchemaError(f"unsupported report schema_version {data['schema_version']}")
+        control = None if data["control"] is None else _dense_control(data["control"])
+        if type(data["verified"]) is not bool:
+            raise SchemaError(f"verified must be true or false, got {data['verified']!r}")
         return SolveReport(
             method=data["method"],
             plan=data["plan"],
-            schedule=[list(map(int, slot)) for slot in data["schedule"]],
+            schedule=[_ints(slot, "schedule slots") for slot in data["schedule"]],
             control=control,
-            verified=bool(data["verified"]),
-            residuals=[float(r) for r in data["residuals"]],
-            occupancy_histogram=[list(map(int, row)) for row in data["occupancy_histogram"]],
-            state_norms=norms,
+            verified=data["verified"],
+            residuals=[float(r) for r in _numbers(data["residuals"], "residuals")],
+            occupancy_histogram=[
+                _ints(row, "occupancy histogram rows") for row in data["occupancy_histogram"]
+            ],
             warnings=list(data.get("warnings", [])),
             diagnostics=list(data.get("diagnostics", [])),
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report file: {exc}") from exc
 
 
 def write_report(path, rep: SolveReport) -> None:
-    Path(path).write_text(dump_json(_fields(rep)))
+    Path(path).write_text(dump_json(report_to_dict(rep)))
 
 
 def read_report(path) -> SolveReport:
@@ -110,37 +147,42 @@ def read_report(path) -> SolveReport:
     return report_from_dict(data)
 
 
-def export_plots(report_path, out_dir) -> list[Path]:
+def _write_csv(path: Path, header: str, *columns: list) -> Path:
+    """Equal-length columns of ints and floats, one row per entry, as
+    ``csv.writer`` writes them: a float as its repr, rows ended by CRLF."""
+    rows = map(",".join, zip(*(map(repr, c) for c in columns)))
+    path.write_text("\r\n".join([header, *rows, ""]), newline="")
+    return path
+
+
+def export_plots(inst: NcsInstance, report_path, out_dir) -> list[Path]:
     """Write control.csv, schedule.csv, trajectories.csv next to any plot tool.
 
-    The report is checked in full before any file is written, so a report
-    that cannot be exported leaves ``out_dir`` untouched.
+    The state norms come from replaying the report's control on ``inst``
+    with ``verify_logic`` at the default tolerances. The report is read and
+    replayed before any file is written, so a report that cannot be exported
+    leaves ``out_dir`` untouched.
 
-    Plant columns are 1-based; time columns are 0-based steps. schedule.csv
-    has one row per active slot member, so empty slots and always-silent
-    plants simply contribute no rows.
+    Plant columns are 1-based; time columns are 0-based steps. control.csv
+    has a row for every (t, plant) pair, in t-major order, and
+    trajectories.csv one for every (plant, t) pair up to T, in plant-major
+    order. schedule.csv has one row per active slot member, so empty slots
+    and always-silent plants simply contribute no rows.
     """
     rep = read_report(report_path)
     if rep.control is None:
         raise SchemaError("report has no control matrix to export")
-    if rep.state_norms is None:
-        raise SchemaError("report has no state norms to export")
+    norms = verify_logic(inst, ControlLogic(rep.control)).norms
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    def write(name: str, header: list[str], rows) -> Path:
-        with (out / name).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)  # a float is written as its repr
-        return out / name
-
-    control = np.asarray(rep.control).T.tolist()
-    norms = np.asarray(rep.state_norms).tolist()
+    n, horizon = rep.control.shape
+    steps, plants = np.arange(horizon + 1), np.arange(1, n + 1)
+    slots = [(t, i) for t, slot in enumerate(rep.schedule) for i in sorted(slot)]
     return [
-        write("control.csv", ["t", "plant", "u"],
-              ([t, i, u] for t, col in enumerate(control) for i, u in enumerate(col, 1))),
-        write("schedule.csv", ["t", "plant"],
-              ([t, i] for t, slot in enumerate(rep.schedule) for i in sorted(slot))),
-        write("trajectories.csv", ["t", "plant", "state_norm_2"],
-              ([t, i, x] for i, series in enumerate(norms, 1) for t, x in enumerate(series))),
+        _write_csv(out / "control.csv", "t,plant,u", np.repeat(steps[:-1], n).tolist(),
+                   np.tile(plants, horizon).tolist(), rep.control.T.ravel().tolist()),
+        _write_csv(out / "schedule.csv", "t,plant", [t for t, _ in slots], [i for _, i in slots]),
+        _write_csv(out / "trajectories.csv", "t,plant,state_norm_2",
+                   np.tile(steps, n).tolist(), np.repeat(plants, horizon + 1).tolist(),
+                   norms.ravel().tolist()),
     ]

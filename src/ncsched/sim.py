@@ -49,10 +49,6 @@ class SimulationResult:
     verified: bool
     violations: tuple[str, ...] = ()
 
-    def state_norms(self) -> list[list[float]]:
-        """Per-plant 2-norm series, length T+1 each."""
-        return self.norms.tolist()
-
 
 def extract_schedule(
     logic: ControlLogic,

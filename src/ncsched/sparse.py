@@ -38,6 +38,7 @@ from .core import (
     is_reachable,
     lifted_matrix,
     mat_pow,
+    nonzero_entries,
 )
 from .errors import (
     HorizonTooShortError,
@@ -143,9 +144,8 @@ def _polish(
     resid = float(np.linalg.norm(gamma @ u - target))
     # a vertex solution has few significant entries; a least-squares re-solve
     # on that support pushes the equality residual to machine level
-    scale = float(np.abs(u).max()) if u.size else 0.0
-    if resid > 0.0 and scale > 0.0:
-        supp = np.nonzero(np.abs(u) > zero_rtol * max(1.0, scale))[0]
+    if resid > 0.0:
+        supp = np.flatnonzero(nonzero_entries(u[None], zero_rtol))
         if supp.size:
             w, *_ = np.linalg.lstsq(gamma[:, supp], target, rcond=None)
             polished = np.zeros(u.size)
@@ -396,7 +396,7 @@ def solve_via_relaxation(
     ]
     for i, phi, row in zip(subset, phis, rows):
         u[i] = row
-        supports[i] = support_set(row, max(1.0, float(np.abs(row).max())), zero_rtol)
+        supports[i] = tuple(np.flatnonzero(nonzero_entries(row[None], zero_rtol)).tolist())
         order = 2 * len(supports[i])
         if order == 0:
             certification[i] = "trivial"

