@@ -61,11 +61,9 @@ from .sparse import (
     RipReport,
     l0_feasible_bruteforce,
     l1_min_inputs,
-    measure_sparsity,
     min_l1,
     rip_delta,
     solve_via_relaxation,
-    support_set,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +108,6 @@ __all__ = [
     "l1_min_inputs",
     "lifted_matrix",
     "mat_pow",
-    "measure_sparsity",
     "min_l1",
     "open_loop_hit_time",
     "read_instance",
@@ -121,7 +118,6 @@ __all__ = [
     "solve_via_relaxation",
     "spectral_radius",
     "split_open_loop",
-    "support_set",
     "verify_logic",
     "windowed_inputs",
     "write_instance",

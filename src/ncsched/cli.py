@@ -147,7 +147,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     rec = read_instance(args.instance)
-    report = read_report(args.report)
+    report = read_report(args.report, (rec.instance.n, rec.instance.horizon))
     if report.control is None:
         raise SchemaError("report holds no control matrix to verify")
     logic = ControlLogic(report.control)

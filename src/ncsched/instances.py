@@ -1,4 +1,10 @@
-"""Instance files: seeded generation and lossless JSON round-tripping."""
+"""Instance files: seeded generation and lossless JSON round-tripping.
+
+Instance and report files share one format, ``dump_json``: a single line of
+JSON with sorted keys, as the standard library's encoder writes it. Readers
+accept JSON numbers only where numbers belong (``_ints``, ``_numbers``), so a
+string or boolean in a matrix, a size or a control index is a ``SchemaError``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +173,20 @@ def instance_to_dict(rec: InstanceFile) -> dict:
     }
 
 
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a JSON list of integers (booleans excluded)."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise SchemaError(f"{what} must be a list of integers")
+    return values
+
+
+def _numbers(values, what: str) -> list:
+    """``values`` if it is a JSON list of numbers (booleans excluded)."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise SchemaError(f"{what} must be a list of numbers")
+    return values
+
+
 def instance_from_dict(data: dict) -> InstanceFile:
     try:
         if data["schema_version"] != SCHEMA_VERSION:
@@ -177,11 +196,16 @@ def instance_from_dict(data: dict) -> InstanceFile:
         n, capacity, horizon = data["N"], data["M"], data["T"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise SchemaError(f"N must be an integer, got {n!r}")
+        seed, provenance = data.get("seed"), data.get("provenance", "")
+        if seed is not None and type(seed) is not int:
+            raise SchemaError(f"seed must be an integer or null, got {seed!r}")
+        if not isinstance(provenance, str):
+            raise SchemaError(f"provenance must be a string, got {provenance!r}")
         plants = []
         for entry in data["plants"]:
-            b = np.asarray(entry["b"], dtype=float)
+            b = np.array(_numbers(entry["b"], "input map b"), dtype=float)
             d = b.shape[0]
-            A = np.asarray(entry["A"], dtype=float)
+            A = np.array(_numbers(entry["A"], "state map A"), dtype=float)
             if A.size != d * d:
                 raise SchemaError(
                     f"state map has {A.size} entries, expected {d * d}"
@@ -189,118 +213,25 @@ def instance_from_dict(data: dict) -> InstanceFile:
             plants.append(PlantDynamics(A.reshape(d, d), b))
         if len(plants) != n:
             raise SchemaError(f"N={n} but {len(plants)} plants listed")
-        xi = [np.asarray(x, dtype=float) for x in data["xi"]]
+        xi = [np.array(_numbers(x, "initial state xi"), dtype=float) for x in data["xi"]]
         instance = NcsInstance(
             plants=tuple(plants), xi=tuple(xi), capacity=capacity, horizon=horizon
         )
-        return InstanceFile(
-            instance=instance,
-            seed=data.get("seed"),
-            provenance=data.get("provenance", ""),
-        )
+        return InstanceFile(instance=instance, seed=seed, provenance=provenance)
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed instance file: {exc}") from exc
 
 
 def dump_json(data: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+    """Canonical JSON: one line with sorted keys, plus a trailing newline.
 
-    The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``,
-    but lists of plain floats or ints are joined in one call instead of
-    going through the pure-Python encoder item by item. Floats use Python's
-    shortest round-trip representation, so write -> read -> write is
-    byte-identical.
-    Unlike ``json.dumps``, a dict key that is not a ``str`` raises
-    ``TypeError``; no caller has one.
+    This is ``json.dumps(data, sort_keys=True) + "\\n"``, which the standard
+    library's C encoder writes. Floats use Python's shortest round-trip
+    representation, so write -> read -> write is byte-identical.
     """
-    out: list[str] = []
-    _encode(data, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(obj, newline: str, out: list[str]) -> None:
-    """Append the text of one JSON value to ``out``.
-
-    ``newline`` is a line break plus the current indent. Pieces are appended,
-    not concatenated, so a large report is copied once, by the final join,
-    instead of once per nesting level.
-    """
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        items = _join_numbers(obj, sep)
-        if items is not None:
-            out.append("[" + inner + items + newline + "]")
-            return
-        out.append("[" + inner)
-        for k, item in enumerate(obj):
-            if k:
-                out.append(sep)
-            _encode(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + inner)
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        for k, key in enumerate(sorted(obj)):
-            out.append((sep if k else "") + encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], inner, out)
-        out.append(newline + "}")
-    else:
-        out.append(_encode_scalar(obj))
-
-
-def _encode_scalar(obj) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _encode_float(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _encode_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _join_numbers(items, sep: str) -> str | None:
-    """All-int or all-float items, joined by ``sep``; None for any other list.
-
-    The first item picks the join. ``int.__repr__`` and ``float.__repr__``
-    raise on every other type except bool, an int subclass that JSON spells
-    ``true``/``false``. A non-finite float shows as ``nan``/``inf``, which
-    JSON spells ``NaN``/``Infinity``.
-    """
-    try:
-        if isinstance(items[0], int):
-            return None if bool in set(map(type, items)) else sep.join(map(int.__repr__, items))
-        if isinstance(items[0], float):
-            text = sep.join(map(float.__repr__, items))
-            return None if "n" in text else text
-    except TypeError:
-        pass
-    return None
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 def write_instance(path, rec: InstanceFile) -> None:

@@ -1,12 +1,16 @@
 """Solve reports: canonical JSON serialization and CSV exports for plotting.
 
-A report file (schema version 2) stores only what cannot be recomputed: the
+A report file (schema version 2) is one line of canonical JSON
+(``instances.dump_json``, the format of instance files too), read back with
+the same JSON type checks. It stores only what cannot be recomputed: the
 route, plan and schedule, the verdict, and the control inputs as their
 nonzeros, ``{"shape": [N, T], "plant": [...], "t": [...], "u": [...]}`` with
 1-based plants, 0-based steps and the entries in row-major order. State
 trajectories follow from the control and the instance by simulation, so
 ``verify`` and ``plots`` replay them instead of reading them. Version 1
 reports, which held a dense control and the state norms, are refused.
+``verify`` and ``plots`` pass the instance's (N, T), so a control of another
+shape is refused before its matrix is allocated.
 
 Wall-clock timings and the state norms live only on the in-memory object;
 the serialized report is fully deterministic so that identical runs produce
@@ -23,7 +27,7 @@ import numpy as np
 
 from .core import ControlLogic, NcsInstance
 from .errors import SchemaError
-from .instances import dump_json
+from .instances import _ints, _numbers, dump_json
 from .sim import verify_logic
 
 SCHEMA_VERSION = 2
@@ -72,25 +76,25 @@ def report_to_dict(rep: SolveReport) -> dict:
     }
 
 
-def _ints(values, what: str) -> list[int]:
-    """``values`` if it is a JSON list of integers (booleans excluded)."""
-    if not isinstance(values, list) or not all(type(v) is int for v in values):
-        raise SchemaError(f"{what} must be a list of integers")
+def _strings(values, what: str) -> list[str]:
+    """``values`` if it is a JSON list of strings."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise SchemaError(f"{what} must be a list of strings")
     return values
 
 
-def _numbers(values, what: str) -> list:
-    """``values`` if it is a JSON list of numbers (booleans excluded)."""
-    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-        raise SchemaError(f"{what} must be a list of numbers")
-    return values
+def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
+    """The N x T float matrix of a control's nonzero triplets, checked in full.
 
-
-def _dense_control(data: dict) -> np.ndarray:
-    """The N x T float matrix of a control's nonzero triplets, checked in full."""
+    A control whose shape is not ``expected`` (when given) is refused before
+    the matrix is allocated.
+    """
     shape = _ints(data["shape"], "control shape")
     if len(shape) != 2 or min(shape) < 0:
         raise SchemaError(f"control shape must be [N, T], got {shape}")
+    if expected is not None and shape != list(expected):
+        raise SchemaError(f"control shape {shape} does not match the instance's "
+                          f"[N, T] = {list(expected)}")
     n, horizon = shape
     plant = np.array(_ints(data["plant"], "control plants"), dtype=np.int64) - 1
     t = np.array(_ints(data["t"], "control steps"), dtype=np.int64)
@@ -109,13 +113,16 @@ def _dense_control(data: dict) -> np.ndarray:
     return dense
 
 
-def report_from_dict(data: dict) -> SolveReport:
+def report_from_dict(data: dict, shape: tuple[int, int] | None = None) -> SolveReport:
+    """The report a dict holds; ``shape`` is the instance's (N, T), if known."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema_version {data['schema_version']}")
-        control = None if data["control"] is None else _dense_control(data["control"])
+        control = None if data["control"] is None else _dense_control(data["control"], shape)
         if type(data["verified"]) is not bool:
             raise SchemaError(f"verified must be true or false, got {data['verified']!r}")
+        if data["method"] is not None and not isinstance(data["method"], str):
+            raise SchemaError(f"method must be a string or null, got {data['method']!r}")
         return SolveReport(
             method=data["method"],
             plan=data["plan"],
@@ -126,8 +133,8 @@ def report_from_dict(data: dict) -> SolveReport:
             occupancy_histogram=[
                 _ints(row, "occupancy histogram rows") for row in data["occupancy_histogram"]
             ],
-            warnings=list(data.get("warnings", [])),
-            diagnostics=list(data.get("diagnostics", [])),
+            warnings=_strings(data.get("warnings", []), "warnings"),
+            diagnostics=_strings(data.get("diagnostics", []), "diagnostics"),
         )
     except SchemaError:
         raise
@@ -139,12 +146,14 @@ def write_report(path, rep: SolveReport) -> None:
     Path(path).write_text(dump_json(report_to_dict(rep)))
 
 
-def read_report(path) -> SolveReport:
+def read_report(path, shape: tuple[int, int] | None = None) -> SolveReport:
+    """The report in ``path``. Pass the instance's (N, T) as ``shape`` to have
+    a control of another shape refused before its matrix is built."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    return report_from_dict(data)
+    return report_from_dict(data, shape)
 
 
 def _write_csv(path: Path, header: str, *columns: list) -> Path:
@@ -169,7 +178,7 @@ def export_plots(inst: NcsInstance, report_path, out_dir) -> list[Path]:
     order. schedule.csv has one row per active slot member, so empty slots
     and always-silent plants simply contribute no rows.
     """
-    rep = read_report(report_path)
+    rep = read_report(report_path, (inst.n, inst.horizon))
     if rep.control is None:
         raise SchemaError("report has no control matrix to export")
     norms = verify_logic(inst, ControlLogic(rep.control)).norms

@@ -96,19 +96,6 @@ class RelaxationResult:
         }
 
 
-def measure_sparsity(u: np.ndarray, scale: float, zero_rtol: float = ZERO_RTOL) -> int:
-    """Number of entries exceeding the zero threshold at the given scale."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return len(support_set(u, scale, zero_rtol))
-
-
-def support_set(u: np.ndarray, scale: float, zero_rtol: float = ZERO_RTOL) -> tuple[int, ...]:
-    """Indices of entries exceeding the zero threshold at the given scale."""
-    u = np.asarray(u, dtype=float)
-    return tuple(np.nonzero(np.abs(u) > zero_rtol * scale)[0].tolist())
-
-
 def _row_space_system(
     gamma: np.ndarray, target: np.ndarray, residual_rtol: float
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import pytest
 from conftest import scalar_instance
 from ncsched import SchemaError, generate_instance, read_report, solve_instance, write_report
 from ncsched.cli import main, parse_dims
+from ncsched.instances import instance_from_dict
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
 
 
@@ -169,6 +170,40 @@ class TestCliFlow:
         assert main(["solve", str(inst_path)]) == 3
         assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
 
+    # each case puts a non-number where the generated 1,2 instance has numbers,
+    # or a wrong type in its seed or provenance
+    @pytest.mark.parametrize("path, value", [
+        (("plants", 0, "A"), ["-1.42"]),
+        (("plants", 0, "b"), [True]),
+        (("plants", 1, "A"), [[1.0, 2.0], [3.0, 4.0]]),
+        (("xi", 0), ["0.5"]),
+        (("xi",), [[0.5], [[0.5, 1.0]]]),
+        (("seed",), "1"),
+        (("seed",), 1.0),
+        (("seed",), True),
+        (("provenance",), 5),
+        (("provenance",), None),
+    ], ids=[
+        "A-string", "b-bool", "A-nested", "xi-string", "xi-nested", "seed-string",
+        "seed-float", "seed-bool", "provenance-int", "provenance-null",
+    ])
+    def test_non_json_types_in_instance_exit_3(self, tmp_path, capsys, path, value):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--dims", "1,2", "--capacity", "1", "--horizon", "8",
+              "--seed", "1", "--out", str(inst_path)])
+        data = json.loads(inst_path.read_text())
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(SchemaError):
+            instance_from_dict(data)
+        inst_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["solve", str(inst_path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     # each case breaks one rule of the nonzero triplets of a 2 x 3 control
     # whose plants are [1, 2], steps [0, 1] and inputs [0.5, -1.25]
     @pytest.mark.parametrize("fields", [
@@ -184,9 +219,13 @@ class TestCliFlow:
         {"shape": [2]},
         {"shape": [2.0, 3]},
         {"shape": [2, -3]},
+        {"shape": [2, 4]},
+        # allocating this dense matrix would fail
+        {"shape": [10**9, 10**9], "plant": [], "t": [], "u": []},
     ], ids=[
         "unequal-lengths", "plant-0", "plant-N+1", "t-T", "duplicate", "out-of-order",
         "bool-plant", "bool-t", "zero-u", "shape-length", "shape-float", "shape-negative",
+        "shape-not-instance", "shape-huge",
     ])
     def test_malformed_control_exits_3_before_writing(self, tmp_path, capsys, fields):
         inst_path = tmp_path / "inst.json"
@@ -264,6 +303,7 @@ class TestReportRoundTrip:
         ("schedule", [["1"], [2], []]), ("schedule", [[True], [2], []]),
         ("schedule", [[1.0], [2], []]), ("occupancy_histogram", [[0, 1], [1, "2"]]),
         ("residuals", ["0.0", 1e-12]), ("residuals", [False, 1e-12]),
+        ("warnings", "abc"), ("warnings", [1]), ("diagnostics", [None]), ("method", 5),
     ])
     def test_rejects_non_json_types(self, field, value):
         data = report_to_dict(sample_report())
@@ -297,7 +337,7 @@ class TestReportRoundTrip:
             # plain JSON types, and the bytes the writer writes
             data = report_to_dict(r)
             assert type(data["control"]["u"][0]) is float
-            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            text = json.dumps(data, sort_keys=True) + "\n"
             assert text.encode() == path_a.read_bytes()
 
         # the replayed trajectories are the solve's own state norms

@@ -14,9 +14,11 @@ from ncsched import (
     is_reachable,
     open_loop_hit_time,
     read_instance,
+    read_report,
     solve_instance,
     spectral_radius,
     write_instance,
+    write_report,
 )
 from ncsched.instances import (
     REJECTION_BUDGET,
@@ -251,44 +253,51 @@ class TestInstanceFiles:
             assert open_loop_hit_time(p, x, rec.instance.horizon) is None
 
 
-def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def rewrite(tmp_path, write, read, rec) -> str:
+    """Write ``rec``, read it back and write it again; the two files' text."""
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    write(path_a, rec)
+    write(path_b, read(path_a))
+    text = path_a.read_text()
+    assert path_b.read_text() == text
+    assert text.index("\n") == len(text) - 1  # one line
+    return text
 
 
 class TestDumpJson:
-    """``dump_json`` writes exactly the bytes of indented, key-sorted ``json.dumps``."""
+    """``dump_json`` writes one line of key-sorted JSON, and every file the
+    routes and the generator write reads back and rewrites byte for byte."""
 
     @pytest.mark.parametrize("method", ["lane", "block"])
-    def test_plan_reports(self, demo_instance, method):
-        data = report_to_dict(solve_instance(demo_instance, method=method))
-        assert dump_json(data) == json_dumps(data)
+    def test_plan_reports(self, tmp_path, demo_instance, method):
+        rewrite(tmp_path, write_report, read_report, solve_instance(demo_instance, method=method))
 
-    def test_relaxation_report(self):
+    def test_relaxation_report(self, tmp_path):
         # rip rows mix ints, a float and a bool: [plant, order, delta, certified]
         rep = solve_instance(one_burst_instance(), method="relax")
-        data = report_to_dict(rep)
-        assert any(isinstance(row[3], bool) for row in data["plan"]["rip"])
-        assert dump_json(data) == json_dumps(data)
+        assert any(isinstance(row[3], bool) for row in report_to_dict(rep)["plan"]["rip"])
+        text = rewrite(tmp_path, write_report, read_report, rep)
+        assert json.loads(text)["plan"] == report_to_dict(rep)["plan"]
 
-    def test_bruteforce_report(self):
+    def test_bruteforce_report(self, tmp_path):
         rep = solve_instance(scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=3))
         assert rep.method == "bruteforce"
-        data = report_to_dict(rep)
-        assert dump_json(data) == json_dumps(data)
+        rewrite(tmp_path, write_report, read_report, rep)
 
-    def test_no_solution_report(self):
-        data = report_to_dict(SolveReport(
+    def test_no_solution_report(self, tmp_path):
+        rep = SolveReport(
             method=None, plan=None, schedule=[], control=None, verified=False,
             residuals=[], occupancy_histogram=[], state_norms=None,
             diagnostics=["lane-plan: no lane packing found"],
-        ))
-        assert dump_json(data) == json_dumps(data)
+        )
+        rewrite(tmp_path, write_report, read_report, rep)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_instance_files(self, family):
+    def test_instance_files(self, tmp_path, family):
         dims, capacity, horizon = FAMILIES[family]
-        data = instance_to_dict(generate_instance(len(dims), capacity, horizon, list(dims)))
-        assert dump_json(data) == json_dumps(data)
+        rec = generate_instance(len(dims), capacity, horizon, list(dims))
+        text = rewrite(tmp_path, write_instance, read_instance, rec)
+        assert json.loads(text) == instance_to_dict(rec)
 
     @pytest.mark.parametrize("value", [
         [math.nan, 1.0],
@@ -315,8 +324,10 @@ class TestDumpJson:
     ])
     def test_edge_cases(self, value):
         data = {"value": value, "nested": [value, {"inner": value}]}
-        assert dump_json(data) == json_dumps(data)
-        assert dump_json(value) == json_dumps(value)
+        for obj in (data, value):
+            text = dump_json(obj)
+            assert text.index("\n") == len(text) - 1
+            assert dump_json(json.loads(text)) == text
 
     @pytest.mark.parametrize("value", [
         np.array([1, 2]), np.array([[True, False]]), np.array([1.5, None], dtype=object),
@@ -328,16 +339,9 @@ class TestDumpJson:
         with pytest.raises(TypeError):
             dump_json([value])
 
-    @pytest.mark.parametrize("value", [{1: "a"}, {"a": 1, 2: "b"}, {None: 0}, {2.5: 0}])
-    def test_non_str_key_raises(self, value):
-        with pytest.raises(TypeError):
-            dump_json({"outer": value})
-
     @pytest.mark.parametrize("value", [
         np.int64(3), [np.int64(3)], np.bool_(True), {1, 2}, object(), np.zeros((2, 2)),
     ])
     def test_unserializable_raises(self, value):
-        with pytest.raises(TypeError):
-            json_dumps(value)
         with pytest.raises(TypeError):
             dump_json({"value": value})

@@ -24,14 +24,13 @@ from ncsched import (
     l1_min_inputs,
     lifted_matrix,
     mat_pow,
-    measure_sparsity,
     min_l1,
     rip_delta,
     solve_instance,
     solve_via_relaxation,
-    support_set,
     verify_logic,
 )
+from ncsched.core import nonzero_entries
 from ncsched.sparse import _mask_table
 
 from conftest import one_burst_instance, scalar_instance
@@ -165,21 +164,6 @@ def reference_bruteforce(inst, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL)
     return search(0)
 
 
-class TestMeasureSparsity:
-    def test_counts_nonzeros(self):
-        assert measure_sparsity(np.array([0.0, 3.0, 0.0, -1.0]), 1.0) == 2
-
-    def test_all_zero(self):
-        assert measure_sparsity(np.zeros(5), 1.0) == 0
-
-    def test_thresholding(self):
-        assert measure_sparsity(np.array([1e-12, 5.0]), 1.0) == 1
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            measure_sparsity(np.zeros(2), 0.0)
-
-
 class TestMinL1:
     def test_picks_cheap_column(self):
         u = min_l1(np.array([[2.0, 1.0]]), np.array([2.0]))
@@ -239,9 +223,8 @@ class TestMinL1Stack:
             for gamma, target, row in zip(gammas, targets, rows):
                 alone = reference_min_l1(gamma, target)
                 scale = float(np.abs(alone).max())
-                assert support_set(row, max(1.0, float(np.abs(row).max()))) == support_set(
-                    alone, max(1.0, scale)
-                )
+                masks = nonzero_entries(np.array([row, alone]))
+                assert masks[0].tolist() == masks[1].tolist()
                 np.testing.assert_allclose(row, alone, rtol=0, atol=1e-9 * scale)
 
     def test_inconsistent_system_stalls_before_the_lp(self, monkeypatch):
