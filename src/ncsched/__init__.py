@@ -21,7 +21,7 @@ from .core import (
     mat_pow,
     open_loop_hit_time,
 )
-from .deadbeat import deadbeat_inputs, windowed_inputs
+from .deadbeat import windowed_inputs
 from .errors import (
     CapacityViolationError,
     HorizonTooShortError,
@@ -95,7 +95,6 @@ __all__ = [
     "TooLargeError",
     "WindowOverflowError",
     "build_from_plan",
-    "deadbeat_inputs",
     "exhaustive_block_plan",
     "exhaustive_lane_plan",
     "export_plots",

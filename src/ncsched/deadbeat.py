@@ -92,49 +92,26 @@ def raise_in_order(problems: dict[int, tuple[str | None, Exception | None]]) -> 
             raise error
 
 
-def deadbeat_inputs(p: PlantDynamics, xi: np.ndarray, width: int) -> np.ndarray:
-    """Length-``width`` input sequence driving ``xi`` to the zero state.
+def windowed_inputs(
+    p: PlantDynamics, xi: np.ndarray, offset: int, width: int, horizon: int
+) -> np.ndarray:
+    """Full-horizon input row with one deadbeat window at a given offset.
 
-    Parameters
-    ----------
-    p : PlantDynamics
-        Must be reachable.
-    xi : array
-        State to annihilate, length ``p.d``.
-    width : int
-        Window length, strictly greater than ``p.d``.
-
-    Returns
-    -------
-    ndarray
-        ``width - d`` zeros followed by ``-inv(Psi) @ A^width @ xi``, computed
-        with a factorization-based solve (never an explicit inverse). A
-        condition number above ``COND_WARN_LIMIT`` raises an
-        ``IllConditionedWarning`` but still returns the window; the simulator's
-        verification is authoritative.
+    The plant coasts with zero input on [0, offset); the window is ``width - d``
+    zeros, then the burst ``-inv(Psi) @ A^width @ A^offset @ xi`` (a solve, not an
+    inverse), so the state is zero from ``offset + width`` through the horizon.
+    The plant must be reachable and ``width > d``; an ill-conditioned Psi warns
+    (``IllConditionedWarning``) but still returns the row.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("state has wrong length")
-    return windowed_inputs(p, xi, 0, width, width)
-
-
-def windowed_inputs(
-    p: PlantDynamics, xi: np.ndarray, offset: int, width: int, horizon: int
-) -> np.ndarray:
-    """Full-horizon input row with one steering window at a given offset.
-
-    The plant coasts with zero input on [0, offset), so the window is built
-    for the propagated state ``A^offset xi``; the state is zero from
-    ``offset + width`` through the horizon.
-    """
     if offset < 0:
         raise ValueError("offset must be nonnegative")
     if offset + width > horizon:
         raise WindowOverflowError(
             f"window [{offset}, {offset + width}) exceeds horizon {horizon}"
         )
-    xi = np.asarray(xi, dtype=float).reshape(-1)
     tails, problems = deadbeat_bursts(stack_plants([0], [p], [xi]), [offset], [width])
     raise_in_order(problems)
     row = np.zeros(horizon)

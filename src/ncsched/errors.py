@@ -39,7 +39,7 @@ class TooLargeError(NcsError):
 
 
 class SolverStallError(NcsError):
-    """The LP backend failed or returned a solution outside tolerance."""
+    """The LP backend failed, or an equality system's target leaves its matrix range."""
 
 
 class NonFiniteError(NcsError):

@@ -97,7 +97,9 @@ def solve_instance(
     diagnostics.append(verdict)
     if not necessary_ok:
         raise NoSolutionFoundError(
-            f"infeasible: {len(closed)} plants need the channel at least once, "
+            f"infeasible: {len(closed)} plants need the channel at least once "
+            f"(without input none reaches zero open-loop at zero_rtol={zero_rtol:g} "
+            f"or ends within terminal_rtol={terminal_rtol:g} of zero), "
             f"but {inst.horizon} slots of capacity {inst.capacity} cannot serve them",
             code="necessary_condition",
             reasons=tuple(diagnostics),
@@ -160,7 +162,7 @@ def solve_instance(
                 f"({'; '.join(outcome.violations)})"
             )
             continue
-        schedule = extract_schedule(zeroed, capacity=inst.capacity, zero_rtol=zero_rtol)
+        schedule = extract_schedule(zeroed, zero_rtol=zero_rtol)
         plan_dict = None if plan is None else {
             **plan.to_report_dict(), "open_loop": open_loop_report
         }

@@ -108,7 +108,10 @@ def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
         raise SchemaError("control entries must be distinct and in row-major order")
     if np.any(u == 0):
         raise SchemaError("control lists a zero input")
-    dense = np.zeros((n, horizon))
+    try:
+        dense = np.zeros((n, horizon))
+    except MemoryError as exc:
+        raise SchemaError(f"control shape {shape} cannot be allocated") from exc
     dense[plant, t] = u
     return dense
 
@@ -123,6 +126,8 @@ def report_from_dict(data: dict, shape: tuple[int, int] | None = None) -> SolveR
             raise SchemaError(f"verified must be true or false, got {data['verified']!r}")
         if data["method"] is not None and not isinstance(data["method"], str):
             raise SchemaError(f"method must be a string or null, got {data['method']!r}")
+        if data["plan"] is not None and not isinstance(data["plan"], dict):
+            raise SchemaError(f"plan must be an object or null, got {data['plan']!r}")
         return SolveReport(
             method=data["method"],
             plan=data["plan"],

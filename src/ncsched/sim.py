@@ -132,12 +132,10 @@ def rollout(
 def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
     """The verifier's test of thresholded input rows ``u`` for stacked plants of one
     dimension: rolled out (``rollout_stack``), they give the states, their norms, each
-    terminal norm over its trajectory's sup-norm floored at 1, and the overflow steps."""
+    terminal norm over its trajectory's sup-norm floored at 1, and the overflow steps.
+    The residuals divide the rollout's own norms, the ones its clamp compared."""
     states, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol)
-    # residuals are defined with norm(axis=-1), whose last bits can differ
-    # from the clamp's vecdot norms
-    state_norm = np.linalg.norm(states, axis=-1)
-    return states, norms, state_norm[:, -1] / np.maximum(1.0, state_norm.max(axis=1)), overflow
+    return states, norms, norms[:, -1] / np.maximum(1.0, norms.max(axis=1)), overflow
 
 
 def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.ndarray:

@@ -304,12 +304,23 @@ class TestReportRoundTrip:
         ("schedule", [[1.0], [2], []]), ("occupancy_histogram", [[0, 1], [1, "2"]]),
         ("residuals", ["0.0", 1e-12]), ("residuals", [False, 1e-12]),
         ("warnings", "abc"), ("warnings", [1]), ("diagnostics", [None]), ("method", 5),
+        ("plan", 5), ("plan", "abc"),
     ])
     def test_rejects_non_json_types(self, field, value):
         data = report_to_dict(sample_report())
         data[field] = value
         with pytest.raises(SchemaError):
             report_from_dict(data)
+
+    def test_unallocatable_control_is_a_schema_error(self, tmp_path):
+        # no instance shape is passed, so the dense matrix is attempted; this
+        # one fails to allocate at once
+        data = report_to_dict(sample_report())
+        data["control"] = {"shape": [10**9, 10**9], "plant": [], "t": [], "u": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="cannot be allocated"):
+            read_report(path)
 
     def test_write_read_write_byte_identical(self, tmp_path):
         rep = sample_report()

@@ -7,7 +7,6 @@ from ncsched import (
     NotReachableError,
     PlantDynamics,
     WindowOverflowError,
-    deadbeat_inputs,
     mat_pow,
     rollout,
     windowed_inputs,
@@ -25,32 +24,32 @@ def terminal_relative_residual(p, xi, u):
 class TestDeadbeatInputs:
     def test_scalar_window(self):
         p = PlantDynamics([[2.0]], [1.0])
-        np.testing.assert_allclose(deadbeat_inputs(p, [1.0], 2), [0.0, -4.0])
+        np.testing.assert_allclose(windowed_inputs(p, [1.0], 0, 2, 2), [0.0, -4.0])
 
     def test_jordan_window(self):
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
-        u = deadbeat_inputs(p, [1.0, 0.0], 3)
+        u = windowed_inputs(p, [1.0, 0.0], 0, 3, 3)
         np.testing.assert_allclose(u, [0.0, -1.0, 1.0])
         assert terminal_relative_residual(p, [1.0, 0.0], u) <= 1e-6
 
     def test_zero_state_gives_zero_window(self):
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
-        np.testing.assert_array_equal(deadbeat_inputs(p, [0.0, 0.0], 3), np.zeros(3))
+        np.testing.assert_array_equal(windowed_inputs(p, [0.0, 0.0], 0, 3, 3), np.zeros(3))
 
     def test_rejects_window_not_longer_than_dimension(self):
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
         with pytest.raises(ValueError):
-            deadbeat_inputs(p, [1.0, 0.0], 2)
+            windowed_inputs(p, [1.0, 0.0], 0, 2, 2)
 
     def test_not_reachable_raises(self):
         p = PlantDynamics([[1, 0], [0, 1]], [1, 0])
         with pytest.raises(NotReachableError):
-            deadbeat_inputs(p, [1.0, 1.0], 3)
+            windowed_inputs(p, [1.0, 1.0], 0, 3, 3)
 
     def test_ill_conditioned_warns_but_returns(self):
         p = PlantDynamics([[1.0, 0.0], [0.0, 2.0]], [1.0, 1e-13])
         with pytest.warns(IllConditionedWarning):
-            u = deadbeat_inputs(p, [1.0, 1.0], 3)
+            u = windowed_inputs(p, [1.0, 1.0], 0, 3, 3)
         assert u.shape == (3,)
 
     def test_zero_prefix_structure(self):
@@ -59,7 +58,7 @@ class TestDeadbeatInputs:
             d = int(rng.integers(1, 5))
             p = random_reachable_plant(rng, d)
             width = d + int(rng.integers(1, 4))
-            u = deadbeat_inputs(p, rng.uniform(-1, 1, d), width)
+            u = windowed_inputs(p, rng.uniform(-1, 1, d), 0, width, width)
             np.testing.assert_array_equal(u[: width - d], np.zeros(width - d))
 
 
@@ -74,7 +73,7 @@ class TestWindowedInputs:
         p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
         xi = [0.3, -0.7]
         row = windowed_inputs(p, xi, 0, 3, 6)
-        np.testing.assert_allclose(row[:3], deadbeat_inputs(p, xi, 3))
+        np.testing.assert_allclose(row[:3], windowed_inputs(p, xi, 0, 3, 3))
         np.testing.assert_array_equal(row[3:], np.zeros(3))
 
     def test_jordan_offset_window(self):
@@ -82,6 +81,11 @@ class TestWindowedInputs:
         np.testing.assert_allclose(
             windowed_inputs(p, [1.0, 0.0], 2, 3, 5), [0.0, 0.0, 0.0, -1.0, 1.0]
         )
+
+    def test_rejects_state_of_wrong_length(self):
+        p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
+        with pytest.raises(ValueError, match="state has wrong length"):
+            windowed_inputs(p, [1.0], 0, 3, 5)
 
     def test_overflow_raises(self):
         p = PlantDynamics([[2.0]], [1.0])
@@ -105,7 +109,7 @@ class TestWindowedInputs:
             horizon = offset + width + int(rng.integers(0, 4))
             row = windowed_inputs(p, xi, offset, width, horizon)
             shifted = mat_pow(p.A, offset) @ xi
-            window = deadbeat_inputs(p, shifted, width)
+            window = windowed_inputs(p, shifted, 0, width, width)
             np.testing.assert_array_equal(row[:offset], np.zeros(offset))
             np.testing.assert_allclose(row[offset : offset + width], window)
             np.testing.assert_array_equal(

@@ -146,13 +146,12 @@ def reference_rollout(p, xi, u, zero_rtol=ZERO_RTOL):
 def reference_simulate(inst, logic, zero_rtol=ZERO_RTOL):
     """(trajectories, residuals, state norm series) from one plant at a time."""
     zeroed = logic.thresholded(zero_rtol)
-    trajectories, residuals = [], []
-    for i, (p, x0) in enumerate(zip(inst.plants, inst.xi)):
-        traj = reference_rollout(p, x0, zeroed.u[i], zero_rtol)
-        norms = np.linalg.norm(traj, axis=1)
-        residuals.append(norms[-1] / max(1.0, float(norms.max())))
-        trajectories.append(traj)
+    trajectories = [
+        reference_rollout(p, x0, zeroed.u[i], zero_rtol)
+        for i, (p, x0) in enumerate(zip(inst.plants, inst.xi))
+    ]
     state_norms = [[float(np.linalg.norm(x)) for x in traj] for traj in trajectories]
+    residuals = [norms[-1] / max(1.0, max(norms)) for norms in state_norms]
     return trajectories, residuals, state_norms
 
 
