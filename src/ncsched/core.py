@@ -44,8 +44,9 @@ def check_tolerances(zero_rtol: float, terminal_rtol: float) -> None:
 def nonzero_entries(u: np.ndarray, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
     """Boolean mask of the entries of the rows of ``u`` (n x T) that count as
     nonzero: above ``zero_rtol`` times the row's sup-norm, floored at 1."""
-    scales = np.maximum(1.0, np.abs(u).max(axis=1, initial=0.0))
-    return np.abs(u) > zero_rtol * scales[:, None]
+    magnitude = np.abs(u)
+    scales = np.maximum(1.0, magnitude.max(axis=1, initial=0.0))
+    return magnitude > zero_rtol * scales[:, None]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -212,7 +213,14 @@ class NcsInstance:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(p.d for p in self.plants)
+        return tuple(self._dim_array().tolist())
+
+    def _dim_array(self) -> np.ndarray:
+        """Each plant's state dimension, read off its group's stacks."""
+        out = np.empty(self.n, dtype=int)
+        for g in self.groups:
+            out[g.idx] = g.A.shape[-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -220,8 +228,11 @@ class ControlLogic:
     """Stacked input matrix: row i, column t holds plant i's input at time t."""
 
     u: np.ndarray
-    # nonzero_mask's results, by tolerance
+    # nonzero_mask's and thresholded's results, by tolerance
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the tolerance this logic came out of ``thresholded`` at, if any
+    _zeroed_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.u, dtype=float)
@@ -230,6 +241,16 @@ class ControlLogic:
         if not np.isfinite(u).all():
             raise ValueError("control logic entries must be finite")
         object.__setattr__(self, "u", _freeze(u))
+
+    @classmethod
+    def _own(cls, u: np.ndarray) -> "ControlLogic":
+        """A logic over ``u``, a finite N x T float array that nothing else
+        holds: frozen as it is, with no copy and no check."""
+        logic = object.__new__(cls)
+        fields = {"u": _freeze(u), "_masks": {}, "_copies": {}, "_zeroed_at": None}
+        for name, value in fields.items():
+            object.__setattr__(logic, name, value)
+        return logic
 
     @property
     def horizon(self) -> int:
@@ -246,12 +267,23 @@ class ControlLogic:
         return mask
 
     def thresholded(self, zero_rtol: float = ZERO_RTOL) -> "ControlLogic":
-        """Copy with sub-threshold entries set to exactly zero."""
-        mask = self.nonzero_mask(zero_rtol)
-        out = ControlLogic(np.where(mask, self.u, 0.0))
-        # the zeroing keeps each row's largest entry, or clears a row whose
-        # scale is 1, so the copy has the same row scales and mask
-        out._masks[zero_rtol] = mask
+        """Copy with sub-threshold entries set to exactly zero.
+
+        Made once per tolerance: ``u`` is read-only. A logic that is itself
+        such a copy, at the same tolerance, is returned as it is.
+        """
+        if self._zeroed_at == zero_rtol:
+            return self
+        out = self._copies.get(zero_rtol)
+        if out is None:
+            mask = self.nonzero_mask(zero_rtol)
+            out = ControlLogic._own(np.where(mask, self.u, 0.0))
+            # the zeroing keeps each row's largest entry, or clears a row whose
+            # scale is 1, so the copy has the same row scales and mask, and
+            # zeroing it again would change nothing
+            out._masks[zero_rtol] = mask
+            object.__setattr__(out, "_zeroed_at", zero_rtol)
+            self._copies[zero_rtol] = out
         return out
 
     def occupancy(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
@@ -277,7 +309,7 @@ class SchedulingLogic:
 
     def as_report_lists(self) -> list[list[int]]:
         """Slots as sorted 1-based plant lists, for files and messages."""
-        return [sorted(i + 1 for i in s) for s in self.slots]
+        return [[i + 1 for i in sorted(s)] for s in self.slots]
 
 
 def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
@@ -285,7 +317,7 @@ def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
     if subset is None:
         return list(inst.groups)
     chosen = np.zeros(inst.n, dtype=bool)
-    chosen[list(subset)] = True
+    chosen[subset if isinstance(subset, np.ndarray) else list(subset)] = True
     out = []
     for g in inst.groups:
         keep = chosen[g.idx]
@@ -306,21 +338,27 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
     """``A[k]`` raised to ``exponents[k]`` for a stack of square matrices.
 
-    Iterated multiplication from the identity, one stacked product per step.
-    A power that overflows comes back non-finite, without a warning; the
-    caller decides what that means.
+    Iterated multiplication from the identity, one stacked product per step
+    over only the matrices whose exponent is not reached yet. A power that
+    overflows comes back non-finite, without a warning; the caller decides
+    what that means.
     """
     e = np.asarray(exponents)
     if (e < 0).any() or (e != np.floor(e)).any():
         raise ValueError("exponent must be a nonnegative integer")
+    order = np.argsort(e, kind="stable")
+    # the matrices in exponent order; ends[k] of them have an exponent of at most k
+    A_sorted = A[order]
+    ends = np.searchsorted(e[order], np.arange(int(e.max(initial=0)) + 1), "right")
     out = np.empty(A.shape)
-    power = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
+    power = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(int(e.max(initial=0)) + 1):
+        for k, end in enumerate(ends):
             if k:
-                power = power @ A
-            at_k = e == k
-            out[at_k] = power[at_k]
+                power = power @ A_sorted[done:]
+            out[order[done:end]] = power[: end - done]
+            power, done = power[end - done :], end
     return out
 
 

@@ -23,7 +23,7 @@ import warnings as warnings_mod
 
 import numpy as np
 
-from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic, NcsInstance, check_tolerances
+from .core import TERMINAL_RTOL, ZERO_RTOL, NcsInstance, SchedulingLogic, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
     EXHAUSTIVE_LIMIT,
@@ -47,8 +47,8 @@ _METHOD_ROUTES = {
 }
 
 
-def _occupancy_histogram(logic: ControlLogic, zero_rtol: float) -> list[list[int]]:
-    counts = np.bincount(logic.occupancy(zero_rtol))
+def _occupancy_histogram(schedule: SchedulingLogic) -> list[list[int]]:
+    counts = np.bincount([len(slot) for slot in schedule.slots])
     return [[occ, int(c)] for occ, c in enumerate(counts) if c]
 
 
@@ -80,8 +80,9 @@ def solve_instance(
     # before claiming a proof, let the verifier judge the zero rows: a plant
     # can end within terminal_rtol of zero without reaching the scan's zero
     resting = at_rest(inst, closed, zero_rtol, terminal_rtol) if inst.horizon < needed else set()
-    closed = [i for i in closed if i not in resting]
-    needed = math.ceil(len(closed) / inst.capacity)
+    if resting:
+        closed = [i for i in closed if i not in resting]
+        needed = math.ceil(len(closed) / inst.capacity)
     for aside, why in (
         (hits, "reach zero open-loop within the horizon"),
         (resting, "end within terminal_rtol of zero without input"),
@@ -147,9 +148,8 @@ def solve_instance(
                 warnings_mod.simplefilter("always")
                 logic, plan, extra = run_route(route)
             captured.extend(str(w.message) for w in caught)
-            zeroed = logic.thresholded(zero_rtol)
             outcome = verify_logic(
-                inst, zeroed, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol
+                inst, logic, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol
             )
         except NcsError as exc:
             timings[route] = time.perf_counter() - t0
@@ -162,6 +162,8 @@ def solve_instance(
                 f"({'; '.join(outcome.violations)})"
             )
             continue
+        # the thresholded rows verify_logic judged
+        zeroed = logic.thresholded(zero_rtol)
         schedule = extract_schedule(zeroed, zero_rtol=zero_rtol)
         plan_dict = None if plan is None else {
             **plan.to_report_dict(), "open_loop": open_loop_report
@@ -176,7 +178,7 @@ def solve_instance(
             control=zeroed.u,
             verified=True,
             residuals=outcome.terminal_residuals.tolist(),
-            occupancy_histogram=_occupancy_histogram(zeroed, zero_rtol),
+            occupancy_histogram=_occupancy_histogram(schedule),
             state_norms=outcome.norms,
             warnings=warn_list,
             diagnostics=diagnostics,

@@ -7,22 +7,23 @@ segment. A *lane plan* runs at most M parallel queues; each queue serves its
 plants back-to-back with per-plant window lengths, so at any instant at most
 one plant per lane is active.
 
-Either plan yields per-plant (offset, width) placements, and one checked
-synthesis (``_assemble``) turns them into input rows: each window ends in its
-plant's deadbeat burst, and no slot may hold more than M bursts.
+Either plan yields its windows as (plant, offset, width) arrays (and, from
+them, the ``placements()`` dict), and one checked synthesis (``_assemble``)
+turns them into input rows: each window ends in its plant's deadbeat burst,
+and no slot may hold more than M bursts.
 
 The block search is complete: chunking the plants by decreasing dimension
 gives the shortest block plan, so when it does not fit none does. The lane
-search is balanced decreasing packing (LPT), which can miss a packing;
-``exhaustive_lane_plan`` (at most 10 plants) is complete and backs it up.
+search is balanced decreasing packing (LPT), run one width at a time
+(``_cheapest_offers``), which can miss a packing; ``exhaustive_lane_plan``
+(at most 10 plants) is complete and backs it up.
 All searches are deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -39,10 +40,26 @@ from .errors import NotReachableError, TooLargeError, WindowOverflowError
 EXHAUSTIVE_LIMIT = 10
 
 
-def _place(out: dict[int, tuple[int, int]], i: int, off: int, width: int) -> None:
-    if i in out:
-        raise ValueError(f"plan places plant {i + 1} twice")
-    out[i] = (off, width)
+def _listed(groups) -> tuple[np.ndarray, list[int]]:
+    """The plants of a sequence of groups, concatenated, and each group's size."""
+    sizes = [len(group) for group in groups]
+    return np.fromiter(chain.from_iterable(groups), dtype=int, count=sum(sizes)), sizes
+
+
+def _first_repeat(plant: np.ndarray) -> int:
+    """Position of the first plant listed a second time (``len(plant)`` if none)."""
+    repeat = np.ones(plant.size, dtype=bool)
+    repeat[np.unique(plant, return_index=True)[1]] = False
+    return int(np.argmax(repeat)) if repeat.any() else plant.size
+
+
+def _check_placed_once(plant: np.ndarray, repeat: int) -> None:
+    if repeat < plant.size:
+        raise ValueError(f"plan places plant {plant[repeat] + 1} twice")
+
+
+def _placement_dict(plant, offset, width) -> dict[int, tuple[int, int]]:
+    return dict(zip(plant.tolist(), zip(offset.tolist(), width.tolist())))
 
 
 @dataclass(frozen=True)
@@ -57,13 +74,26 @@ class BlockPlan:
         """Segment starts: the running sum of the lengths before each segment."""
         return tuple(accumulate(self.block_lengths, initial=0))[:-1]
 
+    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(plant, offset, width) arrays in listing order: every member's window
+        spans its segment. Raises for the first plant listed twice among the
+        blocks that have a length, then for a block count that differs from
+        the length count."""
+        plant, sizes = _listed(self.blocks[: len(self.block_lengths)])
+        _check_placed_once(plant, _first_repeat(plant))
+        if len(self.blocks) != len(self.block_lengths):
+            raise ValueError(
+                f"{len(self.blocks)} blocks but {len(self.block_lengths)} block lengths"
+            )
+        offset, width = (
+            np.repeat(np.array(column, dtype=int), sizes)
+            for column in (self.offsets, self.block_lengths)
+        )
+        return plant, offset, width
+
     def placements(self) -> dict[int, tuple[int, int]]:
         """``{plant: (offset, width)}``: every member's window spans its segment."""
-        out: dict[int, tuple[int, int]] = {}
-        for blk, off, width in zip(self.blocks, self.offsets, self.block_lengths, strict=True):
-            for i in blk:
-                _place(out, i, off, width)
-        return out
+        return _placement_dict(*self._windows())
 
     def to_report_dict(self) -> dict:
         return {
@@ -84,15 +114,22 @@ class LanePlan:
     def lane_loads(self) -> tuple[int, ...]:
         return tuple(sum(self.widths[i] for i in lane) for lane in self.lanes)
 
+    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(plant, offset, width) arrays in listing order: each lane's windows run
+        back to back from 0. Raises for the first plant, in listing order, that
+        has no width or is listed twice."""
+        plant, sizes = _listed(self.lanes)
+        repeat = _first_repeat(plant)
+        width = np.array(list(map(self.widths.__getitem__, plant[:repeat].tolist())), dtype=int)
+        _check_placed_once(plant, repeat)
+        # a window starts where the ones before it end, less its lane's start
+        before = np.concatenate(([0], np.cumsum(width)))
+        lane_start = before[list(accumulate(sizes, initial=0))[:-1]]
+        return plant, before[:-1] - np.repeat(lane_start, sizes), width
+
     def placements(self) -> dict[int, tuple[int, int]]:
         """``{plant: (offset, width)}``: each lane's windows run back to back from 0."""
-        out: dict[int, tuple[int, int]] = {}
-        for lane in self.lanes:
-            off = 0
-            for i in lane:
-                _place(out, i, off, self.widths[i])
-                off += self.widths[i]
-        return out
+        return _placement_dict(*self._windows())
 
     def to_report_dict(self) -> dict:
         return {
@@ -124,36 +161,73 @@ def _require_reachable(inst: NcsInstance, subset) -> None:
 
 def _default_widths(inst: NcsInstance, subset) -> dict[int, int]:
     # shortest window the constructions allow: one step beyond the dimension
-    return {i: inst.plants[i].d + 1 for i in subset}
+    plant = np.fromiter(subset, dtype=int)
+    return dict(zip(plant.tolist(), (inst._dim_array()[plant] + 1).tolist()))
 
 
 def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
-    ordered = sorted(subset, key=lambda i: (-inst.plants[i].d, i))
-    blocks = [
-        tuple(sorted(ordered[k : k + inst.capacity]))
-        for k in range(0, len(ordered), inst.capacity)
-    ]
-    lengths = [1 + max(inst.plants[i].d for i in blk) for blk in blocks]
+    plant = np.fromiter(subset, dtype=int)
+    dims = inst._dim_array()[plant]
+    order = np.lexsort((plant, -dims))
+    ordered, step = plant[order].tolist(), inst.capacity
+    blocks = [tuple(sorted(ordered[k : k + step])) for k in range(0, len(ordered), step)]
+    # each chunk's first plant has its largest dimension
+    lengths = (1 + dims[order][::step]).tolist()
     if sum(lengths) > inst.horizon:
         return None
     return BlockPlan(blocks=tuple(blocks), block_lengths=tuple(lengths))
 
 
+def _cheapest_offers(loads: np.ndarray, width: int, k: int, limit: int) -> np.ndarray | None:
+    """The lanes of the k smallest offers ``(loads[j] + m * width, j)``, m >= 0, in
+    increasing order; None when fewer than k offers are at most ``limit``.
+
+    Placing k windows of one width one at a time, each on the least loaded lane
+    (ties to the lowest lane), takes exactly these offers: lane j's loads run
+    through its offers in order, so the choices merge the lanes' sequences.
+    """
+
+    def offers_up_to(level) -> np.ndarray:
+        return np.maximum(0, (level - loads) // width + 1)
+
+    if offers_up_to(limit).sum() < k:
+        return None
+    low, high = int(loads.min()), limit  # the k-th smallest offer lies in [low, high]
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if offers_up_to(mid).sum() >= k else (mid + 1, high)
+    count = offers_up_to(low)
+    lane = np.repeat(np.arange(loads.size), count)
+    rank = np.arange(lane.size) - np.repeat(np.cumsum(count) - count, count)
+    return lane[np.lexsort((lane, loads[lane] + rank * width))[:k]]
+
+
 def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
     widths = _default_widths(inst, subset)
-    members: list[list[int]] = [[] for _ in range(inst.capacity)]
-    # balanced decreasing packing: biggest windows first, each into the least
+    plant = np.fromiter(widths, dtype=int, count=len(widths))
+    width = np.fromiter(widths.values(), dtype=int, count=len(widths))
+    # balanced decreasing packing: biggest windows first, each onto the least
     # loaded lane, ties to the lowest lane index; if that lane cannot take the
-    # window, no lane can
-    loads = [(0, j) for j in range(inst.capacity)]  # a heap on (load, lane)
-    for i in sorted(widths, key=lambda i: (-widths[i], i)):
-        load, j = loads[0]
-        if load + widths[i] > inst.horizon:
+    # window, no lane can. A run of equal widths is placed at once.
+    order = np.lexsort((plant, -width))
+    # where each run of equal widths starts (widths are positive)
+    starts = np.flatnonzero(np.diff(width[order], prepend=0)).tolist()
+    lane = np.empty(plant.size, dtype=int)
+    loads = np.zeros(inst.capacity, dtype=int)
+    for start, end in zip(starts, [*starts[1:], plant.size]):
+        run = order[start:end]
+        w = int(width[run[0]])
+        taken = _cheapest_offers(loads, w, run.size, inst.horizon - w)
+        if taken is None:
             return None
-        heapq.heapreplace(loads, (load + widths[i], j))
-        members[j].append(i)
-    lanes = sorted((sorted(m) for m in members if m), key=lambda lane: lane[0])
-    return LanePlan(lanes=tuple(tuple(lane) for lane in lanes), widths=widths)
+        lane[run] = taken
+        loads += w * np.bincount(taken, minlength=inst.capacity)
+    # each lane's members in index order, the lanes by their first member
+    members = plant[np.lexsort((plant, lane))].tolist()
+    sizes = np.bincount(lane, minlength=inst.capacity)
+    sizes = sizes[sizes > 0].tolist()
+    lanes = [tuple(members[a:b]) for a, b in zip(accumulate(sizes, initial=0), accumulate(sizes))]
+    return LanePlan(lanes=tuple(sorted(lanes)), widths=widths)
 
 
 def find_block_plan(inst: NcsInstance) -> BlockPlan | None:
@@ -247,34 +321,39 @@ def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLo
     stack; warnings and errors come out in plant order, as if the plants were
     done one at a time.
     """
-    placements = plan.placements()
-    if placements.keys() != set(cover):
+    plant, offset, width = plan._windows()
+    if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
         raise ValueError("plan does not place exactly the expected plants")
-    starts = [0] * (inst.horizon + 1)  # +1 at a burst's first slot, -1 past its last
-    for i, (off, width) in sorted(placements.items()):
-        d = inst.plants[i].d
-        if width <= d:
-            raise ValueError(f"window length {width} too short for plant {i + 1}")
-        if off < 0 or off + width > inst.horizon:
-            raise WindowOverflowError(
-                f"window [{off}, {off + width}) exceeds horizon {inst.horizon}"
-            )
-        starts[off + width - d] += 1
-        starts[off + width] -= 1
-    for t, bursts in enumerate(accumulate(starts)):
-        if bursts > inst.capacity:
-            raise ValueError(f"slot {t} holds {bursts} bursts, capacity is {inst.capacity}")
+    dims = inst._dim_array()[plant]
+    bad = np.flatnonzero((width <= dims) | (offset < 0) | (offset + width > inst.horizon))
+    if bad.size:
+        k = bad[np.argmin(plant[bad])]
+        if width[k] <= dims[k]:
+            raise ValueError(f"window length {width[k]} too short for plant {plant[k] + 1}")
+        raise WindowOverflowError(
+            f"window [{offset[k]}, {offset[k] + width[k]}) exceeds horizon {inst.horizon}"
+        )
+    # +1 at a burst's first slot, -1 past its last
+    starts = np.bincount(offset + width - dims, minlength=inst.horizon + 1)
+    bursts = np.cumsum(starts - np.bincount(offset + width, minlength=inst.horizon + 1))
+    over = np.flatnonzero(bursts > inst.capacity)
+    if over.size:
+        t = over[0]
+        raise ValueError(f"slot {t} holds {bursts[t]} bursts, capacity is {inst.capacity}")
+    window = np.zeros((2, inst.n), dtype=int)
+    window[:, plant] = offset, width
     u = np.zeros((inst.n, inst.horizon))
     problems: dict[int, tuple] = {}
-    for g in group_by_dim(inst, placements):
-        offsets, widths = np.array([placements[i] for i in g.idx]).T
+    for g in group_by_dim(inst, plant):
+        offsets, widths = window[:, g.idx]
         tails, found = deadbeat_bursts(g, offsets, widths)
         problems.update((int(g.idx[k]), found[k]) for k in found)
         # each burst fills the last d slots of its window
         d = tails.shape[1]
         u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
     raise_in_order(problems)
-    return ControlLogic(u)
+    # every burst that did not raise is finite
+    return ControlLogic._own(u)
 
 
 def build_from_plan(inst: NcsInstance, plan: BlockPlan | LanePlan) -> ControlLogic:

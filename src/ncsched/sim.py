@@ -12,11 +12,22 @@ schedule and so that a steered state stays at rest:
   regrows under an unstable state map to O(1) or far worse over the remaining
   open-loop steps, reporting failure for trajectories whose exact-arithmetic
   counterparts are identically zero.
+
+The recursion steps only the plants that still move. A plant retires at the
+first step whose state is clamped while its input row has no nonzero entry
+left. Retiring is exact, bit for bit: from then on the full recursion would
+compute ``A @ 0 + b * 0``, a vector of signed zeros whose norm, 0, is below
+any threshold (the running sup-norm is at least 1, or infinite), so every
+later state is clamped to +0.0 again and every later norm is written as +0.0,
+which is what the buffers hold from the start. A plant whose sup-norm is NaN
+never clamps, so it never retires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +38,7 @@ from .core import (
     NcsInstance,
     PlantDynamics,
     SchedulingLogic,
+    _in_plant_order,
     check_tolerances,
     group_by_dim,
     matvec,
@@ -34,20 +46,34 @@ from .core import (
 )
 from .errors import CapacityViolationError, NonFiniteError
 
+# rollout_stack drops the retired plants from the stepped stack once they
+# make up this share of it and number at least COMPACT_MIN: stepping a few
+# plants more costs less than copying the stack
+COMPACT_SHARE = 0.125
+COMPACT_MIN = 16
+
 
 @dataclass(frozen=True)
 class SimulationResult:
     """Trajectories and the verdict of one closed-NCS run.
 
     ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
+    ``trajectories`` holds each plant's (T+1) x d states: views of the
+    rollout's buffers, made on first use.
     """
 
-    trajectories: tuple[np.ndarray, ...]
     norms: np.ndarray
     terminal_residuals: np.ndarray
     max_column_occupancy: int
     verified: bool
     violations: tuple[str, ...] = ()
+    # the dimension groups and, per group, its plants' states (rollout_stack's)
+    _groups: tuple = field(default=(), repr=False, compare=False)
+    _states: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def trajectories(self) -> tuple[np.ndarray, ...]:
+        return _in_plant_order(self._groups, self._states)
 
 
 def extract_schedule(
@@ -88,27 +114,48 @@ def rollout_stack(
     step whose state norm is not finite (0 when none; later states of such a
     plant are meaningless). States are clamped to exact zero once below the
     running-sup zero threshold (see module docstring); initial states never
-    are.
+    are. The states and norms are transposed views of time-major buffers,
+    (T+1) x n x d and (T+1) x n, so neither is C-contiguous.
+
+    Only the plants that still move are stepped (see module docstring): the
+    retired ones drop out of the stepped stack once they make up
+    ``COMPACT_SHARE`` of it (and number ``COMPACT_MIN``), and the loop ends
+    when every stepped plant has retired.
     """
     n, horizon = u.shape
-    states = np.empty((n, horizon + 1, A.shape[-1]))
-    norms = np.empty((n, horizon + 1))
+    states = np.zeros((horizon + 1, n, A.shape[-1]))
+    norms = np.zeros((horizon + 1, n))
     overflow = np.zeros(n, dtype=int)
-    x = xi
-    states[:, 0] = x
-    norms[:, 0] = np.sqrt(np.vecdot(xi, xi))
-    sup = np.maximum(1.0, norms[:, 0])
+    states[0] = xi
+    norms[0] = np.sqrt(np.vecdot(xi, xi))
+    # the last step with a nonzero input, -1 for a row without one
+    last = ((u != 0) * np.arange(1, horizon + 1)).max(axis=1, initial=0) - 1
+    live, x, sup = np.arange(n), xi, np.maximum(1.0, norms[0])
+    rows = slice(None)  # the buffer rows of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             x = matvec(A, x) + b * u[:, t, None]
             norm = np.sqrt(np.vecdot(x, x))
-            overflow[(overflow == 0) & ~np.isfinite(norm)] = t + 1
+            # norms are nonnegative, so their sum is finite only if each one is
+            if not math.isfinite(norm.sum()):
+                first = ~np.isfinite(norm) & (overflow[live] == 0)
+                overflow[live[first]] = t + 1
             sup = np.maximum(sup, norm)
             clamp = norm <= zero_rtol * sup
-            x = np.where(clamp[:, None], 0.0, x)
-            states[:, t + 1] = x
-            norms[:, t + 1] = np.where(clamp, 0.0, norm)
-    return states, norms, overflow
+            x[clamp] = 0.0
+            norm[clamp] = 0.0
+            states[t + 1, rows] = x
+            norms[t + 1, rows] = norm
+            # a retired plant's zero state clamps again at every later step
+            retired = clamp & (last <= t)
+            retiring = np.count_nonzero(retired)
+            if retiring == live.size:
+                break
+            if retiring >= max(COMPACT_MIN, COMPACT_SHARE * live.size):
+                keep = ~retired
+                live, A, b, u, x, sup, last = (a[keep] for a in (live, A, b, u, x, sup, last))
+                rows = live
+    return states.transpose(1, 0, 2), norms.T, overflow
 
 
 def rollout(
@@ -176,16 +223,16 @@ def verify_logic(
             f"({inst.n}, {inst.horizon})"
         )
     zeroed = logic.thresholded(zero_rtol)
-    trajectories: list = [None] * inst.n
+    groups = group_by_dim(inst)
+    states = []
     norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
     overflow = np.zeros(inst.n, dtype=int)
-    for g in group_by_dim(inst):
-        states, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
+    for g in groups:
+        group_states, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
             g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
         )
-        for k, i in enumerate(g.idx):
-            trajectories[i] = states[k]
+        states.append(group_states)
     if overflow.any():
         first = overflow[np.flatnonzero(overflow)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
@@ -206,10 +253,11 @@ def verify_logic(
             f"capacity is {inst.capacity}"
         )
     return SimulationResult(
-        trajectories=tuple(trajectories),
         norms=norms,
         terminal_residuals=residuals,
         max_column_occupancy=max_occ,
         verified=not violations,
         violations=tuple(violations),
+        _groups=tuple(groups),
+        _states=tuple(states),
     )

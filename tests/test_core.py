@@ -364,6 +364,26 @@ class TestBatchedKernelsMatchLoops:
                     want = want @ A[k]
                 assert np.array_equal(got[k], want)
 
+    def test_mat_powers_of_equal_zero_and_no_exponents(self):
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-2, 2, (6, 3, 3))
+        for exponents in ([0] * 6, [4] * 6, [0, 7, 0, 7, 2, 7]):
+            got = mat_powers(A, exponents)
+            for k, e in enumerate(exponents):
+                want = reduce(np.matmul, [A[k]] * e, np.eye(3))
+                assert np.array_equal(got[k], want)
+        assert mat_powers(A[:0], []).shape == (0, 3, 3)
+
+    def test_dims_read_off_the_groups(self):
+        rng = np.random.default_rng(6)
+        dims = rng.permutation([1, 2, 3, 4] * 5)
+        plants = tuple(companion_plant(int(d)) for d in dims)
+        inst = NcsInstance(plants, tuple(np.ones(p.d) for p in plants), capacity=3, horizon=9)
+        generated = generate_instance(6, 2, 9, [3, 1, 2, 3, 1, 2], seed=7).instance
+        for instance in (inst, generated):
+            assert instance.dims == tuple(p.d for p in instance.plants)
+            assert all(type(d) is int for d in instance.dims)
+
     def test_hit_time_uses_the_given_tolerance(self):
         # |0.01^tau| first drops below 1e-9 at tau=5, below 1e-5 at tau=3
         p = PlantDynamics([[0.01]], [1.0])

@@ -392,6 +392,21 @@ def reference_lane_plan(inst):
     return LanePlan(lanes=tuple(tuple(lane) for lane in lanes), widths=widths)
 
 
+def reference_placements(plan):
+    """``{plant: (offset, width)}`` window by window, as the plans listed them."""
+    if isinstance(plan, BlockPlan):
+        windows = [(i, off, width) for blk, off, width
+                   in zip(plan.blocks, plan.offsets, plan.block_lengths) for i in blk]
+    else:
+        windows = []
+        for lane in plan.lanes:
+            off = 0
+            for i in lane:
+                windows.append((i, off, plan.widths[i]))
+                off += plan.widths[i]
+    return {i: (off, width) for i, off, width in windows}
+
+
 def reference_rows(inst, placements):
     """Input rows window by window, in plant order, with each window's warning."""
     u = np.zeros((inst.n, inst.horizon))
@@ -437,19 +452,32 @@ def ill_conditioned_plant(d, eps):
 class TestBatchedPlannerMatchesLoop:
     def test_lane_packing_random_widths(self):
         rng = np.random.default_rng(31)
-        outcomes = set()
+        cases = []
         for _ in range(200):
             n = int(rng.integers(2, 40))
-            dims = rng.integers(1, 7, n)
-            plants = tuple(companion_plant(int(d), gain=1.5) for d in dims)
-            xi = tuple(np.ones(int(d)) for d in dims)
             capacity = int(rng.integers(1, n))
             horizon = int(rng.integers(2, 4 * n // capacity + 8))
+            cases.append((rng.integers(1, 7, n), capacity, horizon))
+        for _ in range(20):
+            # shuffled mixed dimensions, M = N - 1, horizons on both sides of feasible
+            n = int(rng.integers(2, 40))
+            dims = rng.permutation(np.repeat([1, 2, 3, 4], n)[:n])
+            cases.append((dims, n - 1, int(rng.integers(2, 12))))
+        # the scale family: 2 x 2000 and 3 x 2000 plants, M = 400, T = 50
+        cases.append(((2,) * 2000 + (3,) * 2000, 400, 50))
+        outcomes = set()
+        for dims, capacity, horizon in cases:
+            plants = tuple(companion_plant(int(d), gain=1.5) for d in dims)
+            xi = tuple(np.ones(int(d)) for d in dims)
             inst = NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
-            plan = find_lane_plan(inst)
-            assert plan == reference_lane_plan(inst)
-            outcomes.add(plan is None)
-        assert outcomes == {True, False}
+            plan, want = find_lane_plan(inst), reference_lane_plan(inst)
+            assert plan == want
+            if plan is not None:
+                assert plan.to_report_dict() == want.to_report_dict()
+                assert plan.placements() == reference_placements(want)
+            outcomes.add((plan is None, capacity == inst.n - 1))
+        assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+        assert plan is not None and len(plan.lanes) == 400
 
     def test_window_rows_mixed_dims(self):
         rng = np.random.default_rng(37)
@@ -458,13 +486,14 @@ class TestBatchedPlannerMatchesLoop:
             inst = random_instance(rng, n, max(1, n // 3), 60, max_d=4)
             lane = find_lane_plan(inst)
             assert np.array_equal(
-                build_from_plan(inst, lane).u, reference_rows(inst, lane.placements())
+                build_from_plan(inst, lane).u, reference_rows(inst, reference_placements(lane))
             )
             block = find_block_plan(inst)
             if block is not None:
+                assert block.placements() == reference_placements(block)
                 assert np.array_equal(
                     build_from_plan(inst, block).u,
-                    reference_rows(inst, block.placements()),
+                    reference_rows(inst, reference_placements(block)),
                 )
 
     def test_warnings_come_out_in_plant_order(self):

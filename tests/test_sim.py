@@ -11,9 +11,13 @@ from ncsched import (
     extract_schedule,
     find_lane_plan,
     rollout,
+    solve_instance,
     verify_logic,
+    windowed_inputs,
 )
-from ncsched.core import ZERO_RTOL
+from ncsched import sim
+from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, matvec
+from ncsched.sim import at_rest, terminal_residuals
 
 from conftest import random_reachable_plant, scalar_instance
 
@@ -210,3 +214,161 @@ class TestBatchedRolloutMatchesLoop:
             verify_logic(inst, ControlLogic(np.zeros((4, 4))))
         with pytest.raises(NonFiniteError, match="at step 1"):
             rollout(inst.plants[2], inst.xi[2], np.zeros(4))
+
+
+# The full recursion, one plant at a time: every step is taken, an overflow is
+# recorded rather than raised, and the clamp writes +0.0 states and norms.
+def reference_full_rollout(A, b, xi, u, zero_rtol=ZERO_RTOL):
+    states, norms = [xi], [float(np.linalg.norm(xi))]
+    sup, overflow, x = np.maximum(1.0, norms[0]), 0, xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(u.shape[0]):
+            x = A @ x + b * u[t]
+            norm = float(np.linalg.norm(x))
+            if not np.isfinite(norm) and not overflow:
+                overflow = t + 1
+            sup = np.maximum(sup, norm)
+            if norm <= zero_rtol * sup:
+                x, norm = np.zeros_like(x), 0.0
+            states.append(x)
+            norms.append(norm)
+    return np.array(states), np.array(norms), overflow
+
+
+def assert_stack_matches_reference(A, b, xi, u, zero_rtol=ZERO_RTOL):
+    states, norms, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
+    for k in range(u.shape[0]):
+        want_states, want_norms, want_overflow = reference_full_rollout(
+            A[k], b[k], xi[k], u[k], zero_rtol
+        )
+        for got, want in ((states[k], want_states), (norms[k], want_norms)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert overflow[k] == want_overflow
+        want_residual = want_norms[-1] / np.maximum(1.0, want_norms.max())
+        assert np.array_equal(residuals[k], want_residual, equal_nan=True)
+    return states, norms, overflow
+
+
+def stacked(plants, states):
+    return (np.array([p.A for p in plants]), np.array([p.b for p in plants]),
+            np.array(states, dtype=float))
+
+
+class TestLiveSetRolloutIsExact:
+    """Plants retire from the stepped stack once clamped with no input left;
+    every state, norm, residual, overflow step and zero's sign stays that of
+    the full recursion."""
+
+    def test_row_steered_to_zero_then_driven_again_keeps_moving(self):
+        rng = np.random.default_rng(11)
+        plants = [random_reachable_plant(rng, d, unstable=True) for d in (2, 2, 2)]
+        xi = [rng.uniform(-1, 1, 2) for _ in plants]
+        u = np.array([windowed_inputs(p, x, 1, 3, 12) for p, x in zip(plants, xi)])
+        u[0, 8] = 0.5  # zero at step 4, driven again at step 8
+        u[1, 11] = -1e-3  # zero at step 4, driven again in the last slot
+        states, _, _ = assert_stack_matches_reference(*stacked(plants, xi), u)
+        assert not states[0, 4].any() and states[0, -1].any()
+        assert not states[1, 4].any() and states[1, -1].any()
+        assert not states[2, 4:].any()
+
+    def test_stack_that_settles_early_stops_stepping(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        plants = [random_reachable_plant(rng, 3, unstable=True) for _ in range(6)]
+        xi = [rng.uniform(-1, 1, 3) for _ in plants]
+        u = np.array([windowed_inputs(p, x, k, 4, 30) for k, (p, x) in enumerate(zip(plants, xi))])
+        steps = []
+        monkeypatch.setattr(sim, "matvec", lambda A, x: steps.append(len(x)) or matvec(A, x))
+        states, norms, _ = assert_stack_matches_reference(*stacked(plants, xi), u)
+        # the last window ends at step 9; every plant has retired after it
+        assert len(steps) == 9 < u.shape[1]
+        assert not states[:, 9:].any() and not norms[:, 9:].any()
+
+    def test_overflows_are_flagged_whether_or_not_their_norm_clamps(self):
+        # the norm squares the state, so 1e250 already has an infinite norm;
+        # the running sup turns infinite with it and the clamp zeroes the
+        # state, while inf - inf gives a NaN state that never clamps
+        A = np.array([[[1e100, 0.0], [0.0, 0.0]], [[1e300, 0.0], [0.0, 1.0]],
+                      [[0.5, 0.0], [0.0, 0.5]]])
+        b = np.array([[1.0, 0.0], [-1e300, 0.0], [1.0, 1.0]])
+        xi = np.array([[1e50, 0.0], [1e10, 1.0], [1.0, -1.0]])
+        u = np.zeros((3, 6))
+        u[0, 4] = 1.0  # an input after the overflow is clamped against the infinite sup
+        u[1, 0] = 1e10
+        states, norms, overflow = assert_stack_matches_reference(A, b, xi, u)
+        assert overflow.tolist() == [2, 1, 0]
+        assert not states[0, 2:].any() and not norms[0, 2:].any()
+        assert np.isnan(norms[1, 1:]).all()
+
+    def test_all_zero_rows_retire_at_their_first_clamp(self):
+        rng = np.random.default_rng(13)
+        inst = mixed_instance(rng, 12, 40)
+        plants = [PlantDynamics(np.diag(np.full(p.d, 0.3)), p.b) for p in inst.plants[:6]]
+        plants += list(inst.plants[6:])
+        decaying = NcsInstance(tuple(plants), inst.xi, capacity=3, horizon=40)
+        for g in decaying.groups:
+            zero = np.zeros((len(g.idx), decaying.horizon))
+            assert_stack_matches_reference(g.A, g.b, g.xi, zero)
+        resting = at_rest(decaying, range(decaying.n), ZERO_RTOL, TERMINAL_RTOL)
+        want = set()
+        for i, (p, x) in enumerate(zip(decaying.plants, decaying.xi)):
+            _, norms, overflow = reference_full_rollout(p.A, p.b, x, np.zeros(40))
+            if not overflow and norms[-1] / max(1.0, norms.max()) <= TERMINAL_RTOL:
+                want.add(i)
+        assert resting == want and set(range(6)) <= resting
+
+    def test_brute_force_shaped_stacks(self):
+        # many rows per plant, one per slot mask, as brute force's mask table
+        rng = np.random.default_rng(14)
+        for d in (1, 2, 3):
+            plants = [random_reachable_plant(rng, d, unstable=True) for _ in range(3)]
+            xi = [rng.uniform(-1, 1, d) for _ in plants]
+            A, b, x0 = (np.repeat(a, 32, axis=0) for a in stacked(plants, xi))
+            bits = np.arange(32)[:, None] >> np.arange(5) & 1
+            u = np.tile(bits, (3, 1)) * rng.uniform(-3, 3, (96, 5))
+            for k in range(3):
+                u[32 * k + 31] = windowed_inputs(plants[k], xi[k], 0, 5, 5)
+            assert_stack_matches_reference(A, b, x0, u)
+
+    def test_single_plant_rollout(self):
+        rng = np.random.default_rng(15)
+        for d in (1, 2, 3, 4):
+            p = random_reachable_plant(rng, d, unstable=True)
+            xi = rng.uniform(-1, 1, d)
+            for u in (windowed_inputs(p, xi, 2, d + 2, 20), rng.uniform(-2, 2, 20)):
+                got = rollout(p, xi, u)
+                want = reference_full_rollout(p.A, p.b, xi, u)[0]
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_verification_steps_few_plants_after_their_windows(demo_instance, monkeypatch):
+    """A guard on the work, not the time: after its deadbeat window a plant
+    sits at exact zero, so verifying the demo's lane solve advances at most
+    0.45 of the N*T plant-steps that stepping every plant would take."""
+    logic = ControlLogic(solve_instance(demo_instance, method="lane").control)
+    advanced = []
+    monkeypatch.setattr(sim, "matvec", lambda A, x: advanced.append(len(x)) or matvec(A, x))
+    assert verify_logic(demo_instance, logic).verified
+    assert sum(advanced) <= 0.45 * demo_instance.n * demo_instance.horizon
+
+
+class TestThresholdOnce:
+    def test_thresholded_logic_is_its_own_threshold(self, demo_instance):
+        logic = ControlLogic(solve_instance(demo_instance).control * 1.0)
+        rng = np.random.default_rng(16)
+        noisy = ControlLogic(logic.u + (logic.u == 0) * rng.uniform(-1e-12, 1e-12, logic.u.shape))
+        for r in (ZERO_RTOL, 1e-6):
+            z = noisy.thresholded(r)
+            assert z.thresholded(r) is z and noisy.thresholded(r) is z
+            assert np.array_equal(z.u, np.where(noisy.nonzero_mask(r), noisy.u, 0.0))
+            results = [
+                verify_logic(demo_instance, given, zero_rtol=r)
+                for given in (noisy, z, ControlLogic(z.u))
+            ]
+            for other in results[1:]:
+                assert other.verified == results[0].verified
+                assert np.array_equal(other.norms, results[0].norms)
+                assert np.array_equal(other.terminal_residuals, results[0].terminal_residuals)
+        # another tolerance makes another copy
+        assert z.thresholded(ZERO_RTOL) is not z
