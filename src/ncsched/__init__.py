@@ -16,14 +16,10 @@ from .core import (
     NcsInstance,
     PlantDynamics,
     SchedulingLogic,
-    is_reachable,
-    lifted_matrix,
-    mat_pow,
     open_loop_hit_time,
 )
 from .deadbeat import windowed_inputs
 from .errors import (
-    CapacityViolationError,
     HorizonTooShortError,
     IllConditionedWarning,
     NcsError,
@@ -40,7 +36,6 @@ from .instances import (
     InstanceFile,
     generate_instance,
     read_instance,
-    spectral_radius,
     write_instance,
 )
 from .pipeline import solve_instance
@@ -60,7 +55,6 @@ from .sparse import (
     RelaxationResult,
     RipReport,
     l0_feasible_bruteforce,
-    l1_min_inputs,
     min_l1,
     rip_delta,
     solve_via_relaxation,
@@ -72,7 +66,6 @@ __all__ = [
     "TERMINAL_RTOL",
     "ZERO_RTOL",
     "BlockPlan",
-    "CapacityViolationError",
     "ControlLogic",
     "HorizonTooShortError",
     "IllConditionedWarning",
@@ -102,11 +95,7 @@ __all__ = [
     "find_block_plan",
     "find_lane_plan",
     "generate_instance",
-    "is_reachable",
     "l0_feasible_bruteforce",
-    "l1_min_inputs",
-    "lifted_matrix",
-    "mat_pow",
     "min_l1",
     "open_loop_hit_time",
     "read_instance",
@@ -115,7 +104,6 @@ __all__ = [
     "rollout",
     "solve_instance",
     "solve_via_relaxation",
-    "spectral_radius",
     "split_open_loop",
     "verify_logic",
     "windowed_inputs",

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic
-from .errors import NcsError, NoSolutionFoundError, SchemaError
+from .errors import NcsError, NoSolutionFoundError, NonFiniteError, SchemaError
 from .instances import generate_instance, read_instance, write_instance
 from .pipeline import solve_instance
 from .report import SolveReport, export_plots, read_report, write_report
@@ -151,9 +151,15 @@ def _cmd_verify(args) -> int:
     if report.control is None:
         raise SchemaError("report holds no control matrix to verify")
     logic = ControlLogic(report.control)
-    outcome = verify_logic(
-        rec.instance, logic, zero_rtol=args.zero_rtol, terminal_rtol=args.terminal_rtol
-    )
+    try:
+        outcome = verify_logic(
+            rec.instance, logic, zero_rtol=args.zero_rtol, terminal_rtol=args.terminal_rtol
+        )
+    except NonFiniteError as exc:
+        # a replay that overflows fails verification; the files themselves are valid
+        print("replay verified=false")
+        print(f"  violation: {exc}")
+        return EXIT_NO_SOLUTION
     worst = float(outcome.terminal_residuals.max()) if outcome.terminal_residuals.size else 0.0
     print(
         f"replay verified={'true' if outcome.verified else 'false'} "

@@ -12,9 +12,10 @@ Conventions used throughout the package:
 * numerics run on plants of one dimension stacked into arrays
   (``group_by_dim``), whose controllability matrices, rank test and condition
   numbers are computed once, when the instance is built (a generated instance
-  takes its stacks, and those facts, from the generator's draws); the single-plant
-  scan, reachability test, lifted matrix, rollout and deadbeat window run as
-  stacks of one, so both give the same bits.
+  takes its stacks, and those facts, from the generator's draws); the
+  relaxation and brute force read each group's terminal system
+  (``terminal_systems``), and the single-plant scan, rollout and deadbeat
+  window run as stacks of one, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
     order = np.argsort(e, kind="stable")
     # the matrices in exponent order; ends[k] of them have an exponent of at most k
     A_sorted = A[order]
-    ends = np.searchsorted(e[order], np.arange(int(e.max(initial=0)) + 1), "right")
+    ends = np.searchsorted(e[order], np.arange(int(e.max(initial=0)) + 1), "right").tolist()
     out = np.empty(A.shape)
     power = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
     done = 0
@@ -357,23 +358,9 @@ def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
         for k, end in enumerate(ends):
             if k:
                 power = power @ A_sorted[done:]
-            out[order[done:end]] = power[: end - done]
-            power, done = power[end - done :], end
-    return out
-
-
-def mat_pow(A: np.ndarray, k: int) -> np.ndarray:
-    """k-th power of a square matrix by iterated multiplication; A^0 = I."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if k < 0 or int(k) != k:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = np.eye(A.shape[0])
-    for _ in range(int(k)):
-        out = out @ A
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"matrix power overflowed at exponent {k}")
+            if end > done:
+                out[order[done:end]] = power[: end - done]
+                power, done = power[end - done :], end
     return out
 
 
@@ -412,23 +399,21 @@ def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return full, cond
 
 
-def is_reachable(p: PlantDynamics) -> bool:
-    """True iff the controllability matrix has full numerical rank."""
-    return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
+def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per dimension group, the stacked terminal system ``(Phi, -A^T xi)``.
 
-
-def lifted_matrix(p: PlantDynamics, horizon: int) -> np.ndarray:
-    """d x T map from an input sequence to its effect on the state at time T.
-
-    Column t (0-based) is ``A^(T-1-t) b``, so the full terminal state is
-    ``A^T x(0) + lifted_matrix(p, T) @ u``. A stack of one of ``lifted_matrices``.
+    ``Phi`` (n x d x T) holds the lifted matrices, whose column t is
+    ``A^(T-1-t) b``, so ``Phi[k] @ u = target[k]`` zeroes plant k's state at
+    time T. Every group's lifted matrices are checked before any power:
+    ``NonFiniteError`` when one overflows, and then when a power ``A^T`` does.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    out = lifted_matrices(p.A[None], p.b[None], horizon)[0]
-    if not np.isfinite(out).all():
+    phis = [lifted_matrices(g.A, g.b, horizon) for g in groups]
+    if not all(np.isfinite(phi).all() for phi in phis):
         raise NonFiniteError("lifted matrix overflowed")
-    return out
+    powers = [mat_powers(g.A, np.full(len(g.idx), horizon)) for g in groups]
+    if not all(np.isfinite(power).all() for power in powers):
+        raise NonFiniteError(f"matrix power overflowed at exponent {horizon}")
+    return [(phi, -matvec(power, g.xi)) for g, phi, power in zip(groups, phis, powers)]
 
 
 def open_loop_hit_times(

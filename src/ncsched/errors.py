@@ -46,10 +46,6 @@ class NonFiniteError(NcsError):
     """A matrix power or simulated state overflowed to a non-finite value."""
 
 
-class CapacityViolationError(NcsError):
-    """A control logic activates more plants in one slot than the channel allows."""
-
-
 class RejectionBudgetError(NcsError):
     """Instance generation exhausted its redraw budget for one plant."""
 

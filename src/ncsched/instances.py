@@ -33,10 +33,6 @@ class InstanceFile:
     provenance: str = ""
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float))).max())
-
-
 def generate_instance(
     n: int,
     capacity: int,

@@ -146,9 +146,9 @@ def split_open_loop(
     taus = np.zeros(inst.n, dtype=int)
     for g in group_by_dim(inst):
         taus[g.idx] = open_loop_hit_times(g.A, g.xi, inst.horizon, zero_rtol)
-    hits = {i: int(tau) for i, tau in enumerate(taus) if tau}
-    closed = [i for i, tau in enumerate(taus) if not tau]
-    return hits, closed
+    hit = np.flatnonzero(taus)
+    hits = dict(zip(hit.tolist(), taus[hit].tolist()))
+    return hits, np.flatnonzero(taus == 0).tolist()
 
 
 def _require_reachable(inst: NcsInstance, subset) -> None:

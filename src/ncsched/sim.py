@@ -44,7 +44,7 @@ from .core import (
     matvec,
     nonzero_entries,
 )
-from .errors import CapacityViolationError, NonFiniteError
+from .errors import NonFiniteError
 
 # rollout_stack drops the retired plants from the stepped stack once they
 # make up this share of it and number at least COMPACT_MIN: stepping a few
@@ -76,27 +76,17 @@ class SimulationResult:
         return _in_plant_order(self._groups, self._states)
 
 
-def extract_schedule(
-    logic: ControlLogic,
-    capacity: int | None = None,
-    zero_rtol: float = ZERO_RTOL,
-) -> SchedulingLogic:
+def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> SchedulingLogic:
     """Channel slots implied by a control logic: plants with nonzero input.
 
     Dropping plants whose input is zero loses nothing, since a closed-loop
-    step with zero input equals an open-loop step. When ``capacity`` is given,
-    a slot holding more plants raises ``CapacityViolationError``.
+    step with zero input equals an open-loop step. Capacity is not checked
+    here: ``verify_logic`` judges it.
     """
     mask = logic.nonzero_mask(zero_rtol)
     slots = tuple(
         frozenset(np.nonzero(mask[:, t])[0].tolist()) for t in range(logic.horizon)
     )
-    if capacity is not None:
-        for t, slot in enumerate(slots):
-            if len(slot) > capacity:
-                raise CapacityViolationError(
-                    f"slot {t} holds {len(slot)} plants, capacity is {capacity}"
-                )
     return SchedulingLogic(slots)
 
 

@@ -7,8 +7,8 @@ are exposed:
 * ``l0_feasible_bruteforce`` enumerates per-slot access sets at desk scale,
   judging each plant's least-squares row on each slot mask by the verifier's
   own rule (``sim.steers_to_zero``);
-* ``l1_min_inputs`` solves the per-plant convex surrogate
-  ``min |u|_1  s.t.  Phi u = -A^T xi`` as a split-variable LP;
+* ``min_l1`` solves one convex surrogate ``min |u|_1  s.t.  Phi u = -A^T xi``
+  as a split-variable LP;
 * ``solve_via_relaxation`` solves every plant's l1 program as one LP
   (``min_l1_stack``: the split systems are blocks of one block-diagonal
   equality system), stacks the rows (the solve cascade's verifier alone
@@ -16,6 +16,9 @@ are exposed:
   certifies each plant's solution as the sparsest possible whenever the
   lifted matrix passes the restricted-isometry test at twice the observed
   sparsity.
+
+Both instance routes read every plant's terminal system ``Phi u = -A^T xi``
+from its dimension group's stacks (``core.terminal_systems``).
 """
 
 from __future__ import annotations
@@ -33,20 +36,12 @@ from .core import (
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
-    PlantDynamics,
     check_tolerances,
     group_by_dim,
-    is_reachable,
-    lifted_matrix,
-    mat_pow,
     nonzero_entries,
+    terminal_systems,
 )
-from .errors import (
-    HorizonTooShortError,
-    NotReachableError,
-    SolverStallError,
-    TooLargeError,
-)
+from .errors import HorizonTooShortError, SolverStallError, TooLargeError
 from .planner import _require_reachable
 from .sim import steers_to_zero
 
@@ -188,19 +183,6 @@ def min_l1(gamma: np.ndarray, target: np.ndarray) -> np.ndarray:
     return min_l1_stack([gamma], [target])[0]
 
 
-def l1_min_inputs(p: PlantDynamics, xi: np.ndarray, horizon: int) -> np.ndarray:
-    """Minimum-l1 input sequence steering ``xi`` to zero over the horizon."""
-    if not is_reachable(p):
-        raise NotReachableError()
-    if horizon <= p.d:
-        raise HorizonTooShortError(
-            f"horizon {horizon} must exceed state dimension {p.d}"
-        )
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    target = -(mat_pow(p.A, horizon) @ xi)
-    return min_l1(lifted_matrix(p, horizon), target)
-
-
 def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipReport:
     """Exact restricted-isometry constant by exhausting all column supports.
 
@@ -251,9 +233,8 @@ def _mask_table(inst: NcsInstance, zero_rtol: float, terminal_rtol: float):
     bits = np.arange(n_masks)[:, None] >> np.arange(horizon) & 1
     rows = np.empty((inst.n, n_masks, horizon))
     ok = np.empty((inst.n, n_masks), dtype=bool)
-    for g in group_by_dim(inst):
-        phi = np.stack([lifted_matrix(inst.plants[i], horizon) for i in g.idx])
-        target = -np.array([mat_pow(inst.plants[i].A, horizon) @ inst.xi[i] for i in g.idx])
+    groups = group_by_dim(inst)
+    for g, (phi, target) in zip(groups, terminal_systems(groups, horizon)):
         sub = np.linalg.pinv(phi[:, None] * bits[None, :, None, :])
         rows[g.idx] = (sub @ target[:, None, :, None])[..., 0] * bits
         stack = (np.repeat(a, n_masks, axis=0) for a in (g.A, g.b, g.xi))
@@ -333,9 +314,11 @@ def solve_via_relaxation(
     plants that cannot coast to zero open-loop; the rest keep zero rows). All
     selected plants must be reachable (one stacked rank test; the
     ``NotReachableError`` lists every unreachable plant) with horizon greater
-    than their dimension. Every plant's lifted matrix and target is built
-    before ``min_l1_stack`` solves them all in one LP, so an overflow, an
-    unreachable plant or a short horizon fails the route before the LP runs.
+    than their dimension. Every plant's lifted matrix and target is read from
+    its dimension group's stacks (``terminal_systems``) before
+    ``min_l1_stack`` solves them all in one LP, in plant order, so an
+    overflow, an unreachable plant or a short horizon fails the route before
+    the LP runs.
     ``zero_rtol`` picks both the LP polish support and the reported supports.
     The rows are returned as they are: the solve cascade verifies every
     route's output, and ``verify_logic`` judges both the terminal states and
@@ -353,16 +336,19 @@ def solve_via_relaxation(
     """
     subset = sorted(range(inst.n) if plants is None else plants)
     _require_reachable(inst, subset)
-    short = [i for i in subset if inst.horizon <= inst.plants[i].d]
+    groups = group_by_dim(inst, subset)
+    short = sorted(i for g in groups if inst.horizon <= g.A.shape[-1] for i in g.idx.tolist())
     if short:
         shown = ", ".join(str(i + 1) for i in short)
         raise HorizonTooShortError(
             f"horizon {inst.horizon} does not exceed the dimension of plants "
             f"(1-based): {shown}"
         )
-    phis = [lifted_matrix(inst.plants[i], inst.horizon) for i in subset]
-    targets = [-(mat_pow(inst.plants[i].A, inst.horizon) @ inst.xi[i]) for i in subset]
-    rows = min_l1_stack(phis, targets, zero_rtol=zero_rtol)
+    systems = {}
+    for g, (phi, target) in zip(groups, terminal_systems(groups, inst.horizon)):
+        systems.update(zip(g.idx.tolist(), zip(phi, target)))
+    phis = [systems[i][0] for i in subset]
+    rows = min_l1_stack(phis, [systems[i][1] for i in subset], zero_rtol=zero_rtol)
 
     u = np.zeros((inst.n, inst.horizon))
     supports: dict[int, tuple[int, ...]] = {}
@@ -377,7 +363,7 @@ def solve_via_relaxation(
         order = 2 * len(supports[i])
         if order == 0:
             certification[i] = "trivial"
-        elif order > inst.plants[i].d:
+        elif order > phi.shape[0]:
             certification[i] = "uncertified"
         elif math.comb(inst.horizon, order) > RIP_SUPPORT_CAP:
             certification[i] = "cap-exceeded"

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from ncsched import NcsInstance, PlantDynamics, generate_instance, is_reachable
+from ncsched import NcsInstance, PlantDynamics, generate_instance
+from ncsched.core import lifted_matrices, rank_and_cond
 
 DEMO_SEED = 12345
+
+
+def is_reachable(p):
+    """The rank test an instance's group runs, on a stack of one plant."""
+    return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
 
 
 def random_reachable_plant(rng, d, unstable=False, value_range=2.0):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import scalar_instance
-from ncsched import SchemaError, generate_instance, read_report, solve_instance, write_report
+from ncsched import (
+    InstanceFile,
+    SchemaError,
+    generate_instance,
+    read_report,
+    solve_instance,
+    write_instance,
+    write_report,
+)
 from ncsched.cli import main, parse_dims
 from ncsched.instances import instance_from_dict
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
@@ -146,6 +154,25 @@ class TestCliFlow:
         capsys.readouterr()
         assert main(["verify", str(inst_path), str(rep_path), "--terminal-rtol", "nan"]) == 3
         assert "terminal_rtol must lie strictly between 0 and 1" in capsys.readouterr().err
+
+    def test_verify_reports_replay_overflow_as_failed_verification(self, tmp_path, capsys):
+        # valid files whose zero control lets the 1e10 plant's squared state
+        # norm overflow at step 16: a failed verification, not an input error
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        inst = scalar_instance([1e10, 2.0], capacity=1, horizon=40)
+        write_instance(inst_path, InstanceFile(inst))
+        write_report(rep_path, SolveReport(
+            method=None, plan=None, schedule=[], control=np.zeros((2, 40)),
+            verified=False, residuals=[], occupancy_histogram=[],
+        ))
+        assert main(["verify", str(inst_path), str(rep_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "replay verified=false",
+            "  violation: state overflowed at step 16",
+        ]
+        assert captured.err == ""
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 3

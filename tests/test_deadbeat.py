@@ -7,7 +7,6 @@ from ncsched import (
     NotReachableError,
     PlantDynamics,
     WindowOverflowError,
-    mat_pow,
     rollout,
     windowed_inputs,
 )
@@ -108,7 +107,7 @@ class TestWindowedInputs:
             offset = int(rng.integers(0, 6))
             horizon = offset + width + int(rng.integers(0, 4))
             row = windowed_inputs(p, xi, offset, width, horizon)
-            shifted = mat_pow(p.A, offset) @ xi
+            shifted = np.linalg.matrix_power(p.A, offset) @ xi
             window = windowed_inputs(p, shifted, 0, width, width)
             np.testing.assert_array_equal(row[:offset], np.zeros(offset))
             np.testing.assert_allclose(row[offset : offset + width], window)

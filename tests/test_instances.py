@@ -11,12 +11,10 @@ from ncsched import (
     SchemaError,
     SolveReport,
     generate_instance,
-    is_reachable,
     open_loop_hit_time,
     read_instance,
     read_report,
     solve_instance,
-    spectral_radius,
     write_instance,
     write_report,
 )
@@ -29,7 +27,7 @@ from ncsched.instances import (
 )
 from ncsched.report import report_to_dict
 
-from conftest import one_burst_instance, scalar_instance
+from conftest import is_reachable, one_burst_instance, scalar_instance
 
 # the four benchmark families (perfbench/workloads.py) and interleaved
 # dimensions, where every run of equal dimensions has length one or two
@@ -40,6 +38,10 @@ FAMILIES = {
     "desk-cascade": ((1, 2, 3, 4), 2, 5),
     "interleaved": ((3, 1, 2, 2, 4, 1, 1, 3), 2, 10),
 }
+
+
+def spectral_radius(A):
+    return np.abs(np.linalg.eigvals(A)).max()
 
 
 def sequential_draws(rng, dims, value_range, max_draws=REJECTION_BUDGET):

@@ -330,7 +330,7 @@ class TestPlanChecks:
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=6)
         plan = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 4, 2: 6})
         logic = build_from_plan(inst, plan)
-        assert extract_schedule(logic, capacity=1).as_report_lists() == [
+        assert extract_schedule(logic).as_report_lists() == [
             [], [1], [], [2], [], [3]
         ]
         assert verify_logic(inst, logic).verified
@@ -367,11 +367,15 @@ class TestSplitOpenLoop:
             PlantDynamics([[0, 1], [0, 0]], [0, 1]),  # nilpotent: hits zero at 2
             companion_plant(2),
         )
-        xi = (np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        plants += (PlantDynamics([[0.0]], [1.0]), companion_plant(1))  # hits zero at 1; never
+        xi = (np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0]), np.array([1.0]))
         inst = NcsInstance(plants, xi, capacity=1, horizon=6)
         hits, closed = split_open_loop(inst)
-        assert hits == {0: 2}
-        assert closed == [1]
+        assert list(hits.items()) == [(0, 2), (2, 1)]
+        assert closed == [1, 3]
+        # plain Python ints, as files and messages take them, not numpy scalars
+        assert type(closed) is list
+        assert {type(v) for v in (*hits, *hits.values(), *closed)} == {int}
 
 
 # Per-plant code as the planner ran it before plants were stacked by

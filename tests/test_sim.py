@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ncsched import (
-    CapacityViolationError,
     ControlLogic,
     NcsInstance,
     NonFiniteError,
@@ -32,11 +31,6 @@ class TestExtractSchedule:
         logic = ControlLogic(np.zeros((3, 4)))
         sched = extract_schedule(logic)
         assert sched.as_report_lists() == [[], [], [], []]
-
-    def test_capacity_violation(self):
-        logic = ControlLogic(np.ones((3, 2)))
-        with pytest.raises(CapacityViolationError):
-            extract_schedule(logic, capacity=2)
 
     def test_idempotent_after_thresholding(self):
         rng = np.random.default_rng(3)

@@ -21,19 +21,67 @@ from ncsched import (
     extract_schedule,
     generate_instance,
     l0_feasible_bruteforce,
-    l1_min_inputs,
-    lifted_matrix,
-    mat_pow,
     min_l1,
     rip_delta,
     solve_instance,
     solve_via_relaxation,
     verify_logic,
 )
-from ncsched.core import nonzero_entries
-from ncsched.sparse import _mask_table
+from ncsched.core import group_by_dim, lifted_matrices, nonzero_entries
+from ncsched.sparse import _mask_table, min_l1_stack
+from ncsched.sim import steers_to_zero
 
 from conftest import one_burst_instance, scalar_instance
+
+
+def per_plant_systems(inst, plants=None):
+    """Each plant's terminal system ``(Phi, -A^T xi)`` built alone, in plant
+    order: the lifted matrix column by column, ``A^T`` by iterated products
+    from the identity. Every lifted matrix is checked before any power."""
+    plants = range(inst.n) if plants is None else plants
+    phis = []
+    for i in plants:
+        p, cols = inst.plants[i], [inst.plants[i].b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(inst.horizon - 1):
+                cols.append(p.A @ cols[-1])
+        phis.append(np.column_stack(cols[::-1]))
+    if not all(np.isfinite(phi).all() for phi in phis):
+        raise NonFiniteError("lifted matrix overflowed")
+    targets = []
+    for i in plants:
+        power = np.eye(inst.plants[i].d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(inst.horizon):
+                power = power @ inst.plants[i].A
+        if not np.isfinite(power).all():
+            raise NonFiniteError(f"matrix power overflowed at exponent {inst.horizon}")
+        targets.append(-(power @ inst.xi[i]))
+    return phis, targets
+
+
+def reference_relaxation_rows(inst):
+    """The relaxation's thresholded rows from the per-plant systems."""
+    rows = min_l1_stack(*per_plant_systems(inst))
+    return ControlLogic(np.array(rows)).thresholded().u
+
+
+def reference_mask_table(inst):
+    """``_mask_table`` from the per-plant systems, stacked per dimension group."""
+    horizon, n_masks = inst.horizon, 2**inst.horizon
+    phis, targets = per_plant_systems(inst)
+    bits = np.arange(n_masks)[:, None] >> np.arange(horizon) & 1
+    rows = np.empty((inst.n, n_masks, horizon))
+    ok = np.empty((inst.n, n_masks), dtype=bool)
+    for g in group_by_dim(inst):
+        phi = np.stack([phis[i] for i in g.idx])
+        target = np.array([targets[i] for i in g.idx])
+        sub = np.linalg.pinv(phi[:, None] * bits[None, :, None, :])
+        rows[g.idx] = (sub @ target[:, None, :, None])[..., 0] * bits
+        stack = (np.repeat(a, n_masks, axis=0) for a in (g.A, g.b, g.xi))
+        accept = steers_to_zero(*stack, rows[g.idx].reshape(-1, horizon), ZERO_RTOL, TERMINAL_RTOL)
+        ok[g.idx] = accept.reshape(-1, n_masks)
+    return rows, ok
 
 
 def l0_min_by_enumeration(gamma, target, rtol=1e-9):
@@ -130,8 +178,7 @@ def reference_bruteforce(inst, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL)
     """
     n, horizon = inst.n, inst.horizon
     subsets = [s for k in range(inst.capacity + 1) for s in combinations(range(n), k)]
-    phis = [lifted_matrix(p, horizon) for p in inst.plants]
-    targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
+    phis, targets = per_plant_systems(inst)
     memo = {}
 
     def accepted_row(i, mask):
@@ -216,8 +263,7 @@ class TestMinL1Stack:
             inst = generate_instance(
                 len(dims), capacity, horizon, list(dims), value_range=2.0, seed=seed
             ).instance
-            gammas = [lifted_matrix(p, horizon) for p in inst.plants]
-            targets = [-(mat_pow(p.A, horizon) @ x) for p, x in zip(inst.plants, inst.xi)]
+            gammas, targets = per_plant_systems(inst)
             rows = ncsched.sparse.min_l1_stack(gammas, targets)
             for gamma, target, row in zip(gammas, targets, rows):
                 alone = reference_min_l1(gamma, target)
@@ -248,18 +294,24 @@ class TestMinL1Stack:
 
 
 class TestL1MinInputs:
+    """One plant's minimum-l1 row, through the relaxation route on a subset."""
+
     def test_scalar_plant(self):
-        p = PlantDynamics([[2.0]], [1.0])
-        np.testing.assert_allclose(l1_min_inputs(p, [1.0], 2), [-2.0, 0.0], atol=1e-9)
+        res = solve_via_relaxation(scalar_instance([2.0, 3.0], capacity=1, horizon=2), plants=[0])
+        np.testing.assert_allclose(res.logic.u, [[-2.0, 0.0], [0.0, 0.0]], atol=1e-9)
 
     def test_zero_state_gives_zero_inputs(self):
-        p = PlantDynamics([[2.0]], [1.0])
-        np.testing.assert_allclose(l1_min_inputs(p, [0.0], 3), np.zeros(3), atol=1e-12)
+        # A = 0: the terminal target -A^T xi is zero, so the row is zero
+        res = solve_via_relaxation(scalar_instance([0.0, 2.0], capacity=1, horizon=3), plants=[0])
+        np.testing.assert_allclose(res.logic.u, np.zeros((2, 3)), atol=1e-12)
+        assert res.certification == {0: "trivial"}
 
     def test_horizon_at_dimension_rejected(self):
-        p = PlantDynamics([[1, 1], [0, 1]], [0, 1])
-        with pytest.raises(HorizonTooShortError):
-            l1_min_inputs(p, [1.0, 0.0], 2)
+        # the short plant is the second one, in the second dimension group
+        plants = (PlantDynamics([[2.0]], [1.0]), PlantDynamics([[1, 1], [0, 1]], [0, 1]))
+        inst = NcsInstance(plants, (np.ones(1), np.array([1.0, 0.0])), capacity=1, horizon=2)
+        with pytest.raises(HorizonTooShortError, match=r"\(1-based\): 2$"):
+            solve_via_relaxation(inst)
 
 
 class TestRipDelta:
@@ -300,7 +352,7 @@ class TestRipDelta:
         # wide lifted matrices of an unstable plant: column norms span many decades
         p = PlantDynamics([[1.3, 0.4], [-0.2, 0.9]], [1.0, 0.5])
         for horizon in (40, 150):
-            gamma = lifted_matrix(p, horizon)
+            gamma = lifted_matrices(p.A[None], p.b[None], horizon)[0]
             assert rip_delta(gamma, 2).delta == reference_rip_delta(gamma, 2)
         # a column whose Gram entries overflow gives NaN spectra next to finite
         # ones; no isometry constant holds, so nothing is certified
@@ -514,6 +566,39 @@ class TestSolveViaRelaxation:
         ):
             solve_via_relaxation(inst)
         assert calls == []
+
+    @pytest.mark.parametrize("lifted_overflows", [True, False])
+    def test_routes_raise_the_per_plant_overflow_in_its_order(self, lifted_overflows):
+        # A = 1e26 at T = 12: the lifted matrix (up to 1e286) is finite but A^T
+        # is not. The reachable 2-d plant's lifted matrix reaches 1e14^11 * 1e160
+        # and overflows, or stays small. Every lifted matrix is checked before
+        # any power, across dimension groups.
+        second = (
+            PlantDynamics([[0.0, -1e14], [1e14, 0.0]], [1e160, 0.0]) if lifted_overflows
+            else PlantDynamics(np.diag([2.0, 0.5]), [1.0, 1.0])
+        )
+        plants = (PlantDynamics([[1e26]], [1.0]), second)
+        inst = NcsInstance(plants, (np.ones(1), np.ones(2)), capacity=1, horizon=12)
+        with pytest.raises(NonFiniteError) as want:
+            per_plant_systems(inst)
+        assert str(want.value) == (
+            "lifted matrix overflowed" if lifted_overflows
+            else "matrix power overflowed at exponent 12"
+        )
+        for route in (solve_via_relaxation, l0_feasible_bruteforce):
+            with pytest.raises(NonFiniteError) as got:
+                route(inst)
+            assert str(got.value) == str(want.value)
+
+    def test_routes_read_the_per_plant_systems_bit_for_bit(self):
+        # desk-cascade instances: dimensions 1-4, one group each
+        for seed in range(12345, 12350):
+            inst = generate_instance(4, 2, 5, [1, 2, 3, 4], value_range=2.0, seed=seed).instance
+            relaxed = solve_via_relaxation(inst)
+            assert relaxed.logic.u.tobytes() == reference_relaxation_rows(inst).tobytes()
+            table = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
+            for got, want in zip(table, reference_mask_table(inst), strict=True):
+                assert got.tobytes() == want.tobytes()
 
     def test_zero_tolerance_reaches_the_lp_polish(self, monkeypatch):
         seen = []
