@@ -156,10 +156,7 @@ def _cmd_verify(args) -> int:
             rec.instance, logic, zero_rtol=args.zero_rtol, terminal_rtol=args.terminal_rtol
         )
     except NonFiniteError as exc:
-        # a replay that overflows fails verification; the files themselves are valid
-        print("replay verified=false")
-        print(f"  violation: {exc}")
-        return EXIT_NO_SOLUTION
+        return _replay_overflowed(exc)
     worst = float(outcome.terminal_residuals.max()) if outcome.terminal_residuals.size else 0.0
     print(
         f"replay verified={'true' if outcome.verified else 'false'} "
@@ -170,9 +167,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if outcome.verified else EXIT_NO_SOLUTION
 
 
+def _replay_overflowed(exc: NonFiniteError) -> int:
+    # a replay that overflows fails verification; the files themselves are valid
+    print("replay verified=false")
+    print(f"  violation: {exc}")
+    return EXIT_NO_SOLUTION
+
+
 def _cmd_plots(args) -> int:
     rec = read_instance(args.instance)
-    paths = export_plots(rec.instance, args.report, args.out_dir)
+    try:
+        paths = export_plots(rec.instance, args.report, args.out_dir)
+    except NonFiniteError as exc:
+        # export_plots replays before it writes, so no file is left behind
+        return _replay_overflowed(exc)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

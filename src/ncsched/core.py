@@ -229,11 +229,6 @@ class ControlLogic:
     """Stacked input matrix: row i, column t holds plant i's input at time t."""
 
     u: np.ndarray
-    # nonzero_mask's and thresholded's results, by tolerance
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the tolerance this logic came out of ``thresholded`` at, if any
-    _zeroed_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.u, dtype=float)
@@ -248,9 +243,7 @@ class ControlLogic:
         """A logic over ``u``, a finite N x T float array that nothing else
         holds: frozen as it is, with no copy and no check."""
         logic = object.__new__(cls)
-        fields = {"u": _freeze(u), "_masks": {}, "_copies": {}, "_zeroed_at": None}
-        for name, value in fields.items():
-            object.__setattr__(logic, name, value)
+        object.__setattr__(logic, "u", _freeze(u))
         return logic
 
     @property
@@ -258,34 +251,18 @@ class ControlLogic:
         return self.u.shape[1]
 
     def nonzero_mask(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
-        """Read-only boolean N x T mask of inputs that count as nonzero.
-
-        Computed once per tolerance: ``u`` is read-only.
-        """
-        mask = self._masks.get(zero_rtol)
-        if mask is None:
-            self._masks[zero_rtol] = mask = _freeze(nonzero_entries(self.u, zero_rtol))
-        return mask
+        """Boolean N x T mask of inputs that count as nonzero."""
+        return nonzero_entries(self.u, zero_rtol)
 
     def thresholded(self, zero_rtol: float = ZERO_RTOL) -> "ControlLogic":
-        """Copy with sub-threshold entries set to exactly zero.
+        """Copy with sub-threshold entries set to +0.0.
 
-        Made once per tolerance: ``u`` is read-only. A logic that is itself
-        such a copy, at the same tolerance, is returned as it is.
+        The copy keeps exactly the entries of ``nonzero_mask``, all nonzero,
+        so its nonzeros are that mask. The zeroing keeps each row's largest
+        entry, or clears a row whose scale is 1, so the copy has the same row
+        scales and mask, and thresholding it again changes nothing.
         """
-        if self._zeroed_at == zero_rtol:
-            return self
-        out = self._copies.get(zero_rtol)
-        if out is None:
-            mask = self.nonzero_mask(zero_rtol)
-            out = ControlLogic._own(np.where(mask, self.u, 0.0))
-            # the zeroing keeps each row's largest entry, or clears a row whose
-            # scale is 1, so the copy has the same row scales and mask, and
-            # zeroing it again would change nothing
-            out._masks[zero_rtol] = mask
-            object.__setattr__(out, "_zeroed_at", zero_rtol)
-            self._copies[zero_rtol] = out
-        return out
+        return ControlLogic._own(np.where(self.nonzero_mask(zero_rtol), self.u, 0.0))
 
     def occupancy(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
         """Number of active plants in each time slot."""

@@ -40,13 +40,13 @@ def generate_instance(
     dims: list[int],
     value_range: float = 2.0,
     seed: int = 0,
-    max_draws: int = REJECTION_BUDGET,
 ) -> InstanceFile:
     """Random instance family: open-loop unstable, reachable plants.
 
     Each plant's matrices are drawn entrywise uniform on
     [-value_range, value_range] and redrawn until the state map's spectral
-    radius exceeds 1 and the pair passes the reachability rank test. Initial
+    radius exceeds 1 and the pair passes the reachability rank test, at most
+    ``REJECTION_BUDGET`` times in a row (``RejectionBudgetError``). Initial
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
@@ -64,7 +64,7 @@ def generate_instance(
     first = 0
     for d, run in itertools.groupby(dims):
         need = len(list(run))
-        stacks = _draw_plants(rng, d, need, value_range, max_draws, first)
+        stacks = _draw_plants(rng, d, need, value_range, first)
         runs.setdefault(d, []).append((np.arange(first, first + need), *stacks))
         first += need
     starts = np.cumsum([0, *dims[:-1]])
@@ -87,7 +87,6 @@ def _draw_plants(
     d: int,
     need: int,
     value_range: float,
-    max_draws: int,
     first: int,
 ) -> tuple[np.ndarray, ...]:
     """``need`` consecutive plants of dimension ``d``, numbered from ``first``.
@@ -108,21 +107,21 @@ def _draw_plants(
     last = -1  # the latest acceptance's position, counted from the run start
     while accepted < need:
         misses = drawn - last - 1  # rejections since the previous acceptance
-        if misses >= max_draws:
+        if misses >= REJECTION_BUDGET:
             raise RejectionBudgetError(
                 f"plant {first + accepted + 1}: "
-                f"no unstable reachable draw in {max_draws} tries"
+                f"no unstable reachable draw in {REJECTION_BUDGET} tries"
             )
         left = need - accepted
         size = left if not drawn else math.ceil(1.1 * left * drawn / max(accepted, 1))
-        size = min(size + 8, max_draws - misses)
+        size = min(size + 8, REJECTION_BUDGET - misses)
         block = rng.uniform(-value_range, value_range, (size, width))
         A = block[:, : d * d].reshape(size, d, d)
         unstable = np.flatnonzero(np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN)
         psi = lifted_matrices(A[unstable], block[unstable, d * d :], d)
         full, cond = rank_and_cond(psi)
-        # the block ends within max_draws of the previous acceptance, so an
-        # acceptance inside it is always within the budget
+        # the block ends within REJECTION_BUDGET draws of the previous
+        # acceptance, so an acceptance inside it is always within the budget
         take = np.flatnonzero(full)[:left]
         if take.size:
             kept.append((block[unstable[take]], psi[take], full[take], cond[take]))

@@ -35,7 +35,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport
-from .sim import at_rest, extract_schedule, verify_logic
+from .sim import at_rest, verify_logic
 from .sparse import l0_feasible_bruteforce, solve_via_relaxation
 
 _METHOD_ROUTES = {
@@ -162,9 +162,6 @@ def solve_instance(
                 f"({'; '.join(outcome.violations)})"
             )
             continue
-        # the thresholded rows verify_logic judged
-        zeroed = logic.thresholded(zero_rtol)
-        schedule = extract_schedule(zeroed, zero_rtol=zero_rtol)
         plan_dict = None if plan is None else {
             **plan.to_report_dict(), "open_loop": open_loop_report
         }
@@ -174,11 +171,11 @@ def solve_instance(
         report = SolveReport(
             method=route,
             plan=plan_dict,
-            schedule=schedule.as_report_lists(),
-            control=zeroed.u,
+            schedule=outcome.schedule.as_report_lists(),
+            control=outcome.control.u,
             verified=True,
             residuals=outcome.terminal_residuals.tolist(),
-            occupancy_histogram=_occupancy_histogram(schedule),
+            occupancy_histogram=_occupancy_histogram(outcome.schedule),
             state_norms=outcome.norms,
             warnings=warn_list,
             diagnostics=diagnostics,

@@ -59,13 +59,17 @@ class SimulationResult:
 
     ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
     ``trajectories`` holds each plant's (T+1) x d states: views of the
-    rollout's buffers, made on first use.
+    rollout's buffers, made on first use. ``control`` is the thresholded
+    logic that was simulated and judged, ``schedule`` the slots of its
+    nonzero inputs.
     """
 
     norms: np.ndarray
     terminal_residuals: np.ndarray
     max_column_occupancy: int
     verified: bool
+    control: ControlLogic
+    schedule: SchedulingLogic
     violations: tuple[str, ...] = ()
     # the dimension groups and, per group, its plants' states (rollout_stack's)
     _groups: tuple = field(default=(), repr=False, compare=False)
@@ -81,13 +85,16 @@ def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> Sched
 
     Dropping plants whose input is zero loses nothing, since a closed-loop
     step with zero input equals an open-loop step. Capacity is not checked
-    here: ``verify_logic`` judges it.
+    here: ``verify_logic`` judges it, and returns the same schedule.
     """
-    mask = logic.nonzero_mask(zero_rtol)
-    slots = tuple(
-        frozenset(np.nonzero(mask[:, t])[0].tolist()) for t in range(logic.horizon)
+    return _slots(logic.nonzero_mask(zero_rtol))
+
+
+def _slots(mask: np.ndarray) -> SchedulingLogic:
+    """The schedule of an N x T mask: per column, the plants whose entry is set."""
+    return SchedulingLogic(
+        tuple(frozenset(np.nonzero(mask[:, t])[0].tolist()) for t in range(mask.shape[1]))
     )
-    return SchedulingLogic(slots)
 
 
 def rollout_stack(
@@ -203,8 +210,10 @@ def verify_logic(
     Each dimension group's rows, thresholded, are judged by ``terminal_residuals``;
     ``verified`` is true iff every relative terminal residual is at most
     ``terminal_rtol`` and no slot is over capacity. This flag is the single
-    source of truth used by the solve pipeline and the acceptance tests. Both
-    tolerances must lie strictly between 0 and 1.
+    source of truth used by the solve pipeline and the acceptance tests. The
+    result carries the thresholded logic it judged and that logic's schedule,
+    which is what a solve reports. Both tolerances must lie strictly between
+    0 and 1.
     """
     check_tolerances(zero_rtol, terminal_rtol)
     if logic.u.shape != (inst.n, inst.horizon):
@@ -226,7 +235,9 @@ def verify_logic(
     if overflow.any():
         first = overflow[np.flatnonzero(overflow)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
-    occupancy = zeroed.occupancy(zero_rtol)
+    # the thresholded rows' nonzeros are the mask they were cut to
+    mask = zeroed.u != 0
+    occupancy = mask.sum(axis=0)
     max_occ = int(occupancy.max()) if occupancy.size else 0
 
     violations = []
@@ -247,6 +258,8 @@ def verify_logic(
         terminal_residuals=residuals,
         max_column_occupancy=max_occ,
         verified=not violations,
+        control=zeroed,
+        schedule=_slots(mask),
         violations=tuple(violations),
         _groups=tuple(groups),
         _states=tuple(states),

@@ -183,24 +183,24 @@ def min_l1(gamma: np.ndarray, target: np.ndarray) -> np.ndarray:
     return min_l1_stack([gamma], [target])[0]
 
 
-def rip_delta(gamma: np.ndarray, order: int, cap: int = RIP_SUPPORT_CAP) -> RipReport:
+def rip_delta(gamma: np.ndarray, order: int) -> RipReport:
     """Exact restricted-isometry constant by exhausting all column supports.
 
     ``delta`` is the largest deviation of a support-submatrix Gram spectrum
     from 1. Exhaustive rather than sampled, so the certificate is sound; the
-    support count is capped to keep it at desk scale. The sub-Gram matrices
-    are stacked in chunks of supports, one batched eigenvalue call each. A
-    support whose spectrum is not finite (overflowed Gram entries) gives
-    ``delta = inf``, never a certificate.
+    support count is capped at ``RIP_SUPPORT_CAP`` to keep it at desk scale.
+    The sub-Gram matrices are stacked in chunks of supports, one batched
+    eigenvalue call each. A support whose spectrum is not finite (overflowed
+    Gram entries) gives ``delta = inf``, never a certificate.
     """
     gamma = np.asarray(gamma, dtype=float)
     width = gamma.shape[1]
     if not 1 <= order <= width:
         raise ValueError(f"order must be in 1..{width}, got {order}")
     count = math.comb(width, order)
-    if count > cap:
+    if count > RIP_SUPPORT_CAP:
         raise TooLargeError(
-            f"{count} supports of size {order} exceed the cap of {cap}"
+            f"{count} supports of size {order} exceed the cap of {RIP_SUPPORT_CAP}"
         )
     gram = gamma.T @ gamma
     lo, hi = np.inf, -np.inf
@@ -248,7 +248,6 @@ def l0_feasible_bruteforce(
     *,
     zero_rtol: float = ZERO_RTOL,
     terminal_rtol: float = TERMINAL_RTOL,
-    cap: int = BRUTE_FORCE_CAP,
 ) -> ControlLogic | None:
     """First assignment of at most M plants per slot whose rows the verifier accepts.
 
@@ -259,11 +258,11 @@ def l0_feasible_bruteforce(
     while every plant's mask so far extends to an accepted mask, so the full
     walk's first accepted assignment is returned. None: no assignment has
     least-squares rows that pass (other inputs on the same masks are not
-    tried). Refuses when (number of access sets)^T exceeds ``cap``; the
-    message names the count only when it is itself within the cap.
+    tried). Refuses when (number of access sets)^T exceeds ``BRUTE_FORCE_CAP``;
+    the message names the count only when it is itself within the cap.
     """
     check_tolerances(zero_rtol, terminal_rtol)
-    n, horizon = inst.n, inst.horizon
+    n, horizon, cap = inst.n, inst.horizon, BRUTE_FORCE_CAP
     # running totals stop at the cap instead of forming huge integers
     n_sets = 0
     for size in range(inst.capacity + 1):
@@ -320,9 +319,10 @@ def solve_via_relaxation(
     overflow, an unreachable plant or a short horizon fails the route before
     the LP runs.
     ``zero_rtol`` picks both the LP polish support and the reported supports.
-    The rows are returned as they are: the solve cascade verifies every
-    route's output, and ``verify_logic`` judges both the terminal states and
-    the channel rule (at most M nonzero inputs per slot).
+    The rows are returned thresholded at ``zero_rtol``, with nothing else
+    judged: the solve cascade verifies every route's output, and
+    ``verify_logic`` judges both the terminal states and the channel rule (at
+    most M nonzero inputs per slot).
 
     Certification per plant with sparsity s and dimension d: "trivial" for
     the all-zero row; "uncertified" when 2s > d, since any 2s columns of the

@@ -122,6 +122,16 @@ class TestCliFlow:
         assert not report.verified
         assert report.method is None
         assert any("necessary condition" in line for line in report.diagnostics)
+        # a failure report holds no control to replay
+        capsys.readouterr()
+        out_dir = tmp_path / "csv"
+        assert main(["verify", str(inst_path), str(rep_path)]) == 3
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: report holds no control matrix to verify",
+            "error: report has no control matrix to export",
+        ]
+        assert not out_dir.exists()
 
     def test_overflow_during_verification_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -156,16 +166,7 @@ class TestCliFlow:
         assert "terminal_rtol must lie strictly between 0 and 1" in capsys.readouterr().err
 
     def test_verify_reports_replay_overflow_as_failed_verification(self, tmp_path, capsys):
-        # valid files whose zero control lets the 1e10 plant's squared state
-        # norm overflow at step 16: a failed verification, not an input error
-        inst_path = tmp_path / "inst.json"
-        rep_path = tmp_path / "rep.json"
-        inst = scalar_instance([1e10, 2.0], capacity=1, horizon=40)
-        write_instance(inst_path, InstanceFile(inst))
-        write_report(rep_path, SolveReport(
-            method=None, plan=None, schedule=[], control=np.zeros((2, 40)),
-            verified=False, residuals=[], occupancy_histogram=[],
-        ))
+        inst_path, rep_path = write_overflowing_replay(tmp_path)
         assert main(["verify", str(inst_path), str(rep_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
@@ -173,6 +174,30 @@ class TestCliFlow:
             "  violation: state overflowed at step 16",
         ]
         assert captured.err == ""
+
+    def test_plots_reports_replay_overflow_as_failed_verification(self, tmp_path, capsys):
+        inst_path, rep_path = write_overflowing_replay(tmp_path)
+        out_dir = tmp_path / "csv"
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "replay verified=false",
+            "  violation: state overflowed at step 16",
+        ]
+        assert captured.err == ""
+        assert not out_dir.exists()
+
+    def test_solve_prints_route_warnings(self, tmp_path, capsys):
+        # the relaxation verifies here (the plants' l1 rows use slots 0 and 3)
+        # and always warns that l1 uniqueness is assumed
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, InstanceFile(scalar_instance([2.0, 0.5], capacity=1, horizon=4)))
+        assert main(["solve", str(inst_path), "--method", "relax"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("verified=true method=relaxation ")
+        assert lines[-1] == (
+            "  warning: l1 minimizer uniqueness is assumed for every plant, not certified"
+        )
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 3
@@ -292,6 +317,21 @@ class TestCliFlow:
         err = capsys.readouterr().err
         assert err.count("error: unsupported report schema_version 1") == 2
         assert not out_dir.exists()
+
+
+def write_overflowing_replay(tmp_path):
+    """Valid instance and report files whose zero control lets the 1e10
+    plant's squared state norm overflow at step 16: a failed verification,
+    not an input error."""
+    inst_path = tmp_path / "inst.json"
+    rep_path = tmp_path / "rep.json"
+    inst = scalar_instance([1e10, 2.0], capacity=1, horizon=40)
+    write_instance(inst_path, InstanceFile(inst))
+    write_report(rep_path, SolveReport(
+        method=None, plan=None, schedule=[], control=np.zeros((2, 40)),
+        verified=False, residuals=[], occupancy_histogram=[],
+    ))
+    return inst_path, rep_path
 
 
 def sample_report():

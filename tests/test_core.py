@@ -238,11 +238,9 @@ class TestTypes:
         for zero_rtol in (1e-9, 1e-3, 0.5):
             logic = ControlLogic(u)
             mask = logic.nonzero_mask(zero_rtol)
-            assert not mask.flags.writeable
-            assert logic.nonzero_mask(zero_rtol) is mask
             zeroed = logic.thresholded(zero_rtol)
-            assert zeroed.nonzero_mask(zero_rtol) is mask
-            # a fresh logic over the same inputs computes the same mask
+            # the copy's nonzeros are the mask, and its own mask is the same
+            assert np.array_equal(zeroed.u != 0, mask)
             assert np.array_equal(ControlLogic(zeroed.u).nonzero_mask(zero_rtol), mask)
             assert not mask[:3].any()
 

@@ -97,6 +97,13 @@ class TestWindowedInputs:
         with pytest.raises(NonFiniteError, match="deadbeat burst overflowed"):
             windowed_inputs(p, [1.0], 0, 2, 2)
 
+    @pytest.mark.parametrize("offset, exponent", [(3, 3), (0, 2)], ids=["coast", "steer"])
+    def test_overflowing_power_raises(self, offset, exponent):
+        # 1e200 cubed overflows while coasting, squared in a width-2 window
+        p = PlantDynamics([[1e200]], [1.0])
+        with pytest.raises(NonFiniteError, match=f"^matrix power overflowed at exponent {exponent}$"):
+            windowed_inputs(p, [1.0], offset, 2, 5)
+
     def test_shift_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(30):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ncsched.instances
 from ncsched import (
     NcsInstance,
     PlantDynamics,
@@ -153,31 +154,33 @@ class TestGenerateInstance:
             assert all(not x.flags.writeable for x in inst.xi)
             assert [p.d for p in inst.plants] == list(dims)
 
-    def test_budget_error_names_same_plant(self):
+    def test_budget_error_names_same_plant(self, monkeypatch):
         # entries within +-0.8 can make a 2-D plant unstable but never a 1-D one
         dims = (2, 2, 1)
+        monkeypatch.setattr(ncsched.instances, "REJECTION_BUDGET", 500)
         with pytest.raises(RejectionBudgetError) as want:
             sequential_draws(np.random.default_rng(5), dims, 0.8, max_draws=500)
         with pytest.raises(RejectionBudgetError) as got:
-            generate_instance(3, 1, 5, list(dims), value_range=0.8, seed=5, max_draws=500)
+            generate_instance(3, 1, 5, list(dims), value_range=0.8, seed=5)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("plant 3: ")
 
-    def test_budget_counts_since_previous_acceptance(self):
+    def test_budget_counts_since_previous_acceptance(self, monkeypatch):
         # 1-D draws on +-1.05 pass with probability 0.05, so a budget of 20
         # runs out partway through a run on some seeds and not on others
         dims = (1, 1, 1, 1, 2, 2)
+        monkeypatch.setattr(ncsched.instances, "REJECTION_BUDGET", 20)
         failed_at = set()
         for seed in range(40):
             try:
                 want = sequential_draws(np.random.default_rng(seed), dims, 1.05, max_draws=20)
             except RejectionBudgetError as exc:
                 with pytest.raises(RejectionBudgetError) as got:
-                    generate_instance(6, 2, 5, list(dims), value_range=1.05, seed=seed, max_draws=20)
+                    generate_instance(6, 2, 5, list(dims), value_range=1.05, seed=seed)
                 assert str(got.value) == str(exc)
                 failed_at.add(str(exc).split(":")[0])
                 continue
-            rec = generate_instance(6, 2, 5, list(dims), value_range=1.05, seed=seed, max_draws=20)
+            rec = generate_instance(6, 2, 5, list(dims), value_range=1.05, seed=seed)
             assert_same_draws(rec, *want)
         assert len(failed_at) > 1
 

@@ -91,6 +91,19 @@ class TestSolveCascade:
             in report.diagnostics
         )
 
+    def test_bruteforce_without_an_assignment_gives_its_reason(self):
+        # the 2-d plant's target needs both columns of its lifted matrix and
+        # the scalar plant one slot: three inputs for two slots of capacity 1
+        plants = (PlantDynamics([[2.0, 1.0], [0.0, 3.0]], [0.0, 1.0]), PlantDynamics([[2.0]], [1.0]))
+        inst = NcsInstance(plants, [[1.0, 1.0], [1.0]], capacity=1, horizon=2)
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(inst, method="brute")
+        assert err.value.code == "routes_exhausted"
+        assert err.value.reasons[-1] == (
+            "bruteforce: no assignment of at most 1 plants per slot has least-squares "
+            "rows that pass the verifier at zero_rtol=1e-09, terminal_rtol=1e-06"
+        )
+
     def test_open_loop_plants_get_zero_rows(self):
         plants = (
             PlantDynamics([[0.0]], [1.0]),  # open-loop zeroable

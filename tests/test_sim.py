@@ -354,7 +354,7 @@ class TestThresholdOnce:
         noisy = ControlLogic(logic.u + (logic.u == 0) * rng.uniform(-1e-12, 1e-12, logic.u.shape))
         for r in (ZERO_RTOL, 1e-6):
             z = noisy.thresholded(r)
-            assert z.thresholded(r) is z and noisy.thresholded(r) is z
+            assert np.array_equal(z.thresholded(r).u, z.u)
             assert np.array_equal(z.u, np.where(noisy.nonzero_mask(r), noisy.u, 0.0))
             results = [
                 verify_logic(demo_instance, given, zero_rtol=r)
@@ -364,5 +364,7 @@ class TestThresholdOnce:
                 assert other.verified == results[0].verified
                 assert np.array_equal(other.norms, results[0].norms)
                 assert np.array_equal(other.terminal_residuals, results[0].terminal_residuals)
-        # another tolerance makes another copy
-        assert z.thresholded(ZERO_RTOL) is not z
+            # each result carries the rows it judged and their schedule
+            for result in results:
+                assert np.array_equal(result.control.u, z.u)
+                assert result.schedule == extract_schedule(noisy, r)

@@ -331,9 +331,13 @@ class TestRipDelta:
         np.testing.assert_allclose(report.delta, 1.0)
         assert not report.certified
 
-    def test_support_cap(self):
-        with pytest.raises(TooLargeError):
-            rip_delta(np.eye(100), 50, cap=1000)
+    def test_support_cap(self, monkeypatch):
+        # C(5, 2) = 10 supports
+        monkeypatch.setattr(ncsched.sparse, "RIP_SUPPORT_CAP", 10)
+        assert rip_delta(np.eye(5), 2).certified
+        monkeypatch.setattr(ncsched.sparse, "RIP_SUPPORT_CAP", 9)
+        with pytest.raises(TooLargeError, match=r"^10 supports of size 2 exceed the cap of 9$"):
+            rip_delta(np.eye(5), 2)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -473,12 +477,14 @@ class TestBruteForce:
         )
         assert len(str(err.value)) < 200
 
-    def test_cap_boundary(self):
+    def test_cap_boundary(self, monkeypatch):
         # N=2, M=1: 3 access sets per slot, so T=2 gives exactly 3^2 = 9 assignments
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=2)
-        assert verify_logic(inst, l0_feasible_bruteforce(inst, cap=9)).verified
+        monkeypatch.setattr(ncsched.sparse, "BRUTE_FORCE_CAP", 9)
+        assert verify_logic(inst, l0_feasible_bruteforce(inst)).verified
+        monkeypatch.setattr(ncsched.sparse, "BRUTE_FORCE_CAP", 8)
         with pytest.raises(TooLargeError, match=r"^3\^2 assignments exceed the cap of 8$"):
-            l0_feasible_bruteforce(inst, cap=8)
+            l0_feasible_bruteforce(inst)
 
     def test_tolerances_are_keyword_only(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=2)
@@ -679,3 +685,14 @@ class TestSolveViaRelaxation:
         plan = res.to_report_dict()
         assert plan["rip"] == [[1, 2, rep.delta, rep.certified]]
         assert plan["sparsity"] == [[1, 1], [2, 1]]
+
+    def test_isometry_check_over_the_cap_is_not_run(self, monkeypatch):
+        # C(3, 2) = 3 supports at order 2, one more than the cap
+        monkeypatch.setattr(ncsched.sparse, "RIP_SUPPORT_CAP", 2)
+        res = solve_via_relaxation(one_burst_instance())
+        assert res.certification == {0: "cap-exceeded", 1: "uncertified"}
+        assert res.rip_reports == {}
+        assert res.warnings[1:] == [
+            "plant 1: isometry check at order 2 exceeds the enumeration cap; "
+            "l1 optimality uncertified"
+        ]
