@@ -5,6 +5,10 @@ ends with the d-entry burst ``-inv(Psi) @ A^width @ x``, where ``Psi`` is the
 controllability matrix. Forward simulation from ``x`` under the window lands
 on the zero state at the window's end, so each plant needs at most d nonzero
 inputs no matter how long its window is.
+
+``deadbeat_rows``, the one checked path from windows to input rows for a
+plan and for one plant alike, checks the windows, warns about ill-conditioned
+Psi and runs the kernel ``deadbeat_bursts``, which reports only overflow.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import PlantDynamics, PlantGroup, mat_powers, matvec, stack_plants
+from .core import PlantDynamics, mat_powers, matvec, stack_plants
 from .errors import (
     IllConditionedWarning,
     NonFiniteError,
@@ -24,72 +28,73 @@ from .errors import (
 COND_WARN_LIMIT = 1e12
 
 
-def deadbeat_bursts(
-    g: PlantGroup, offsets, widths
-) -> tuple[np.ndarray, dict[int, tuple[str | None, Exception | None]]]:
-    """Stacked deadbeat bursts for a group of plants of one dimension.
+def deadbeat_bursts(groups, offset: np.ndarray, width: np.ndarray, horizon: int) -> np.ndarray:
+    """Input rows holding the deadbeat burst of every plant of ``groups``.
 
-    Row k coasts ``g.xi[k]`` for ``offsets[k]`` steps and then steers it to
-    zero with a window of ``widths[k]`` steps. Returns the n x d window tails
-    ``-inv(Psi) A^width A^offset xi``, from one factorization-based solve for
-    the stack, and the problems of the rows that have any (a burst that is
-    not finite is a ``NonFiniteError``):
-    ``{row: (ill-conditioning warning text or None, error or None)}``. A row
-    has a warning only if it got as far as the condition check, so replaying
-    each row's warning and then its error in plant order (``raise_in_order``)
-    repeats what building the windows one plant at a time would do. Psi, its
-    rank test and its condition number are the group's own (``g.psi``,
-    ``g.reachable``, ``g.cond``); nothing is factored here but the solve.
+    ``offset`` and ``width`` give each plant's window by plant index; other
+    rows stay zero. Plant i coasts for ``offset[i]`` steps, then the burst
+    ``-inv(Psi) A^width A^offset xi`` fills the last d slots of its window
+    (one solve per group, with the group's own Psi). Windows, reachability
+    and conditioning are not checked here. Raises ``NonFiniteError`` for the
+    lowest-index plant whose coast power, window power or burst overflows.
     """
-    d = g.A.shape[-1]
-    offsets = np.asarray(offsets)
-    widths = np.asarray(widths)
-    coast = mat_powers(g.A, offsets)
-    # widths <= d fail their own check below; give them a harmless exponent
-    steer = mat_powers(g.A, np.where(widths > d, widths, 0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = matvec(steer, matvec(coast, g.xi))
-    coast_ok = np.isfinite(coast).all(axis=(1, 2))
-    steer_ok = np.isfinite(steer).all(axis=(1, 2))
-    ill = g.cond > COND_WARN_LIMIT
-    problems: dict[int, tuple[str | None, Exception | None]] = {}
-    # the checks in the order one plant meets them
-    for k in np.flatnonzero(~coast_ok | (widths <= d) | ~g.reachable | ill | ~steer_ok):
-        text = error = None
-        if not coast_ok[k]:
-            error = NonFiniteError(f"matrix power overflowed at exponent {offsets[k]}")
-        elif widths[k] <= d:
-            error = ValueError(f"window length {widths[k]} must exceed dimension {d}")
-        elif not g.reachable[k]:
-            error = NotReachableError()
-        else:
-            if ill[k]:
-                text = (
-                    f"controllability matrix condition number {g.cond[k]:.2e} exceeds "
-                    f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade"
-                )
-            if not steer_ok[k]:
-                error = NonFiniteError(f"matrix power overflowed at exponent {widths[k]}")
-        problems[int(k)] = (text, error)
-    solvable = np.ones(len(g.xi), dtype=bool)
-    solvable[[k for k, (_, error) in problems.items() if error]] = False
-    tails = np.zeros(g.xi.shape)
-    tails[solvable] = -np.linalg.solve(g.psi[solvable], rhs[solvable][..., None])[..., 0]
-    # a finite right-hand side can still overflow in the solve
-    for k in np.flatnonzero(~np.isfinite(tails).all(axis=1)):
-        text = problems.get(int(k), (None, None))[0]
-        problems[int(k)] = (text, NonFiniteError("deadbeat burst overflowed"))
-    return tails, problems
+    u = np.zeros((offset.size, horizon))
+    # per plant: 0 built, 1 coast power, 2 window power or 3 burst overflowed
+    failed = np.zeros(offset.size, dtype=int)
+    for g in groups:
+        d = g.A.shape[-1]
+        offsets, widths = offset[g.idx], width[g.idx]
+        coast, steer = mat_powers(g.A, offsets), mat_powers(g.A, widths)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = matvec(steer, matvec(coast, g.xi))
+        # only finite right-hand sides are solved; the rest count as overflowed
+        finite = np.isfinite(rhs).all(axis=1)
+        tails = np.full(g.xi.shape, np.inf)
+        tails[finite] = -np.linalg.solve(g.psi[finite], rhs[finite][..., None])[..., 0]
+        coast_ok, steer_ok = (np.isfinite(m).all(axis=(1, 2)) for m in (coast, steer))
+        burst_ok = np.isfinite(tails).all(axis=1)
+        failed[g.idx] = np.select([~coast_ok, ~steer_ok, ~burst_ok], [1, 2, 3])
+        # each burst fills the last d slots of its window
+        u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
+    for i in np.flatnonzero(failed)[:1]:
+        if failed[i] == 3:
+            raise NonFiniteError("deadbeat burst overflowed")
+        exponent = (offset if failed[i] == 1 else width)[i]
+        raise NonFiniteError(f"matrix power overflowed at exponent {exponent}")
+    return u
 
 
-def raise_in_order(problems: dict[int, tuple[str | None, Exception | None]]) -> None:
-    """Per plant in index order: emit its warning, then raise its error."""
-    for i in sorted(problems):
-        text, error = problems[i]
-        if text:
-            warnings.warn(text, IllConditionedWarning, stacklevel=3)
-        if error:
-            raise error
+def deadbeat_rows(groups, offset: np.ndarray, width: np.ndarray, horizon: int) -> np.ndarray:
+    """``deadbeat_bursts`` on checked windows, with its ill-conditioning warnings.
+
+    The lowest-index plant of ``groups`` with a bad window raises: a
+    ``ValueError`` when the window is not longer than its dimension, else a
+    ``WindowOverflowError`` when it leaves [0, horizon). Then every plant
+    whose Psi condition number (its group's ``cond``) exceeds
+    ``COND_WARN_LIMIT`` warns (``IllConditionedWarning``), in plant order,
+    and the kernel builds the rows. The callers decide reachability.
+    """
+    dims = np.zeros(offset.size, dtype=int)
+    cond = np.zeros(offset.size)
+    for g in groups:
+        dims[g.idx], cond[g.idx] = g.A.shape[-1], g.cond
+    short, outside = width <= dims, (offset < 0) | (offset + width > horizon)
+    for i in np.flatnonzero((dims > 0) & (short | outside))[:1]:
+        if short[i]:
+            raise ValueError(
+                f"window length {width[i]} too short for plant {i + 1} of dimension {dims[i]}"
+            )
+        raise WindowOverflowError(
+            f"window [{offset[i]}, {offset[i] + width[i]}) exceeds horizon {horizon}"
+        )
+    for i in np.flatnonzero(cond > COND_WARN_LIMIT):
+        warnings.warn(
+            f"controllability matrix condition number {cond[i]:.2e} exceeds "
+            f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return deadbeat_bursts(groups, offset, width, horizon)
 
 
 def windowed_inputs(
@@ -100,20 +105,16 @@ def windowed_inputs(
     The plant coasts with zero input on [0, offset); the window is ``width - d``
     zeros, then the burst ``-inv(Psi) @ A^width @ A^offset @ xi`` (a solve, not an
     inverse), so the state is zero from ``offset + width`` through the horizon.
-    The plant must be reachable and ``width > d``; an ill-conditioned Psi warns
+    An unreachable plant raises ``NotReachableError``; the window is checked
+    as a plan's are (``deadbeat_rows``, the plant counting as plant 1): one
+    not longer than d is a ``ValueError``, one outside [0, horizon) a
+    ``WindowOverflowError``. An ill-conditioned Psi warns
     (``IllConditionedWarning``) but still returns the row.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("state has wrong length")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
-    if offset + width > horizon:
-        raise WindowOverflowError(
-            f"window [{offset}, {offset + width}) exceeds horizon {horizon}"
-        )
-    tails, problems = deadbeat_bursts(stack_plants([0], [p], [xi]), [offset], [width])
-    raise_in_order(problems)
-    row = np.zeros(horizon)
-    row[offset + width - p.d : offset + width] = tails[0]
-    return row
+    g = stack_plants([0], [p], [xi])
+    if not g.reachable[0]:
+        raise NotReachableError()
+    return deadbeat_rows([g], np.array([offset]), np.array([width]), horizon)[0]

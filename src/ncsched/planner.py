@@ -8,9 +8,12 @@ plants back-to-back with per-plant window lengths, so at any instant at most
 one plant per lane is active.
 
 Either plan yields its windows as (plant, offset, width) arrays (and, from
-them, the ``placements()`` dict), and one checked synthesis (``_assemble``)
-turns them into input rows: each window ends in its plant's deadbeat burst,
-and no slot may hold more than M bursts.
+them, the ``placements()`` dict), and ``_assemble`` turns them into input
+rows through the one checked window path (``deadbeat.deadbeat_rows``): each
+window ends in its plant's deadbeat burst. Synthesis judges no schedule: the
+plans the searches build never put more than M plants on the channel at
+once, and every route's rows, a hand-built plan's included, are judged by
+``verify_logic``'s rule of at most M nonzero inputs per slot.
 
 The block search is complete: chunking the plants by decreasing dimension
 gives the shortest block plan, so when it does not fit none does. The lane
@@ -34,8 +37,8 @@ from .core import (
     group_by_dim,
     open_loop_hit_times,
 )
-from .deadbeat import deadbeat_bursts, raise_in_order
-from .errors import NotReachableError, TooLargeError, WindowOverflowError
+from .deadbeat import deadbeat_rows
+from .errors import NotReachableError, TooLargeError
 
 EXHAUSTIVE_LIMIT = 10
 
@@ -111,8 +114,15 @@ class LanePlan:
     lanes: tuple[tuple[int, ...], ...]
     widths: dict[int, int]
 
+    def _widths_of(self, plants) -> list[int]:
+        """The window widths of ``plants``; ``ValueError`` for the first without one."""
+        try:
+            return list(map(self.widths.__getitem__, plants))
+        except KeyError as missing:
+            raise ValueError(f"plan gives plant {missing.args[0] + 1} no width") from None
+
     def lane_loads(self) -> tuple[int, ...]:
-        return tuple(sum(self.widths[i] for i in lane) for lane in self.lanes)
+        return tuple(sum(self._widths_of(lane)) for lane in self.lanes)
 
     def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: each lane's windows run
@@ -120,7 +130,7 @@ class LanePlan:
         has no width or is listed twice."""
         plant, sizes = _listed(self.lanes)
         repeat = _first_repeat(plant)
-        width = np.array(list(map(self.widths.__getitem__, plant[:repeat].tolist())), dtype=int)
+        width = np.array(self._widths_of(plant[:repeat].tolist()), dtype=int)
         _check_placed_once(plant, repeat)
         # a window starts where the ones before it end, less its lane's start
         before = np.concatenate(([0], np.cumsum(width)))
@@ -310,56 +320,32 @@ def exhaustive_lane_plan(inst: NcsInstance) -> LanePlan | None:
 
 
 def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLogic:
-    """Checked input rows for a plan that places exactly the plants in ``cover``.
+    """Input rows for a plan that places exactly the plants in ``cover``, all reachable.
 
     A window of width w > d at offset o holds its plant's deadbeat burst in its
     last d slots, [o + w - d, o + w), and zeros elsewhere; unplaced plants get
-    zero rows. The plan is rejected (``ValueError``) unless it places exactly
-    ``cover``, every window is longer than its plant's dimension and no slot
-    holds more than M bursts; a window outside [0, T) raises
-    ``WindowOverflowError``. The windows of each dimension are built as one
-    stack; warnings and errors come out in plant order, as if the plants were
-    done one at a time.
+    zero rows. A plan that does not place exactly ``cover`` is a
+    ``ValueError``; the windows are checked, warned about and built by
+    ``deadbeat_rows``. How many plants share a slot is not judged here.
     """
     plant, offset, width = plan._windows()
     if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
         raise ValueError("plan does not place exactly the expected plants")
-    dims = inst._dim_array()[plant]
-    bad = np.flatnonzero((width <= dims) | (offset < 0) | (offset + width > inst.horizon))
-    if bad.size:
-        k = bad[np.argmin(plant[bad])]
-        if width[k] <= dims[k]:
-            raise ValueError(f"window length {width[k]} too short for plant {plant[k] + 1}")
-        raise WindowOverflowError(
-            f"window [{offset[k]}, {offset[k] + width[k]}) exceeds horizon {inst.horizon}"
-        )
-    # +1 at a burst's first slot, -1 past its last
-    starts = np.bincount(offset + width - dims, minlength=inst.horizon + 1)
-    bursts = np.cumsum(starts - np.bincount(offset + width, minlength=inst.horizon + 1))
-    over = np.flatnonzero(bursts > inst.capacity)
-    if over.size:
-        t = over[0]
-        raise ValueError(f"slot {t} holds {bursts[t]} bursts, capacity is {inst.capacity}")
     window = np.zeros((2, inst.n), dtype=int)
     window[:, plant] = offset, width
-    u = np.zeros((inst.n, inst.horizon))
-    problems: dict[int, tuple] = {}
-    for g in group_by_dim(inst, plant):
-        offsets, widths = window[:, g.idx]
-        tails, found = deadbeat_bursts(g, offsets, widths)
-        problems.update((int(g.idx[k]), found[k]) for k in found)
-        # each burst fills the last d slots of its window
-        d = tails.shape[1]
-        u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
-    raise_in_order(problems)
     # every burst that did not raise is finite
-    return ControlLogic._own(u)
+    return ControlLogic._own(deadbeat_rows(group_by_dim(inst, plant), *window, inst.horizon))
 
 
 def build_from_plan(inst: NcsInstance, plan: BlockPlan | LanePlan) -> ControlLogic:
     """Input rows for a lane or block plan that places every plant.
 
-    At most M bursts share a slot, so at most M plants are active per slot;
-    a malformed plan raises ``ValueError`` (see ``_assemble``).
+    An unreachable plant raises ``NotReachableError`` naming every such
+    plant; a malformed plan (a plant placed twice, given no width or left
+    out, a window not longer than its plant's dimension) raises
+    ``ValueError``, and a window outside [0, T) ``WindowOverflowError``. The
+    rows are not judged: ``verify_logic`` decides whether they steer every
+    plant to zero with at most M nonzero inputs per slot.
     """
+    _require_reachable(inst, range(inst.n))
     return _assemble(inst, plan, range(inst.n))

@@ -103,6 +103,10 @@ def _row_space_system(gamma: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     keep = sigma > cutoff
     projected = left.T @ target
     dropped = projected[~keep]
+    if gamma.shape[0] > sigma.size:
+        # a tall matrix's thin basis does not span the target's space: judge
+        # the target's whole residual off the kept directions
+        dropped = target - left[:, keep] @ projected[keep]
     if dropped.size and np.abs(dropped).max() > RESIDUAL_RTOL * (
         1.0 + float(np.linalg.norm(target))
     ):
@@ -319,10 +323,10 @@ def solve_via_relaxation(
     overflow, an unreachable plant or a short horizon fails the route before
     the LP runs.
     ``zero_rtol`` picks both the LP polish support and the reported supports.
-    The rows are returned thresholded at ``zero_rtol``, with nothing else
+    The rows are returned as the LP and its polish left them, with nothing
     judged: the solve cascade verifies every route's output, and
-    ``verify_logic`` judges both the terminal states and the channel rule (at
-    most M nonzero inputs per slot).
+    ``verify_logic`` thresholds the rows at ``zero_rtol`` and judges both the
+    terminal states and the channel rule (at most M nonzero inputs per slot).
 
     Certification per plant with sparsity s and dimension d: "trivial" for
     the all-zero row; "uncertified" when 2s > d, since any 2s columns of the
@@ -376,7 +380,7 @@ def solve_via_relaxation(
             certification[i] = "certified" if rip_reports[i].certified else "uncertified"
 
     return RelaxationResult(
-        logic=ControlLogic(u).thresholded(zero_rtol),
+        logic=ControlLogic(u),
         supports=supports,
         rip_reports=rip_reports,
         certification=certification,

@@ -17,7 +17,50 @@ from ncsched import (
 from conftest import companion_plant, scalar_instance
 
 
+def mixed_plant(rng, kind):
+    """A random plant of dimension 1-4: as drawn, scaled stable, b = 0, or unreachable."""
+    d = int(rng.integers(1, 5))
+    A = rng.uniform(-2, 2, (d, d))
+    b = rng.uniform(-2, 2, d)
+    if kind == "stable":
+        A *= 0.8 / max(np.abs(np.linalg.eigvals(A)).max(), 0.1)
+    elif kind == "no input":
+        b[:] = 0.0
+    elif kind == "unreachable" and d > 1:
+        # A diagonal and b[0] = 0: no input ever reaches the first coordinate
+        A, b[0] = np.diag(np.diag(A)), 0.0
+    return PlantDynamics(A, b)
+
+
+def mixed_small_instances(seed, count):
+    """Seeded instances of 2-5 plants with M < N and T in 1-8, mixing plant kinds."""
+    rng = np.random.default_rng(seed)
+    kinds = ("drawn", "drawn", "stable", "no input", "unreachable")
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        plants = tuple(mixed_plant(rng, kinds[int(rng.integers(len(kinds)))]) for _ in range(n))
+        xi = tuple(rng.uniform(-1, 1, p.d) for p in plants)
+        capacity, horizon = int(rng.integers(1, n)), int(rng.integers(1, 9))
+        yield NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
+
+
 class TestSolveCascade:
+    def test_only_no_solution_escapes_the_cascade(self):
+        # every route's failure, whatever raised it inside, becomes a reason
+        methods = ("auto", "lane", "block", "relax", "brute")
+        verified, failed = set(), 0
+        for inst in mixed_small_instances(59, 100):
+            for method in methods:
+                try:
+                    report = solve_instance(inst, method=method)
+                except NoSolutionFoundError:
+                    failed += 1
+                    continue
+                assert report.verified
+                assert verify_logic(inst, ControlLogic(report.control)).verified
+                verified.add(method)
+        assert verified == set(methods) and failed > 100
+
     def test_lane_route_wins_when_available(self):
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=4)
         report = solve_instance(inst)

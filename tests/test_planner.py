@@ -210,6 +210,30 @@ class TestCompleteSearches:
             outcomes.add(block is None)
         assert outcomes == {True, False}
 
+    def test_block_plan_implies_lane_plan(self):
+        """Whenever the block plan fits, balanced lane packing fits too.
+
+        Both searches take the plants in (-dimension, index) order: the block
+        plan cuts that order into chunks of M, chunk j getting the segment
+        length L_j = 1 + its largest dimension, and the lane packing places
+        each plant, width d + 1 <= L_j for a plant of chunk j, on the least
+        loaded lane. Write S_j = L_0 + ... + L_(j-1). By induction every lane
+        holds at most S_j when chunk j begins: while chunk j is placed, at
+        most M - 1 of its plants are down, so some lane has taken none of
+        them and still holds at most S_j; the least loaded lane holds no
+        more, so the plant lands at most at S_j + L_j = S_(j+1). As
+        S_(j+1) <= sum(L) <= T, no window overruns the horizon. Hence in
+        ``auto`` the block route can win only after a lane plan was found
+        and failed synthesis or verification.
+        """
+        outcomes = set()
+        for inst in random_small_instances(53, 1000):
+            block = find_block_plan(inst)
+            if block is not None:
+                assert find_lane_plan(inst) is not None
+            outcomes.add(block is None)
+        assert outcomes == {True, False}
+
     def test_load_pruned_lane_search_matches_enumeration(self):
         outcomes = set()
         for inst in random_small_instances(47, 300):
@@ -316,14 +340,18 @@ class TestPlanChecks:
         assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
         assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
 
-    def test_more_bursts_than_capacity_in_one_slot_rejected(self):
+    def test_more_bursts_than_capacity_in_one_slot_fail_verification(self):
+        # synthesis builds any well-formed plan; the verifier's channel rule
+        # (at most M nonzero inputs per slot) is the only capacity judge
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=4)
         lanes = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 2, 2: 2})
-        with pytest.raises(ValueError, match="slot 1 holds 3 bursts, capacity is 2"):
-            build_from_plan(inst, lanes)
         block = BlockPlan(blocks=((0, 1, 2),), block_lengths=(2,))
-        with pytest.raises(ValueError, match="slot 1 holds 3 bursts"):
-            build_from_plan(inst, block)
+        for plan in (lanes, block):
+            outcome = verify_logic(inst, build_from_plan(inst, plan))
+            assert not outcome.verified
+            assert outcome.violations == (
+                "capacity violation: slot 1 holds 3 plants, capacity is 2",
+            )
 
     def test_more_lanes_than_capacity_with_disjoint_bursts_verify(self):
         # three lanes on a one-plant channel: the bursts sit in slots 1, 3, 5
@@ -346,6 +374,24 @@ class TestPlanChecks:
         plan = LanePlan(lanes=((0, 1), (1,)), widths={0: 2, 1: 2})
         with pytest.raises(ValueError, match="places plant 2 twice"):
             build_from_plan(inst, plan)
+
+    def test_lane_plant_without_width_rejected(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
+        plan = LanePlan(lanes=((0, 1),), widths={0: 2})
+        for call in (lambda: build_from_plan(inst, plan), plan.placements, plan.lane_loads):
+            with pytest.raises(ValueError, match="plan gives plant 2 no width"):
+                call()
+
+    def test_unreachable_plant_in_hand_built_plan(self):
+        bad = PlantDynamics([[1, 0], [0, 1]], [1, 0])
+        good = PlantDynamics([[2.0]], [1.0])
+        inst = NcsInstance(
+            (good, bad), (np.array([1.0]), np.array([1.0, 1.0])), capacity=1, horizon=9
+        )
+        plan = LanePlan(lanes=((0, 1),), widths={0: 2, 1: 3})
+        with pytest.raises(NotReachableError) as err:
+            build_from_plan(inst, plan)
+        assert err.value.plants == (1,)
 
     def test_window_past_horizon_overflows(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=3)

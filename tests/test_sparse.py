@@ -287,6 +287,18 @@ class TestMinL1Stack:
             ncsched.sparse.min_l1_stack(gammas, targets)
         assert calls == []
 
+    def test_inconsistent_tall_system_stalls(self, monkeypatch):
+        calls = count_linprog(monkeypatch)
+        # full column rank, but the target has a part outside the column space,
+        # which the thin basis of a tall matrix does not span
+        with pytest.raises(SolverStallError, match="inconsistent"):
+            min_l1(np.array([[1.0], [0.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(SolverStallError, match="inconsistent"):
+            min_l1_stack([np.ones((3, 2)), np.eye(2)], [np.array([1.0, 1.0, 2.0]), np.ones(2)])
+        assert calls == []
+        # a consistent tall system still solves
+        np.testing.assert_allclose(min_l1(np.array([[1.0], [2.0]]), np.array([1.0, 2.0])), [1.0])
+
     def test_empty_stack(self, monkeypatch):
         calls = count_linprog(monkeypatch)
         assert ncsched.sparse.min_l1_stack([], []) == []
