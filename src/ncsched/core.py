@@ -29,6 +29,10 @@ from .errors import NonFiniteError
 
 ZERO_RTOL = 1e-9
 TERMINAL_RTOL = 1e-6
+# the open-loop scan compares its new states' norms, and checks whether every
+# plant has hit, once per this many steps: a check takes several numpy calls,
+# and fewer than this many products run past the last hit
+SCAN_CHECK = 8
 
 
 def check_tolerances(zero_rtol: float, terminal_rtol: float) -> None:
@@ -401,17 +405,34 @@ def open_loop_hit_times(
 
     A state that overflows counts as never reaching zero; the overflow itself
     is not reported.
+
+    Each plant runs scaled by the power of two that brings its largest initial
+    entry into [0.5, 1). Scaling by 2^-e is exact, so in the normal range every
+    comparison keeps its bits, and states whose squared norm would overflow or
+    underflow (|xi| above ~1e154 or below ~1e-154) are compared at the scale
+    of 1. The states go into one (horizon+1) x n x d buffer, one stacked
+    product per step. Every ``SCAN_CHECK`` steps the new states' norms are
+    compared, once each, and the scan ends early when every plant has hit;
+    the hit times are read off the comparisons after the loop.
     """
-    limit = zero_rtol * np.sqrt(np.vecdot(xi, xi))
-    hit = np.zeros(xi.shape[0], dtype=int)
-    x = xi
+    n, d = xi.shape
+    x = np.empty((horizon + 1, n, d))
+    x[0] = np.ldexp(xi, -np.frexp(np.abs(xi).max(axis=1, initial=0.0))[1][:, None])
+    # step 0 never counts, so argmax reads 0 for a plant that never hits
+    below = np.zeros((horizon + 1, n), dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in range(1, horizon + 1):
-            x = matvec(A, x)
-            hit[(hit == 0) & (np.sqrt(np.vecdot(x, x)) <= limit)] = tau
-            if hit.all():
+        limit = zero_rtol * np.sqrt(np.vecdot(x[0], x[0]))
+        for start in range(0, horizon, SCAN_CHECK):
+            stop = min(start + SCAN_CHECK, horizon)
+            for t in range(start, stop):
+                np.matmul(A, x[t, ..., None], out=x[t + 1, ..., None])
+            new = x[start + 1 : stop + 1]
+            below[start + 1 : stop + 1] = np.sqrt(np.vecdot(new, new)) <= limit
+            seen |= below[start + 1 : stop + 1].any(axis=0)
+            if seen.all():
                 break
-    return hit
+    return below.argmax(axis=0)
 
 
 def open_loop_hit_time(

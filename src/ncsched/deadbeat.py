@@ -42,18 +42,21 @@ def deadbeat_bursts(groups, offset: np.ndarray, width: np.ndarray, horizon: int)
     # per plant: 0 built, 1 coast power, 2 window power or 3 burst overflowed
     failed = np.zeros(offset.size, dtype=int)
     for g in groups:
-        d = g.A.shape[-1]
+        n, d = g.xi.shape
         offsets, widths = offset[g.idx], width[g.idx]
-        coast, steer = mat_powers(g.A, offsets), mat_powers(g.A, widths)
+        # one pass for both exponents: each power is the same product sequence from I
+        powers = mat_powers(np.concatenate([g.A, g.A]), np.concatenate([offsets, widths]))
+        coast, steer = powers[:n], powers[n:]
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = matvec(steer, matvec(coast, g.xi))
         # only finite right-hand sides are solved; the rest count as overflowed
         finite = np.isfinite(rhs).all(axis=1)
         tails = np.full(g.xi.shape, np.inf)
         tails[finite] = -np.linalg.solve(g.psi[finite], rhs[finite][..., None])[..., 0]
-        coast_ok, steer_ok = (np.isfinite(m).all(axis=(1, 2)) for m in (coast, steer))
+        powers_ok = np.isfinite(powers).all(axis=(1, 2))
+        coast_ok, steer_ok = powers_ok[:n], powers_ok[n:]
         burst_ok = np.isfinite(tails).all(axis=1)
-        failed[g.idx] = np.select([~coast_ok, ~steer_ok, ~burst_ok], [1, 2, 3])
+        failed[g.idx] = np.where(~coast_ok, 1, np.where(~steer_ok, 2, np.where(~burst_ok, 3, 0)))
         # each burst fills the last d slots of its window
         u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
     for i in np.flatnonzero(failed)[:1]:

@@ -23,7 +23,7 @@ import warnings as warnings_mod
 
 import numpy as np
 
-from .core import TERMINAL_RTOL, ZERO_RTOL, NcsInstance, SchedulingLogic, check_tolerances
+from .core import TERMINAL_RTOL, ZERO_RTOL, NcsInstance, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
     EXHAUSTIVE_LIMIT,
@@ -35,7 +35,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport
-from .sim import at_rest, verify_logic
+from .sim import at_rest, slot_members, verify_logic
 from .sparse import l0_feasible_bruteforce, solve_via_relaxation
 
 _METHOD_ROUTES = {
@@ -47,9 +47,9 @@ _METHOD_ROUTES = {
 }
 
 
-def _occupancy_histogram(schedule: SchedulingLogic) -> list[list[int]]:
-    counts = np.bincount([len(slot) for slot in schedule.slots])
-    return [[occ, int(c)] for occ, c in enumerate(counts) if c]
+def _occupancy_histogram(schedule: list[list[int]]) -> list[list[int]]:
+    counts = np.bincount(list(map(len, schedule))).tolist()
+    return [[occ, c] for occ, c in enumerate(counts) if c]
 
 
 def solve_instance(
@@ -166,16 +166,18 @@ def solve_instance(
             **plan.to_report_dict(), "open_loop": open_loop_report
         }
         diagnostics.extend(attempts)
+        # the judged rows' nonzeros are the verifier's mask
+        schedule = slot_members(outcome.control.u != 0, first=1)
         seen = set()
         warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]
         report = SolveReport(
             method=route,
             plan=plan_dict,
-            schedule=outcome.schedule.as_report_lists(),
+            schedule=schedule,
             control=outcome.control.u,
             verified=True,
             residuals=outcome.terminal_residuals.tolist(),
-            occupancy_histogram=_occupancy_histogram(outcome.schedule),
+            occupancy_histogram=_occupancy_histogram(schedule),
             state_norms=outcome.norms,
             warnings=warn_list,
             diagnostics=diagnostics,

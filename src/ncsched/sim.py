@@ -90,11 +90,19 @@ def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> Sched
     return _slots(logic.nonzero_mask(zero_rtol))
 
 
+def slot_members(mask: np.ndarray, first: int = 0) -> list[list[int]]:
+    """Per column of an N x T mask, the rows whose entry is set, ascending and
+    numbered from ``first``, read off one ``np.flatnonzero`` in column order."""
+    n, horizon = mask.shape
+    t, rows = np.divmod(np.flatnonzero(mask.T), n)
+    ends = np.cumsum(np.bincount(t, minlength=horizon)).tolist()
+    rows = (rows + first).tolist()
+    return [rows[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def _slots(mask: np.ndarray) -> SchedulingLogic:
     """The schedule of an N x T mask: per column, the plants whose entry is set."""
-    return SchedulingLogic(
-        tuple(frozenset(np.nonzero(mask[:, t])[0].tolist()) for t in range(mask.shape[1]))
-    )
+    return SchedulingLogic(tuple(map(frozenset, slot_members(mask))))
 
 
 def rollout_stack(
@@ -124,14 +132,17 @@ def rollout_stack(
     norms = np.zeros((horizon + 1, n))
     overflow = np.zeros(n, dtype=int)
     states[0] = xi
-    norms[0] = np.sqrt(np.vecdot(xi, xi))
     # the last step with a nonzero input, -1 for a row without one
     last = ((u != 0) * np.arange(1, horizon + 1)).max(axis=1, initial=0) - 1
-    live, x, sup = np.arange(n), xi, np.maximum(1.0, norms[0])
+    # the inputs time-major, so that compaction leaves them alone: each step
+    # reads its column at the stepped plants' rows
+    inputs = u.T
     rows = slice(None)  # the buffer rows of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
+        norms[0] = np.sqrt(np.vecdot(xi, xi))
+        live, x, sup = np.arange(n), xi, np.maximum(1.0, norms[0])
         for t in range(horizon):
-            x = matvec(A, x) + b * u[:, t, None]
+            x = matvec(A, x) + b * inputs[t, rows, None]
             norm = np.sqrt(np.vecdot(x, x))
             # norms are nonnegative, so their sum is finite only if each one is
             if not math.isfinite(norm.sum()):
@@ -150,7 +161,7 @@ def rollout_stack(
                 break
             if retiring >= max(COMPACT_MIN, COMPACT_SHARE * live.size):
                 keep = ~retired
-                live, A, b, u, x, sup, last = (a[keep] for a in (live, A, b, u, x, sup, last))
+                live, A, b, x, sup, last = (a[keep] for a in (live, A, b, x, sup, last))
                 rows = live
     return states.transpose(1, 0, 2), norms.T, overflow
 

@@ -9,11 +9,16 @@ from ncsched import (
     NcsInstance,
     NoSolutionFoundError,
     PlantDynamics,
+    build_from_plan,
+    find_lane_plan,
     generate_instance,
     open_loop_hit_time,
     solve_instance,
+    split_open_loop,
 )
+from ncsched import deadbeat
 from ncsched.core import (
+    SCAN_CHECK,
     ZERO_RTOL,
     group_by_dim,
     lifted_matrices,
@@ -399,6 +404,62 @@ class TestBatchedKernelsMatchLoops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert open_loop_hit_time(p, [1.0], 10) is None
+
+    def test_hit_times_do_not_depend_on_the_state_scale(self):
+        # the squared norm of a state above ~1e154 overflows and below ~1e-154
+        # underflows; neither may read as a hit at step 1
+        unstable, stable = PlantDynamics([[2.0]], [1.0]), PlantDynamics([[0.01]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e160, 1e-200, 5e-324):
+                assert open_loop_hit_time(unstable, [scale], 6) is None
+                assert open_loop_hit_time(stable, [scale], 10) == 5
+            rng = np.random.default_rng(9)
+            inst, groups = mixed_groups(rng, 60)
+            for g in groups:
+                want = open_loop_hit_times(g.A, g.xi, inst.horizon)
+                for scale in (2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000):
+                    got = open_loop_hit_times(g.A, g.xi * scale, inst.horizon)
+                    assert np.array_equal(got, want)
+
+
+class TestKernelCallBudgets:
+    """One stacked product per scan step, and one power pass per window group."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
+        return products
+
+    def test_scan_makes_at_most_horizon_products_per_group(self, demo_instance, monkeypatch):
+        products = self.count_products(monkeypatch)
+        hits, closed = split_open_loop(demo_instance)
+        # no generated plant reaches zero open-loop, so no group stops early
+        assert not hits
+        assert len(products) == len(demo_instance.groups) * demo_instance.horizon
+
+    def test_group_that_has_hit_stops_at_the_next_check(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for d in (1, 3):
+            plants = [nilpotent_plant(rng, d) for _ in range(12)]
+            if d == 1:  # |0.1^tau| first drops below 1e-9 at tau = 10
+                plants.append(PlantDynamics([[0.1]], [1.0]))
+            g = stack_plants(range(len(plants)), plants, [rng.uniform(-1, 1, d) for _ in plants])
+            want = [reference_hit_time(p, x, 50) for p, x in zip(plants, g.xi)]
+            products = self.count_products(monkeypatch)
+            assert open_loop_hit_times(g.A, g.xi, 50).tolist() == want
+            assert len(products) == -(-max(want) // SCAN_CHECK) * SCAN_CHECK < 50
+
+    def test_window_synthesis_takes_one_power_pass_per_group(self, demo_instance, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            deadbeat, "mat_powers", lambda A, e: calls.append(len(e)) or mat_powers(A, e)
+        )
+        build_from_plan(demo_instance, find_lane_plan(demo_instance))
+        # each call raises every plant of its group to its offset and its width
+        assert calls == [2 * len(g.idx) for g in demo_instance.groups]
 
 
 # the four benchmark families (perfbench/workloads.py): dims, capacity, horizon

@@ -423,6 +423,11 @@ class TestSplitOpenLoop:
         assert type(closed) is list
         assert {type(v) for v in (*hits, *hits.values(), *closed)} == {int}
 
+    def test_huge_initial_state_is_not_called_zero(self):
+        # the squared norm of 1e160 overflows; the scan must not read it as a hit
+        inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
+        assert split_open_loop(inst) == ({}, [0, 1, 2])
+
 
 # Per-plant code as the planner ran it before plants were stacked by
 # dimension; the batched packing and window synthesis must reproduce it.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ class TestBatchedRolloutMatchesLoop:
             verify_logic(inst, ControlLogic(np.zeros((4, 4))))
         with pytest.raises(NonFiniteError, match="at step 1"):
             rollout(inst.plants[2], inst.xi[2], np.zeros(4))
+
+    def test_huge_initial_state_overflows_without_a_warning(self):
+        # the squared norm of 1e160 overflows before the first step
+        inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="at step 1"):
+                verify_logic(inst, ControlLogic(np.zeros((3, 6))))
 
 
 # The full recursion, one plant at a time: every step is taken, an overflow is
