@@ -8,7 +8,9 @@ Conventions used throughout the package:
   ``ZERO_RTOL`` times the relevant running sup-norm, floored at 1 — absolute
   thresholds are useless here because unstable plants reach ~1e14 within a
   50-step horizon;
-* terminal states are accepted as zero at the looser ``TERMINAL_RTOL``;
+* terminal states are accepted as zero at the looser ``TERMINAL_RTOL``; the
+  open-loop scan applies both tests, as the verifier does, and state norms
+  span the float range (``row_norms``);
 * numerics run on plants of one dimension stacked into arrays
   (``group_by_dim``), whose controllability matrices, rank test and condition
   numbers are computed once, when the instance is built (a generated instance
@@ -268,10 +270,6 @@ class ControlLogic:
         """
         return ControlLogic._own(np.where(self.nonzero_mask(zero_rtol), self.u, 0.0))
 
-    def occupancy(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
-        """Number of active plants in each time slot."""
-        return self.nonzero_mask(zero_rtol).sum(axis=0)
-
 
 @dataclass(frozen=True)
 class SchedulingLogic:
@@ -285,9 +283,6 @@ class SchedulingLogic:
     @property
     def horizon(self) -> int:
         return len(self.slots)
-
-    def max_occupancy(self) -> int:
-        return max((len(s) for s in self.slots), default=0)
 
     def as_report_lists(self) -> list[list[int]]:
         """Slots as sorted 1-based plant lists, for files and messages."""
@@ -397,54 +392,72 @@ def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]
     return [(phi, -matvec(power, g.xi)) for g, phi, power in zip(groups, phis, powers)]
 
 
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` times the exact 2^-e that puts each row's largest entry in [0.5, 1), and e."""
+    e = np.frexp(np.abs(x).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(x, -e[..., None]), e
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Row 2-norms over the float range, where ``sqrt(vecdot(x, x))`` overflows above 1.34e154."""
+    scaled, e = unit_scaled(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), e)
+
+
 def open_loop_hit_times(
-    A: np.ndarray, xi: np.ndarray, horizon: int, zero_rtol: float = ZERO_RTOL
+    A: np.ndarray, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
 ) -> np.ndarray:
-    """Stacked open-loop scan: per plant, the earliest step in 1..horizon at
-    which ``A^tau xi`` is zero relative to ``|xi|``, or 0 when there is none.
+    """Stacked open-loop scan under the verifier's zero rule: per plant, the
+    step at which ``verify_logic`` clamps its zero-input state (norm at most
+    ``zero_rtol`` times the running sup-norm floored at 1), else ``horizon``
+    when its terminal norm over that sup is within ``terminal_rtol``, else 0
+    (so also when its norm leaves the float range before it clamps).
 
-    A state that overflows counts as never reaching zero; the overflow itself
-    is not reported.
-
-    Each plant runs scaled by the power of two that brings its largest initial
-    entry into [0.5, 1). Scaling by 2^-e is exact, so in the normal range every
-    comparison keeps its bits, and states whose squared norm would overflow or
-    underflow (|xi| above ~1e154 or below ~1e-154) are compared at the scale
-    of 1. The states go into one (horizon+1) x n x d buffer, one stacked
-    product per step. Every ``SCAN_CHECK`` steps the new states' norms are
-    compared, once each, and the scan ends early when every plant has hit;
-    the hit times are read off the comparisons after the loop.
+    Each plant runs ``unit_scaled``, its floor and float range scaled alike,
+    so every comparison keeps the verifier's bits. One stacked product per
+    step fills a (horizon+1) x n x d buffer. Every ``SCAN_CHECK`` steps the
+    new norms meet their running sup (taken only when some norm is within
+    ``zero_rtol`` of the chunk's top), in which an out-of-range norm, read as
+    NaN, blocks every later clamp; the scan stops once every plant clamped.
     """
     n, d = xi.shape
     x = np.empty((horizon + 1, n, d))
-    x[0] = np.ldexp(xi, -np.frexp(np.abs(xi).max(axis=1, initial=0.0))[1][:, None])
-    # step 0 never counts, so argmax reads 0 for a plant that never hits
-    below = np.zeros((horizon + 1, n), dtype=bool)
+    x[0], e = unit_scaled(xi)
+    # step 0 never counts, so argmax reads 0 for a plant that never clamps
+    clamped = np.zeros((horizon + 1, n), dtype=bool)
     seen = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        limit = zero_rtol * np.sqrt(np.vecdot(x[0], x[0]))
+        cap = np.ldexp(np.finfo(float).max, -np.maximum(e, 0))
+        last = np.sqrt(np.vecdot(x[0], x[0]))
+        sup = np.maximum(np.ldexp(1.0, -e), last)
         for start in range(0, horizon, SCAN_CHECK):
             stop = min(start + SCAN_CHECK, horizon)
             for t in range(start, stop):
                 np.matmul(A, x[t, ..., None], out=x[t + 1, ..., None])
             new = x[start + 1 : stop + 1]
-            below[start + 1 : stop + 1] = np.sqrt(np.vecdot(new, new)) <= limit
-            seen |= below[start + 1 : stop + 1].any(axis=0)
+            norm = np.sqrt(np.vecdot(new, new))
+            if not (norm.max(axis=0) <= cap).all():  # past the float range at a plant's own scale
+                norm = np.where(norm <= cap, norm, np.nan)
+            top = np.maximum(norm.max(axis=0), sup)
+            if (norm <= zero_rtol * top).any():  # a clamp needs a norm this far below the sup
+                low = norm <= zero_rtol * np.maximum(np.maximum.accumulate(norm, axis=0), sup)
+                clamped[start + 1 : stop + 1] = low
+                seen |= low.any(axis=0)
+            sup, last = top, norm[-1]
             if seen.all():
                 break
-    return below.argmax(axis=0)
+        terminal = ~clamped.any(axis=0) & (last / sup <= terminal_rtol)
+    return np.where(terminal, horizon, clamped.argmax(axis=0))
 
 
 def open_loop_hit_time(
-    p: PlantDynamics, xi: np.ndarray, horizon: int, zero_rtol: float = ZERO_RTOL
+    p: PlantDynamics, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
 ) -> int | None:
-    """Earliest step in 1..horizon at which the uncontrolled state reaches zero.
-
-    Returns None when ``A^tau xi`` stays away from zero (relative to ``|xi|``)
-    for the whole horizon.
-    """
+    """``open_loop_hit_times`` for one plant: the step at which its uncontrolled
+    state counts as zero, or None when the verifier would reject its zero row."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("initial state has wrong length")
-    tau = int(open_loop_hit_times(p.A[None], xi[None], horizon, zero_rtol)[0])
+    tau = int(open_loop_hit_times(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0])
     return tau or None

@@ -2,9 +2,9 @@
 
 Route order for ``method="auto"``:
 
-1. plants that coast to zero open-loop within the horizon keep all-zero
-   rows; if the rest outnumber what T slots of capacity M serve, so do those
-   whose zero rows verify, and infeasibility is reported if the rest still do;
+1. plants whose all-zero rows the verifier's rule accepts keep them, and
+   infeasibility is reported if the rest outnumber what T slots of capacity
+   M serve;
 2. lane plan over the remaining plants: balanced decreasing packing, backed
    by the complete search when it fails on at most 10 plants;
 3. block plan over the remaining plants (the greedy grouping is complete);
@@ -35,7 +35,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport
-from .sim import at_rest, slot_members, verify_logic
+from .sim import slot_members, verify_logic
 from .sparse import l0_feasible_bruteforce, solve_via_relaxation
 
 _METHOD_ROUTES = {
@@ -62,10 +62,11 @@ def solve_instance(
 
     Raises ``NoSolutionFoundError`` when every requested route is exhausted;
     its ``reasons`` list one line per failed route, plus the pigeonhole
-    verdict. A failed block route and a failed lane route on at most 10
-    plants are proofs that no such plan exists; only a lane failure on more
-    plants is marked as heuristic. Both tolerances must lie strictly between
-    0 and 1 (``ValueError`` otherwise).
+    verdict. Plants whose zero rows the verifier's rule accepts keep them (one
+    diagnostic line names them). A failed block route and a failed lane route
+    on at most 10 plants are proofs that no such plan exists; only a lane
+    failure on more plants is marked as heuristic. Both tolerances must lie
+    strictly between 0 and 1 (``ValueError`` otherwise).
     """
     if method not in _METHOD_ROUTES:
         raise ValueError(f"unknown method {method!r}")
@@ -75,21 +76,14 @@ def solve_instance(
     diagnostics: list[str] = []
     captured: list[str] = []
 
-    hits, closed = split_open_loop(inst, zero_rtol=zero_rtol)
+    hits, closed = split_open_loop(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
     needed = math.ceil(len(closed) / inst.capacity)
-    # before claiming a proof, let the verifier judge the zero rows: a plant
-    # can end within terminal_rtol of zero without reaching the scan's zero
-    resting = at_rest(inst, closed, zero_rtol, terminal_rtol) if inst.horizon < needed else set()
-    if resting:
-        closed = [i for i in closed if i not in resting]
-        needed = math.ceil(len(closed) / inst.capacity)
-    for aside, why in (
-        (hits, "reach zero open-loop within the horizon"),
-        (resting, "end within terminal_rtol of zero without input"),
-    ):
-        if aside:
-            line = f"{len(aside)} plants {why} and keep zero input rows (1-based: "
-            diagnostics.append(line + ", ".join(str(i + 1) for i in sorted(aside)) + ")")
+    open_loop = [i + 1 for i in hits]
+    if open_loop:
+        diagnostics.append(
+            f"{len(open_loop)} plants steer to zero without input and keep zero input rows "
+            f"(1-based: {', '.join(map(str, open_loop))})"
+        )
     necessary_ok = inst.horizon >= needed
     verdict = (
         f"necessary condition: horizon {inst.horizon} "
@@ -106,7 +100,6 @@ def solve_instance(
             reasons=tuple(diagnostics),
         )
 
-    open_loop_report = sorted(i + 1 for i in [*hits, *resting])
     attempts: list[str] = []
 
     def run_route(name: str):
@@ -162,9 +155,7 @@ def solve_instance(
                 f"({'; '.join(outcome.violations)})"
             )
             continue
-        plan_dict = None if plan is None else {
-            **plan.to_report_dict(), "open_loop": open_loop_report
-        }
+        plan_dict = None if plan is None else {**plan.to_report_dict(), "open_loop": open_loop}
         diagnostics.extend(attempts)
         # the judged rows' nonzeros are the verifier's mask
         schedule = slot_members(outcome.control.u != 0, first=1)

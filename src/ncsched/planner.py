@@ -31,6 +31,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .core import (
+    TERMINAL_RTOL,
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
@@ -150,12 +151,12 @@ class LanePlan:
 
 
 def split_open_loop(
-    inst: NcsInstance, zero_rtol: float = ZERO_RTOL
+    inst: NcsInstance, zero_rtol: float = ZERO_RTOL, terminal_rtol: float = TERMINAL_RTOL
 ) -> tuple[dict[int, int], list[int]]:
-    """Partition plants into open-loop-zeroable (with hit times) and the rest."""
+    """Split plants into those whose zero rows verify (with their scan steps) and the rest."""
     taus = np.zeros(inst.n, dtype=int)
     for g in group_by_dim(inst):
-        taus[g.idx] = open_loop_hit_times(g.A, g.xi, inst.horizon, zero_rtol)
+        taus[g.idx] = open_loop_hit_times(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
     hit = np.flatnonzero(taus)
     hits = dict(zip(hit.tolist(), taus[hit].tolist()))
     return hits, np.flatnonzero(taus == 0).tolist()

@@ -43,6 +43,7 @@ from .core import (
     group_by_dim,
     matvec,
     nonzero_entries,
+    row_norms,
 )
 from .errors import NonFiniteError
 
@@ -116,11 +117,12 @@ def rollout_stack(
 
     ``A`` is n x d x d, ``b`` and ``xi`` are n x d and ``u`` is n x T. Returns
     the n x (T+1) x d states, their n x (T+1) 2-norms, and per plant the first
-    step whose state norm is not finite (0 when none; later states of such a
-    plant are meaningless). States are clamped to exact zero once below the
-    running-sup zero threshold (see module docstring); initial states never
-    are. The states and norms are transposed views of time-major buffers,
-    (T+1) x n x d and (T+1) x n, so neither is C-contiguous.
+    step whose state leaves the float range (0 when none; later states of such
+    a plant are meaningless): norms are ``sqrt(vecdot(x, x))``, retaken by
+    ``row_norms`` where that overflows. States are clamped to exact zero once
+    below the running-sup zero threshold (see module docstring); initial
+    states never are. The states and norms are transposed views of time-major
+    buffers, (T+1) x n x d and (T+1) x n, so neither is C-contiguous.
 
     Only the plants that still move are stepped (see module docstring): the
     retired ones drop out of the stepped stack once they make up
@@ -139,13 +141,15 @@ def rollout_stack(
     inputs = u.T
     rows = slice(None)  # the buffer rows of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
-        norms[0] = np.sqrt(np.vecdot(xi, xi))
+        norms[0] = row_norms(xi)
         live, x, sup = np.arange(n), xi, np.maximum(1.0, norms[0])
         for t in range(horizon):
             x = matvec(A, x) + b * inputs[t, rows, None]
             norm = np.sqrt(np.vecdot(x, x))
             # norms are nonnegative, so their sum is finite only if each one is
             if not math.isfinite(norm.sum()):
+                big = ~np.isfinite(norm)
+                norm[big] = row_norms(x[big])
                 first = ~np.isfinite(norm) & (overflow[live] == 0)
                 overflow[live[first]] = t + 1
             sup = np.maximum(sup, norm)
@@ -198,16 +202,6 @@ def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.nd
     u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
     _, _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
     return (overflow == 0) & (residuals <= terminal_rtol)
-
-
-def at_rest(inst: NcsInstance, subset, zero_rtol: float, terminal_rtol: float) -> set[int]:
-    """The plants of ``subset`` whose all-zero input row ``steers_to_zero`` accepts."""
-    accepted = set()
-    for g in group_by_dim(inst, subset):
-        zero = np.zeros((len(g.idx), inst.horizon))
-        ok = steers_to_zero(g.A, g.b, g.xi, zero, zero_rtol, terminal_rtol)
-        accepted.update(g.idx[ok].tolist())
-    return accepted
 
 
 def verify_logic(

@@ -314,7 +314,7 @@ def solve_via_relaxation(
     RIP certificates.
 
     ``plants`` restricts the route to a subset (the solve cascade passes the
-    plants that cannot coast to zero open-loop; the rest keep zero rows). All
+    plants whose zero rows the verifier rejects; the rest keep them). All
     selected plants must be reachable (one stacked rank test; the
     ``NotReachableError`` lists every unreachable plant) with horizon greater
     than their dimension. Every plant's lifted matrix and target is read from

@@ -8,10 +8,13 @@ import pytest
 from conftest import scalar_instance
 from ncsched import (
     InstanceFile,
+    NcsInstance,
+    PlantDynamics,
     SchemaError,
     generate_instance,
     read_report,
     solve_instance,
+    windowed_inputs,
     write_instance,
     write_report,
 )
@@ -134,15 +137,45 @@ class TestCliFlow:
         assert not out_dir.exists()
 
     def test_overflow_during_verification_exit_code(self, tmp_path, capsys):
+        # the nilpotent plant's zero burst lets its state pass the largest
+        # float at step 1 (1e10 * 1e300)
         inst_path = tmp_path / "inst.json"
-        main(["gen", "--dims", "2x100,3x100", "--capacity", "2", "--horizon", "400",
-              "--seed", "7", "--out", str(inst_path)])
+        plants = (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]),
+                  PlantDynamics([[2.0]], [1.0]))
+        inst = NcsInstance(plants, ([0.0, 1e300], [1.0]), capacity=1, horizon=5)
+        write_instance(inst_path, InstanceFile(inst))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # overflow must not leak as a warning
             code = main(["solve", str(inst_path), "--method", "block",
                          "--out", str(tmp_path / "rep.json")])
         assert code == 2
-        assert "block-plan: state overflowed at step 319" in capsys.readouterr().out
+        assert "block-plan: state overflowed at step 1" in capsys.readouterr().out
+
+    def test_solve_sets_aside_a_plant_within_terminal_rtol(self, tmp_path, capsys):
+        # 0.01^4 ends within terminal_rtol without input, so two windows fit
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, InstanceFile(scalar_instance([0.01, 1.5, 1.5], 1, 4)))
+        assert main(["solve", str(inst_path)]) == 0
+        assert capsys.readouterr().out.startswith("verified=true method=lane-plan ")
+
+    def test_verify_rejects_a_zero_row_left_away_from_zero(self, tmp_path, capsys):
+        # plant 1 decays from 2e154 to 3.1e152 (2^-6 of its start) without
+        # input; its zero row must not pass although 2e154 squared overflows
+        inst = scalar_instance([0.5, 1.5, 1.5], 1, 6, states=[2e154, 1.0, 1.0])
+        u = np.zeros((3, 6))
+        u[1] = windowed_inputs(inst.plants[1], inst.xi[1], 0, 2, 6)
+        u[2] = windowed_inputs(inst.plants[2], inst.xi[2], 2, 2, 6)
+        inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
+        write_instance(inst_path, InstanceFile(inst))
+        write_report(rep_path, SolveReport(
+            method=None, plan=None, schedule=[], control=u,
+            verified=True, residuals=[], occupancy_histogram=[],
+        ))
+        assert main(["verify", str(inst_path), str(rep_path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "replay verified=false max_occupancy=1 worst_residual=1.562e-02",
+            "  violation: 1 plants end away from zero (first few, 1-based: 1)",
+        ]
 
     def test_overflowing_burst_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -171,7 +204,7 @@ class TestCliFlow:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "replay verified=false",
-            "  violation: state overflowed at step 16",
+            "  violation: state overflowed at step 31",
         ]
         assert captured.err == ""
 
@@ -182,7 +215,7 @@ class TestCliFlow:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "replay verified=false",
-            "  violation: state overflowed at step 16",
+            "  violation: state overflowed at step 31",
         ]
         assert captured.err == ""
         assert not out_dir.exists()
@@ -321,7 +354,7 @@ class TestCliFlow:
 
 def write_overflowing_replay(tmp_path):
     """Valid instance and report files whose zero control lets the 1e10
-    plant's squared state norm overflow at step 16: a failed verification,
+    plant's state pass the largest float at step 31: a failed verification,
     not an input error."""
     inst_path = tmp_path / "inst.json"
     rep_path = tmp_path / "rep.json"

@@ -19,6 +19,7 @@ from ncsched import (
 from ncsched import deadbeat
 from ncsched.core import (
     SCAN_CHECK,
+    TERMINAL_RTOL,
     ZERO_RTOL,
     group_by_dim,
     lifted_matrices,
@@ -27,6 +28,7 @@ from ncsched.core import (
     rank_and_cond,
     stack_plants,
 )
+from ncsched.sim import steers_to_zero
 
 from conftest import companion_plant, is_reachable, random_reachable_plant
 
@@ -252,14 +254,22 @@ class TestTypes:
 
 # Per-plant loops as core ran them before plants were stacked by dimension;
 # the batched kernels must reproduce them bit for bit.
-def reference_hit_time(p, xi, horizon, zero_rtol=ZERO_RTOL):
-    ref = float(np.linalg.norm(xi))
-    x = xi
+def reference_hit_time(p, xi, horizon, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL):
+    """The verifier's zero rule on the zero-input state, one plant at a time
+    (for states whose squared norms stay in range): the first step whose norm
+    is within zero_rtol of the running sup floored at 1, else the horizon
+    when the terminal norm is within terminal_rtol of it, else None."""
+    norm = float(np.linalg.norm(xi))
+    sup, x = max(1.0, norm), xi
     for tau in range(1, horizon + 1):
         x = p.A @ x
-        if np.linalg.norm(x) <= zero_rtol * ref:
+        norm = float(np.linalg.norm(x))
+        if not np.isfinite(norm):
+            return None
+        sup = max(sup, norm)
+        if norm <= zero_rtol * sup:
             return tau
-    return None
+    return horizon if norm / sup <= terminal_rtol else None
 
 
 def reference_reach_matrix(p):
@@ -405,22 +415,36 @@ class TestBatchedKernelsMatchLoops:
             warnings.simplefilter("error")
             assert open_loop_hit_time(p, [1.0], 10) is None
 
-    def test_hit_times_do_not_depend_on_the_state_scale(self):
+    def test_hit_times_follow_the_verifier_at_every_state_scale(self):
         # the squared norm of a state above ~1e154 overflows and below ~1e-154
-        # underflows; neither may read as a hit at step 1
+        # underflows; the scan compares at the scale of 1, so a large state
+        # keeps its hit time, and a state far below the verifier's floor of 1
+        # is zero at step 1, as the verifier finds it
         unstable, stable = PlantDynamics([[2.0]], [1.0]), PlantDynamics([[0.01]], [1.0])
+
+        def verifier_accepts(A, b, xi, horizon):
+            zero = np.zeros((len(xi), horizon))
+            return steers_to_zero(A, b, xi, zero, ZERO_RTOL, TERMINAL_RTOL)
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for scale in (1.0, 1e160, 1e-200, 5e-324):
+            for scale in (1.0, 1e160):
                 assert open_loop_hit_time(unstable, [scale], 6) is None
                 assert open_loop_hit_time(stable, [scale], 10) == 5
+            for scale in (1e-200, 5e-324):
+                assert open_loop_hit_time(unstable, [scale], 6) == 1
+                assert open_loop_hit_time(stable, [scale], 10) == 1
+                for p in (unstable, stable):
+                    assert verifier_accepts(p.A[None], p.b[None], np.array([[scale]]), 6)[0]
             rng = np.random.default_rng(9)
             inst, groups = mixed_groups(rng, 60)
             for g in groups:
-                want = open_loop_hit_times(g.A, g.xi, inst.horizon)
-                for scale in (2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000):
+                large = open_loop_hit_times(g.A, g.xi * 2.0**600, inst.horizon)
+                for scale in (2.0**600, 2.0**1000, 2.0**-600, 2.0**-1000):
                     got = open_loop_hit_times(g.A, g.xi * scale, inst.horizon)
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, large if scale > 1 else np.ones_like(got))
+                    accepted = verifier_accepts(g.A, g.b, g.xi * scale, inst.horizon)
+                    assert np.array_equal(got != 0, accepted)
 
 
 class TestKernelCallBudgets:
@@ -444,7 +468,7 @@ class TestKernelCallBudgets:
         rng = np.random.default_rng(10)
         for d in (1, 3):
             plants = [nilpotent_plant(rng, d) for _ in range(12)]
-            if d == 1:  # |0.1^tau| first drops below 1e-9 at tau = 10
+            if d == 1:  # |0.1^tau| drops below 1e-9 of the floor of 1 by tau = 10
                 plants.append(PlantDynamics([[0.1]], [1.0]))
             g = stack_plants(range(len(plants)), plants, [rng.uniform(-1, 1, d) for _ in plants])
             want = [reference_hit_time(p, x, 50) for p, x in zip(plants, g.xi)]

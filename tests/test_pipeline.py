@@ -94,18 +94,17 @@ class TestSolveCascade:
         assert err.value.code == "necessary_condition"
 
     def test_zero_rows_the_verifier_accepts_need_no_slot(self):
-        # 0.0005^2 = 2.5e-7 is above the open-loop scan's zero (1e-9 of |x0|)
-        # but within the default terminal_rtol, so no plant needs the channel
+        # 0.0005^2 = 2.5e-7 never clamps (it is above 1e-9 of the floor of 1)
+        # but ends within the default terminal_rtol, so no plant needs the channel
         inst = NcsInstance([PlantDynamics([[0.0005]], [1.0])] * 3, [[1.0]] * 3, 1, 2)
         for method in ("auto", "brute"):
             report = solve_instance(inst, method=method)
             assert report.verified
             assert report.schedule == [[], []]
             assert report.diagnostics[0] == (
-                "3 plants end within terminal_rtol of zero without input and "
-                "keep zero input rows (1-based: 1, 2, 3)"
+                "3 plants steer to zero without input and keep zero input rows (1-based: 1, 2, 3)"
             )
-            assert not any("open-loop" in line for line in report.diagnostics)
+            assert sum("zero input rows" in line for line in report.diagnostics) == 1
         assert not l0_feasible_bruteforce(inst).u.any()
         # at terminal_rtol=1e-7 each plant needs one of the two slots
         with pytest.raises(NoSolutionFoundError) as err:
@@ -238,34 +237,55 @@ class TestSolveCascade:
             solve_instance(inst, method="magic")
 
     def test_overflow_in_verification_fails_only_that_route(self):
-        # the block plan coasts 2-d plants so long that verification overflows
-        inst = generate_instance(
-            200, 2, 400, [2] * 100 + [3] * 100, value_range=2.0, seed=7
-        ).instance
-        with pytest.raises(NoSolutionFoundError) as err:
-            solve_instance(inst, method="block")
-        assert err.value.code == "routes_exhausted"
-        assert "block-plan: state overflowed at step 319" in err.value.reasons
+        # plant 1 is nilpotent, so its deadbeat burst is zero, but its state
+        # passes the largest float on the way there: 1e10 * 1e300 at step 1
+        plants = (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]),
+                  PlantDynamics([[2.0]], [1.0]))
+        inst = NcsInstance(plants, ([0.0, 1e300], [1.0]), capacity=1, horizon=5)
+        for method, route in (("block", "block-plan"), ("auto", "lane-plan")):
+            with pytest.raises(NoSolutionFoundError) as err:
+                solve_instance(inst, method=method)
+            assert err.value.code == "routes_exhausted"
+            assert f"{route}: state overflowed at step 1" in err.value.reasons
 
     def test_zero_rtol_reaches_the_open_loop_scan(self):
-        # plant 1 drops below 1e-5 of its start at step 3, below 1e-9 only at 5
+        # plant 1 drops below 1e-5 of its start at step 3, below 1e-9 only at
+        # 5; at terminal_rtol=1e-9 its terminal 1e-8 does not count as zero
         inst = scalar_instance([0.01, 2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(NoSolutionFoundError):
-            solve_instance(inst, method="lane")
-        report = solve_instance(inst, method="lane", zero_rtol=1e-5)
+            solve_instance(inst, method="lane", terminal_rtol=1e-9)
+        report = solve_instance(inst, method="lane", zero_rtol=1e-5, terminal_rtol=1e-9)
         assert report.plan["open_loop"] == [1]
 
+    def test_plant_within_terminal_rtol_without_input_needs_no_slot(self):
+        # 0.01^4 = 1e-8 never clamps at 1e-9 of the floor of 1, but ends within
+        # terminal_rtol: the verifier accepts plant 1's zero row, so the scan
+        # sets it aside and two windows of 2 fill the 4 slots
+        inst = scalar_instance([0.01, 1.5, 1.5], capacity=1, horizon=4)
+        report = solve_instance(inst)
+        assert report.method == "lane-plan"
+        assert report.schedule == [[], [2], [], [3]]
+        assert report.plan["open_loop"] == [1]
+        assert report.diagnostics[0] == (
+            "1 plants steer to zero without input and keep zero input rows (1-based: 1)"
+        )
+
+    def test_state_above_the_squared_norm_range_verifies_by_lane(self):
+        # 1e160 squared overflows, yet every state stays below 6.4e161
+        inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
+        report = solve_instance(inst, method="lane")
+        assert report.verified
+        assert report.schedule == [[], [1], [], [2], [], [3]]
+
     def test_overflowing_burst_fails_only_that_route(self):
-        # the solve for the last 3-d plant's burst overflows a finite target
+        # the solve for the last 3-d plant's burst overflows a finite target;
+        # the block plan's states peak near 2e282 and verify
         inst = generate_instance(
             310, 2, 620, [2] * 155 + [3] * 155, value_range=2.0, seed=1
         ).instance
-        with pytest.raises(NoSolutionFoundError) as err:
-            solve_instance(inst)
-        assert err.value.code == "routes_exhausted"
-        routes = [line.split(":")[0] for line in err.value.reasons[1:]]
-        assert routes == ["lane-plan", "block-plan", "relaxation", "bruteforce"]
-        assert "lane-plan: deadbeat burst overflowed" in err.value.reasons
+        report = solve_instance(inst)
+        assert report.method == "block-plan"
+        assert report.diagnostics[1:] == ["lane-plan: deadbeat burst overflowed"]
 
     @pytest.mark.parametrize(
         "tolerances",

@@ -274,9 +274,10 @@ class TestBuildFromBlockPlan:
     def test_demo_family_capacity_and_idle_tail(self, demo_instance):
         plan = find_block_plan(demo_instance)
         logic = build_from_plan(demo_instance, plan)
-        assert int(logic.occupancy().max()) <= 10
+        outcome = verify_logic(demo_instance, logic)
+        assert outcome.max_column_occupancy <= 10
         np.testing.assert_array_equal(logic.u[:, 35:], np.zeros((100, 15)))
-        assert verify_logic(demo_instance, logic).verified
+        assert outcome.verified
 
     def test_rejects_plan_not_covering_all_plants(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
@@ -300,9 +301,9 @@ class TestBuildFromLanePlan:
 
     def test_demo_family_verifies(self, demo_instance):
         plan = find_lane_plan(demo_instance)
-        logic = build_from_plan(demo_instance, plan)
-        assert int(logic.occupancy().max()) <= 10
-        assert verify_logic(demo_instance, logic).verified
+        outcome = verify_logic(demo_instance, build_from_plan(demo_instance, plan))
+        assert outcome.max_column_occupancy <= 10
+        assert outcome.verified
 
     def test_block_groups_reused_as_lanes(self, demo_instance):
         # the block groups also serve as a valid lane plan: same-dimension

@@ -17,8 +17,8 @@ from ncsched import (
     windowed_inputs,
 )
 from ncsched import sim
-from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, matvec
-from ncsched.sim import at_rest, terminal_residuals
+from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, matvec, open_loop_hit_times
+from ncsched.sim import steers_to_zero, terminal_residuals
 
 from conftest import random_reachable_plant, scalar_instance
 
@@ -124,16 +124,28 @@ class TestSimulate:
             verify_logic(demo_instance, zero, **tolerances)
 
 
+def wide_norm(x):
+    """A state's 2-norm over the float range: the plain norm, or, where that
+    overflows, the norm of x scaled by the power of two that brings its
+    largest entry into [0.5, 1), scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            e = np.frexp(np.abs(x).max())[1]
+            norm = np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+    return float(norm)
+
+
 # Per-plant loops as the simulator ran them before plants were stacked by
 # dimension; the batched kernels must reproduce them bit for bit.
 def reference_rollout(p, xi, u, zero_rtol=ZERO_RTOL):
     out = np.empty((u.shape[0] + 1, p.d))
     out[0] = xi
-    sup = max(1.0, float(np.linalg.norm(xi)))
+    sup = max(1.0, wide_norm(xi))
     x = xi
     for t in range(u.shape[0]):
         x = p.A @ x + p.b * u[t]
-        norm = float(np.linalg.norm(x))
+        norm = wide_norm(x)
         if not np.isfinite(norm):
             raise NonFiniteError(f"state overflowed at step {t + 1}")
         sup = max(sup, norm)
@@ -150,7 +162,7 @@ def reference_simulate(inst, logic, zero_rtol=ZERO_RTOL):
         reference_rollout(p, x0, zeroed.u[i], zero_rtol)
         for i, (p, x0) in enumerate(zip(inst.plants, inst.xi))
     ]
-    state_norms = [[float(np.linalg.norm(x)) for x in traj] for traj in trajectories]
+    state_norms = [[wide_norm(x) for x in traj] for traj in trajectories]
     residuals = [norms[-1] / max(1.0, max(norms)) for norms in state_norms]
     return trajectories, residuals, state_norms
 
@@ -202,33 +214,53 @@ class TestBatchedRolloutMatchesLoop:
             assert np.array_equal(rollout(p, xi, u), reference_rollout(p, xi, u))
 
     def test_overflow_reports_the_first_plant_in_index_order(self):
-        # the norm squares the state: plant 2 overflows at step 2, plant 3 at 1
+        # a state overflows once an entry passes the largest float: plant 2 at
+        # step 4 (1e400), plant 3 at step 2, and plant 2 is reported
         inst = scalar_instance([0.5, 1e100, 1e200, 2.0], capacity=1, horizon=4)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="at step 2"):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="at step 4"):
             reference_rollout(inst.plants[1], inst.xi[1], np.zeros(4))
-        with pytest.raises(NonFiniteError, match="at step 2"):
+        with pytest.raises(NonFiniteError, match="at step 4"):
             verify_logic(inst, ControlLogic(np.zeros((4, 4))))
-        with pytest.raises(NonFiniteError, match="at step 1"):
+        with pytest.raises(NonFiniteError, match="at step 2"):
             rollout(inst.plants[2], inst.xi[2], np.zeros(4))
 
-    def test_huge_initial_state_overflows_without_a_warning(self):
-        # the squared norm of 1e160 overflows before the first step
+    def test_norms_above_the_squared_range_stay_finite(self):
+        # 1e160 squared overflows, but a state norm is taken over the float range
         inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match="at step 1"):
-                verify_logic(inst, ControlLogic(np.zeros((3, 6))))
+            result = verify_logic(inst, ControlLogic(np.zeros((3, 6))))
+        assert result.norms[0].tolist() == [1e160 * 2.0**t for t in range(7)]
+        assert not result.verified
+
+    def test_huge_decaying_state_left_alone_ends_away_from_zero(self):
+        # 0.5^6 of 2e154 is 3.1e152, 2^-6 of the start: its zero row must fail,
+        # although the plain squared norm of the start overflows
+        inst = scalar_instance([0.5, 1.5, 1.5], capacity=1, horizon=6, states=[2e154, 1.0, 1.0])
+        u = np.zeros((3, 6))
+        u[1] = windowed_inputs(inst.plants[1], inst.xi[1], 0, 2, 6)
+        u[2] = windowed_inputs(inst.plants[2], inst.xi[2], 2, 2, 6)
+        result = verify_logic(inst, ControlLogic(u))
+        assert result.norms[0, 0] == 2e154
+        assert result.terminal_residuals.tolist() == [2.0**-6, 0.0, 0.0]
+        assert result.violations == (
+            "1 plants end away from zero (first few, 1-based: 1)",
+        )
+        # with every plant driven, the lane route verifies honestly
+        report = solve_instance(inst, method="lane")
+        assert report.verified and report.plan["open_loop"] == []
+        assert np.asarray(report.control)[0].any()
 
 
 # The full recursion, one plant at a time: every step is taken, an overflow is
 # recorded rather than raised, and the clamp writes +0.0 states and norms.
 def reference_full_rollout(A, b, xi, u, zero_rtol=ZERO_RTOL):
-    states, norms = [xi], [float(np.linalg.norm(xi))]
+    states, norms = [xi], [wide_norm(xi)]
     sup, overflow, x = np.maximum(1.0, norms[0]), 0, xi
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(u.shape[0]):
             x = A @ x + b * u[t]
-            norm = float(np.linalg.norm(x))
+            norm = wide_norm(x)
             if not np.isfinite(norm) and not overflow:
                 overflow = t + 1
             sup = np.maximum(sup, norm)
@@ -289,7 +321,7 @@ class TestLiveSetRolloutIsExact:
         assert not states[:, 9:].any() and not norms[:, 9:].any()
 
     def test_overflows_are_flagged_whether_or_not_their_norm_clamps(self):
-        # the norm squares the state, so 1e250 already has an infinite norm;
+        # a state whose entry passes the largest float has an infinite norm;
         # the running sup turns infinite with it and the clamp zeroes the
         # state, while inf - inf gives a NaN state that never clamps
         A = np.array([[[1e100, 0.0], [0.0, 0.0]], [[1e300, 0.0], [0.0, 1.0]],
@@ -300,8 +332,10 @@ class TestLiveSetRolloutIsExact:
         u[0, 4] = 1.0  # an input after the overflow is clamped against the infinite sup
         u[1, 0] = 1e10
         states, norms, overflow = assert_stack_matches_reference(A, b, xi, u)
-        assert overflow.tolist() == [2, 1, 0]
-        assert not states[0, 2:].any() and not norms[0, 2:].any()
+        assert overflow.tolist() == [3, 1, 0]
+        # 1e250 squared overflows, yet its norm is finite and it is no overflow
+        assert norms[0, 2] == states[0, 2, 0] > 1e249
+        assert not states[0, 3:].any() and not norms[0, 3:].any()
         assert np.isnan(norms[1, 1:]).all()
 
     def test_all_zero_rows_retire_at_their_first_clamp(self):
@@ -313,13 +347,50 @@ class TestLiveSetRolloutIsExact:
         for g in decaying.groups:
             zero = np.zeros((len(g.idx), decaying.horizon))
             assert_stack_matches_reference(g.A, g.b, g.xi, zero)
-        resting = at_rest(decaying, range(decaying.n), ZERO_RTOL, TERMINAL_RTOL)
-        want = set()
-        for i, (p, x) in enumerate(zip(decaying.plants, decaying.xi)):
-            _, norms, overflow = reference_full_rollout(p.A, p.b, x, np.zeros(40))
-            if not overflow and norms[-1] / max(1.0, norms.max()) <= TERMINAL_RTOL:
-                want.add(i)
-        assert resting == want and set(range(6)) <= resting
+
+    def test_open_loop_scan_applies_the_verifiers_zero_rule(self):
+        # decaying, nilpotent-like and unstable plants with states from 1e-300
+        # to 1e300: the scan sets a plant aside exactly when steers_to_zero
+        # accepts its all-zero row, at the step of the verifier's first clamp,
+        # or at the horizon when only the terminal test accepts it
+        rng = np.random.default_rng(21)
+        seen = np.zeros(3, dtype=int)  # clamped, terminal only, rejected
+        for _ in range(200):
+            d, n, horizon = int(rng.integers(1, 4)), 8, int(rng.integers(2, 61))
+            A, kind = rng.uniform(-1, 1, (n, d, d)), int(rng.integers(3))
+            if kind == 1:  # nilpotent up to a tiny diagonal
+                A = np.triu(A, 1) + np.eye(d) * rng.uniform(-1e-3, 1e-3, (n, 1, 1))
+            else:  # spectral radius below 1, or from 1 to 1.6
+                radius = np.maximum(np.abs(np.linalg.eigvals(A)).max(axis=1), 1e-12)
+                target = rng.uniform(0.05, 0.95, n) if kind == 0 else rng.uniform(1.0, 1.6, n)
+                A *= (target / radius)[:, None, None]
+            b = rng.uniform(-1, 1, (n, d))
+            xi = rng.uniform(-1, 1, (n, d)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
+            zero = np.zeros((n, horizon))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = open_loop_hit_times(A, xi, horizon)
+                accepted = steers_to_zero(A, b, xi, zero, ZERO_RTOL, TERMINAL_RTOL)
+                _, norms, _, _ = terminal_residuals(A, b, xi, zero)
+            clamped = (norms[:, 1:] == 0).any(axis=1)
+            first_clamp = (norms[:, 1:] == 0).argmax(axis=1) + 1
+            want = np.where(accepted, np.where(clamped, first_clamp, horizon), 0)
+            assert np.array_equal(got, want)
+            seen += [np.count_nonzero(accepted & clamped),
+                     np.count_nonzero(accepted & ~clamped), np.count_nonzero(~accepted)]
+        assert (seen > 20).all()
+        # a nilpotent transient that passes the largest float at step 1 from
+        # 1e300, but not from 1e290, before it vanishes at step 2
+        A, xi = np.array([[[0.0, 1e10], [0.0, 0.0]]] * 2), np.array([[0.0, 1e300], [0.0, 1e290]])
+        assert open_loop_hit_times(A, xi, 4).tolist() == [0, 2]
+        zero = np.zeros((2, 4))
+        accepted = steers_to_zero(A, np.ones_like(xi), xi, zero, ZERO_RTOL, TERMINAL_RTOL)
+        assert accepted.tolist() == [False, True]
+        # 3e-9 at step 1 is within 1e-9 of step 2's 3e3, but not of the sup
+        # so far (the floor of 1): no clamp, and the state keeps growing
+        A, xi = np.array([[[0.0, 1e12], [3e-9, 0.0]]]), np.array([[1.0, 0.0]])
+        assert open_loop_hit_times(A, xi, 4).tolist() == [0]
+        assert not steers_to_zero(A, xi, xi, np.zeros((1, 4)), ZERO_RTOL, TERMINAL_RTOL)[0]
 
     def test_brute_force_shaped_stacks(self):
         # many rows per plant, one per slot mask, as brute force's mask table
