@@ -10,14 +10,21 @@ Conventions used throughout the package:
   50-step horizon;
 * terminal states are accepted as zero at the looser ``TERMINAL_RTOL``; the
   open-loop scan applies both tests, as the verifier does, and state norms
-  span the float range (``row_norms``);
+  span the float range (``column_norms``);
 * numerics run on plants of one dimension stacked into arrays
   (``group_by_dim``), whose controllability matrices, rank test and condition
   numbers are computed once, when the instance is built (a generated instance
   takes its stacks, and those facts, from the generator's draws); the
   relaxation and brute force read each group's terminal system
   (``terminal_systems``), and the single-plant scan, rollout and deadbeat
-  window run as stacks of one, so both give the same bits.
+  window run as stacks of one, so both give the same bits;
+* the two state recursions, the open-loop scan and the verifier's rollout,
+  hold their states d-major (d x n, entry j of every plant in one row) and
+  step them with one kernel, ``column_step``, whose sums run left to right
+  over the leading axis (``leading_sum``), as do their squared norms
+  (``sum_squares``): the bits follow from the order of IEEE operations,
+  whatever the number of plants. Matrix powers, lifted matrices and
+  deadbeat bursts stay stacked ``matmul`` products.
 """
 
 from __future__ import annotations
@@ -284,10 +291,6 @@ class SchedulingLogic:
     def horizon(self) -> int:
         return len(self.slots)
 
-    def as_report_lists(self) -> list[list[int]]:
-        """Slots as sorted 1-based plant lists, for files and messages."""
-        return [[i + 1 for i in sorted(s)] for s in self.slots]
-
 
 def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
     """The instance's plants (or the given subset) stacked by dimension, smallest first."""
@@ -304,10 +307,12 @@ def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked products ``A[k] @ x[k]``.
+    """Stacked products ``A[k] @ x[k]``, one BLAS product per plant.
 
     A stacked ``matmul`` runs the same kernel per plant as ``A @ x`` on one
-    plant, so results are bit-identical to it (``einsum`` is not).
+    plant, so results are bit-identical to it. The state recursions do not
+    use it: they step with ``column_step``, whose sums run left to right
+    where BLAS may fuse multiply-adds.
     """
     return (A @ x[..., None])[..., 0]
 
@@ -316,21 +321,31 @@ def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
     """``A[k]`` raised to ``exponents[k]`` for a stack of square matrices.
 
     Iterated multiplication from the identity, one stacked product per step
-    over only the matrices whose exponent is not reached yet. A power that
-    overflows comes back non-finite, without a warning; the caller decides
-    what that means.
+    over only the matrices whose exponent is not reached yet; a stack raised
+    to one exponent takes its products without sorting or regrouping. A power
+    that overflows comes back non-finite, without a warning; the caller
+    decides what that means.
     """
     e = np.asarray(exponents)
-    if (e < 0).any() or (e != np.floor(e)).any():
+    high = e.max(initial=0)
+    low = e.min(initial=high)
+    if low < 0 or (e.dtype.kind == "f" and (e != np.floor(e)).any()):
         raise ValueError("exponent must be a nonnegative integer")
-    order = np.argsort(e, kind="stable")
-    # the matrices in exponent order; ends[k] of them have an exponent of at most k
-    A_sorted = A[order]
-    ends = np.searchsorted(e[order], np.arange(int(e.max(initial=0)) + 1), "right").tolist()
+    top = int(high)
     out = np.empty(A.shape)
-    power = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
-    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        if low == high:
+            power = np.eye(A.shape[-1])
+            for _ in range(top):
+                power = power @ A
+            out[...] = power
+            return out
+        order = np.argsort(e, kind="stable")
+        # the matrices in exponent order; ends[k] of them have an exponent of at most k
+        A_sorted = A[order]
+        ends = np.searchsorted(e[order], np.arange(top + 1), "right").tolist()
+        power = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+        done = 0
         for k, end in enumerate(ends):
             if k:
                 power = power @ A_sorted[done:]
@@ -393,16 +408,61 @@ def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``x`` times the exact 2^-e that puts each row's largest entry in [0.5, 1), and e."""
-    e = np.frexp(np.abs(x).max(axis=-1, initial=0.0))[1]
-    return np.ldexp(x, -e[..., None]), e
+    """Columns of ``x`` (d x n states) times the exact 2^-e that puts each
+    column's largest entry in [0.5, 1), and e."""
+    e = np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
+    return np.ldexp(x, -e), e
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Row 2-norms over the float range, where ``sqrt(vecdot(x, x))`` overflows above 1.34e154."""
+def leading_sum(p: np.ndarray, out=None) -> np.ndarray:
+    """``p[0] + p[1] + ... + p[-1]``, added left to right, for a C-contiguous ``p``.
+
+    ``np.add.reduce`` over the leading axis adds whole slices in that order,
+    except when a slice holds one number: the leading axis is then the
+    contiguous one, which it sums pairwise from 8 terms on. There
+    ``np.add.accumulate``, which never does, takes its place.
+    """
+    if len(p) < 8 or p.size > len(p):
+        return np.add.reduce(p, axis=0, out=out)
+    total = np.add.accumulate(p, axis=0)[-1]
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
+def sum_squares(x: np.ndarray) -> np.ndarray:
+    """Squared 2-norms of states held d-major (``x[j]`` is entry j of every
+    state): the squares summed left to right over the leading axis."""
+    return leading_sum(np.ascontiguousarray(x * x))
+
+
+def column_norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of ``x`` (d x n states) over the float range,
+    where ``sqrt(sum_squares(x))`` overflows above 1.34e154."""
     scaled, e = unit_scaled(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), e)
+        return np.ldexp(np.sqrt(sum_squares(scaled)), e)
+
+
+def column_stack(A: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The columns of stacked ``A`` (n x d x d), then ``b`` (n x d) if given,
+    d-major: a C-contiguous (d[+1]) x d x n array whose slice j holds column
+    j of every plant's ``A`` (slice d holds ``b``)."""
+    cols = A.transpose(2, 1, 0)
+    return np.ascontiguousarray(cols if b is None else np.concatenate([cols, b.T[None]]))
+
+
+def column_step(cols: np.ndarray, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One step of the stacked recursion, d-major: ``out = sum_j cols[j] * v[j]``.
+
+    ``v`` holds one column per plant, its state (then its input, against the
+    slice of ``b``); ``work`` is a C-contiguous buffer of ``cols``' shape.
+    One broadcast product and one left-to-right sum per step, whatever the
+    number of plants: the bits are fixed by that order of IEEE operations.
+    """
+    np.multiply(cols, v[:, None], out=work)
+    return leading_sum(work, out=out)
 
 
 def open_loop_hit_times(
@@ -415,28 +475,30 @@ def open_loop_hit_times(
     (so also when its norm leaves the float range before it clamps).
 
     Each plant runs ``unit_scaled``, its floor and float range scaled alike,
-    so every comparison keeps the verifier's bits. One stacked product per
-    step fills a (horizon+1) x n x d buffer. Every ``SCAN_CHECK`` steps the
-    new norms meet their running sup (taken only when some norm is within
+    so every comparison keeps the verifier's bits: the states are stepped by
+    the verifier's kernel (``column_step``) in a d x (horizon+1) x n buffer
+    and their norms taken by its ``sum_squares``. Every ``SCAN_CHECK`` steps
+    the new norms meet their running sup (taken only when some norm is within
     ``zero_rtol`` of the chunk's top), in which an out-of-range norm, read as
     NaN, blocks every later clamp; the scan stops once every plant clamped.
     """
     n, d = xi.shape
-    x = np.empty((horizon + 1, n, d))
-    x[0], e = unit_scaled(xi)
+    cols = column_stack(A)
+    work = np.empty(cols.shape)
+    x = np.empty((d, horizon + 1, n))
+    x[:, 0], e = unit_scaled(xi.T)
     # step 0 never counts, so argmax reads 0 for a plant that never clamps
     clamped = np.zeros((horizon + 1, n), dtype=bool)
     seen = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         cap = np.ldexp(np.finfo(float).max, -np.maximum(e, 0))
-        last = np.sqrt(np.vecdot(x[0], x[0]))
+        last = np.sqrt(sum_squares(x[:, 0]))
         sup = np.maximum(np.ldexp(1.0, -e), last)
         for start in range(0, horizon, SCAN_CHECK):
             stop = min(start + SCAN_CHECK, horizon)
             for t in range(start, stop):
-                np.matmul(A, x[t, ..., None], out=x[t + 1, ..., None])
-            new = x[start + 1 : stop + 1]
-            norm = np.sqrt(np.vecdot(new, new))
+                column_step(cols, x[:, t], work, out=x[:, t + 1])
+            norm = np.sqrt(sum_squares(x[:, start + 1 : stop + 1]))
             if not (norm.max(axis=0) <= cap).all():  # past the float range at a plant's own scale
                 norm = np.where(norm <= cap, norm, np.nan)
             top = np.maximum(norm.max(axis=0), sup)

@@ -157,8 +157,7 @@ def solve_instance(
             continue
         plan_dict = None if plan is None else {**plan.to_report_dict(), "open_loop": open_loop}
         diagnostics.extend(attempts)
-        # the judged rows' nonzeros are the verifier's mask
-        schedule = slot_members(outcome.control.u != 0, first=1)
+        schedule = slot_members(outcome.active, first=1)
         seen = set()
         warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]
         report = SolveReport(

@@ -26,6 +26,7 @@ All searches are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -78,6 +79,7 @@ class BlockPlan:
         """Segment starts: the running sum of the lengths before each segment."""
         return tuple(accumulate(self.block_lengths, initial=0))[:-1]
 
+    @cached_property
     def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: every member's window
         spans its segment. Raises for the first plant listed twice among the
@@ -97,7 +99,7 @@ class BlockPlan:
 
     def placements(self) -> dict[int, tuple[int, int]]:
         """``{plant: (offset, width)}``: every member's window spans its segment."""
-        return _placement_dict(*self._windows())
+        return _placement_dict(*self._windows)
 
     def to_report_dict(self) -> dict:
         return {
@@ -125,6 +127,7 @@ class LanePlan:
     def lane_loads(self) -> tuple[int, ...]:
         return tuple(sum(self._widths_of(lane)) for lane in self.lanes)
 
+    @cached_property
     def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: each lane's windows run
         back to back from 0. Raises for the first plant, in listing order, that
@@ -140,13 +143,21 @@ class LanePlan:
 
     def placements(self) -> dict[int, tuple[int, int]]:
         """``{plant: (offset, width)}``: each lane's windows run back to back from 0."""
-        return _placement_dict(*self._windows())
+        return _placement_dict(*self._windows)
 
     def to_report_dict(self) -> dict:
+        """1-based lanes, and [plant, width] pairs in plant order, read off the
+        window arrays; raises for a malformed plan as ``placements()`` does."""
+        plant, _, width = self._windows
+        listed, ends = (plant + 1).tolist(), list(accumulate(map(len, self.lanes)))
+        if len(self.widths) == plant.size:  # every width is a listed plant's
+            widths = np.column_stack((plant + 1, width))[np.argsort(plant)].tolist()
+        else:
+            widths = [[i + 1, self.widths[i]] for i in sorted(self.widths)]
         return {
             "kind": "lane",
-            "lanes": [[i + 1 for i in lane] for lane in self.lanes],
-            "widths": [[i + 1, self.widths[i]] for i in sorted(self.widths)],
+            "lanes": [listed[start:end] for start, end in zip([0, *ends], ends)],
+            "widths": widths,
         }
 
 
@@ -329,7 +340,7 @@ def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLo
     ``ValueError``; the windows are checked, warned about and built by
     ``deadbeat_rows``. How many plants share a slot is not judged here.
     """
-    plant, offset, width = plan._windows()
+    plant, offset, width = plan._windows
     if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
         raise ValueError("plan does not place exactly the expected plants")
     window = np.zeros((2, inst.n), dtype=int)

@@ -40,10 +40,12 @@ from .core import (
     SchedulingLogic,
     _in_plant_order,
     check_tolerances,
+    column_norms,
+    column_stack,
+    column_step,
     group_by_dim,
-    matvec,
     nonzero_entries,
-    row_norms,
+    sum_squares,
 )
 from .errors import NonFiniteError
 
@@ -59,10 +61,11 @@ class SimulationResult:
     """Trajectories and the verdict of one closed-NCS run.
 
     ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
-    ``trajectories`` holds each plant's (T+1) x d states: views of the
-    rollout's buffers, made on first use. ``control`` is the thresholded
-    logic that was simulated and judged, ``schedule`` the slots of its
-    nonzero inputs.
+    ``control`` is the thresholded logic that was simulated and judged, and
+    ``active`` the T x N mask of its nonzero inputs, slot-major: row t marks
+    the plants that use slot t. Made on first use: ``trajectories``, each
+    plant's (T+1) x d states, which the rollout replays bit for bit
+    (verification keeps none), and ``schedule``, the slots of ``active``.
     """
 
     norms: np.ndarray
@@ -70,15 +73,23 @@ class SimulationResult:
     max_column_occupancy: int
     verified: bool
     control: ControlLogic
-    schedule: SchedulingLogic
+    active: np.ndarray
     violations: tuple[str, ...] = ()
-    # the dimension groups and, per group, its plants' states (rollout_stack's)
+    # the dimension groups and the zero rule they were simulated under
     _groups: tuple = field(default=(), repr=False, compare=False)
-    _states: tuple = field(default=(), repr=False, compare=False)
+    _zero_rtol: float = field(default=ZERO_RTOL, repr=False, compare=False)
 
     @cached_property
     def trajectories(self) -> tuple[np.ndarray, ...]:
-        return _in_plant_order(self._groups, self._states)
+        states = (
+            rollout_stack(g.A, g.b, g.xi, self.control.u[g.idx], self._zero_rtol)[0]
+            for g in self._groups
+        )
+        return _in_plant_order(self._groups, states)
+
+    @cached_property
+    def schedule(self) -> SchedulingLogic:
+        return _slots(self.active)
 
 
 def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> SchedulingLogic:
@@ -88,21 +99,21 @@ def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> Sched
     step with zero input equals an open-loop step. Capacity is not checked
     here: ``verify_logic`` judges it, and returns the same schedule.
     """
-    return _slots(logic.nonzero_mask(zero_rtol))
+    return _slots(logic.nonzero_mask(zero_rtol).T)
 
 
 def slot_members(mask: np.ndarray, first: int = 0) -> list[list[int]]:
-    """Per column of an N x T mask, the rows whose entry is set, ascending and
-    numbered from ``first``, read off one ``np.flatnonzero`` in column order."""
-    n, horizon = mask.shape
-    t, rows = np.divmod(np.flatnonzero(mask.T), n)
+    """Per row of a T x N slot-major mask, the plants whose entry is set,
+    ascending and numbered from ``first``, read off one ``np.flatnonzero``."""
+    horizon, n = mask.shape
+    t, plants = np.divmod(np.flatnonzero(mask), n)
     ends = np.cumsum(np.bincount(t, minlength=horizon)).tolist()
-    rows = (rows + first).tolist()
-    return [rows[start:end] for start, end in zip([0, *ends], ends)]
+    plants = (plants + first).tolist()
+    return [plants[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _slots(mask: np.ndarray) -> SchedulingLogic:
-    """The schedule of an N x T mask: per column, the plants whose entry is set."""
+    """The schedule of a T x N slot-major mask: per slot, the plants whose entry is set."""
     return SchedulingLogic(tuple(map(frozenset, slot_members(mask))))
 
 
@@ -112,51 +123,64 @@ def rollout_stack(
     xi: np.ndarray,
     u: np.ndarray,
     zero_rtol: float = ZERO_RTOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    keep_states: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Forward recursion of stacked plants of one dimension.
 
     ``A`` is n x d x d, ``b`` and ``xi`` are n x d and ``u`` is n x T. Returns
-    the n x (T+1) x d states, their n x (T+1) 2-norms, and per plant the first
-    step whose state leaves the float range (0 when none; later states of such
-    a plant are meaningless): norms are ``sqrt(vecdot(x, x))``, retaken by
-    ``row_norms`` where that overflows. States are clamped to exact zero once
-    below the running-sup zero threshold (see module docstring); initial
-    states never are. The states and norms are transposed views of time-major
-    buffers, (T+1) x n x d and (T+1) x n, so neither is C-contiguous.
+    the n x (T+1) x d states (None unless ``keep_states``), their n x (T+1)
+    2-norms, and per plant the first step whose state leaves the float range
+    (0 when none; later states of such a plant are meaningless). Each step is
+    one ``column_step`` over the stepped plants' columns of ``A`` and ``b``,
+    held d-major; norms are ``sqrt(sum_squares(x))`` in that layout, retaken
+    by ``column_norms`` where that overflows. States are clamped to exact zero once below the
+    running-sup zero threshold (see module docstring); initial states never
+    are. The states and norms are transposed views of time-major buffers,
+    (T+1) x d x n and (T+1) x n, so neither is C-contiguous.
 
     Only the plants that still move are stepped (see module docstring): the
-    retired ones drop out of the stepped stack once they make up
+    retired ones drop out of the column stack once they make up
     ``COMPACT_SHARE`` of it (and number ``COMPACT_MIN``), and the loop ends
     when every stepped plant has retired.
     """
     n, horizon = u.shape
-    states = np.zeros((horizon + 1, n, A.shape[-1]))
+    d = A.shape[-1]
+    states = np.zeros((horizon + 1, d, n)) if keep_states else None
     norms = np.zeros((horizon + 1, n))
     overflow = np.zeros(n, dtype=int)
-    states[0] = xi
     # the last step with a nonzero input, -1 for a row without one
     last = ((u != 0) * np.arange(1, horizon + 1)).max(axis=1, initial=0) - 1
     # the inputs time-major, so that compaction leaves them alone: each step
     # reads its column at the stepped plants' rows
     inputs = u.T
-    rows = slice(None)  # the buffer rows of the stepped plants: all until the first compaction
+    cols = column_stack(A, b)
+    work = np.empty(cols.shape)
+    # the stepped plants' states, then their inputs: one column per plant
+    v = np.empty((d + 1, n))
+    x = v[:d]
+    x[...] = xi.T
+    if keep_states:
+        states[0] = x
+    rows = slice(None)  # the buffer columns of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
-        norms[0] = row_norms(xi)
-        live, x, sup = np.arange(n), xi, np.maximum(1.0, norms[0])
+        norms[0] = column_norms(x)
+        live, sup = np.arange(n), np.maximum(1.0, norms[0])
         for t in range(horizon):
-            x = matvec(A, x) + b * inputs[t, rows, None]
-            norm = np.sqrt(np.vecdot(x, x))
+            v[d] = inputs[t, rows]
+            column_step(cols, v, work, out=x)
+            norm = np.sqrt(sum_squares(x))
             # norms are nonnegative, so their sum is finite only if each one is
             if not math.isfinite(norm.sum()):
                 big = ~np.isfinite(norm)
-                norm[big] = row_norms(x[big])
+                norm[big] = column_norms(x[:, big])
                 first = ~np.isfinite(norm) & (overflow[live] == 0)
                 overflow[live[first]] = t + 1
             sup = np.maximum(sup, norm)
             clamp = norm <= zero_rtol * sup
-            x[clamp] = 0.0
+            x[:, clamp] = 0.0
             norm[clamp] = 0.0
-            states[t + 1, rows] = x
+            if keep_states:
+                states[t + 1][:, rows] = x
             norms[t + 1, rows] = norm
             # a retired plant's zero state clamps again at every later step
             retired = clamp & (last <= t)
@@ -165,9 +189,11 @@ def rollout_stack(
                 break
             if retiring >= max(COMPACT_MIN, COMPACT_SHARE * live.size):
                 keep = ~retired
-                live, A, b, x, sup, last = (a[keep] for a in (live, A, b, x, sup, last))
+                live, sup, last = (a[keep] for a in (live, sup, last))
+                cols, v = cols[:, :, keep], v[:, keep]
+                work, x = np.empty(cols.shape), v[:d]
                 rows = live
-    return states.transpose(1, 0, 2), norms.T, overflow
+    return (states.transpose(2, 0, 1) if keep_states else None), norms.T, overflow
 
 
 def rollout(
@@ -188,19 +214,22 @@ def rollout(
     return states[0]
 
 
-def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
+def terminal_residuals(
+    A, b, xi, u, zero_rtol: float = ZERO_RTOL, keep_states: bool = True
+) -> tuple:
     """The verifier's test of thresholded input rows ``u`` for stacked plants of one
-    dimension: rolled out (``rollout_stack``), they give the states, their norms, each
-    terminal norm over its trajectory's sup-norm floored at 1, and the overflow steps.
-    The residuals divide the rollout's own norms, the ones its clamp compared."""
-    states, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol)
+    dimension: rolled out (``rollout_stack``), they give the states (if kept), their
+    norms, each terminal norm over its trajectory's sup-norm floored at 1, and the
+    overflow steps. The residuals divide the rollout's own norms, the ones its clamp
+    compared."""
+    states, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol, keep_states)
     return states, norms, norms[:, -1] / np.maximum(1.0, norms.max(axis=1)), overflow
 
 
 def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.ndarray:
     """Per row of ``u``, thresholded: whether ``verify_logic`` finds its plant steered to zero."""
     u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
-    _, _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
+    _, _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol, keep_states=False)
     return (overflow == 0) & (residuals <= terminal_rtol)
 
 
@@ -227,22 +256,21 @@ def verify_logic(
             f"({inst.n}, {inst.horizon})"
         )
     zeroed = logic.thresholded(zero_rtol)
+    # the thresholded rows' nonzeros are the mask they were cut to; slot-major,
+    # as the occupancy and the schedule read it
+    active = np.not_equal(zeroed.u.T, 0.0, order="C")
     groups = group_by_dim(inst)
-    states = []
     norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
     overflow = np.zeros(inst.n, dtype=int)
     for g in groups:
-        group_states, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
-            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
+        _, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
+            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol, keep_states=False
         )
-        states.append(group_states)
     if overflow.any():
         first = overflow[np.flatnonzero(overflow)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
-    # the thresholded rows' nonzeros are the mask they were cut to
-    mask = zeroed.u != 0
-    occupancy = mask.sum(axis=0)
+    occupancy = active.sum(axis=1)
     max_occ = int(occupancy.max()) if occupancy.size else 0
 
     violations = []
@@ -264,8 +292,8 @@ def verify_logic(
         max_column_occupancy=max_occ,
         verified=not violations,
         control=zeroed,
-        schedule=_slots(mask),
+        active=active,
         violations=tuple(violations),
         _groups=tuple(groups),
-        _states=tuple(states),
+        _zero_rtol=zero_rtol,
     )

@@ -12,6 +12,23 @@ def is_reachable(p):
     return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
 
 
+def step_left_to_right(A, x):
+    """``A @ x`` for one plant, each entry's products summed left to right:
+    the order of the stacked recursions' kernel (``core.column_step``)."""
+    out = A[:, 0] * x[0]
+    for j in range(1, len(x)):
+        out = out + A[:, j] * x[j]
+    return out
+
+
+def norm_left_to_right(x):
+    """One state's 2-norm, its squares summed left to right (``core.sum_squares``)."""
+    total = x[0] * x[0]
+    for entry in x[1:]:
+        total = total + entry * entry
+    return np.sqrt(total)
+
+
 def random_reachable_plant(rng, d, unstable=False, value_range=2.0):
     """Rejection-sample a reachable (optionally Schur-unstable) plant."""
     while True:

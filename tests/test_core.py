@@ -16,7 +16,7 @@ from ncsched import (
     solve_instance,
     split_open_loop,
 )
-from ncsched import deadbeat
+from ncsched import core, deadbeat
 from ncsched.core import (
     SCAN_CHECK,
     TERMINAL_RTOL,
@@ -30,7 +30,13 @@ from ncsched.core import (
 )
 from ncsched.sim import steers_to_zero
 
-from conftest import companion_plant, is_reachable, random_reachable_plant
+from conftest import (
+    companion_plant,
+    is_reachable,
+    norm_left_to_right,
+    random_reachable_plant,
+    step_left_to_right,
+)
 
 
 def mat_pow(A, k):
@@ -259,11 +265,11 @@ def reference_hit_time(p, xi, horizon, zero_rtol=ZERO_RTOL, terminal_rtol=TERMIN
     (for states whose squared norms stay in range): the first step whose norm
     is within zero_rtol of the running sup floored at 1, else the horizon
     when the terminal norm is within terminal_rtol of it, else None."""
-    norm = float(np.linalg.norm(xi))
+    norm = float(norm_left_to_right(xi))
     sup, x = max(1.0, norm), xi
     for tau in range(1, horizon + 1):
-        x = p.A @ x
-        norm = float(np.linalg.norm(x))
+        x = step_left_to_right(p.A, x)
+        norm = float(norm_left_to_right(x))
         if not np.isfinite(norm):
             return None
         sup = max(sup, norm)
@@ -448,21 +454,25 @@ class TestBatchedKernelsMatchLoops:
 
 
 class TestKernelCallBudgets:
-    """One stacked product per scan step, and one power pass per window group."""
+    """One kernel step per scan step and no stacked matmul, and one power
+    pass per window group."""
 
     @staticmethod
-    def count_products(monkeypatch):
-        products = []
-        matmul = np.matmul
+    def count_calls(monkeypatch):
+        """From now on, count the scan's kernel steps and numpy's matmul calls."""
+        steps, products = [], []
+        step, matmul = core.column_step, np.matmul
+        monkeypatch.setattr(core, "column_step", lambda *a, **k: steps.append(1) or step(*a, **k))
         monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
-        return products
+        return steps, products
 
     def test_scan_makes_at_most_horizon_products_per_group(self, demo_instance, monkeypatch):
-        products = self.count_products(monkeypatch)
+        steps, products = self.count_calls(monkeypatch)
         hits, closed = split_open_loop(demo_instance)
         # no generated plant reaches zero open-loop, so no group stops early
         assert not hits
-        assert len(products) == len(demo_instance.groups) * demo_instance.horizon
+        assert len(steps) == len(demo_instance.groups) * demo_instance.horizon
+        assert not products
 
     def test_group_that_has_hit_stops_at_the_next_check(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -472,9 +482,10 @@ class TestKernelCallBudgets:
                 plants.append(PlantDynamics([[0.1]], [1.0]))
             g = stack_plants(range(len(plants)), plants, [rng.uniform(-1, 1, d) for _ in plants])
             want = [reference_hit_time(p, x, 50) for p, x in zip(plants, g.xi)]
-            products = self.count_products(monkeypatch)
+            steps, products = self.count_calls(monkeypatch)
             assert open_loop_hit_times(g.A, g.xi, 50).tolist() == want
-            assert len(products) == -(-max(want) // SCAN_CHECK) * SCAN_CHECK < 50
+            assert len(steps) == -(-max(want) // SCAN_CHECK) * SCAN_CHECK < 50
+            assert not products
 
     def test_window_synthesis_takes_one_power_pass_per_group(self, demo_instance, monkeypatch):
         calls = []

@@ -341,6 +341,21 @@ class TestPlanChecks:
         assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
         assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
 
+    def test_lane_report_dict_reads_the_window_arrays(self, demo_instance):
+        # the report lists 1-based lanes and [plant, width] pairs in plant
+        # order, as the per-plant loops did, whatever the widths' key order
+        def reference(plan):
+            return {"kind": "lane", "lanes": [[i + 1 for i in lane] for lane in plan.lanes],
+                    "widths": [[i + 1, plan.widths[i]] for i in sorted(plan.widths)]}
+
+        found = find_lane_plan(demo_instance)
+        shuffled = LanePlan(found.lanes, dict(reversed(list(found.widths.items()))))
+        extra = LanePlan(((2,), (0,)), {5: 3, 2: 2, 0: 4})  # a width no lane uses
+        for plan in (found, shuffled, extra):
+            assert json.dumps(plan.to_report_dict()) == json.dumps(reference(plan))
+        with pytest.raises(ValueError, match="places plant 2 twice"):
+            LanePlan(lanes=((0, 1), (1,)), widths={0: 2, 1: 2}).to_report_dict()
+
     def test_more_bursts_than_capacity_in_one_slot_fail_verification(self):
         # synthesis builds any well-formed plan; the verifier's channel rule
         # (at most M nonzero inputs per slot) is the only capacity judge
@@ -359,9 +374,9 @@ class TestPlanChecks:
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=6)
         plan = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 4, 2: 6})
         logic = build_from_plan(inst, plan)
-        assert extract_schedule(logic).as_report_lists() == [
-            [], [1], [], [2], [], [3]
-        ]
+        assert extract_schedule(logic).slots == tuple(
+            map(frozenset, ([], [0], [], [1], [], [2]))
+        )
         assert verify_logic(inst, logic).verified
 
     def test_window_not_longer_than_dimension_rejected(self, mixed_dims_instance):

@@ -17,22 +17,27 @@ from ncsched import (
     windowed_inputs,
 )
 from ncsched import sim
-from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, matvec, open_loop_hit_times
+from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step, open_loop_hit_times
 from ncsched.sim import steers_to_zero, terminal_residuals
 
-from conftest import random_reachable_plant, scalar_instance
+from conftest import (
+    norm_left_to_right,
+    random_reachable_plant,
+    scalar_instance,
+    step_left_to_right,
+)
 
 
 class TestExtractSchedule:
     def test_single_active_plant(self):
         logic = ControlLogic(np.array([[0.0, 0.0], [-4.0, 0.0]]))
         sched = extract_schedule(logic)
-        assert sched.as_report_lists() == [[2], []]
+        assert sched.slots == (frozenset({1}), frozenset())
 
     def test_all_zero_logic(self):
         logic = ControlLogic(np.zeros((3, 4)))
         sched = extract_schedule(logic)
-        assert sched.as_report_lists() == [[], [], [], []]
+        assert sched.slots == (frozenset(),) * 4
 
     def test_idempotent_after_thresholding(self):
         rng = np.random.default_rng(3)
@@ -129,10 +134,10 @@ def wide_norm(x):
     overflows, the norm of x scaled by the power of two that brings its
     largest entry into [0.5, 1), scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(x)
+        norm = norm_left_to_right(x)
         if not np.isfinite(norm):
             e = np.frexp(np.abs(x).max())[1]
-            norm = np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+            norm = np.ldexp(norm_left_to_right(np.ldexp(x, -e)), e)
     return float(norm)
 
 
@@ -144,7 +149,7 @@ def reference_rollout(p, xi, u, zero_rtol=ZERO_RTOL):
     sup = max(1.0, wide_norm(xi))
     x = xi
     for t in range(u.shape[0]):
-        x = p.A @ x + p.b * u[t]
+        x = step_left_to_right(p.A, x) + p.b * u[t]
         norm = wide_norm(x)
         if not np.isfinite(norm):
             raise NonFiniteError(f"state overflowed at step {t + 1}")
@@ -259,7 +264,7 @@ def reference_full_rollout(A, b, xi, u, zero_rtol=ZERO_RTOL):
     sup, overflow, x = np.maximum(1.0, norms[0]), 0, xi
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(u.shape[0]):
-            x = A @ x + b * u[t]
+            x = step_left_to_right(A, x) + b * u[t]
             norm = wide_norm(x)
             if not np.isfinite(norm) and not overflow:
                 overflow = t + 1
@@ -313,8 +318,7 @@ class TestLiveSetRolloutIsExact:
         plants = [random_reachable_plant(rng, 3, unstable=True) for _ in range(6)]
         xi = [rng.uniform(-1, 1, 3) for _ in plants]
         u = np.array([windowed_inputs(p, x, k, 4, 30) for k, (p, x) in enumerate(zip(plants, xi))])
-        steps = []
-        monkeypatch.setattr(sim, "matvec", lambda A, x: steps.append(len(x)) or matvec(A, x))
+        steps = count_rollout_steps(monkeypatch)
         states, norms, _ = assert_stack_matches_reference(*stacked(plants, xi), u)
         # the last window ends at step 9; every plant has retired after it
         assert len(steps) == 9 < u.shape[1]
@@ -392,6 +396,35 @@ class TestLiveSetRolloutIsExact:
         assert open_loop_hit_times(A, xi, 4).tolist() == [0]
         assert not steers_to_zero(A, xi, xi, np.zeros((1, 4)), ZERO_RTOL, TERMINAL_RTOL)[0]
 
+    def test_wide_states_sum_left_to_right_in_every_stack(self):
+        # from 8 entries on, numpy sums a contiguous axis pairwise; the scan,
+        # the verifier and their stacks of one must still agree bit for bit
+        rng = np.random.default_rng(22)
+        for d in (8, 9, 12):
+            n, horizon = 40, 30
+            A = rng.uniform(-1, 1, (n, d, d))
+            radius = np.abs(np.linalg.eigvals(A)).max(axis=1)
+            A *= (rng.uniform(0.1, 1.3, n) / radius)[:, None, None]
+            b = rng.uniform(-1, 1, (n, d))
+            xi = rng.uniform(-1, 1, (n, d))
+            u = rng.uniform(-1, 1, (n, horizon)) * (rng.uniform(size=(n, horizon)) < 0.2)
+            u[: n // 2] = 0.0  # half the stack retires once clamped
+            assert_stack_matches_reference(A, b, xi, u)
+            zero = np.zeros((n, horizon))
+            got = open_loop_hit_times(A, xi, horizon)
+            _, norms, _, _ = terminal_residuals(A, b, xi, zero)
+            accepted = steers_to_zero(A, b, xi, zero, ZERO_RTOL, TERMINAL_RTOL)
+            clamped = (norms[:, 1:] == 0).any(axis=1)
+            first_clamp = (norms[:, 1:] == 0).argmax(axis=1) + 1
+            assert np.array_equal(got, np.where(accepted, np.where(clamped, first_clamp, horizon), 0))
+            assert 0 < np.count_nonzero(got) < n
+            for k in range(0, n, 7):
+                one = slice(k, k + 1)
+                assert open_loop_hit_times(A[one], xi[one], horizon)[0] == got[k]
+                states, one_norms, _ = sim.rollout_stack(A[one], b[one], xi[one], u[one])
+                assert np.array_equal(one_norms[0], terminal_residuals(A, b, xi, u)[1][k])
+                assert np.array_equal(states[0], reference_full_rollout(A[k], b[k], xi[k], u[k])[0])
+
     def test_brute_force_shaped_stacks(self):
         # many rows per plant, one per slot mask, as brute force's mask table
         rng = np.random.default_rng(14)
@@ -417,15 +450,31 @@ class TestLiveSetRolloutIsExact:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def count_rollout_steps(monkeypatch) -> list[int]:
+    """From now on, list the number of plants each rollout kernel step advances."""
+    advanced = []
+
+    def counted(cols, v, work, out):
+        advanced.append(v.shape[-1])
+        return column_step(cols, v, work, out)
+
+    monkeypatch.setattr(sim, "column_step", counted)
+    return advanced
+
+
 def test_verification_steps_few_plants_after_their_windows(demo_instance, monkeypatch):
     """A guard on the work, not the time: after its deadbeat window a plant
-    sits at exact zero, so verifying the demo's lane solve advances at most
-    0.45 of the N*T plant-steps that stepping every plant would take."""
+    sits at exact zero, so verifying the demo's lane solve advances some, and
+    at most 0.45, of the N*T plant-steps that stepping every plant would take,
+    with no stacked matmul."""
     logic = ControlLogic(solve_instance(demo_instance, method="lane").control)
-    advanced = []
-    monkeypatch.setattr(sim, "matvec", lambda A, x: advanced.append(len(x)) or matvec(A, x))
+    advanced = count_rollout_steps(monkeypatch)
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
     assert verify_logic(demo_instance, logic).verified
-    assert sum(advanced) <= 0.45 * demo_instance.n * demo_instance.horizon
+    assert 0 < sum(advanced) <= 0.45 * demo_instance.n * demo_instance.horizon
+    assert not products
 
 
 class TestThresholdOnce:
