@@ -146,18 +146,14 @@ class LanePlan:
         return _placement_dict(*self._windows)
 
     def to_report_dict(self) -> dict:
-        """1-based lanes, and [plant, width] pairs in plant order, read off the
-        window arrays; raises for a malformed plan as ``placements()`` does."""
-        plant, _, width = self._windows
-        listed, ends = (plant + 1).tolist(), list(accumulate(map(len, self.lanes)))
-        if len(self.widths) == plant.size:  # every width is a listed plant's
-            widths = np.column_stack((plant + 1, width))[np.argsort(plant)].tolist()
-        else:
-            widths = [[i + 1, self.widths[i]] for i in sorted(self.widths)]
+        """1-based lanes, read off the window arrays (so a malformed plan raises as
+        ``placements()`` does), and [plant, width] pairs in plant order."""
+        listed, widths = (self._windows[0] + 1).tolist(), self.widths
+        ends = list(accumulate(map(len, self.lanes)))
         return {
             "kind": "lane",
             "lanes": [listed[start:end] for start, end in zip([0, *ends], ends)],
-            "widths": widths,
+            "widths": [[i + 1, widths[i]] for i in sorted(widths)],
         }
 
 

@@ -214,22 +214,20 @@ def rollout(
     return states[0]
 
 
-def terminal_residuals(
-    A, b, xi, u, zero_rtol: float = ZERO_RTOL, keep_states: bool = True
-) -> tuple:
+def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
     """The verifier's test of thresholded input rows ``u`` for stacked plants of one
-    dimension: rolled out (``rollout_stack``), they give the states (if kept), their
+    dimension: rolled out (``rollout_stack``, keeping no states), they give their
     norms, each terminal norm over its trajectory's sup-norm floored at 1, and the
     overflow steps. The residuals divide the rollout's own norms, the ones its clamp
     compared."""
-    states, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol, keep_states)
-    return states, norms, norms[:, -1] / np.maximum(1.0, norms.max(axis=1)), overflow
+    _, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol, keep_states=False)
+    return norms, norms[:, -1] / np.maximum(1.0, norms.max(axis=1)), overflow
 
 
 def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.ndarray:
     """Per row of ``u``, thresholded: whether ``verify_logic`` finds its plant steered to zero."""
     u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
-    _, _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol, keep_states=False)
+    _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
     return (overflow == 0) & (residuals <= terminal_rtol)
 
 
@@ -264,8 +262,8 @@ def verify_logic(
     residuals = np.empty(inst.n)
     overflow = np.zeros(inst.n, dtype=int)
     for g in groups:
-        _, norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
-            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol, keep_states=False
+        norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
+            g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
         )
     if overflow.any():
         first = overflow[np.flatnonzero(overflow)[0]]

@@ -454,16 +454,21 @@ class TestBatchedKernelsMatchLoops:
 
 
 class TestKernelCallBudgets:
-    """One kernel step per scan step and no stacked matmul, and one power
+    """One kernel step per scan step and no stacked product, and one power
     pass per window group."""
 
     @staticmethod
     def count_calls(monkeypatch):
-        """From now on, count the scan's kernel steps and numpy's matmul calls."""
+        """From now on, count the scan's kernel steps and its calls of core's
+        stacked products (``matvec``, ``mat_powers``)."""
         steps, products = [], []
-        step, matmul = core.column_step, np.matmul
+        step = core.column_step
         monkeypatch.setattr(core, "column_step", lambda *a, **k: steps.append(1) or step(*a, **k))
-        monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
+        for name in ("matvec", "mat_powers"):
+            product = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda *a, f=product, **k: products.append(1) or f(*a, **k)
+            )
         return steps, products
 
     def test_scan_makes_at_most_horizon_products_per_group(self, demo_instance, monkeypatch):

@@ -341,9 +341,9 @@ class TestPlanChecks:
         assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
         assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
 
-    def test_lane_report_dict_reads_the_window_arrays(self, demo_instance):
-        # the report lists 1-based lanes and [plant, width] pairs in plant
-        # order, as the per-plant loops did, whatever the widths' key order
+    def test_lane_report_dict_lists_lanes_and_widths_in_plant_order(self, demo_instance):
+        # the report lists 1-based lanes, sliced off the window arrays, and
+        # [plant, width] pairs in plant order, whatever the widths' key order
         def reference(plan):
             return {"kind": "lane", "lanes": [[i + 1 for i in lane] for lane in plan.lanes],
                     "widths": [[i + 1, plan.widths[i]] for i in sorted(plan.widths)]}

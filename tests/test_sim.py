@@ -16,7 +16,7 @@ from ncsched import (
     verify_logic,
     windowed_inputs,
 )
-from ncsched import sim
+from ncsched import core, sim
 from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step, open_loop_hit_times
 from ncsched.sim import steers_to_zero, terminal_residuals
 
@@ -277,7 +277,11 @@ def reference_full_rollout(A, b, xi, u, zero_rtol=ZERO_RTOL):
 
 
 def assert_stack_matches_reference(A, b, xi, u, zero_rtol=ZERO_RTOL):
-    states, norms, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
+    states, norms, overflow = sim.rollout_stack(A, b, xi, u, zero_rtol)
+    # the verifier's rollout keeps no states, and gives the same bits
+    kept_none, residuals, overflow_seen = terminal_residuals(A, b, xi, u, zero_rtol)
+    assert np.array_equal(kept_none, norms, equal_nan=True)
+    assert np.array_equal(overflow_seen, overflow)
     for k in range(u.shape[0]):
         want_states, want_norms, want_overflow = reference_full_rollout(
             A[k], b[k], xi[k], u[k], zero_rtol
@@ -320,8 +324,9 @@ class TestLiveSetRolloutIsExact:
         u = np.array([windowed_inputs(p, x, k, 4, 30) for k, (p, x) in enumerate(zip(plants, xi))])
         steps = count_rollout_steps(monkeypatch)
         states, norms, _ = assert_stack_matches_reference(*stacked(plants, xi), u)
-        # the last window ends at step 9; every plant has retired after it
-        assert len(steps) == 9 < u.shape[1]
+        # the last window ends at step 9; every plant has retired after it, in
+        # the rollout that keeps states and in the verifier's
+        assert len(steps) == 2 * 9 and 9 < u.shape[1]
         assert not states[:, 9:].any() and not norms[:, 9:].any()
 
     def test_overflows_are_flagged_whether_or_not_their_norm_clamps(self):
@@ -375,7 +380,7 @@ class TestLiveSetRolloutIsExact:
                 warnings.simplefilter("error")
                 got = open_loop_hit_times(A, xi, horizon)
                 accepted = steers_to_zero(A, b, xi, zero, ZERO_RTOL, TERMINAL_RTOL)
-                _, norms, _, _ = terminal_residuals(A, b, xi, zero)
+                norms, _, _ = terminal_residuals(A, b, xi, zero)
             clamped = (norms[:, 1:] == 0).any(axis=1)
             first_clamp = (norms[:, 1:] == 0).argmax(axis=1) + 1
             want = np.where(accepted, np.where(clamped, first_clamp, horizon), 0)
@@ -412,7 +417,7 @@ class TestLiveSetRolloutIsExact:
             assert_stack_matches_reference(A, b, xi, u)
             zero = np.zeros((n, horizon))
             got = open_loop_hit_times(A, xi, horizon)
-            _, norms, _, _ = terminal_residuals(A, b, xi, zero)
+            norms, _, _ = terminal_residuals(A, b, xi, zero)
             accepted = steers_to_zero(A, b, xi, zero, ZERO_RTOL, TERMINAL_RTOL)
             clamped = (norms[:, 1:] == 0).any(axis=1)
             first_clamp = (norms[:, 1:] == 0).argmax(axis=1) + 1
@@ -422,7 +427,7 @@ class TestLiveSetRolloutIsExact:
                 one = slice(k, k + 1)
                 assert open_loop_hit_times(A[one], xi[one], horizon)[0] == got[k]
                 states, one_norms, _ = sim.rollout_stack(A[one], b[one], xi[one], u[one])
-                assert np.array_equal(one_norms[0], terminal_residuals(A, b, xi, u)[1][k])
+                assert np.array_equal(one_norms[0], terminal_residuals(A, b, xi, u)[0][k])
                 assert np.array_equal(states[0], reference_full_rollout(A[k], b[k], xi[k], u[k])[0])
 
     def test_brute_force_shaped_stacks(self):
@@ -466,12 +471,18 @@ def test_verification_steps_few_plants_after_their_windows(demo_instance, monkey
     """A guard on the work, not the time: after its deadbeat window a plant
     sits at exact zero, so verifying the demo's lane solve advances some, and
     at most 0.45, of the N*T plant-steps that stepping every plant would take,
-    with no stacked matmul."""
+    and none through core's stacked ``matvec``."""
     logic = ControlLogic(solve_instance(demo_instance, method="lane").control)
     advanced = count_rollout_steps(monkeypatch)
-    products = []
-    matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
+    products, matvec = [], core.matvec
+
+    def counted(*args):
+        products.append(1)
+        return matvec(*args)
+
+    monkeypatch.setattr(core, "matvec", counted)
+    # and under the name sim would call it by, were it imported there
+    monkeypatch.setattr(sim, "matvec", counted, raising=False)
     assert verify_logic(demo_instance, logic).verified
     assert 0 < sum(advanced) <= 0.45 * demo_instance.n * demo_instance.horizon
     assert not products
