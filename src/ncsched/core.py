@@ -23,8 +23,10 @@ Conventions used throughout the package:
   step them with one kernel, ``column_step``, whose sums run left to right
   over the leading axis (``leading_sum``), as do their squared norms
   (``sum_squares``): the bits follow from the order of IEEE operations,
-  whatever the number of plants. Matrix powers, lifted matrices and
-  deadbeat bursts stay stacked ``matmul`` products.
+  whatever the number of plants. The scan keeps every state it steps
+  (``OpenLoopStates``), and deadbeat synthesis reads each window-end state
+  off it; lifted matrices and terminal powers stay stacked ``matmul``
+  products.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .errors import NonFiniteError
 
 ZERO_RTOL = 1e-9
 TERMINAL_RTOL = 1e-6
-# the open-loop scan compares its new states' norms, and checks whether every
-# plant has hit, once per this many steps: a check takes several numpy calls,
-# and fewer than this many products run past the last hit
+# the open-loop scan takes its new states' norms and compares them with their
+# running sup once per this many steps: a check takes several numpy calls, and
+# norms taken over the whole buffer after the last step measured slower
 SCAN_CHECK = 8
 
 
@@ -317,42 +319,20 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[..., None])[..., 0]
 
 
-def mat_powers(A: np.ndarray, exponents) -> np.ndarray:
-    """``A[k]`` raised to ``exponents[k]`` for a stack of square matrices.
+def mat_powers(A: np.ndarray, exponent: int) -> np.ndarray:
+    """Every matrix of the stack ``A`` raised to ``exponent``.
 
-    Iterated multiplication from the identity, one stacked product per step
-    over only the matrices whose exponent is not reached yet; a stack raised
-    to one exponent takes its products without sorting or regrouping. A power
-    that overflows comes back non-finite, without a warning; the caller
-    decides what that means.
+    Iterated multiplication from the identity, one stacked product per step.
+    A power that overflows comes back non-finite, without a warning; the
+    caller decides what that means.
     """
-    e = np.asarray(exponents)
-    high = e.max(initial=0)
-    low = e.min(initial=high)
-    if low < 0 or (e.dtype.kind == "f" and (e != np.floor(e)).any()):
+    if exponent < 0 or exponent != int(exponent):
         raise ValueError("exponent must be a nonnegative integer")
-    top = int(high)
-    out = np.empty(A.shape)
+    power = np.eye(A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if low == high:
-            power = np.eye(A.shape[-1])
-            for _ in range(top):
-                power = power @ A
-            out[...] = power
-            return out
-        order = np.argsort(e, kind="stable")
-        # the matrices in exponent order; ends[k] of them have an exponent of at most k
-        A_sorted = A[order]
-        ends = np.searchsorted(e[order], np.arange(top + 1), "right").tolist()
-        power = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
-        done = 0
-        for k, end in enumerate(ends):
-            if k:
-                power = power @ A_sorted[done:]
-            if end > done:
-                out[order[done:end]] = power[: end - done]
-                power, done = power[end - done :], end
-    return out
+        for _ in range(int(exponent)):
+            power = power @ A
+    return np.broadcast_to(power, A.shape).copy()
 
 
 def lifted_matrices(A: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
@@ -401,17 +381,10 @@ def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]
     phis = [lifted_matrices(g.A, g.b, horizon) for g in groups]
     if not all(np.isfinite(phi).all() for phi in phis):
         raise NonFiniteError("lifted matrix overflowed")
-    powers = [mat_powers(g.A, np.full(len(g.idx), horizon)) for g in groups]
+    powers = [mat_powers(g.A, horizon) for g in groups]
     if not all(np.isfinite(power).all() for power in powers):
         raise NonFiniteError(f"matrix power overflowed at exponent {horizon}")
     return [(phi, -matvec(power, g.xi)) for g, phi, power in zip(groups, phis, powers)]
-
-
-def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of ``x`` (d x n states) times the exact 2^-e that puts each
-    column's largest entry in [0.5, 1), and e."""
-    e = np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
-    return np.ldexp(x, -e), e
 
 
 def leading_sum(p: np.ndarray, out=None) -> np.ndarray:
@@ -439,10 +412,11 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
 
 def column_norms(x: np.ndarray) -> np.ndarray:
     """2-norms of the columns of ``x`` (d x n states) over the float range,
-    where ``sqrt(sum_squares(x))`` overflows above 1.34e154."""
-    scaled, e = unit_scaled(x)
+    where ``sqrt(sum_squares(x))`` overflows above 1.34e154: each column is
+    scaled by the exact 2^-e that puts its largest entry in [0.5, 1)."""
+    e = np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.ldexp(np.sqrt(sum_squares(scaled)), e)
+        return np.ldexp(np.sqrt(sum_squares(np.ldexp(x, -e))), e)
 
 
 def column_stack(A: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -465,33 +439,54 @@ def column_step(cols: np.ndarray, v: np.ndarray, work: np.ndarray, out: np.ndarr
     return leading_sum(work, out=out)
 
 
-def open_loop_hit_times(
+class OpenLoopStates(NamedTuple):
+    """The open-loop scan's states of plants ``idx`` (ascending): plant
+    ``idx[k]``'s at step t is ``x[:, t, k]`` times the exact 2^``e[k]``."""
+
+    idx: np.ndarray
+    x: np.ndarray
+    e: np.ndarray
+
+    def at(self, plants: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """The states (one row each) of ``plants``, some of ``idx``, at ``steps``;
+        one out of the float range comes back non-finite, without a warning."""
+        k = np.searchsorted(self.idx, plants)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.ldexp(self.x[:, steps, k].T, self.e[k, None])
+
+
+def open_loop_scan(
     A: np.ndarray, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked open-loop scan under the verifier's zero rule: per plant, the
     step at which ``verify_logic`` clamps its zero-input state (norm at most
     ``zero_rtol`` times the running sup-norm floored at 1), else ``horizon``
     when its terminal norm over that sup is within ``terminal_rtol``, else 0
-    (so also when its norm leaves the float range before it clamps).
+    (so also when its norm leaves the float range before it clamps); then
+    the ``x`` and ``e`` of ``OpenLoopStates``.
 
-    Each plant runs ``unit_scaled``, its floor and float range scaled alike,
-    so every comparison keeps the verifier's bits: the states are stepped by
-    the verifier's kernel (``column_step``) in a d x (horizon+1) x n buffer
-    and their norms taken by its ``sum_squares``. Every ``SCAN_CHECK`` steps
-    the new norms meet their running sup (taken only when some norm is within
-    ``zero_rtol`` of the chunk's top), in which an out-of-range norm, read as
-    NaN, blocks every later clamp; the scan stops once every plant clamped.
+    A plant whose largest initial entry is 1 or more is scaled down by the
+    exact 2^-e that brings that entry into [0.5, 1), its floor and float
+    range alike (never up, where its states could overflow before the
+    verifier's do), so every comparison keeps the verifier's bits: the states
+    are stepped by the verifier's kernel (``column_step``) in a
+    d x (horizon+1) x n buffer and their norms taken by its ``sum_squares``.
+    Every ``SCAN_CHECK`` steps the new norms meet their running sup (taken
+    only when some norm is within ``zero_rtol`` of the chunk's top), in which
+    an out-of-range norm, read as NaN, blocks every later clamp. Every plant
+    is stepped through the horizon, clamped or not: deadbeat synthesis reads
+    its states.
     """
     n, d = xi.shape
     cols = column_stack(A)
     work = np.empty(cols.shape)
     x = np.empty((d, horizon + 1, n))
-    x[:, 0], e = unit_scaled(xi.T)
+    e = np.maximum(np.frexp(np.abs(xi).max(axis=1, initial=0.0))[1], 0)
+    x[:, 0] = np.ldexp(xi.T, -e)
     # step 0 never counts, so argmax reads 0 for a plant that never clamps
     clamped = np.zeros((horizon + 1, n), dtype=bool)
-    seen = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        cap = np.ldexp(np.finfo(float).max, -np.maximum(e, 0))
+        cap = np.ldexp(np.finfo(float).max, -e)
         last = np.sqrt(sum_squares(x[:, 0]))
         sup = np.maximum(np.ldexp(1.0, -e), last)
         for start in range(0, horizon, SCAN_CHECK):
@@ -505,21 +500,18 @@ def open_loop_hit_times(
             if (norm <= zero_rtol * top).any():  # a clamp needs a norm this far below the sup
                 low = norm <= zero_rtol * np.maximum(np.maximum.accumulate(norm, axis=0), sup)
                 clamped[start + 1 : stop + 1] = low
-                seen |= low.any(axis=0)
             sup, last = top, norm[-1]
-            if seen.all():
-                break
         terminal = ~clamped.any(axis=0) & (last / sup <= terminal_rtol)
-    return np.where(terminal, horizon, clamped.argmax(axis=0))
+    return np.where(terminal, horizon, clamped.argmax(axis=0)), x, e
 
 
 def open_loop_hit_time(
     p: PlantDynamics, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
 ) -> int | None:
-    """``open_loop_hit_times`` for one plant: the step at which its uncontrolled
+    """``open_loop_scan`` of one plant: the step at which its uncontrolled
     state counts as zero, or None when the verifier would reject its zero row."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("initial state has wrong length")
-    tau = int(open_loop_hit_times(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0])
+    tau = int(open_loop_scan(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0][0])
     return tau or None

@@ -1,10 +1,11 @@
 """Finite-window input bursts that steer a reachable plant's state to zero.
 
 A window of length ``width > d`` starts with ``width - d`` exact zeros and
-ends with the d-entry burst ``-inv(Psi) @ A^width @ x``, where ``Psi`` is the
-controllability matrix. Forward simulation from ``x`` under the window lands
-on the zero state at the window's end, so each plant needs at most d nonzero
-inputs no matter how long its window is.
+ends with the d-entry burst ``-inv(Psi) @ x_open``, where ``Psi`` is the
+controllability matrix and ``x_open`` the zero-input state at the window's
+end, read off the open-loop scan (``core.OpenLoopStates``), which steps it as
+the verifier does. The state at the window's end, ``x_open + Psi @ burst``,
+is zero, so each plant needs at most d nonzero inputs however long its window.
 
 ``deadbeat_rows``, the one checked path from windows to input rows for a
 plan and for one plant alike, checks the windows, warns about ill-conditioned
@@ -17,57 +18,51 @@ import warnings
 
 import numpy as np
 
-from .core import PlantDynamics, mat_powers, matvec, stack_plants
-from .errors import (
-    IllConditionedWarning,
-    NonFiniteError,
-    NotReachableError,
-    WindowOverflowError,
-)
+from .core import OpenLoopStates, PlantDynamics, open_loop_scan, stack_plants
+from .errors import IllConditionedWarning, NonFiniteError, NotReachableError, WindowOverflowError
 
 COND_WARN_LIMIT = 1e12
 
 
-def deadbeat_bursts(groups, offset: np.ndarray, width: np.ndarray, horizon: int) -> np.ndarray:
+def deadbeat_bursts(groups, states, offset, width, horizon: int) -> np.ndarray:
     """Input rows holding the deadbeat burst of every plant of ``groups``.
 
-    ``offset`` and ``width`` give each plant's window by plant index; other
-    rows stay zero. Plant i coasts for ``offset[i]`` steps, then the burst
-    ``-inv(Psi) A^width A^offset xi`` fills the last d slots of its window
-    (one solve per group, with the group's own Psi). Windows, reachability
-    and conditioning are not checked here. Raises ``NonFiniteError`` for the
-    lowest-index plant whose coast power, window power or burst overflows.
+    ``states`` holds the open-loop scan (``OpenLoopStates``) of each of the
+    groups' dimensions; ``offset`` and ``width`` give each plant's window by
+    plant index, and other rows stay zero. Plant i's burst solves
+    ``Psi @ burst = -x_open`` (one solve per group, with the group's own
+    Psi), ``x_open`` its scanned state at step ``offset[i] + width[i]``, and
+    fills the last d slots of its window. Windows, reachability and
+    conditioning are not checked here. Raises ``NonFiniteError`` for the
+    lowest-index plant whose state overflowed before its burst began, or
+    whose burst did.
     """
     u = np.zeros((offset.size, horizon))
-    # per plant: 0 built, 1 coast power, 2 window power or 3 burst overflowed
-    failed = np.zeros(offset.size, dtype=int)
+    scans = {s.x.shape[0]: s for s in states}
+    failed = np.zeros(offset.size, dtype=bool)
+    lost = np.zeros(offset.size, dtype=bool)
     for g in groups:
-        n, d = g.xi.shape
-        offsets, widths = offset[g.idx], width[g.idx]
-        # one pass for both exponents: each power is the same product sequence from I
-        powers = mat_powers(np.concatenate([g.A, g.A]), np.concatenate([offsets, widths]))
-        coast, steer = powers[:n], powers[n:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = matvec(steer, matvec(coast, g.xi))
-        # only finite right-hand sides are solved; the rest count as overflowed
-        finite = np.isfinite(rhs).all(axis=1)
-        tails = np.full(g.xi.shape, np.inf)
-        tails[finite] = -np.linalg.solve(g.psi[finite], rhs[finite][..., None])[..., 0]
-        powers_ok = np.isfinite(powers).all(axis=(1, 2))
-        coast_ok, steer_ok = powers_ok[:n], powers_ok[n:]
-        burst_ok = np.isfinite(tails).all(axis=1)
-        failed[g.idx] = np.where(~coast_ok, 1, np.where(~steer_ok, 2, np.where(~burst_ok, 3, 0)))
+        d, scan = g.A.shape[-1], scans[g.A.shape[-1]]
+        ends = offset[g.idx] + width[g.idx]
+        x = scan.at(g.idx, ends)
+        # only finite states are solved; the rest count as overflowed
+        finite = np.isfinite(x).all(axis=1)
+        tails = np.full(x.shape, np.inf)
+        tails[finite] = -np.linalg.solve(g.psi[finite], x[finite][..., None])[..., 0]
+        failed[g.idx] = ~np.isfinite(tails).all(axis=1)
+        if not finite.all():  # did those states overflow before their bursts began?
+            lost[g.idx[~finite]] = ~np.isfinite(scan.at(g.idx[~finite], ends[~finite] - d)).all(1)
         # each burst fills the last d slots of its window
-        u[g.idx[:, None], (offsets + widths - d)[:, None] + np.arange(d)] = tails
+        u[g.idx[:, None], (ends - d)[:, None] + np.arange(d)] = tails
     for i in np.flatnonzero(failed)[:1]:
-        if failed[i] == 3:
-            raise NonFiniteError("deadbeat burst overflowed")
-        exponent = (offset if failed[i] == 1 else width)[i]
-        raise NonFiniteError(f"matrix power overflowed at exponent {exponent}")
+        if lost[i]:
+            window = f"[{offset[i]}, {offset[i] + width[i]})"
+            raise NonFiniteError(f"open-loop state overflowed before the burst of window {window}")
+        raise NonFiniteError("deadbeat burst overflowed")
     return u
 
 
-def deadbeat_rows(groups, offset: np.ndarray, width: np.ndarray, horizon: int) -> np.ndarray:
+def deadbeat_rows(groups, states, offset, width, horizon: int) -> np.ndarray:
     """``deadbeat_bursts`` on checked windows, with its ill-conditioning warnings.
 
     The lowest-index plant of ``groups`` with a bad window raises: a
@@ -97,7 +92,7 @@ def deadbeat_rows(groups, offset: np.ndarray, width: np.ndarray, horizon: int) -
             IllConditionedWarning,
             stacklevel=3,
         )
-    return deadbeat_bursts(groups, offset, width, horizon)
+    return deadbeat_bursts(groups, states, offset, width, horizon)
 
 
 def windowed_inputs(
@@ -106,8 +101,10 @@ def windowed_inputs(
     """Full-horizon input row with one deadbeat window at a given offset.
 
     The plant coasts with zero input on [0, offset); the window is ``width - d``
-    zeros, then the burst ``-inv(Psi) @ A^width @ A^offset @ xi`` (a solve, not an
-    inverse), so the state is zero from ``offset + width`` through the horizon.
+    zeros, then the burst that cancels the open-loop state at the window's
+    end, ``-inv(Psi) @ A^(offset + width) @ xi`` (a solve, not an inverse,
+    with the state stepped by the open-loop scan of a stack of one), so the
+    state is zero from ``offset + width`` through the horizon.
     An unreachable plant raises ``NotReachableError``; the window is checked
     as a plan's are (``deadbeat_rows``, the plant counting as plant 1): one
     not longer than d is a ``ValueError``, one outside [0, horizon) a
@@ -120,4 +117,5 @@ def windowed_inputs(
     g = stack_plants([0], [p], [xi])
     if not g.reachable[0]:
         raise NotReachableError()
-    return deadbeat_rows([g], np.array([offset]), np.array([width]), horizon)[0]
+    states = OpenLoopStates(g.idx, *open_loop_scan(g.A, g.xi, horizon)[1:])
+    return deadbeat_rows([g], [states], np.array([offset]), np.array([width]), horizon)[0]

@@ -76,7 +76,7 @@ def solve_instance(
     diagnostics: list[str] = []
     captured: list[str] = []
 
-    hits, closed = split_open_loop(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
+    hits, closed, states = split_open_loop(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
     needed = math.ceil(len(closed) / inst.capacity)
     open_loop = [i + 1 for i in hits]
     if open_loop:
@@ -119,7 +119,7 @@ def solve_instance(
                 found = "lane packing found" if lane else "block partition fits the horizon"
                 qualifier = "" if complete else " (heuristic; not a proof of nonexistence)"
                 raise NoSolutionFoundError(f"no {found}{qualifier}")
-            return _assemble(inst, plan, closed), plan, []
+            return _assemble(inst, plan, closed, states), plan, []
         if name == "relaxation":
             res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol)
             return res.logic, res, list(res.warnings)

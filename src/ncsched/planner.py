@@ -36,8 +36,9 @@ from .core import (
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
+    OpenLoopStates,
     group_by_dim,
-    open_loop_hit_times,
+    open_loop_scan,
 )
 from .deadbeat import deadbeat_rows
 from .errors import NotReachableError, TooLargeError
@@ -159,14 +160,18 @@ class LanePlan:
 
 def split_open_loop(
     inst: NcsInstance, zero_rtol: float = ZERO_RTOL, terminal_rtol: float = TERMINAL_RTOL
-) -> tuple[dict[int, int], list[int]]:
-    """Split plants into those whose zero rows verify (with their scan steps) and the rest."""
+) -> tuple[dict[int, int], list[int], list[OpenLoopStates]]:
+    """Split plants into those whose zero rows verify (with their scan steps) and
+    the rest, and give each dimension group's scanned states, which ``_assemble``
+    builds the bursts from."""
     taus = np.zeros(inst.n, dtype=int)
+    states = []
     for g in group_by_dim(inst):
-        taus[g.idx] = open_loop_hit_times(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
+        taus[g.idx], *scanned = open_loop_scan(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
+        states.append(OpenLoopStates(g.idx, *scanned))
     hit = np.flatnonzero(taus)
     hits = dict(zip(hit.tolist(), taus[hit].tolist()))
-    return hits, np.flatnonzero(taus == 0).tolist()
+    return hits, np.flatnonzero(taus == 0).tolist(), states
 
 
 def _require_reachable(inst: NcsInstance, subset) -> None:
@@ -327,22 +332,25 @@ def exhaustive_lane_plan(inst: NcsInstance) -> LanePlan | None:
     return _exhaustive_lane_for(inst, range(inst.n))
 
 
-def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover) -> ControlLogic:
+def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover, states) -> ControlLogic:
     """Input rows for a plan that places exactly the plants in ``cover``, all reachable.
 
     A window of width w > d at offset o holds its plant's deadbeat burst in its
     last d slots, [o + w - d, o + w), and zeros elsewhere; unplaced plants get
-    zero rows. A plan that does not place exactly ``cover`` is a
-    ``ValueError``; the windows are checked, warned about and built by
-    ``deadbeat_rows``. How many plants share a slot is not judged here.
+    zero rows. ``states`` are the instance's open-loop scans (``split_open_loop``),
+    which the bursts cancel at their windows' ends. A plan that does not place
+    exactly ``cover`` is a ``ValueError``; the windows are checked, warned
+    about and built by ``deadbeat_rows``. How many plants share a slot is not
+    judged here.
     """
     plant, offset, width = plan._windows
     if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
         raise ValueError("plan does not place exactly the expected plants")
     window = np.zeros((2, inst.n), dtype=int)
     window[:, plant] = offset, width
+    rows = deadbeat_rows(group_by_dim(inst, plant), states, *window, inst.horizon)
     # every burst that did not raise is finite
-    return ControlLogic._own(deadbeat_rows(group_by_dim(inst, plant), *window, inst.horizon))
+    return ControlLogic._own(rows)
 
 
 def build_from_plan(inst: NcsInstance, plan: BlockPlan | LanePlan) -> ControlLogic:
@@ -353,7 +361,8 @@ def build_from_plan(inst: NcsInstance, plan: BlockPlan | LanePlan) -> ControlLog
     out, a window not longer than its plant's dimension) raises
     ``ValueError``, and a window outside [0, T) ``WindowOverflowError``. The
     rows are not judged: ``verify_logic`` decides whether they steer every
-    plant to zero with at most M nonzero inputs per slot.
+    plant to zero with at most M nonzero inputs per slot. The bursts come
+    from the instance's own open-loop scan, as in a solve.
     """
     _require_reachable(inst, range(inst.n))
-    return _assemble(inst, plan, range(inst.n))
+    return _assemble(inst, plan, range(inst.n), split_open_loop(inst)[2])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncsched import NcsInstance, PlantDynamics, generate_instance
-from ncsched.core import lifted_matrices, rank_and_cond
+from ncsched.core import lifted_matrices, open_loop_scan, rank_and_cond
 
 DEMO_SEED = 12345
 
@@ -10,6 +10,11 @@ DEMO_SEED = 12345
 def is_reachable(p):
     """The rank test an instance's group runs, on a stack of one plant."""
     return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
+
+
+def open_loop_hit_times(A, xi, horizon, *tolerances):
+    """The hit times of ``core.open_loop_scan``, without its states."""
+    return open_loop_scan(A, xi, horizon, *tolerances)[0]
 
 
 def step_left_to_right(A, x):

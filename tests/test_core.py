@@ -16,24 +16,24 @@ from ncsched import (
     solve_instance,
     split_open_loop,
 )
-from ncsched import core, deadbeat
+from ncsched import core
 from ncsched.core import (
-    SCAN_CHECK,
     TERMINAL_RTOL,
     ZERO_RTOL,
     group_by_dim,
     lifted_matrices,
     mat_powers,
-    open_loop_hit_times,
     rank_and_cond,
     stack_plants,
 )
+from ncsched.planner import _assemble
 from ncsched.sim import steers_to_zero
 
 from conftest import (
     companion_plant,
     is_reachable,
     norm_left_to_right,
+    open_loop_hit_times,
     random_reachable_plant,
     step_left_to_right,
 )
@@ -41,7 +41,7 @@ from conftest import (
 
 def mat_pow(A, k):
     """``mat_powers`` on a stack of one matrix."""
-    return mat_powers(np.asarray(A, dtype=float)[None], [k])[0]
+    return mat_powers(np.asarray(A, dtype=float)[None], k)[0]
 
 
 def lifted_matrix(p, horizon):
@@ -377,28 +377,6 @@ class TestBatchedKernelsMatchLoops:
             assert np.isinf(cond[0]) and not full[0]
             assert not full[1] or d == 1
 
-    def test_mat_powers(self):
-        rng = np.random.default_rng(4)
-        for d in (1, 2, 3, 4):
-            A = rng.uniform(-2, 2, (30, d, d))
-            exponents = rng.integers(0, 15, 30)
-            got = mat_powers(A, exponents)
-            for k, e in enumerate(exponents):
-                want = np.eye(d)
-                for _ in range(e):
-                    want = want @ A[k]
-                assert np.array_equal(got[k], want)
-
-    def test_mat_powers_of_equal_zero_and_no_exponents(self):
-        rng = np.random.default_rng(5)
-        A = rng.uniform(-2, 2, (6, 3, 3))
-        for exponents in ([0] * 6, [4] * 6, [0, 7, 0, 7, 2, 7]):
-            got = mat_powers(A, exponents)
-            for k, e in enumerate(exponents):
-                want = reduce(np.matmul, [A[k]] * e, np.eye(3))
-                assert np.array_equal(got[k], want)
-        assert mat_powers(A[:0], []).shape == (0, 3, 3)
-
     def test_dims_read_off_the_groups(self):
         rng = np.random.default_rng(6)
         dims = rng.permutation([1, 2, 3, 4] * 5)
@@ -454,8 +432,8 @@ class TestBatchedKernelsMatchLoops:
 
 
 class TestKernelCallBudgets:
-    """One kernel step per scan step and no stacked product, and one power
-    pass per window group."""
+    """One kernel step per scan step and no stacked product; window synthesis
+    after the scan takes neither."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -473,13 +451,13 @@ class TestKernelCallBudgets:
 
     def test_scan_makes_at_most_horizon_products_per_group(self, demo_instance, monkeypatch):
         steps, products = self.count_calls(monkeypatch)
-        hits, closed = split_open_loop(demo_instance)
-        # no generated plant reaches zero open-loop, so no group stops early
+        hits, closed, _ = split_open_loop(demo_instance)
+        # no generated plant reaches zero open-loop
         assert not hits
         assert len(steps) == len(demo_instance.groups) * demo_instance.horizon
         assert not products
 
-    def test_group_that_has_hit_stops_at_the_next_check(self, monkeypatch):
+    def test_group_that_has_hit_steps_through_the_horizon(self, monkeypatch):
         rng = np.random.default_rng(10)
         for d in (1, 3):
             plants = [nilpotent_plant(rng, d) for _ in range(12)]
@@ -489,17 +467,21 @@ class TestKernelCallBudgets:
             want = [reference_hit_time(p, x, 50) for p, x in zip(plants, g.xi)]
             steps, products = self.count_calls(monkeypatch)
             assert open_loop_hit_times(g.A, g.xi, 50).tolist() == want
-            assert len(steps) == -(-max(want) // SCAN_CHECK) * SCAN_CHECK < 50
+            # every plant has hit by step 10, but synthesis reads states through T
+            assert 0 < min(want) and max(want) <= 10 and len(steps) == 50
             assert not products
 
-    def test_window_synthesis_takes_one_power_pass_per_group(self, demo_instance, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            deadbeat, "mat_powers", lambda A, e: calls.append(len(e)) or mat_powers(A, e)
-        )
-        build_from_plan(demo_instance, find_lane_plan(demo_instance))
-        # each call raises every plant of its group to its offset and its width
-        assert calls == [2 * len(g.idx) for g in demo_instance.groups]
+    def test_window_synthesis_after_the_scan_steps_and_powers_nothing(
+        self, demo_instance, monkeypatch
+    ):
+        inst = demo_instance
+        plan, states = find_lane_plan(inst), split_open_loop(inst)[2]
+        want = build_from_plan(inst, plan).u
+        steps, products = self.count_calls(monkeypatch)
+        got = _assemble(inst, plan, range(inst.n), states).u
+        # every burst reads its window-end state off the scan
+        assert not steps and not products
+        assert np.array_equal(got, want)
 
 
 # the four benchmark families (perfbench/workloads.py): dims, capacity, horizon

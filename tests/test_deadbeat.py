@@ -97,12 +97,28 @@ class TestWindowedInputs:
         with pytest.raises(NonFiniteError, match="deadbeat burst overflowed"):
             windowed_inputs(p, [1.0], 0, 2, 2)
 
-    @pytest.mark.parametrize("offset, exponent", [(3, 3), (0, 2)], ids=["coast", "steer"])
-    def test_overflowing_power_raises(self, offset, exponent):
-        # 1e200 cubed overflows while coasting, squared in a width-2 window
+    @pytest.mark.parametrize("offset, width", [(3, 2), (0, 3)], ids=["coast", "steer"])
+    def test_overflowing_power_raises(self, offset, width):
+        # 1e200 squared overflows before the burst: while coasting, or in the
+        # zeros of a width-3 window
         p = PlantDynamics([[1e200]], [1.0])
-        with pytest.raises(NonFiniteError, match=f"^matrix power overflowed at exponent {exponent}$"):
-            windowed_inputs(p, [1.0], offset, 2, 5)
+        window = rf"\[{offset}, {offset + width}\)"
+        message = f"^open-loop state overflowed before the burst of window {window}$"
+        with pytest.raises(NonFiniteError, match=message):
+            windowed_inputs(p, [1.0], offset, width, 5)
+
+    def test_small_state_is_stepped_at_its_own_scale(self):
+        # the window-end state 1e308 is finite, but not 2^33 times it, which
+        # scaling the state 1e-10 up to [0.5, 1) would step
+        p = PlantDynamics([[1e159]], [1.0])
+        row = windowed_inputs(p, [1e-10], 0, 2, 2)
+        assert np.isfinite(row).all() and row[1] < -1e307
+
+    def test_state_overflowing_inside_the_burst_overflows_the_burst(self):
+        # the state is 1e200 when the burst begins and 1e400 at the window's end
+        p = PlantDynamics([[1e200]], [1.0])
+        with pytest.raises(NonFiniteError, match="^deadbeat burst overflowed$"):
+            windowed_inputs(p, [1.0], 0, 2, 5)
 
     def test_shift_identity(self):
         rng = np.random.default_rng(9)

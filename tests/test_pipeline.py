@@ -5,6 +5,7 @@ import ncsched.core
 import ncsched.sim
 from ncsched import (
     ControlLogic,
+    LanePlan,
     NcsInstance,
     NoSolutionFoundError,
     PlantDynamics,
@@ -278,14 +279,37 @@ class TestSolveCascade:
         assert report.schedule == [[], [1], [], [2], [], [3]]
 
     def test_overflowing_burst_fails_only_that_route(self):
-        # the solve for the last 3-d plant's burst overflows a finite target;
-        # the block plan's states peak near 2e282 and verify
+        # the last 3-d plant's state is finite when its burst begins but leaves
+        # the float range by its window's end, so the burst that would cancel
+        # it overflows; the block plan's states peak near 2e282 and verify
         inst = generate_instance(
             310, 2, 620, [2] * 155 + [3] * 155, value_range=2.0, seed=1
         ).instance
         report = solve_instance(inst)
         assert report.method == "block-plan"
         assert report.diagnostics[1:] == ["lane-plan: deadbeat burst overflowed"]
+
+    def test_lane_bursts_leave_only_rounding_at_their_window_ends(self):
+        # replayed without the clamp, each plant's state at its window's end is
+        # what the burst leaves of the state the verifier stepped to it
+        worst = 0.0
+        for seed in range(12345, 12365):
+            inst = generate_instance(100, 10, 50, [2] * 50 + [3] * 50, seed=seed).instance
+            report = solve_instance(inst, method="lane")
+            plan = LanePlan(
+                lanes=tuple(tuple(i - 1 for i in lane) for lane in report.plan["lanes"]),
+                widths={i - 1: w for i, w in report.plan["widths"]},
+            )
+            plant, offset, width = plan._windows
+            end = np.zeros(inst.n, dtype=int)
+            end[plant] = offset + width
+            for g in inst.groups:
+                _, norms, _ = ncsched.sim.rollout_stack(
+                    g.A, g.b, g.xi, report.control[g.idx], zero_rtol=1e-300
+                )
+                for k, t in enumerate(end[g.idx]):
+                    worst = max(worst, norms[k, t] / max(1.0, norms[k, :t].max()))
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize(
         "tolerances",

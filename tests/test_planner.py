@@ -24,7 +24,12 @@ from ncsched import (
 )
 from ncsched.deadbeat import COND_WARN_LIMIT
 
-from conftest import companion_plant, random_reachable_plant, scalar_instance
+from conftest import (
+    companion_plant,
+    random_reachable_plant,
+    scalar_instance,
+    step_left_to_right,
+)
 
 
 def assert_block_plan_valid(inst, plan):
@@ -432,9 +437,17 @@ class TestSplitOpenLoop:
         plants += (PlantDynamics([[0.0]], [1.0]), companion_plant(1))  # hits zero at 1; never
         xi = (np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0]), np.array([1.0]))
         inst = NcsInstance(plants, xi, capacity=1, horizon=6)
-        hits, closed = split_open_loop(inst)
+        hits, closed, states = split_open_loop(inst)
         assert list(hits.items()) == [(0, 2), (2, 1)]
         assert closed == [1, 3]
+        # each dimension group's zero-input states, stepped through the horizon
+        for g, scanned in zip(inst.groups, states):
+            assert np.array_equal(scanned.idx, g.idx)
+            for i in g.idx:
+                x = inst.xi[i]
+                for t in range(inst.horizon + 1):
+                    assert np.array_equal(scanned.at(np.array([i]), np.array([t]))[0], x)
+                    x = step_left_to_right(inst.plants[i].A, x)
         # plain Python ints, as files and messages take them, not numpy scalars
         assert type(closed) is list
         assert {type(v) for v in (*hits, *hits.values(), *closed)} == {int}
@@ -442,7 +455,7 @@ class TestSplitOpenLoop:
     def test_huge_initial_state_is_not_called_zero(self):
         # the squared norm of 1e160 overflows; the scan must not read it as a hit
         inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
-        assert split_open_loop(inst) == ({}, [0, 1, 2])
+        assert split_open_loop(inst)[:2] == ({}, [0, 1, 2])
 
 
 # Per-plant code as the planner ran it before plants were stacked by
@@ -494,14 +507,11 @@ def reference_rows(inst, placements):
                 f"{COND_WARN_LIMIT:.0e}; window accuracy may degrade",
                 IllConditionedWarning,
             )
-        power = np.eye(p.d)
-        for _ in range(off):
-            power = power @ p.A
-        shifted = power @ inst.xi[i]
-        power = np.eye(p.d)
-        for _ in range(width):
-            power = power @ p.A
-        u[i, off + width - p.d : off + width] = -np.linalg.solve(psi, power @ shifted)
+        # the zero-input state at the window's end, which the burst cancels
+        x = inst.xi[i]
+        for _ in range(off + width):
+            x = step_left_to_right(p.A, x)
+        u[i, off + width - p.d : off + width] = -np.linalg.solve(psi, x)
     return u
 
 

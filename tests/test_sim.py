@@ -17,11 +17,12 @@ from ncsched import (
     windowed_inputs,
 )
 from ncsched import core, sim
-from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step, open_loop_hit_times
+from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step
 from ncsched.sim import steers_to_zero, terminal_residuals
 
 from conftest import (
     norm_left_to_right,
+    open_loop_hit_times,
     random_reachable_plant,
     scalar_instance,
     step_left_to_right,
