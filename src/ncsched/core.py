@@ -23,14 +23,16 @@ Conventions used throughout the package:
   step them with one kernel, ``column_step``, whose sums run left to right
   over the leading axis (``leading_sum``), as do their squared norms
   (``sum_squares``): the bits follow from the order of IEEE operations,
-  whatever the number of plants. The scan keeps every state it steps
-  (``OpenLoopStates``), and deadbeat synthesis reads each window-end state
-  off it; lifted matrices and terminal powers stay stacked ``matmul``
+  whatever the number of plants. The scan's states are the verifier's
+  zero-input states, unscaled, and it keeps every one (``OpenLoopStates``):
+  deadbeat synthesis reads each window-end state off it, and the terminal
+  systems their states at T. Lifted matrices stay stacked ``matmul``
   products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -295,7 +297,8 @@ class SchedulingLogic:
 
 
 def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
-    """The instance's plants (or the given subset) stacked by dimension, smallest first."""
+    """The instance's plants (or the given subset) stacked by dimension, smallest
+    first; a group the subset keeps whole is the instance's own, not a copy."""
     if subset is None:
         return list(inst.groups)
     chosen = np.zeros(inst.n, dtype=bool)
@@ -303,7 +306,9 @@ def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:
     out = []
     for g in inst.groups:
         keep = chosen[g.idx]
-        if keep.any():
+        if keep.all():
+            out.append(g)
+        elif keep.any():
             out.append(PlantGroup(*(arr[keep] for arr in g)))
     return out
 
@@ -317,22 +322,6 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     where BLAS may fuse multiply-adds.
     """
     return (A @ x[..., None])[..., 0]
-
-
-def mat_powers(A: np.ndarray, exponent: int) -> np.ndarray:
-    """Every matrix of the stack ``A`` raised to ``exponent``.
-
-    Iterated multiplication from the identity, one stacked product per step.
-    A power that overflows comes back non-finite, without a warning; the
-    caller decides what that means.
-    """
-    if exponent < 0 or exponent != int(exponent):
-        raise ValueError("exponent must be a nonnegative integer")
-    power = np.eye(A.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(exponent)):
-            power = power @ A
-    return np.broadcast_to(power, A.shape).copy()
 
 
 def lifted_matrices(A: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
@@ -375,16 +364,18 @@ def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]
 
     ``Phi`` (n x d x T) holds the lifted matrices, whose column t is
     ``A^(T-1-t) b``, so ``Phi[k] @ u = target[k]`` zeroes plant k's state at
-    time T. Every group's lifted matrices are checked before any power:
-    ``NonFiniteError`` when one overflows, and then when a power ``A^T`` does.
+    time T; the target is minus the open-loop state at T, read off the
+    group's ``open_loop_scan``. Every group's lifted matrices are checked
+    before any target: ``NonFiniteError`` when one overflows, and then when a
+    state at T is not finite.
     """
     phis = [lifted_matrices(g.A, g.b, horizon) for g in groups]
     if not all(np.isfinite(phi).all() for phi in phis):
         raise NonFiniteError("lifted matrix overflowed")
-    powers = [mat_powers(g.A, horizon) for g in groups]
-    if not all(np.isfinite(power).all() for power in powers):
-        raise NonFiniteError(f"matrix power overflowed at exponent {horizon}")
-    return [(phi, -matvec(power, g.xi)) for g, phi, power in zip(groups, phis, powers)]
+    ends = [open_loop_scan(g.A, g.xi, horizon)[1][:, horizon] for g in groups]
+    if not all(np.isfinite(x).all() for x in ends):
+        raise NonFiniteError(f"open-loop state overflowed by step {horizon}")
+    return [(phi, -x.T) for phi, x in zip(phis, ends)]
 
 
 def leading_sum(p: np.ndarray, out=None) -> np.ndarray:
@@ -441,68 +432,70 @@ def column_step(cols: np.ndarray, v: np.ndarray, work: np.ndarray, out: np.ndarr
 
 class OpenLoopStates(NamedTuple):
     """The open-loop scan's states of plants ``idx`` (ascending): plant
-    ``idx[k]``'s at step t is ``x[:, t, k]`` times the exact 2^``e[k]``."""
+    ``idx[k]``'s at step t is ``x[:, t, k]``."""
 
     idx: np.ndarray
     x: np.ndarray
-    e: np.ndarray
 
     def at(self, plants: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """The states (one row each) of ``plants``, some of ``idx``, at ``steps``;
-        one out of the float range comes back non-finite, without a warning."""
-        k = np.searchsorted(self.idx, plants)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.ldexp(self.x[:, steps, k].T, self.e[k, None])
+        one that left the float range is not finite."""
+        return self.x[:, steps, np.searchsorted(self.idx, plants)].T
+
+
+def _scan_norms(x: np.ndarray) -> np.ndarray:
+    """Norms of states held d-major, ``sqrt(sum_squares(x))``, retaken by
+    ``column_norms`` where that is not finite; NaN where still not finite."""
+    norm = np.sqrt(sum_squares(x))
+    # norms are nonnegative, so their sum is finite only if each one is
+    if not math.isfinite(norm.sum()):
+        big = ~np.isfinite(norm)
+        norm[big] = column_norms(x[:, big])
+        norm[~np.isfinite(norm)] = np.nan
+    return norm
 
 
 def open_loop_scan(
     A: np.ndarray, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stacked open-loop scan under the verifier's zero rule: per plant, the
     step at which ``verify_logic`` clamps its zero-input state (norm at most
     ``zero_rtol`` times the running sup-norm floored at 1), else ``horizon``
     when its terminal norm over that sup is within ``terminal_rtol``, else 0
     (so also when its norm leaves the float range before it clamps); then
-    the ``x`` and ``e`` of ``OpenLoopStates``.
+    the ``x`` of ``OpenLoopStates``.
 
-    A plant whose largest initial entry is 1 or more is scaled down by the
-    exact 2^-e that brings that entry into [0.5, 1), its floor and float
-    range alike (never up, where its states could overflow before the
-    verifier's do), so every comparison keeps the verifier's bits: the states
-    are stepped by the verifier's kernel (``column_step``) in a
-    d x (horizon+1) x n buffer and their norms taken by its ``sum_squares``.
-    Every ``SCAN_CHECK`` steps the new norms meet their running sup (taken
-    only when some norm is within ``zero_rtol`` of the chunk's top), in which
-    an out-of-range norm, read as NaN, blocks every later clamp. Every plant
-    is stepped through the horizon, clamped or not: deadbeat synthesis reads
-    its states.
+    The states are the verifier's zero-input states, bit for bit: stepped by
+    its kernel (``column_step``) in a d x (horizon+1) x n buffer, their norms
+    taken by its ``sum_squares`` and retaken by ``column_norms`` where those
+    overflow. Every ``SCAN_CHECK`` steps the new norms meet their running sup
+    (taken only when some norm is within ``zero_rtol`` of the chunk's top), in
+    which a norm out of the float range, read as NaN, blocks every later
+    clamp. Every plant is stepped through the horizon, clamped or not:
+    deadbeat synthesis and the terminal systems read its states.
     """
     n, d = xi.shape
     cols = column_stack(A)
     work = np.empty(cols.shape)
     x = np.empty((d, horizon + 1, n))
-    e = np.maximum(np.frexp(np.abs(xi).max(axis=1, initial=0.0))[1], 0)
-    x[:, 0] = np.ldexp(xi.T, -e)
+    x[:, 0] = xi.T
     # step 0 never counts, so argmax reads 0 for a plant that never clamps
     clamped = np.zeros((horizon + 1, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        cap = np.ldexp(np.finfo(float).max, -e)
-        last = np.sqrt(sum_squares(x[:, 0]))
-        sup = np.maximum(np.ldexp(1.0, -e), last)
+        last = _scan_norms(x[:, 0])
+        sup = np.maximum(1.0, last)
         for start in range(0, horizon, SCAN_CHECK):
             stop = min(start + SCAN_CHECK, horizon)
             for t in range(start, stop):
                 column_step(cols, x[:, t], work, out=x[:, t + 1])
-            norm = np.sqrt(sum_squares(x[:, start + 1 : stop + 1]))
-            if not (norm.max(axis=0) <= cap).all():  # past the float range at a plant's own scale
-                norm = np.where(norm <= cap, norm, np.nan)
+            norm = _scan_norms(x[:, start + 1 : stop + 1])
             top = np.maximum(norm.max(axis=0), sup)
             if (norm <= zero_rtol * top).any():  # a clamp needs a norm this far below the sup
                 low = norm <= zero_rtol * np.maximum(np.maximum.accumulate(norm, axis=0), sup)
                 clamped[start + 1 : stop + 1] = low
             sup, last = top, norm[-1]
         terminal = ~clamped.any(axis=0) & (last / sup <= terminal_rtol)
-    return np.where(terminal, horizon, clamped.argmax(axis=0)), x, e
+    return np.where(terminal, horizon, clamped.argmax(axis=0)), x
 
 
 def open_loop_hit_time(

@@ -3,8 +3,8 @@
 A window of length ``width > d`` starts with ``width - d`` exact zeros and
 ends with the d-entry burst ``-inv(Psi) @ x_open``, where ``Psi`` is the
 controllability matrix and ``x_open`` the zero-input state at the window's
-end, read off the open-loop scan (``core.OpenLoopStates``), which steps it as
-the verifier does. The state at the window's end, ``x_open + Psi @ burst``,
+end, read off the open-loop scan (``core.OpenLoopStates``), whose states are
+the verifier's own. The state at the window's end, ``x_open + Psi @ burst``,
 is zero, so each plant needs at most d nonzero inputs however long its window.
 
 ``deadbeat_rows``, the one checked path from windows to input rows for a
@@ -117,5 +117,5 @@ def windowed_inputs(
     g = stack_plants([0], [p], [xi])
     if not g.reachable[0]:
         raise NotReachableError()
-    states = OpenLoopStates(g.idx, *open_loop_scan(g.A, g.xi, horizon)[1:])
+    states = OpenLoopStates(g.idx, open_loop_scan(g.A, g.xi, horizon)[1])
     return deadbeat_rows([g], [states], np.array([offset]), np.array([width]), horizon)[0]

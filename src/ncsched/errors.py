@@ -43,7 +43,7 @@ class SolverStallError(NcsError):
 
 
 class NonFiniteError(NcsError):
-    """A matrix power or simulated state overflowed to a non-finite value."""
+    """A lifted matrix, deadbeat burst or simulated state overflowed to a non-finite value."""
 
 
 class RejectionBudgetError(NcsError):

@@ -167,8 +167,8 @@ def split_open_loop(
     taus = np.zeros(inst.n, dtype=int)
     states = []
     for g in group_by_dim(inst):
-        taus[g.idx], *scanned = open_loop_scan(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
-        states.append(OpenLoopStates(g.idx, *scanned))
+        taus[g.idx], x = open_loop_scan(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
+        states.append(OpenLoopStates(g.idx, x))
     hit = np.flatnonzero(taus)
     hits = dict(zip(hit.tolist(), taus[hit].tolist()))
     return hits, np.flatnonzero(taus == 0).tolist(), states

@@ -18,7 +18,8 @@ are exposed:
   sparsity.
 
 Both instance routes read every plant's terminal system ``Phi u = -A^T xi``
-from its dimension group's stacks (``core.terminal_systems``).
+from its dimension group's stacks (``core.terminal_systems``), whose target is
+the open-loop scan's state at T, not a matrix power.
 """
 
 from __future__ import annotations

@@ -137,19 +137,25 @@ class TestCliFlow:
         assert not out_dir.exists()
 
     def test_overflow_during_verification_exit_code(self, tmp_path, capsys):
-        # the nilpotent plant's zero burst lets its state pass the largest
-        # float at step 1 (1e10 * 1e300)
+        # the burst (-4e307 at slot 1) is finite, but 10 times it passes the
+        # largest float in the state at step 2; the nilpotent plant's open-loop
+        # state passes it at step 1 (1e10 * 1e300), before its burst begins
+        cases = [
+            (PlantDynamics(np.diag([0.0, -2.0]), [10.0, 1.0]), [0.0, 1e307],
+             "block-plan: state overflowed at step 2"),
+            (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]), [0.0, 1e300],
+             "block-plan: open-loop state overflowed before the burst of window [0, 3)"),
+        ]
         inst_path = tmp_path / "inst.json"
-        plants = (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]),
-                  PlantDynamics([[2.0]], [1.0]))
-        inst = NcsInstance(plants, ([0.0, 1e300], [1.0]), capacity=1, horizon=5)
-        write_instance(inst_path, InstanceFile(inst))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # overflow must not leak as a warning
-            code = main(["solve", str(inst_path), "--method", "block",
-                         "--out", str(tmp_path / "rep.json")])
-        assert code == 2
-        assert "block-plan: state overflowed at step 1" in capsys.readouterr().out
+        for plant, xi, reason in cases:
+            inst = NcsInstance((plant, PlantDynamics([[2.0]], [1.0])), (xi, [1.0]), 1, 5)
+            write_instance(inst_path, InstanceFile(inst))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # overflow must not leak as a warning
+                code = main(["solve", str(inst_path), "--method", "block",
+                             "--out", str(tmp_path / "rep.json")])
+            assert code == 2
+            assert reason in capsys.readouterr().out
 
     def test_solve_sets_aside_a_plant_within_terminal_rtol(self, tmp_path, capsys):
         # 0.01^4 ends within terminal_rtol without input, so two windows fit

@@ -1,5 +1,4 @@
 import warnings
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from ncsched.core import (
     ZERO_RTOL,
     group_by_dim,
     lifted_matrices,
-    mat_powers,
     rank_and_cond,
     stack_plants,
 )
@@ -39,45 +37,9 @@ from conftest import (
 )
 
 
-def mat_pow(A, k):
-    """``mat_powers`` on a stack of one matrix."""
-    return mat_powers(np.asarray(A, dtype=float)[None], k)[0]
-
-
 def lifted_matrix(p, horizon):
     """``lifted_matrices`` on a stack of one plant."""
     return lifted_matrices(p.A[None], p.b[None], horizon)[0]
-
-
-class TestMatPow:
-    def test_zero_power_is_identity(self):
-        out = mat_pow(np.array([[1.0, 1.0], [0.0, 1.0]]), 0)
-        np.testing.assert_array_equal(out, np.eye(2))
-
-    def test_scalar_power(self):
-        np.testing.assert_allclose(mat_pow(np.array([[2.0]]), 5), [[32.0]])
-
-    def test_matches_repeated_multiplication(self):
-        A = np.array([[1.0, 1.0], [0.0, 1.0]])
-        oracle = reduce(np.matmul, [A] * 3)
-        np.testing.assert_array_equal(mat_pow(A, 3), oracle)
-        np.testing.assert_array_equal(mat_pow(A, 3), [[1.0, 3.0], [0.0, 1.0]])
-
-    def test_additivity_property(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            d = int(rng.integers(1, 4))
-            A = rng.uniform(-2, 2, (d, d))
-            j = int(rng.integers(0, 11))
-            k = int(rng.integers(0, 21 - j))
-            left = mat_pow(A, j + k)
-            right = mat_pow(A, j) @ mat_pow(A, k)
-            scale = max(1.0, np.abs(left).max())
-            assert np.abs(left - right).max() <= 1e-10 * scale
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            mat_pow(np.eye(2), -1)
 
 
 class TestReachMatrix:
@@ -399,11 +361,19 @@ class TestBatchedKernelsMatchLoops:
             warnings.simplefilter("error")
             assert open_loop_hit_time(p, [1.0], 10) is None
 
+    def test_initial_norm_past_the_float_range_never_hits(self):
+        # every entry is finite, but the norm 2.1e308 is not: it reads as NaN,
+        # so the decaying state (0.5^6 * 1.5e308 at T) is never set aside
+        p = PlantDynamics(np.diag([0.5, 0.25]), [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert open_loop_hit_time(p, [1.5e308, 1.5e308], 6) is None
+
     def test_hit_times_follow_the_verifier_at_every_state_scale(self):
         # the squared norm of a state above ~1e154 overflows and below ~1e-154
-        # underflows; the scan compares at the scale of 1, so a large state
-        # keeps its hit time, and a state far below the verifier's floor of 1
-        # is zero at step 1, as the verifier finds it
+        # underflows; the scan retakes such norms as the verifier does, so a
+        # large state keeps its hit time, and a state far below the verifier's
+        # floor of 1 is zero at step 1, as the verifier finds it
         unstable, stable = PlantDynamics([[2.0]], [1.0]), PlantDynamics([[0.01]], [1.0])
 
         def verifier_accepts(A, b, xi, horizon):
@@ -438,15 +408,11 @@ class TestKernelCallBudgets:
     @staticmethod
     def count_calls(monkeypatch):
         """From now on, count the scan's kernel steps and its calls of core's
-        stacked products (``matvec``, ``mat_powers``)."""
+        stacked product ``matvec``."""
         steps, products = [], []
-        step = core.column_step
+        step, product = core.column_step, core.matvec
         monkeypatch.setattr(core, "column_step", lambda *a, **k: steps.append(1) or step(*a, **k))
-        for name in ("matvec", "mat_powers"):
-            product = getattr(core, name)
-            monkeypatch.setattr(
-                core, name, lambda *a, f=product, **k: products.append(1) or f(*a, **k)
-            )
+        monkeypatch.setattr(core, "matvec", lambda *a, **k: products.append(1) or product(*a, **k))
         return steps, products
 
     def test_scan_makes_at_most_horizon_products_per_group(self, demo_instance, monkeypatch):
@@ -597,6 +563,16 @@ class TestControllabilityOncePerGroup:
                 assert np.array_equal(g.cond, cond)
                 for got, want in zip(g, stack_plants(g.idx, inst.plants, inst.xi), strict=True):
                     assert np.array_equal(got, want)
+
+    def test_a_group_kept_whole_is_the_instances_own(self):
+        inst, groups = mixed_groups(np.random.default_rng(7), 40)
+        whole, part = groups[0], groups[1]
+        subset = [*whole.idx.tolist(), *part.idx[1:].tolist()]
+        picked = group_by_dim(inst, subset)
+        assert picked[0] is whole
+        assert all(np.shares_memory(a, b) for a, b in zip(picked[0], whole))
+        assert not any(np.shares_memory(a, b) for a, b in zip(picked[1], part))
+        assert np.array_equal(picked[1].idx, part.idx[1:])
 
     @pytest.mark.parametrize("family", ["paper-demo", "desk-cascade"])
     @pytest.mark.parametrize("method", ["lane", "block"])

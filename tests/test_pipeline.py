@@ -238,16 +238,33 @@ class TestSolveCascade:
             solve_instance(inst, method="magic")
 
     def test_overflow_in_verification_fails_only_that_route(self):
-        # plant 1 is nilpotent, so its deadbeat burst is zero, but its state
-        # passes the largest float on the way there: 1e10 * 1e300 at step 1
-        plants = (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]),
+        # plant 1's open-loop states stay finite through its window [0, 3) and
+        # its burst (-4e307 at slot 1, 0 at slot 2) is finite, but b times it
+        # passes the largest float in the state at step 2
+        plants = (PlantDynamics(np.diag([0.0, -2.0]), [10.0, 1.0]),
                   PlantDynamics([[2.0]], [1.0]))
-        inst = NcsInstance(plants, ([0.0, 1e300], [1.0]), capacity=1, horizon=5)
+        inst = NcsInstance(plants, ([0.0, 1e307], [1.0]), capacity=1, horizon=5)
         for method, route in (("block", "block-plan"), ("auto", "lane-plan")):
             with pytest.raises(NoSolutionFoundError) as err:
                 solve_instance(inst, method=method)
             assert err.value.code == "routes_exhausted"
-            assert f"{route}: state overflowed at step 1" in err.value.reasons
+            assert f"{route}: state overflowed at step 2" in err.value.reasons
+
+    def test_open_loop_overflow_fails_each_route_at_synthesis(self):
+        # plant 1 is nilpotent, so its exact state at T is zero, but the state
+        # the verifier would step passes the largest float at step 1 (1e10 *
+        # 1e300); the scan steps that same state, so no route builds its rows
+        plants = (PlantDynamics([[0.0, 1e10], [0.0, 0.0]], [0.0, 1.0]),
+                  PlantDynamics([[2.0]], [1.0]))
+        inst = NcsInstance(plants, ([0.0, 1e300], [1.0]), capacity=1, horizon=5)
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(inst)
+        assert err.value.reasons[1:] == (
+            "lane-plan: open-loop state overflowed before the burst of window [0, 3)",
+            "block-plan: open-loop state overflowed before the burst of window [0, 3)",
+            "relaxation: open-loop state overflowed by step 5",
+            "bruteforce: open-loop state overflowed by step 5",
+        )
 
     def test_zero_rtol_reaches_the_open_loop_scan(self):
         # plant 1 drops below 1e-5 of its start at step 3, below 1e-9 only at
@@ -270,6 +287,14 @@ class TestSolveCascade:
         assert report.diagnostics[0] == (
             "1 plants steer to zero without input and keep zero input rows (1-based: 1)"
         )
+
+    def test_brute_force_solves_where_a_matrix_power_overflows(self):
+        # 1e80^4 passes the largest float, but plant 1's open-loop state at T,
+        # 1e-20 * 1e320, does not: the terminal targets are the scan's states
+        inst = scalar_instance([1e80, 2.0], capacity=1, horizon=4, states=[1e-20, 1.0])
+        report = solve_instance(inst, method="brute")
+        assert report.verified
+        assert report.schedule == [[], [], [1], [2]]
 
     def test_state_above_the_squared_norm_range_verifies_by_lane(self):
         # 1e160 squared overflows, yet every state stays below 6.4e161

@@ -31,13 +31,14 @@ from ncsched.core import group_by_dim, lifted_matrices, nonzero_entries
 from ncsched.sparse import _mask_table, min_l1_stack
 from ncsched.sim import steers_to_zero
 
-from conftest import one_burst_instance, scalar_instance
+from conftest import one_burst_instance, scalar_instance, step_left_to_right
 
 
 def per_plant_systems(inst, plants=None):
     """Each plant's terminal system ``(Phi, -A^T xi)`` built alone, in plant
-    order: the lifted matrix column by column, ``A^T`` by iterated products
-    from the identity. Every lifted matrix is checked before any power."""
+    order: the lifted matrix column by column, ``A^T xi`` by stepping xi T
+    times, each product summed left to right as the open-loop scan sums it.
+    Every lifted matrix is checked before any state."""
     plants = range(inst.n) if plants is None else plants
     phis = []
     for i in plants:
@@ -50,13 +51,13 @@ def per_plant_systems(inst, plants=None):
         raise NonFiniteError("lifted matrix overflowed")
     targets = []
     for i in plants:
-        power = np.eye(inst.plants[i].d)
+        x = inst.xi[i]
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(inst.horizon):
-                power = power @ inst.plants[i].A
-        if not np.isfinite(power).all():
-            raise NonFiniteError(f"matrix power overflowed at exponent {inst.horizon}")
-        targets.append(-(power @ inst.xi[i]))
+                x = step_left_to_right(inst.plants[i].A, x)
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"open-loop state overflowed by step {inst.horizon}")
+        targets.append(-x)
     return phis, targets
 
 
@@ -587,10 +588,10 @@ class TestSolveViaRelaxation:
 
     @pytest.mark.parametrize("lifted_overflows", [True, False])
     def test_routes_raise_the_per_plant_overflow_in_its_order(self, lifted_overflows):
-        # A = 1e26 at T = 12: the lifted matrix (up to 1e286) is finite but A^T
-        # is not. The reachable 2-d plant's lifted matrix reaches 1e14^11 * 1e160
-        # and overflows, or stays small. Every lifted matrix is checked before
-        # any power, across dimension groups.
+        # A = 1e26 at T = 12: the lifted matrix (up to 1e286) is finite but the
+        # open-loop state 1e312 at T is not. The reachable 2-d plant's lifted
+        # matrix reaches 1e14^11 * 1e160 and overflows, or stays small. Every
+        # lifted matrix is checked before any state, across dimension groups.
         second = (
             PlantDynamics([[0.0, -1e14], [1e14, 0.0]], [1e160, 0.0]) if lifted_overflows
             else PlantDynamics(np.diag([2.0, 0.5]), [1.0, 1.0])
@@ -601,7 +602,7 @@ class TestSolveViaRelaxation:
             per_plant_systems(inst)
         assert str(want.value) == (
             "lifted matrix overflowed" if lifted_overflows
-            else "matrix power overflowed at exponent 12"
+            else "open-loop state overflowed by step 12"
         )
         for route in (solve_via_relaxation, l0_feasible_bruteforce):
             with pytest.raises(NonFiniteError) as got:
