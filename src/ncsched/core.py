@@ -174,14 +174,23 @@ def _plant_views(g: PlantGroup):
 
 @dataclass(frozen=True)
 class NcsInstance:
-    """A full co-design problem: plants, initial states, channel capacity, horizon."""
+    """A full co-design problem: plants, initial states, channel capacity, horizon.
+
+    The constructor keeps the plants it is given and stacks them by dimension
+    into ``groups``, which every solve reads; ``xi`` holds views of the
+    groups' state rows. An instance made from the generator's stacks
+    (``_from_groups``) builds ``plants`` and ``xi`` as views of the groups'
+    rows on first read, since no solve reads them.
+    """
 
     plants: tuple[PlantDynamics, ...]
     xi: tuple[np.ndarray, ...]
     capacity: int
     horizon: int
-    # derived: the plants stacked by dimension, smallest first (``group_by_dim``)
+    # derived: the plants stacked by dimension, smallest first (``group_by_dim``),
+    # and their number
     groups: tuple[PlantGroup, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plants = tuple(self.plants)
@@ -200,7 +209,9 @@ class NcsInstance:
         _check_states(groups)
         if wrong < n:
             raise ValueError(f"initial state {wrong + 1} has wrong length")
-        self._adopt(plants, capacity, horizon, groups)
+        self._adopt(capacity, horizon, groups, n)
+        object.__setattr__(self, "plants", plants)
+        object.__setattr__(self, "xi", _in_plant_order(groups, [g.xi for g in groups]))
 
     @classmethod
     def _from_groups(cls, groups, capacity: int, horizon: int) -> "NcsInstance":
@@ -209,25 +220,32 @@ class NcsInstance:
         ``groups`` must be what ``stack_plants`` builds from the same plants:
         sorted by dimension, indices ascending and covering 0..N-1 once, with
         finite, well-shaped matrices. Sizes and states are checked as the
-        constructor checks them; the plants are views of the stacked rows.
+        constructor checks them; ``plants`` and ``xi`` are left to first read.
         """
         groups = tuple(PlantGroup(*map(_freeze, g)) for g in groups)
-        capacity, horizon = _checked_sizes(capacity, horizon, sum(len(g.idx) for g in groups))
+        n = sum(len(g.idx) for g in groups)
+        capacity, horizon = _checked_sizes(capacity, horizon, n)
         _check_states(groups)
         inst = object.__new__(cls)
-        inst._adopt(_in_plant_order(groups, map(_plant_views, groups)), capacity, horizon, groups)
+        inst._adopt(capacity, horizon, groups, n)
         return inst
 
-    def _adopt(self, plants, capacity, horizon, groups) -> None:
-        """Set the fields; the states are views of the groups' rows."""
-        xi = _in_plant_order(groups, [g.xi for g in groups])
-        values = (plants, xi, capacity, horizon, groups)
-        for name, value in zip(("plants", "xi", "capacity", "horizon", "groups"), values):
+    def _adopt(self, capacity: int, horizon: int, groups, n: int) -> None:
+        for name, value in (("capacity", capacity), ("horizon", horizon), ("groups", groups),
+                            ("n", n)):
             object.__setattr__(self, name, value)
 
-    @property
-    def n(self) -> int:
-        return len(self.plants)
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: ``plants`` and ``xi``
+        # of an instance from ``_from_groups``, built here once as views of
+        # the groups' rows
+        groups = self.__dict__.get("groups")
+        if groups is None or name not in ("plants", "xi"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        per_group = map(_plant_views, groups) if name == "plants" else [g.xi for g in groups]
+        value = _in_plant_order(groups, per_group)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -22,6 +22,13 @@ from .errors import RejectionBudgetError, SchemaError
 SCHEMA_VERSION = 1
 SPECTRAL_RADIUS_MIN = 1.0 + 1e-9
 REJECTION_BUDGET = 10_000
+# a bound on the spectral radius certifies a candidate unstable when it clears
+# the threshold by this much times max(1, sum |a_ij|)^max(d, 2), a million
+# times the O(d eps) by which LAPACK's computed spectrum may move the bound
+CERTIFICATE_SLACK = 1e-8
+# smaller blocks go straight to eigvals: the certificate's dozen numpy calls
+# cost more than the eigenvalue work it saves on them
+CERTIFICATE_MIN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ def generate_instance(
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
+    The instance is built from the accepted stacks (``NcsInstance._from_groups``);
+    its ``plants`` and ``xi`` views are made on first read.
     """
     if len(dims) != n:
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
@@ -94,7 +103,9 @@ def _draw_plants(
     Returns the stacks ``A``, ``b``, ``psi``, ``reachable`` and ``cond`` of a
     ``PlantGroup``. Every candidate, accepted or not, takes the next
     ``d*d + d`` uniforms (A row-major, then b), so blocks of candidates are
-    drawn and checked at once. The first block holds as many candidates as
+    drawn and checked at once: the instability test by ``_unstable``, which
+    certifies most candidates without ``eigvals``, then the rank test of the
+    unstable ones. The first block holds as many candidates as
     plants are needed, and each later one as many as the acceptance rate
     seen so far says the rest need, plus a tenth. The stream is then rewound
     and advanced past the last acceptance, leaving the generator where
@@ -117,7 +128,7 @@ def _draw_plants(
         size = min(size + 8, REJECTION_BUDGET - misses)
         block = rng.uniform(-value_range, value_range, (size, width))
         A = block[:, : d * d].reshape(size, d, d)
-        unstable = np.flatnonzero(np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN)
+        unstable = _unstable(A)
         psi = lifted_matrices(A[unstable], block[unstable, d * d :], d)
         full, cond = rank_and_cond(psi)
         # the block ends within REJECTION_BUDGET draws of the previous
@@ -132,6 +143,34 @@ def _draw_plants(
     rng.uniform(-value_range, value_range, (last + 1) * width)
     rows, psi, reachable, cond = (np.concatenate(f) for f in zip(*kept))
     return rows[:, : d * d].reshape(need, d, d), rows[:, d * d :], psi, reachable, cond
+
+
+def _unstable(A: np.ndarray) -> np.ndarray:
+    """Indices of the stacked candidates ``A`` whose spectral radius, as
+    ``np.linalg.eigvals`` computes it, exceeds ``SPECTRAL_RADIUS_MIN``.
+
+    Most are certified without ``eigvals``. The spectral radius rho bounds
+    rho^d >= |det A| and rho^2 >= |tr A^2| / d. LAPACK's eigenvalues are the
+    exact ones of some A + E with ||E|| of order eps ||A|| (backward
+    stability), so their determinant and trace of the square differ from A's
+    by O(d eps max(1, sum |a_ij|)^max(d, 2)). A bound that clears the threshold
+    by ``CERTIFICATE_SLACK`` times that scale therefore gives LAPACK's
+    verdict; a bound that is not finite certifies nothing. Only the other
+    candidates go to ``eigvals``, and so do blocks of fewer than
+    ``CERTIFICATE_MIN_BLOCK`` candidates.
+    """
+    if len(A) < CERTIFICATE_MIN_BLOCK:
+        return np.flatnonzero(np.abs(np.linalg.eigvals(A)).max(axis=-1) > SPECTRAL_RADIUS_MIN)
+    d = A.shape[-1]
+    with np.errstate(all="ignore"):
+        slack = CERTIFICATE_SLACK * np.maximum(1.0, np.abs(A).sum(axis=(1, 2))) ** max(d, 2)
+        bounds = np.abs([np.linalg.det(A), np.einsum("kij,kji->k", A, A) / d])
+        need = np.array([[SPECTRAL_RADIUS_MIN**d], [SPECTRAL_RADIUS_MIN**2]]) + slack
+        sure = ((bounds > need) & (bounds < np.inf)).any(axis=0)
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        sure[rest] = np.abs(np.linalg.eigvals(A[rest])).max(axis=-1) > SPECTRAL_RADIUS_MIN
+    return np.flatnonzero(sure)
 
 
 def _draw_states(rng: np.random.Generator, dims, starts: np.ndarray) -> np.ndarray:

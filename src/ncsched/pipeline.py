@@ -21,8 +21,6 @@ import math
 import time
 import warnings as warnings_mod
 
-import numpy as np
-
 from .core import TERMINAL_RTOL, ZERO_RTOL, NcsInstance, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
@@ -35,7 +33,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport
-from .sim import slot_members, verify_logic
+from .sim import verify_logic
 from .sparse import l0_feasible_bruteforce, solve_via_relaxation
 
 _METHOD_ROUTES = {
@@ -45,11 +43,6 @@ _METHOD_ROUTES = {
     "relax": ("relaxation",),
     "brute": ("bruteforce",),
 }
-
-
-def _occupancy_histogram(schedule: list[list[int]]) -> list[list[int]]:
-    counts = np.bincount(list(map(len, schedule))).tolist()
-    return [[occ, c] for occ, c in enumerate(counts) if c]
 
 
 def solve_instance(
@@ -155,24 +148,11 @@ def solve_instance(
                 f"({'; '.join(outcome.violations)})"
             )
             continue
-        plan_dict = None if plan is None else {**plan.to_report_dict(), "open_loop": open_loop}
         diagnostics.extend(attempts)
-        schedule = slot_members(outcome.active, first=1)
         seen = set()
         warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]
-        report = SolveReport(
-            method=route,
-            plan=plan_dict,
-            schedule=schedule,
-            control=outcome.control.u,
-            verified=True,
-            residuals=outcome.terminal_residuals.tolist(),
-            occupancy_histogram=_occupancy_histogram(schedule),
-            state_norms=outcome.norms,
-            warnings=warn_list,
-            diagnostics=diagnostics,
-            timings=timings,
-        )
+        report = SolveReport.solved(route, plan, open_loop, outcome, warn_list, diagnostics,
+                                    timings)
         timings["total"] = time.perf_counter() - t_start
         return report
 

@@ -28,14 +28,22 @@ import numpy as np
 from .core import ControlLogic, NcsInstance
 from .errors import SchemaError
 from .instances import _ints, _numbers, dump_json
-from .sim import verify_logic
+from .sim import SimulationResult, slot_members, verify_logic
 
 SCHEMA_VERSION = 2
+# the fields a solve's report builds on first read
+BUILT_ON_READ = ("plan", "schedule", "residuals", "occupancy_histogram")
 
 
 @dataclass
 class SolveReport:
-    """Everything one solve run produced, plus diagnostics."""
+    """Everything one solve run produced, plus diagnostics.
+
+    Every field can be given to the constructor. A solve's report
+    (``solved``) keeps the plan object and the verifier's result instead,
+    whose slot mask and residual array give ``BUILT_ON_READ`` on first read,
+    once; a report that is written builds them inside ``report_to_dict``.
+    """
 
     method: str | None
     plan: dict | None
@@ -49,6 +57,38 @@ class SolveReport:
     warnings: list[str] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def solved(cls, method: str, plan, open_loop: list[int], outcome: SimulationResult,
+               warnings: list[str], diagnostics: list[str], timings: dict[str, float]):
+        """The report of a route whose logic ``outcome`` verified; ``plan`` gives
+        the plan dict through ``to_report_dict()`` (brute force has none), and
+        ``open_loop`` lists the 1-based plants that keep zero rows."""
+        rep = cls.__new__(cls)
+        rep.__dict__.update(
+            method=method, control=outcome.control.u, verified=True, state_norms=outcome.norms,
+            warnings=warnings, diagnostics=diagnostics, timings=timings,
+            _kept=(plan, open_loop, outcome),
+        )
+        return rep
+
+    def __getattr__(self, name):
+        # reached only for a field that is not set: the lists of a solve's report
+        kept = self.__dict__.get("_kept")
+        if kept is None or name not in BUILT_ON_READ:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        plan, open_loop, outcome = kept
+        if name == "plan":
+            value = None if plan is None else {**plan.to_report_dict(), "open_loop": open_loop}
+        elif name == "schedule":
+            value = slot_members(outcome.active, first=1)
+        elif name == "residuals":
+            value = outcome.terminal_residuals.tolist()
+        else:
+            counts = np.bincount(outcome.active.sum(axis=1)).tolist()
+            value = [[occ, c] for occ, c in enumerate(counts) if c]
+        setattr(self, name, value)
+        return value
 
 
 def _sparse_control(control) -> dict | None:
@@ -69,7 +109,7 @@ def report_to_dict(rep: SolveReport) -> dict:
         "schedule": rep.schedule,
         "control": _sparse_control(rep.control),
         "verified": rep.verified,
-        "residuals": [float(r) for r in rep.residuals],
+        "residuals": list(map(float, rep.residuals)),
         "occupancy_histogram": rep.occupancy_histogram,
         "warnings": rep.warnings,
         "diagnostics": rep.diagnostics,

@@ -130,12 +130,12 @@ def rollout_stack(
     ``A`` is n x d x d, ``b`` and ``xi`` are n x d and ``u`` is n x T. Returns
     the n x (T+1) x d states (None unless ``keep_states``), their n x (T+1)
     2-norms, and per plant the first step whose state leaves the float range
-    (0 when none; later states of such a plant are meaningless). Each step is
-    one ``column_step`` over the stepped plants' columns of ``A`` and ``b``,
-    held d-major; norms are ``sqrt(sum_squares(x))`` in that layout, retaken
-    by ``column_norms`` where that overflows. States are clamped to exact zero once below the
-    running-sup zero threshold (see module docstring); initial states never
-    are. The states and norms are transposed views of time-major buffers,
+    (-1 when none; step 0 counts, and later states of such a plant are
+    meaningless). Each step is one ``column_step`` over the stepped plants'
+    columns of ``A`` and ``b``, held d-major; norms are ``sqrt(sum_squares(x))``
+    in that layout, retaken by ``column_norms`` where that overflows. States
+    are clamped to exact zero once below the running-sup zero threshold (see
+    module docstring); initial states never are. The states and norms are transposed views of time-major buffers,
     (T+1) x d x n and (T+1) x n, so neither is C-contiguous.
 
     Only the plants that still move are stepped (see module docstring): the
@@ -147,7 +147,7 @@ def rollout_stack(
     d = A.shape[-1]
     states = np.zeros((horizon + 1, d, n)) if keep_states else None
     norms = np.zeros((horizon + 1, n))
-    overflow = np.zeros(n, dtype=int)
+    overflow = np.full(n, -1)
     # the last step with a nonzero input, -1 for a row without one
     last = ((u != 0) * np.arange(1, horizon + 1)).max(axis=1, initial=0) - 1
     # the inputs time-major, so that compaction leaves them alone: each step
@@ -164,6 +164,7 @@ def rollout_stack(
     rows = slice(None)  # the buffer columns of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
         norms[0] = column_norms(x)
+        overflow[~np.isfinite(norms[0])] = 0
         live, sup = np.arange(n), np.maximum(1.0, norms[0])
         for t in range(horizon):
             v[d] = inputs[t, rows]
@@ -173,7 +174,7 @@ def rollout_stack(
             if not math.isfinite(norm.sum()):
                 big = ~np.isfinite(norm)
                 norm[big] = column_norms(x[:, big])
-                first = ~np.isfinite(norm) & (overflow[live] == 0)
+                first = ~np.isfinite(norm) & (overflow[live] < 0)
                 overflow[live[first]] = t + 1
             sup = np.maximum(sup, norm)
             clamp = norm <= zero_rtol * sup
@@ -209,7 +210,7 @@ def rollout(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
     states, _, overflow = rollout_stack(p.A[None], p.b[None], xi[None], u[None], zero_rtol)
-    if overflow[0]:
+    if overflow[0] >= 0:
         raise NonFiniteError(f"state overflowed at step {overflow[0]}")
     return states[0]
 
@@ -218,8 +219,8 @@ def terminal_residuals(A, b, xi, u, zero_rtol: float = ZERO_RTOL) -> tuple:
     """The verifier's test of thresholded input rows ``u`` for stacked plants of one
     dimension: rolled out (``rollout_stack``, keeping no states), they give their
     norms, each terminal norm over its trajectory's sup-norm floored at 1, and the
-    overflow steps. The residuals divide the rollout's own norms, the ones its clamp
-    compared."""
+    overflow steps (-1 for none). The residuals divide the rollout's own norms, the
+    ones its clamp compared."""
     _, norms, overflow = rollout_stack(A, b, xi, u, zero_rtol, keep_states=False)
     return norms, norms[:, -1] / np.maximum(1.0, norms.max(axis=1)), overflow
 
@@ -228,7 +229,7 @@ def steers_to_zero(A, b, xi, u, zero_rtol: float, terminal_rtol: float) -> np.nd
     """Per row of ``u``, thresholded: whether ``verify_logic`` finds its plant steered to zero."""
     u = np.where(nonzero_entries(u, zero_rtol), u, 0.0)
     _, residuals, overflow = terminal_residuals(A, b, xi, u, zero_rtol)
-    return (overflow == 0) & (residuals <= terminal_rtol)
+    return (overflow < 0) & (residuals <= terminal_rtol)
 
 
 def verify_logic(
@@ -260,13 +261,13 @@ def verify_logic(
     groups = group_by_dim(inst)
     norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
-    overflow = np.zeros(inst.n, dtype=int)
+    overflow = np.empty(inst.n, dtype=int)
     for g in groups:
         norms[g.idx], residuals[g.idx], overflow[g.idx] = terminal_residuals(
             g.A, g.b, g.xi, zeroed.u[g.idx], zero_rtol
         )
-    if overflow.any():
-        first = overflow[np.flatnonzero(overflow)[0]]
+    if overflow.max() >= 0:
+        first = overflow[np.flatnonzero(overflow >= 0)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
     occupancy = active.sum(axis=1)
     max_occ = int(occupancy.max()) if occupancy.size else 0

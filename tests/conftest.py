@@ -68,6 +68,18 @@ def scalar_instance(gains, capacity, horizon, inputs=None, states=None):
     return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
 
 
+def huge_initial_norm_instance():
+    """A decaying 2-d plant whose initial norm, 2.1e308, passes the largest
+    float although each entry is finite, plus a scalar A=2 plant; M=1, T=6.
+
+    Left alone, the 2-d plant's state is about 2.3e306 at T: its zero row
+    steers nothing to zero.
+    """
+    plants = (PlantDynamics(np.diag([0.5, 0.25]), [1.0, 1.0]), PlantDynamics([[2.0]], [1.0]))
+    xi = (np.array([1.5e308, 1.5e308]), np.array([1.0]))
+    return NcsInstance(plants, xi, capacity=1, horizon=6)
+
+
 def one_burst_instance():
     """A 2-d plant that one input at slot 0 zeroes, plus a scalar plant; M=1, T=3.
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import scalar_instance
+from conftest import huge_initial_norm_instance, scalar_instance
 from ncsched import (
     InstanceFile,
     NcsInstance,
@@ -211,6 +211,22 @@ class TestCliFlow:
         assert captured.out.splitlines() == [
             "replay verified=false",
             "  violation: state overflowed at step 31",
+        ]
+        assert captured.err == ""
+
+    def test_verify_fails_zero_row_for_initial_norm_past_the_float_range(self, tmp_path, capsys):
+        # a hand-written all-zero report: plant 1's initial norm overflows
+        inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
+        write_instance(inst_path, InstanceFile(huge_initial_norm_instance()))
+        write_report(rep_path, SolveReport(
+            method=None, plan=None, schedule=[[]] * 6, control=np.zeros((2, 6)),
+            verified=True, residuals=[0.0, 0.0], occupancy_histogram=[[0, 6]],
+        ))
+        assert main(["verify", str(inst_path), str(rep_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "replay verified=false",
+            "  violation: state overflowed at step 0",
         ]
         assert captured.err == ""
 

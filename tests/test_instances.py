@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from ncsched import (
     write_report,
 )
 from ncsched.instances import (
+    CERTIFICATE_MIN_BLOCK,
     REJECTION_BUDGET,
     SPECTRAL_RADIUS_MIN,
+    _unstable,
     dump_json,
     instance_from_dict,
     instance_to_dict,
@@ -203,6 +206,106 @@ class TestGenerateInstance:
             plants, xi = sequential_draws(np.random.default_rng(seed), dims, 2.0)
             assert_same_draws(rec, plants, xi)
             assert all(x.any() for x in rec.instance.xi)
+
+
+def in_random_basis(rng, core):
+    """``S @ core @ S^-1`` for random bases ``S``: the same spectrum, entries mixed."""
+    S = rng.uniform(-1, 1, core.shape)
+    return S @ core @ np.linalg.inv(S)
+
+
+def adversarial_stacks(rng, d):
+    """Stacks of d x d candidates on which a certificate is easiest to get wrong."""
+    # relative distances 1e-16 ... 1e-3 from the threshold, on both sides
+    near = SPECTRAL_RADIUS_MIN * (1 + np.array([-1, 1])[:, None] * 10.0 ** -np.arange(3, 17))
+    near = near.reshape(-1)
+    for value_range in (1.05, 2.0, 1e6, 1e200):
+        yield f"uniform on +-{value_range:g}", rng.uniform(-value_range, value_range, (300, d, d))
+    # random matrices rescaled so that LAPACK's radius is near the threshold
+    A = rng.uniform(-1, 1, (len(near) * 10, d, d))
+    A *= (np.repeat(near, 10) / np.abs(np.linalg.eigvals(A)).max(axis=-1))[:, None, None]
+    yield "radius near the threshold", A
+    # scaled orthogonal matrices: every eigenvalue on the circle of that
+    # radius, so the determinant's bound is tight
+    Q = np.linalg.qr(rng.uniform(-1, 1, (len(near) * 20, d, d)))[0]
+    yield "all eigenvalues near the threshold", np.repeat(near, 20)[:, None, None] * Q
+    # one eigenvalue near the threshold, the others 1e-3 and below: a small
+    # determinant next to a trace of the square near the threshold's
+    core = np.zeros((len(near), d, d))
+    core[:, 0, 0] = near
+    for j in range(1, d):
+        core[:, j, j] = 10.0 ** -(2 + j)
+    yield "one eigenvalue near the threshold", in_random_basis(rng, np.repeat(core, 5, axis=0))
+    # Jordan blocks at the threshold, perturbed by 1e-14: LAPACK's eigenvalues
+    # split by about (1e-14)^(1/d), well past the distance to the threshold
+    J = np.repeat(near, 5)[:, None, None] * np.eye(d) + np.eye(d, k=1)
+    J += 1e-14 * rng.uniform(-1, 1, J.shape)
+    yield "near-defective", in_random_basis(rng, J)
+    for value_range in (1.05, 2.0):
+        yield f"block below {CERTIFICATE_MIN_BLOCK}", rng.uniform(
+            -value_range, value_range, (CERTIFICATE_MIN_BLOCK - 1, d, d)
+        )
+
+
+class TestInstabilityCertificate:
+    """``_unstable`` certifies most unstable candidates without ``eigvals``; its
+    verdict must be the one LAPACK gives each candidate on its own."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_lapack_on_adversarial_stacks(self, d, monkeypatch):
+        rng = np.random.default_rng(1000 + d)
+        solved = []  # candidates handed to eigvals
+        eigvals = np.linalg.eigvals
+
+        def counting(A):
+            solved.append(len(A))
+            return eigvals(A)
+
+        for name, A in adversarial_stacks(rng, d):
+            want = np.flatnonzero([spectral_radius(a) > SPECTRAL_RADIUS_MIN for a in A])
+            solved.clear()
+            monkeypatch.setattr(np.linalg, "eigvals", counting)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _unstable(A)
+            monkeypatch.undo()
+            assert np.array_equal(got, want), name
+            if name == "uniform on +-2":
+                # most unstable candidates are certified
+                assert len(A) - sum(solved) > len(want) / 2
+            if name.startswith("block below"):
+                assert solved == [len(A)]
+
+    def test_generation_runs_eigvals_on_few_candidates(self, monkeypatch):
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda A: solved.append(len(A)) or eigvals(A)
+        )
+        generate_instance(1000, 100, 50, [2] * 500 + [3] * 500, seed=12345)
+        # about 0.8 of the 2-d and 0.97 of the 3-d candidates are unstable
+        assert sum(solved) < 400
+
+
+class TestViewsOnFirstRead:
+    def test_solve_builds_no_plant_view(self):
+        inst = generate_instance(100, 10, 50, [2] * 50 + [3] * 50, seed=12345).instance
+        report = solve_instance(inst)
+        assert report.verified
+        assert "plants" not in vars(inst) and "xi" not in vars(inst)
+        plants, xi = inst.plants, inst.xi
+        assert inst.plants is plants and inst.xi is xi
+        for g in inst.groups:
+            for k, i in enumerate(g.idx):
+                assert np.shares_memory(plants[i].A, g.A) and plants[i].A is not g.A
+                assert np.array_equal(plants[i].A, g.A[k]) and np.array_equal(xi[i], g.xi[k])
+
+    def test_constructor_keeps_the_plants_it_is_given(self):
+        plants = (PlantDynamics([[2.0]], [1.0]), PlantDynamics([[0.5, 1.0], [0.0, 3.0]], [0.0, 1.0]))
+        inst = NcsInstance(plants, ([1.0], [1.0, -1.0]), capacity=1, horizon=4)
+        assert inst.plants is plants
+        as_list = NcsInstance(list(plants), ([1.0], [1.0, -1.0]), capacity=1, horizon=4)
+        assert all(p is q for p, q in zip(as_list.plants, plants, strict=True))
 
 
 class TestInstanceFiles:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncsched.core
+import ncsched.report
 import ncsched.sim
 from ncsched import (
     ControlLogic,
@@ -9,11 +10,15 @@ from ncsched import (
     NcsInstance,
     NoSolutionFoundError,
     PlantDynamics,
+    SolveReport,
+    find_lane_plan,
     generate_instance,
     l0_feasible_bruteforce,
     solve_instance,
     verify_logic,
 )
+from ncsched.instances import dump_json
+from ncsched.report import BUILT_ON_READ, report_to_dict
 
 from conftest import companion_plant, scalar_instance
 
@@ -351,3 +356,47 @@ class TestSolveCascade:
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=3)
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             solve_instance(inst, **tolerances)
+
+
+class TestReportListsOnFirstRead:
+    """A solve's report keeps the plan object, the slot mask and the residual
+    array; its lists are built once, on first read."""
+
+    def test_lists_built_once_as_the_eager_report_built_them(self, monkeypatch):
+        inst = generate_instance(100, 10, 50, [2] * 50 + [3] * 50, seed=12346).instance
+        built = []
+        slot_members = ncsched.report.slot_members
+        monkeypatch.setattr(
+            ncsched.report, "slot_members", lambda *a, **k: built.append(1) or slot_members(*a, **k)
+        )
+        report = solve_instance(inst)
+        assert not set(BUILT_ON_READ) & set(vars(report))
+        data = report_to_dict(report)
+        assert set(BUILT_ON_READ) <= set(vars(report))
+        for name in BUILT_ON_READ:
+            assert getattr(report, name) is getattr(report, name)
+        assert built == [1] and report_to_dict(report) == data
+
+        # what the pipeline built before the lists moved to first read
+        outcome = verify_logic(inst, ControlLogic(report.control))
+        schedule = slot_members(outcome.active, first=1)
+        counts = np.bincount(list(map(len, schedule))).tolist()
+        eager = SolveReport(
+            method="lane-plan",
+            plan={**find_lane_plan(inst).to_report_dict(), "open_loop": []},
+            schedule=schedule,
+            control=outcome.control.u,
+            verified=True,
+            residuals=outcome.terminal_residuals.tolist(),
+            occupancy_histogram=[[occ, c] for occ, c in enumerate(counts) if c],
+            warnings=report.warnings,
+            diagnostics=report.diagnostics,
+        )
+        assert dump_json(data) == dump_json(report_to_dict(eager))
+
+    def test_fields_given_to_the_constructor_are_kept(self):
+        rep = SolveReport(method=None, plan=None, schedule=[], control=None, verified=False,
+                          residuals=[], occupancy_histogram=[])
+        assert rep.plan is None and rep.schedule == [] and rep.residuals == []
+        with pytest.raises(AttributeError):
+            rep.no_such_field

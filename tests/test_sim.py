@@ -21,6 +21,7 @@ from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step
 from ncsched.sim import steers_to_zero, terminal_residuals
 
 from conftest import (
+    huge_initial_norm_instance,
     norm_left_to_right,
     open_loop_hit_times,
     random_reachable_plant,
@@ -230,6 +231,24 @@ class TestBatchedRolloutMatchesLoop:
         with pytest.raises(NonFiniteError, match="at step 2"):
             rollout(inst.plants[2], inst.xi[2], np.zeros(4))
 
+    def test_initial_norm_past_the_float_range_overflows_at_step_0(self):
+        # plant 1's entries are finite, but its initial norm is not. Against
+        # that infinite sup the clamp would zero every later state and read a
+        # residual of 0, so the overflow is flagged at step 0 instead.
+        inst = huge_initial_norm_instance()
+        zero = np.zeros((2, inst.horizon))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^state overflowed at step 0$"):
+                verify_logic(inst, ControlLogic(zero))
+            with pytest.raises(NonFiniteError, match="^state overflowed at step 0$"):
+                rollout(inst.plants[0], inst.xi[0], zero[0])
+            for g in inst.groups:
+                _, _, overflow = assert_stack_matches_reference(g.A, g.b, g.xi, zero[g.idx])
+                assert overflow.tolist() == ([-1] if g.idx[0] else [0])
+                accepted = steers_to_zero(g.A, g.b, g.xi, zero[g.idx], ZERO_RTOL, TERMINAL_RTOL)
+                assert not accepted.any()
+
     def test_norms_above_the_squared_range_stay_finite(self):
         # 1e160 squared overflows, but a state norm is taken over the float range
         inst = scalar_instance([2.0, 1.5, 1.5], capacity=1, horizon=6, states=[1e160, 1.0, 1.0])
@@ -259,15 +278,16 @@ class TestBatchedRolloutMatchesLoop:
 
 
 # The full recursion, one plant at a time: every step is taken, an overflow is
-# recorded rather than raised, and the clamp writes +0.0 states and norms.
+# recorded rather than raised (its first step, step 0 included; -1 for none),
+# and the clamp writes +0.0 states and norms.
 def reference_full_rollout(A, b, xi, u, zero_rtol=ZERO_RTOL):
     states, norms = [xi], [wide_norm(xi)]
-    sup, overflow, x = np.maximum(1.0, norms[0]), 0, xi
+    sup, overflow, x = np.maximum(1.0, norms[0]), (-1 if np.isfinite(norms[0]) else 0), xi
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(u.shape[0]):
             x = step_left_to_right(A, x) + b * u[t]
             norm = wide_norm(x)
-            if not np.isfinite(norm) and not overflow:
+            if not np.isfinite(norm) and overflow < 0:
                 overflow = t + 1
             sup = np.maximum(sup, norm)
             if norm <= zero_rtol * sup:
@@ -342,7 +362,7 @@ class TestLiveSetRolloutIsExact:
         u[0, 4] = 1.0  # an input after the overflow is clamped against the infinite sup
         u[1, 0] = 1e10
         states, norms, overflow = assert_stack_matches_reference(A, b, xi, u)
-        assert overflow.tolist() == [3, 1, 0]
+        assert overflow.tolist() == [3, 1, -1]
         # 1e250 squared overflows, yet its norm is finite and it is no overflow
         assert norms[0, 2] == states[0, 2, 0] > 1e249
         assert not states[0, 3:].any() and not norms[0, 3:].any()
