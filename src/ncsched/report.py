@@ -1,14 +1,19 @@
 """Solve reports: canonical JSON serialization and CSV exports for plotting.
 
-A report file (schema version 2) is one line of canonical JSON
+A report file (schema version 3) is one line of canonical JSON
 (``instances.dump_json``, the format of instance files too), read back with
 the same JSON type checks. It stores only what cannot be recomputed: the
 route, plan and schedule, the verdict, and the control inputs as their
-nonzeros, ``{"shape": [N, T], "plant": [...], "t": [...], "u": [...]}`` with
-1-based plants, 0-based steps and the entries in row-major order. State
-trajectories follow from the control and the instance by simulation, so
-``verify`` and ``plots`` replay them instead of reading them. Version 1
-reports, which held a dense control and the state norms, are refused.
+nonzeros, ``{"shape": [N, T], "plant": [...], "t": [...], "u": "..."}`` with
+1-based plants, 0-based steps and the entries in row-major order. ``u`` is
+one string: the nonzero inputs as little-endian IEEE float64 bytes, base64
+encoded with the standard alphabet and padding (RFC 4648), so every bit of
+every input survives and a write -> read -> write is byte-identical. A
+reader refuses a ``u`` that is not such a string, or that holds a zero or
+non-finite input. State trajectories follow from the control and the
+instance by simulation, so ``verify`` and ``plots`` replay them instead of
+reading them. Reports of versions 1 (a dense control and the state norms)
+and 2 (``u`` as a JSON list of numbers) are refused.
 ``verify`` and ``plots`` pass the instance's (N, T), so a control of another
 shape is refused before its matrix is allocated.
 
@@ -19,6 +24,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +36,9 @@ from .errors import SchemaError
 from .instances import _ints, _numbers, dump_json
 from .sim import SimulationResult, slot_members, verify_logic
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+# the byte layout of a control's packed inputs
+PACKED_INPUT = np.dtype("<f8")
 # the fields a solve's report builds on first read
 BUILT_ON_READ = ("plan", "schedule", "residuals", "occupancy_histogram")
 
@@ -91,13 +99,32 @@ class SolveReport:
         return value
 
 
+def _pack(values: np.ndarray) -> str:
+    """``values`` as little-endian float64 bytes in base64 (RFC 4648)."""
+    return base64.b64encode(values.astype(PACKED_INPUT, copy=False).tobytes()).decode("ascii")
+
+
+def _unpack(text) -> np.ndarray:
+    """The floats ``_pack`` wrote into ``text``, checked to be whole float64s."""
+    if not isinstance(text, str):
+        raise SchemaError("control inputs must be a base64 string of little-endian float64")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise SchemaError(f"control inputs are not valid base64: {exc}") from exc
+    if len(raw) % PACKED_INPUT.itemsize:
+        raise SchemaError(f"control inputs hold {len(raw)} bytes, not a whole number "
+                          f"of {PACKED_INPUT.itemsize}-byte floats")
+    return np.frombuffer(raw, dtype=PACKED_INPUT)
+
+
 def _sparse_control(control) -> dict | None:
     if control is None:
         return None
     u = np.asarray(control, dtype=float)
     plant, t = np.nonzero(u)
     return {"shape": list(u.shape), "plant": (plant + 1).tolist(), "t": t.tolist(),
-            "u": u[plant, t].tolist()}
+            "u": _pack(u[plant, t])}
 
 
 def report_to_dict(rep: SolveReport) -> dict:
@@ -138,9 +165,9 @@ def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
     n, horizon = shape
     plant = np.array(_ints(data["plant"], "control plants"), dtype=np.int64) - 1
     t = np.array(_ints(data["t"], "control steps"), dtype=np.int64)
-    u = np.array(_numbers(data["u"], "control inputs"), dtype=float)
+    u = _unpack(data["u"])
     if not plant.size == t.size == u.size:
-        raise SchemaError("control plant, t and u lists differ in length")
+        raise SchemaError("control plant, t and u counts differ")
     if plant.size and not (plant.min() >= 0 and plant.max() < n and t.min() >= 0
                            and t.max() < horizon):
         raise SchemaError(f"control entry outside plants 1..{n} or steps 0..{horizon - 1}")
@@ -148,6 +175,8 @@ def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
         raise SchemaError("control entries must be distinct and in row-major order")
     if np.any(u == 0):
         raise SchemaError("control lists a zero input")
+    if not np.all(np.isfinite(u)):
+        raise SchemaError("control lists a non-finite input")
     try:
         dense = np.zeros((n, horizon))
     except MemoryError as exc:

@@ -51,6 +51,9 @@ RESIDUAL_RTOL = 1e-8
 BRUTE_FORCE_CAP = 10**6
 RIP_SUPPORT_CAP = 200_000
 RIP_CHUNK_ENTRIES = 1 << 20
+# HiGHS's default ``infinite_bound``: a right-hand side this large or larger
+# reads as infinite, and the LP fails as a model error
+LP_INFINITE_BOUND = 1e20
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,9 @@ def min_l1_stack(gammas, targets, zero_rtol: float = ZERO_RTOL) -> list[np.ndarr
     coordinates. No residual is judged here: the solve cascade's verifier is
     the only test of whether a row steers its plant to zero. When a system
     has several minimizers, the vertex HiGHS returns for it may depend on the
-    other systems in the stack. An inconsistent system or a failed LP raises
-    ``SolverStallError``.
+    other systems in the stack. An inconsistent system, a projected target
+    entry of ``LP_INFINITE_BOUND`` or more (refused before the LP runs) or a
+    failed LP raises ``SolverStallError``.
     """
     systems = [
         (np.asarray(g, dtype=float), np.asarray(t, dtype=float).reshape(-1))
@@ -161,6 +165,13 @@ def min_l1_stack(gammas, targets, zero_rtol: float = ZERO_RTOL) -> list[np.ndarr
     if not systems:
         return []
     projected = [_row_space_system(g, t) for g, t in systems]
+    for k, (_, rhs) in enumerate(projected):
+        peak = np.abs(rhs).max(initial=0.0)
+        if not peak < LP_INFINITE_BOUND:
+            raise SolverStallError(
+                f"system {k + 1} of {len(systems)}: its projected target reaches "
+                f"{peak:.3g}, at or past the LP backend's infinite bound {LP_INFINITE_BOUND:g}"
+            )
     a_eq = block_diag([np.hstack([rows, -rows]) for rows, _ in projected], format="csc")
     res = linprog(
         np.ones(a_eq.shape[1]),

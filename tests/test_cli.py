@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import warnings
@@ -21,6 +22,11 @@ from ncsched import (
 from ncsched.cli import main, parse_dims
 from ncsched.instances import instance_from_dict
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
+
+
+def packed(*values):
+    """Inputs as a report stores them: little-endian float64 bytes in base64."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestParseDims:
@@ -312,29 +318,40 @@ class TestCliFlow:
         assert "Traceback" not in capsys.readouterr().err
 
     # each case breaks one rule of the nonzero triplets of a 2 x 3 control
-    # whose plants are [1, 2], steps [0, 1] and inputs [0.5, -1.25]
-    @pytest.mark.parametrize("fields", [
-        {"u": [0.5]},
-        {"plant": [0, 2]},
-        {"plant": [1, 3]},
-        {"t": [0, 3]},
-        {"plant": [1, 1], "t": [0, 0]},
-        {"plant": [2, 1], "t": [1, 0], "u": [-1.25, 0.5]},
-        {"plant": [True, 2]},
-        {"t": [False, 1]},
-        {"u": [0.0, -1.25]},
-        {"shape": [2]},
-        {"shape": [2.0, 3]},
-        {"shape": [2, -3]},
-        {"shape": [2, 4]},
+    # whose plants are [1, 2], steps [0, 1] and inputs [0.5, -1.25], and is
+    # refused with that rule's reason
+    @pytest.mark.parametrize("fields, reason", [
+        ({"u": packed(0.5)}, "counts differ"),
+        ({"plant": [0, 2]}, "outside plants"),
+        ({"plant": [1, 3]}, "outside plants"),
+        ({"t": [0, 3]}, "outside plants"),
+        ({"plant": [1, 1], "t": [0, 0]}, "distinct and in row-major order"),
+        ({"plant": [2, 1], "t": [1, 0], "u": packed(-1.25, 0.5)},
+         "distinct and in row-major order"),
+        ({"plant": [True, 2]}, "plants must be a list of integers"),
+        ({"t": [False, 1]}, "steps must be a list of integers"),
+        ({"u": packed(0.0, -1.25)}, "zero input"),
+        ({"shape": [2]}, "must be [N, T]"),
+        ({"shape": [2.0, 3]}, "shape must be a list of integers"),
+        ({"shape": [2, -3]}, "must be [N, T]"),
+        ({"shape": [2, 4]}, "does not match the instance"),
         # allocating this dense matrix would fail
-        {"shape": [10**9, 10**9], "plant": [], "t": [], "u": []},
+        ({"shape": [10**9, 10**9], "plant": [], "t": [], "u": ""},
+         "does not match the instance"),
+        # the schema-2 layout of the inputs
+        ({"u": [0.5, -1.25]}, "base64 string"),
+        # a lenient decoder would drop the "*" and read the two inputs
+        ({"u": "AAAAAAAA*4D8AAAAAAAD0vw=="}, "not valid base64"),
+        ({"u": base64.b64encode(bytes(12)).decode()}, "12 bytes"),
+        ({"u": packed(float("nan"), -1.25)}, "non-finite input"),
+        ({"u": packed(0.5, float("-inf"))}, "non-finite input"),
     ], ids=[
         "unequal-lengths", "plant-0", "plant-N+1", "t-T", "duplicate", "out-of-order",
         "bool-plant", "bool-t", "zero-u", "shape-length", "shape-float", "shape-negative",
-        "shape-not-instance", "shape-huge",
+        "shape-not-instance", "shape-huge", "u-list", "u-bad-base64", "u-12-bytes",
+        "u-nan", "u-inf",
     ])
-    def test_malformed_control_exits_3_before_writing(self, tmp_path, capsys, fields):
+    def test_malformed_control_exits_3_before_writing(self, tmp_path, capsys, fields, reason):
         inst_path = tmp_path / "inst.json"
         rep_path = tmp_path / "rep.json"
         main(["gen", "--dims", "1,2", "--capacity", "1", "--horizon", "3",
@@ -343,6 +360,7 @@ class TestCliFlow:
         assert main(["plots", str(inst_path), str(rep_path), "--out-dir",
                      str(tmp_path / "ok")]) == 0
         data = json.loads(rep_path.read_text())
+        assert data["control"]["u"] == packed(0.5, -1.25)
         data["control"].update(fields)
         rep_path.write_text(json.dumps(data))
         capsys.readouterr()
@@ -350,7 +368,7 @@ class TestCliFlow:
         assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
         assert main(["verify", str(inst_path), str(rep_path)]) == 3
         err = capsys.readouterr().err
-        assert "control" in err and "Traceback" not in err
+        assert err.count(reason) == 2 and "control" in err and "Traceback" not in err
         assert list(out_dir.glob("*.csv")) == []
 
     def test_v1_report_exits_3(self, tmp_path, capsys):
@@ -371,6 +389,26 @@ class TestCliFlow:
         assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert err.count("error: unsupported report schema_version 1") == 2
+        assert not out_dir.exists()
+
+    def test_v2_report_exits_3(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
+              "--seed", "4", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        # the version 2 layout: the nonzero inputs as a JSON list of numbers
+        rep = read_report(rep_path)
+        data = json.loads(rep_path.read_text())
+        data["schema_version"] = 2
+        data["control"]["u"] = rep.control[rep.control != 0].tolist()
+        rep_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out_dir = tmp_path / "csv"
+        assert main(["verify", str(inst_path), str(rep_path)]) == 3
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: unsupported report schema_version 2") == 2
         assert not out_dir.exists()
 
 
@@ -414,8 +452,9 @@ class TestReportRoundTrip:
         back = read_report(path)
         assert report_to_dict(back) == report_to_dict(rep)
         data = json.loads(path.read_text())
+        # the inputs 0.5 and -1.25 as little-endian float64 bytes, in base64
         assert data["control"] == {"shape": [2, 3], "plant": [1, 2], "t": [0, 1],
-                                   "u": [0.5, -1.25]}
+                                   "u": "AAAAAAAA4D8AAAAAAAD0vw=="}
         # timings and state norms are never serialized
         assert back.timings == {} and back.state_norms is None
         assert "timings" not in data and "state_norms" not in data
@@ -438,7 +477,7 @@ class TestReportRoundTrip:
         # no instance shape is passed, so the dense matrix is attempted; this
         # one fails to allocate at once
         data = report_to_dict(sample_report())
-        data["control"] = {"shape": [10**9, 10**9], "plant": [], "t": [], "u": []}
+        data["control"] = {"shape": [10**9, 10**9], "plant": [], "t": [], "u": ""}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="cannot be allocated"):
@@ -450,6 +489,19 @@ class TestReportRoundTrip:
         path_b = tmp_path / "b.json"
         write_report(path_a, rep)
         write_report(path_b, read_report(path_a))
+        assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_round_trip_keeps_every_bit_of_the_inputs(self, tmp_path):
+        # subnormal, largest finite and inexact decimal inputs of both signs
+        control = np.array([[5e-324, -5e-324, 0.0],
+                            [1.7976931348623157e308, -1.7976931348623157e308, -0.1]])
+        rep = SolveReport(method=None, plan=None, schedule=[], control=control,
+                          verified=False, residuals=[], occupancy_histogram=[])
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(path_a, rep)
+        back = read_report(path_a)
+        assert np.array_equal(back.control.view(np.uint64), control.view(np.uint64))
+        write_report(path_b, back)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_dict_round_trip(self):
@@ -469,7 +521,7 @@ class TestReportRoundTrip:
         for r in (rep, back):
             # plain JSON types, and the bytes the writer writes
             data = report_to_dict(r)
-            assert type(data["control"]["u"][0]) is float
+            assert type(data["control"]["u"]) is str
             text = json.dumps(data, sort_keys=True) + "\n"
             assert text.encode() == path_a.read_bytes()
 

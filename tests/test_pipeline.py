@@ -20,7 +20,7 @@ from ncsched import (
 from ncsched.instances import dump_json
 from ncsched.report import BUILT_ON_READ, report_to_dict
 
-from conftest import companion_plant, scalar_instance
+from conftest import companion_plant, huge_initial_norm_instance, scalar_instance
 
 
 def mixed_plant(rng, kind):
@@ -269,6 +269,16 @@ class TestSolveCascade:
             "block-plan: open-loop state overflowed before the burst of window [0, 3)",
             "relaxation: open-loop state overflowed by step 5",
             "bruteforce: open-loop state overflowed by step 5",
+        )
+
+    def test_target_past_the_lp_infinite_bound_fails_relaxation_with_its_reason(self):
+        # the 2-d plant's open-loop state at T is about 2.3e306: finite, but far
+        # past the magnitude the LP backend reads as infinite
+        with pytest.raises(NoSolutionFoundError) as err:
+            solve_instance(huge_initial_norm_instance())
+        assert err.value.reasons[3] == (
+            "relaxation: system 1 of 2: its projected target reaches 6.9e+306, "
+            "at or past the LP backend's infinite bound 1e+20"
         )
 
     def test_zero_rtol_reaches_the_open_loop_scan(self):

@@ -300,6 +300,26 @@ class TestMinL1Stack:
         # a consistent tall system still solves
         np.testing.assert_allclose(min_l1(np.array([[1.0], [2.0]]), np.array([1.0, 2.0])), [1.0])
 
+    def test_target_at_the_lp_infinite_bound_stalls_before_the_lp(self, monkeypatch):
+        bound = ncsched.sparse.LP_INFINITE_BOUND
+        below = np.nextafter(bound, 0.0)
+        # an identity system hands its target to the LP unchanged
+        np.testing.assert_allclose(min_l1(np.eye(2), np.array([1.0, -below])), [1.0, -below])
+        calls = count_linprog(monkeypatch)
+        for big in (bound, -bound):
+            with pytest.raises(SolverStallError, match="system 2 of 2: .* infinite bound 1e"):
+                min_l1_stack([np.eye(1), np.eye(2)], [[1.0], [1.0, big]])
+        assert calls == []
+
+    def test_projected_target_past_the_bound_stalls(self, monkeypatch):
+        # the LP reads the row-space projection of s * (1, 1), about 1.096 s
+        gamma = np.array([[1.0, 0.5], [0.0, 1.0]])
+        np.testing.assert_allclose(gamma @ min_l1(gamma, np.array([9e19, 9e19])), [9e19] * 2)
+        calls = count_linprog(monkeypatch)
+        with pytest.raises(SolverStallError, match=r"reaches 1\.04e\+20"):
+            min_l1(gamma, np.array([9.5e19, 9.5e19]))
+        assert calls == []
+
     def test_empty_stack(self, monkeypatch):
         calls = count_linprog(monkeypatch)
         assert ncsched.sparse.min_l1_stack([], []) == []
