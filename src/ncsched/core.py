@@ -24,10 +24,12 @@ Conventions used throughout the package:
   over the leading axis (``leading_sum``), as do their squared norms
   (``sum_squares``): the bits follow from the order of IEEE operations,
   whatever the number of plants. The scan's states are the verifier's
-  zero-input states, unscaled, and it keeps every one (``OpenLoopStates``):
-  deadbeat synthesis reads each window-end state off it, and the terminal
-  systems their states at T. Lifted matrices stay stacked ``matmul``
-  products.
+  zero-input states, unscaled, and it keeps every one (``OpenLoopStates``).
+  A solve scans each dimension group once (``planner.split_open_loop``, one
+  ``OpenLoopStates`` per dimension) and every route reads that scan:
+  deadbeat synthesis each window-end state, and the relaxation's and brute
+  force's terminal systems their states at T. Lifted matrices stay stacked
+  ``matmul`` products.
 """
 
 from __future__ import annotations
@@ -126,19 +128,26 @@ def stack_plants(idx, plants, xi) -> PlantGroup:
     return PlantGroup(*map(_freeze, stacked))
 
 
-def _checked_sizes(capacity, horizon, n: int) -> tuple[int, int]:
-    """Capacity and horizon as ints, checked against ``n`` plants."""
-    sizes = []
-    for name, value in (("capacity", capacity), ("horizon", horizon)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        sizes.append(int(value))
-    capacity, horizon = sizes
-    if not 0 < capacity < n:
-        raise ValueError(f"capacity must satisfy 0 < M < N, got M={capacity}, N={n}")
+def _as_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def checked_horizon(horizon) -> int:
+    """The horizon as an int; ``ValueError`` unless it is a positive integer."""
+    horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    return capacity, horizon
+    return horizon
+
+
+def _checked_sizes(capacity, horizon, n: int) -> tuple[int, int]:
+    """Capacity and horizon as ints, checked against ``n`` plants."""
+    capacity = _as_int("capacity", capacity)
+    if not 0 < capacity < n:
+        raise ValueError(f"capacity must satisfy 0 < M < N, got M={capacity}, N={n}")
+    return capacity, checked_horizon(horizon)
 
 
 def _check_states(groups) -> None:
@@ -377,23 +386,26 @@ def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return full, cond
 
 
-def terminal_systems(groups, horizon: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def terminal_systems(groups, states) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per dimension group, the stacked terminal system ``(Phi, -A^T xi)``.
 
-    ``Phi`` (n x d x T) holds the lifted matrices, whose column t is
-    ``A^(T-1-t) b``, so ``Phi[k] @ u = target[k]`` zeroes plant k's state at
-    time T; the target is minus the open-loop state at T, read off the
-    group's ``open_loop_scan``. Every group's lifted matrices are checked
-    before any target: ``NonFiniteError`` when one overflows, and then when a
-    state at T is not finite.
+    ``states`` maps each of the groups' dimensions to its open-loop scan
+    (``OpenLoopStates``, as ``split_open_loop`` gives them), whose horizon T
+    is the systems'. ``Phi`` (n x d x T) holds the lifted matrices, whose
+    column t is ``A^(T-1-t) b``, so ``Phi[k] @ u = target[k]`` zeroes plant
+    k's state at time T; the target is minus the scanned state at T, so no
+    state is stepped here. Every group's lifted matrices are checked before
+    any target: ``NonFiniteError`` when one overflows, and then when a state
+    at T is not finite.
     """
-    phis = [lifted_matrices(g.A, g.b, horizon) for g in groups]
+    scans = [states[g.A.shape[-1]] for g in groups]
+    phis = [lifted_matrices(g.A, g.b, scan.horizon) for g, scan in zip(groups, scans)]
     if not all(np.isfinite(phi).all() for phi in phis):
         raise NonFiniteError("lifted matrix overflowed")
-    ends = [open_loop_scan(g.A, g.xi, horizon)[1][:, horizon] for g in groups]
+    ends = [scan.at(g.idx, scan.horizon) for g, scan in zip(groups, scans)]
     if not all(np.isfinite(x).all() for x in ends):
-        raise NonFiniteError(f"open-loop state overflowed by step {horizon}")
-    return [(phi, -x.T) for phi, x in zip(phis, ends)]
+        raise NonFiniteError(f"open-loop state overflowed by step {scans[0].horizon}")
+    return [(phi, -x) for phi, x in zip(phis, ends)]
 
 
 def leading_sum(p: np.ndarray, out=None) -> np.ndarray:
@@ -454,6 +466,10 @@ class OpenLoopStates(NamedTuple):
 
     idx: np.ndarray
     x: np.ndarray
+
+    @property
+    def horizon(self) -> int:
+        return self.x.shape[1] - 1
 
     def at(self, plants: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """The states (one row each) of ``plants``, some of ``idx``, at ``steps``;
@@ -520,9 +536,12 @@ def open_loop_hit_time(
     p: PlantDynamics, xi: np.ndarray, horizon: int, zero_rtol=ZERO_RTOL, terminal_rtol=TERMINAL_RTOL
 ) -> int | None:
     """``open_loop_scan`` of one plant: the step at which its uncontrolled
-    state counts as zero, or None when the verifier would reject its zero row."""
+    state counts as zero, or None when the verifier would reject its zero row.
+    A horizon that is not a positive integer is a ``ValueError``, as for an
+    instance."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("initial state has wrong length")
+    horizon = checked_horizon(horizon)
     tau = int(open_loop_scan(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0][0])
     return tau or None

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .core import OpenLoopStates, PlantDynamics, open_loop_scan, stack_plants
+from .core import OpenLoopStates, PlantDynamics, checked_horizon, open_loop_scan, stack_plants
 from .errors import IllConditionedWarning, NonFiniteError, NotReachableError, WindowOverflowError
 
 COND_WARN_LIMIT = 1e12
@@ -27,9 +27,10 @@ COND_WARN_LIMIT = 1e12
 def deadbeat_bursts(groups, states, offset, width, horizon: int) -> np.ndarray:
     """Input rows holding the deadbeat burst of every plant of ``groups``.
 
-    ``states`` holds the open-loop scan (``OpenLoopStates``) of each of the
-    groups' dimensions; ``offset`` and ``width`` give each plant's window by
-    plant index, and other rows stay zero. Plant i's burst solves
+    ``states`` maps each of the groups' dimensions to its open-loop scan
+    (``OpenLoopStates``, as ``split_open_loop`` gives them); ``offset`` and
+    ``width`` give each plant's window by plant index, and other rows stay
+    zero. Plant i's burst solves
     ``Psi @ burst = -x_open`` (one solve per group, with the group's own
     Psi), ``x_open`` its scanned state at step ``offset[i] + width[i]``, and
     fills the last d slots of its window. Windows, reachability and
@@ -38,11 +39,10 @@ def deadbeat_bursts(groups, states, offset, width, horizon: int) -> np.ndarray:
     whose burst did.
     """
     u = np.zeros((offset.size, horizon))
-    scans = {s.x.shape[0]: s for s in states}
     failed = np.zeros(offset.size, dtype=bool)
     lost = np.zeros(offset.size, dtype=bool)
     for g in groups:
-        d, scan = g.A.shape[-1], scans[g.A.shape[-1]]
+        d, scan = g.A.shape[-1], states[g.A.shape[-1]]
         ends = offset[g.idx] + width[g.idx]
         x = scan.at(g.idx, ends)
         # only finite states are solved; the rest count as overflowed
@@ -105,17 +105,19 @@ def windowed_inputs(
     end, ``-inv(Psi) @ A^(offset + width) @ xi`` (a solve, not an inverse,
     with the state stepped by the open-loop scan of a stack of one), so the
     state is zero from ``offset + width`` through the horizon.
-    An unreachable plant raises ``NotReachableError``; the window is checked
-    as a plan's are (``deadbeat_rows``, the plant counting as plant 1): one
-    not longer than d is a ``ValueError``, one outside [0, horizon) a
+    A horizon that is not a positive integer is a ``ValueError``, as for an
+    instance. An unreachable plant raises ``NotReachableError``; the window is
+    checked as a plan's are (``deadbeat_rows``, the plant counting as plant 1):
+    one not longer than d is a ``ValueError``, one outside [0, horizon) a
     ``WindowOverflowError``. An ill-conditioned Psi warns
     (``IllConditionedWarning``) but still returns the row.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != p.d:
         raise ValueError("state has wrong length")
+    horizon = checked_horizon(horizon)
     g = stack_plants([0], [p], [xi])
     if not g.reachable[0]:
         raise NotReachableError()
-    states = OpenLoopStates(g.idx, open_loop_scan(g.A, g.xi, horizon)[1])
-    return deadbeat_rows([g], [states], np.array([offset]), np.array([width]), horizon)[0]
+    states = {p.d: OpenLoopStates(g.idx, open_loop_scan(g.A, g.xi, horizon)[1])}
+    return deadbeat_rows([g], states, np.array([offset]), np.array([width]), horizon)[0]

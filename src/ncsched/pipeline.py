@@ -114,10 +114,12 @@ def solve_instance(
                 raise NoSolutionFoundError(f"no {found}{qualifier}")
             return _assemble(inst, plan, closed, states), plan, []
         if name == "relaxation":
-            res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol)
+            res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol, states=states)
             return res.logic, res, list(res.warnings)
         if name == "bruteforce":
-            logic = l0_feasible_bruteforce(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
+            logic = l0_feasible_bruteforce(
+                inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol, states=states
+            )
             if logic is None:
                 raise NoSolutionFoundError(
                     f"no assignment of at most {inst.capacity} plants per slot has "

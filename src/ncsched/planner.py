@@ -160,15 +160,17 @@ class LanePlan:
 
 def split_open_loop(
     inst: NcsInstance, zero_rtol: float = ZERO_RTOL, terminal_rtol: float = TERMINAL_RTOL
-) -> tuple[dict[int, int], list[int], list[OpenLoopStates]]:
+) -> tuple[dict[int, int], list[int], dict[int, OpenLoopStates]]:
     """Split plants into those whose zero rows verify (with their scan steps) and
-    the rest, and give each dimension group's scanned states, which ``_assemble``
-    builds the bursts from."""
+    the rest, and give each dimension group's scanned states, keyed by dimension:
+    the one scan of a solve, from which ``_assemble`` builds the bursts and the
+    relaxation and brute force read their targets (``terminal_systems``). The
+    states do not depend on the tolerances."""
     taus = np.zeros(inst.n, dtype=int)
-    states = []
+    states = {}
     for g in group_by_dim(inst):
         taus[g.idx], x = open_loop_scan(g.A, g.xi, inst.horizon, zero_rtol, terminal_rtol)
-        states.append(OpenLoopStates(g.idx, x))
+        states[g.A.shape[-1]] = OpenLoopStates(g.idx, x)
     hit = np.flatnonzero(taus)
     hits = dict(zip(hit.tolist(), taus[hit].tolist()))
     return hits, np.flatnonzero(taus == 0).tolist(), states

@@ -135,8 +135,9 @@ def rollout_stack(
     columns of ``A`` and ``b``, held d-major; norms are ``sqrt(sum_squares(x))``
     in that layout, retaken by ``column_norms`` where that overflows. States
     are clamped to exact zero once below the running-sup zero threshold (see
-    module docstring); initial states never are. The states and norms are transposed views of time-major buffers,
-    (T+1) x d x n and (T+1) x n, so neither is C-contiguous.
+    module docstring); initial states never are. The states and norms are
+    transposed views of time-major buffers, (T+1) x d x n and (T+1) x n, so
+    neither is C-contiguous.
 
     Only the plants that still move are stepped (see module docstring): the
     retired ones drop out of the column stack once they make up

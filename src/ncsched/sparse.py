@@ -19,7 +19,9 @@ are exposed:
 
 Both instance routes read every plant's terminal system ``Phi u = -A^T xi``
 from its dimension group's stacks (``core.terminal_systems``), whose target is
-the open-loop scan's state at T, not a matrix power.
+the open-loop state at T, not a matrix power, read off the solve's one
+open-loop scan: the cascade passes the states ``split_open_loop`` gave it, and
+a direct call, given none, runs that scan itself (``_scanned``).
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from .core import (
     ZERO_RTOL,
     ControlLogic,
     NcsInstance,
+    OpenLoopStates,
     check_tolerances,
     group_by_dim,
     nonzero_entries,
     terminal_systems,
 )
 from .errors import HorizonTooShortError, SolverStallError, TooLargeError
-from .planner import _require_reachable
+from .planner import _require_reachable, split_open_loop
 from .sim import steers_to_zero
 
 RIP_CERT_BOUND = math.sqrt(2.0) - 1.0
@@ -240,17 +243,22 @@ def _access_sets(n: int, capacity: int) -> list[tuple[int, ...]]:
     return [s for size in range(capacity + 1) for s in combinations(range(n), size)]
 
 
-def _mask_table(inst: NcsInstance, zero_rtol: float, terminal_rtol: float):
+def _scanned(inst: NcsInstance, states) -> dict[int, OpenLoopStates]:
+    """``states``, or when None the instance's own scan (``split_open_loop``)."""
+    return split_open_loop(inst)[2] if states is None else states
+
+
+def _mask_table(inst: NcsInstance, states, zero_rtol: float, terminal_rtol: float):
     """Per plant and slot mask (bit t = slot t), N x 2^T: the least-squares row on the
     mask's columns of the T-terminal lifted matrix (one stacked ``pinv`` of the lifted
     matrices with the other columns zeroed, whose rounding off the mask is cleared),
-    and whether ``steers_to_zero`` accepts it."""
+    and whether ``steers_to_zero`` accepts it; the targets are read off ``states``."""
     horizon, n_masks = inst.horizon, 2**inst.horizon
     bits = np.arange(n_masks)[:, None] >> np.arange(horizon) & 1
     rows = np.empty((inst.n, n_masks, horizon))
     ok = np.empty((inst.n, n_masks), dtype=bool)
     groups = group_by_dim(inst)
-    for g, (phi, target) in zip(groups, terminal_systems(groups, horizon)):
+    for g, (phi, target) in zip(groups, terminal_systems(groups, states)):
         sub = np.linalg.pinv(phi[:, None] * bits[None, :, None, :])
         rows[g.idx] = (sub @ target[:, None, :, None])[..., 0] * bits
         stack = (np.repeat(a, n_masks, axis=0) for a in (g.A, g.b, g.xi))
@@ -264,6 +272,7 @@ def l0_feasible_bruteforce(
     *,
     zero_rtol: float = ZERO_RTOL,
     terminal_rtol: float = TERMINAL_RTOL,
+    states: dict[int, OpenLoopStates] | None = None,
 ) -> ControlLogic | None:
     """First assignment of at most M plants per slot whose rows the verifier accepts.
 
@@ -276,6 +285,8 @@ def l0_feasible_bruteforce(
     least-squares rows that pass (other inputs on the same masks are not
     tried). Refuses when (number of access sets)^T exceeds ``BRUTE_FORCE_CAP``;
     the message names the count only when it is itself within the cap.
+    The targets are read off ``states`` (``split_open_loop``), or off the
+    route's own scan, run after the cap refusals, when it is None.
     """
     check_tolerances(zero_rtol, terminal_rtol)
     n, horizon, cap = inst.n, inst.horizon, BRUTE_FORCE_CAP
@@ -293,7 +304,7 @@ def l0_feasible_bruteforce(
         if assignments > cap:
             raise TooLargeError(f"{n_sets}^{horizon} assignments exceed the cap of {cap}")
     subsets = _access_sets(n, inst.capacity)
-    rows, ok = _mask_table(inst, zero_rtol, terminal_rtol)
+    rows, ok = _mask_table(inst, _scanned(inst, states), zero_rtol, terminal_rtol)
     # extendable[t][i][mask]: plant i's mask over slots < t extends to an accepted one
     extendable = [ok.reshape(n, -1, 2**t).any(axis=1).tolist() for t in range(horizon + 1)]
     plant_masks = [0] * n
@@ -321,19 +332,24 @@ def solve_via_relaxation(
     inst: NcsInstance,
     plants=None,
     zero_rtol: float = ZERO_RTOL,
+    *,
+    states: dict[int, OpenLoopStates] | None = None,
 ) -> RelaxationResult:
     """Stacked l1 route: one LP for every plant's l1 program, stacked rows,
     RIP certificates.
 
     ``plants`` restricts the route to a subset (the solve cascade passes the
-    plants whose zero rows the verifier rejects; the rest keep them). All
+    plants whose zero rows the verifier rejects; the rest keep them); an index
+    that is not an integer in 0..N-1, or is listed twice, is a ``ValueError``
+    naming it. All
     selected plants must be reachable (one stacked rank test; the
     ``NotReachableError`` lists every unreachable plant) with horizon greater
     than their dimension. Every plant's lifted matrix and target is read from
     its dimension group's stacks (``terminal_systems``) before
     ``min_l1_stack`` solves them all in one LP, in plant order, so an
     overflow, an unreachable plant or a short horizon fails the route before
-    the LP runs.
+    the LP runs. The targets are read off ``states`` (``split_open_loop``), or
+    off the route's own scan, run after those refusals, when it is None.
     ``zero_rtol`` picks both the LP polish support and the reported supports.
     The rows are returned as the LP and its polish left them, with nothing
     judged: the solve cascade verifies every route's output, and
@@ -351,6 +367,12 @@ def solve_via_relaxation(
     in the stack.
     """
     subset = sorted(range(inst.n) if plants is None else plants)
+    outside = [i for i in subset if not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n]
+    if outside:
+        raise ValueError(f"plant index {outside[0]} is not in 0..{inst.n - 1}")
+    repeated = [i for i, j in zip(subset, subset[1:]) if i == j]
+    if repeated:
+        raise ValueError(f"plant index {repeated[0]} is listed twice")
     _require_reachable(inst, subset)
     groups = group_by_dim(inst, subset)
     short = sorted(i for g in groups if inst.horizon <= g.A.shape[-1] for i in g.idx.tolist())
@@ -361,7 +383,7 @@ def solve_via_relaxation(
             f"(1-based): {shown}"
         )
     systems = {}
-    for g, (phi, target) in zip(groups, terminal_systems(groups, inst.horizon)):
+    for g, (phi, target) in zip(groups, terminal_systems(groups, _scanned(inst, states))):
         systems.update(zip(g.idx.tolist(), zip(phi, target)))
     phis = [systems[i][0] for i in subset]
     rows = min_l1_stack(phis, [systems[i][1] for i in subset], zero_rtol=zero_rtol)

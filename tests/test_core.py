@@ -123,6 +123,21 @@ class TestOpenLoopHitTime:
         p = PlantDynamics([[0, 1], [0, 0]], [0, 1])
         assert open_loop_hit_time(p, [0.0, 1.0], 5) == 2
 
+    @pytest.mark.parametrize("horizon, message", [
+        (0, "horizon must be positive"),
+        (-1, "horizon must be positive"),
+        (2.5, "horizon must be an integer, got 2.5"),
+        (5.0, "horizon must be an integer, got 5.0"),
+        (True, "horizon must be an integer, got True"),
+    ])
+    def test_horizon_checked_as_an_instance_checks_it(self, horizon, message):
+        p = PlantDynamics([[0, 1], [0, 0]], [0, 1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NcsInstance((p, p), ([1.0, 1.0],) * 2, capacity=1, horizon=horizon)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            open_loop_hit_time(p, [1.0, 1.0], horizon)
+        assert open_loop_hit_time(p, [1.0, 1.0], np.int64(5)) == 2
+
 
 class TestTypes:
     def test_plant_rejects_nonsquare(self):
@@ -436,6 +451,16 @@ class TestKernelCallBudgets:
             # every plant has hit by step 10, but synthesis reads states through T
             assert 0 < min(want) and max(want) <= 10 and len(steps) == 50
             assert not products
+
+    def test_terminal_systems_after_the_scan_step_nothing(self, monkeypatch):
+        inst = generate_instance(4, 2, 5, [1, 2, 3, 4], seed=12345).instance
+        states = split_open_loop(inst)[2]
+        steps, _ = self.count_calls(monkeypatch)
+        systems = core.terminal_systems(inst.groups, states)
+        # every target is minus the scanned state at T
+        assert not steps
+        for g, (_, target) in zip(inst.groups, systems):
+            assert np.array_equal(target, -states[g.A.shape[-1]].x[:, inst.horizon].T)
 
     def test_window_synthesis_after_the_scan_steps_and_powers_nothing(
         self, demo_instance, monkeypatch

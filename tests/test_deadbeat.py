@@ -21,6 +21,19 @@ def terminal_relative_residual(p, xi, u):
 
 
 class TestDeadbeatInputs:
+    @pytest.mark.parametrize("horizon, message", [
+        (0, "horizon must be positive"),
+        (-1, "horizon must be positive"),
+        (4.5, "horizon must be an integer, got 4.5"),
+        (4.0, "horizon must be an integer, got 4.0"),
+    ])
+    def test_horizon_checked_as_an_instance_checks_it(self, horizon, message):
+        p = PlantDynamics([[2.0]], [1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            windowed_inputs(p, [1.0], 0, 2, horizon)
+        np.testing.assert_array_equal(windowed_inputs(p, [1.0], 0, 2, np.int64(4)),
+                                      windowed_inputs(p, [1.0], 0, 2, 4))
+
     def test_scalar_window(self):
         p = PlantDynamics([[2.0]], [1.0])
         np.testing.assert_allclose(windowed_inputs(p, [1.0], 0, 2, 2), [0.0, -4.0])

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 import ncsched.core
+import ncsched.deadbeat
+import ncsched.pipeline
+import ncsched.planner
 import ncsched.report
 import ncsched.sim
 from ncsched import (
     ControlLogic,
+    HorizonTooShortError,
     LanePlan,
     NcsInstance,
     NoSolutionFoundError,
+    NotReachableError,
     PlantDynamics,
     SolveReport,
+    TooLargeError,
     find_lane_plan,
     generate_instance,
     l0_feasible_bruteforce,
     solve_instance,
+    solve_via_relaxation,
     verify_logic,
 )
 from ncsched.instances import dump_json
@@ -410,3 +417,95 @@ class TestReportListsOnFirstRead:
         assert rep.plan is None and rep.schedule == [] and rep.residuals == []
         with pytest.raises(AttributeError):
             rep.no_such_field
+
+
+def count_scans(monkeypatch):
+    """From now on, count the open-loop scans of every module that runs one."""
+    calls = []
+    scan = ncsched.core.open_loop_scan
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    for module in (ncsched.core, ncsched.planner, ncsched.deadbeat):
+        monkeypatch.setattr(module, "open_loop_scan", counting)
+    return calls
+
+
+class TestOneScanPerSolve:
+    # (dims, capacity, horizon) of the desk-cascade and relax-tight families
+    FAMILIES = [([1, 2, 3, 4], 2, 5), ([2] * 5 + [3] * 5, 2, 12)]
+
+    @pytest.mark.parametrize("dims, capacity, horizon", FAMILIES)
+    def test_auto_solve_scans_each_group_once(self, dims, capacity, horizon, monkeypatch):
+        calls = count_scans(monkeypatch)
+        for seed in (12345, 12346):
+            inst = generate_instance(len(dims), capacity, horizon, dims, seed=seed).instance
+            calls.clear()
+            try:
+                routes = solve_instance(inst).diagnostics
+            except NoSolutionFoundError as exc:
+                routes = exc.reasons
+            # every solve reached the relaxation; desk-cascade's went on to brute force
+            assert any(r.startswith("relaxation: ") for r in routes)
+            assert len(calls) == len(inst.groups)
+
+    @pytest.mark.parametrize("dims, capacity, horizon", FAMILIES)
+    def test_direct_route_call_scans_each_group_once(self, dims, capacity, horizon, monkeypatch):
+        calls = count_scans(monkeypatch)
+        inst = generate_instance(len(dims), capacity, horizon, dims, seed=12345).instance
+        calls.clear()
+        solve_via_relaxation(inst)
+        assert len(calls) == len(inst.groups)
+        calls.clear()
+        if len(dims) == 4:
+            l0_feasible_bruteforce(inst)
+            assert len(calls) == len(inst.groups)
+        else:  # relax-tight is past brute force's cap, which refuses before any scan
+            with pytest.raises(TooLargeError):
+                l0_feasible_bruteforce(inst)
+            assert calls == []
+
+    def test_relaxation_refuses_before_it_scans(self, monkeypatch):
+        calls = count_scans(monkeypatch)
+        short = scalar_instance([2.0, 3.0], capacity=1, horizon=1)
+        unreachable = scalar_instance([2.0, 3.0], capacity=1, horizon=3, inputs=[0.0, 1.0])
+        for inst, error in ((short, HorizonTooShortError), (unreachable, NotReachableError)):
+            with pytest.raises(error):
+                solve_via_relaxation(inst)
+        assert calls == []
+
+
+# the names perfbench times the cascade by, rebound in ncsched.pipeline
+TRACED_NAMES = (
+    "split_open_loop",
+    "_require_reachable",
+    "_lane_plan_for",
+    "_block_plan_for",
+    "_exhaustive_lane_for",
+    "_assemble",
+    "verify_logic",
+    "solve_via_relaxation",
+    "l0_feasible_bruteforce",
+)
+
+
+def test_cascade_calls_every_traced_name_through_the_pipeline(mixed_dims_instance, monkeypatch):
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(ncsched.pipeline, name, counting(name, getattr(ncsched.pipeline, name)))
+    # desk-cascade: every plan route fails, then the relaxation, and brute force wins
+    desk = generate_instance(4, 2, 5, [1, 2, 3, 4], seed=12345).instance
+    assert solve_instance(desk).method == "bruteforce"
+    # lanes of loads 7 and 7 fit T = 7
+    assert solve_instance(mixed_dims_instance).method == "lane-plan"
+    assert [name for name, count in calls.items() if not count] == []

@@ -440,8 +440,10 @@ class TestSplitOpenLoop:
         hits, closed, states = split_open_loop(inst)
         assert list(hits.items()) == [(0, 2), (2, 1)]
         assert closed == [1, 3]
-        # each dimension group's zero-input states, stepped through the horizon
-        for g, scanned in zip(inst.groups, states):
+        # each dimension group's zero-input states, keyed by dimension and
+        # stepped through the horizon
+        assert list(states) == [1, 2]
+        for g, scanned in zip(inst.groups, states.values()):
             assert np.array_equal(scanned.idx, g.idx)
             for i in g.idx:
                 x = inst.xi[i]

@@ -25,6 +25,7 @@ from ncsched import (
     rip_delta,
     solve_instance,
     solve_via_relaxation,
+    split_open_loop,
     verify_logic,
 )
 from ncsched.core import group_by_dim, lifted_matrices, nonzero_entries
@@ -464,7 +465,7 @@ class TestBruteForce:
         # verify_logic's verdict on the same row
         for seed in range(12345, 12365):
             inst = generate_instance(4, 2, 5, [1, 2, 3, 4], value_range=2.0, seed=seed).instance
-            rows, ok = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
+            rows, ok = _mask_table(inst, split_open_loop(inst)[2], ZERO_RTOL, TERMINAL_RTOL)
             for mask in range(2**inst.horizon):
                 outcome = verify_logic(inst, ControlLogic(rows[:, mask]))
                 assert np.array_equal(ok[:, mask], outcome.terminal_residuals <= TERMINAL_RTOL)
@@ -475,7 +476,7 @@ class TestBruteForce:
         # force's mask table, the relaxation and the verifier all accept it
         plants = [PlantDynamics(np.diag([2.0, 0.001]), [1.0, 1.0]), PlantDynamics([[2.0]], [1.0])]
         inst = NcsInstance(plants, [[1.0, 1.0], [1.0]], capacity=1, horizon=5)
-        rows, ok = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
+        rows, ok = _mask_table(inst, split_open_loop(inst)[2], ZERO_RTOL, TERMINAL_RTOL)
         assert ok[0, 0b00001]
         relaxed = solve_via_relaxation(inst, plants=[0])
         assert relaxed.supports[0] == (0,)
@@ -630,14 +631,42 @@ class TestSolveViaRelaxation:
             assert str(got.value) == str(want.value)
 
     def test_routes_read_the_per_plant_systems_bit_for_bit(self):
-        # desk-cascade instances: dimensions 1-4, one group each
+        # desk-cascade instances: dimensions 1-4, one group each. The routes
+        # read the same bits off a solve's scan, taken at any tolerances, as
+        # off the scan they run themselves when given none
         for seed in range(12345, 12350):
             inst = generate_instance(4, 2, 5, [1, 2, 3, 4], value_range=2.0, seed=seed).instance
-            relaxed = solve_via_relaxation(inst)
-            assert relaxed.logic.u.tobytes() == reference_relaxation_rows(inst).tobytes()
-            table = _mask_table(inst, ZERO_RTOL, TERMINAL_RTOL)
-            for got, want in zip(table, reference_mask_table(inst), strict=True):
-                assert got.tobytes() == want.tobytes()
+            want_rows, want_table = reference_relaxation_rows(inst), reference_mask_table(inst)
+            own = l0_feasible_bruteforce(inst)
+            passed = [split_open_loop(inst, zero_rtol=rtol, terminal_rtol=rtol)[2]
+                      for rtol in (ZERO_RTOL, 1e-3)]
+            for states in (None, *passed):
+                relaxed = solve_via_relaxation(inst, states=states)
+                assert relaxed.logic.u.tobytes() == want_rows.tobytes()
+                brute = l0_feasible_bruteforce(inst, states=states)
+                assert (brute is None) == (own is None)
+                assert own is None or brute.u.tobytes() == own.u.tobytes()
+            for states in passed:
+                table = _mask_table(inst, states, ZERO_RTOL, TERMINAL_RTOL)
+                for got, want in zip(table, want_table, strict=True):
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("plants, message", [
+        ([5], "plant index 5 is not in 0..2"),
+        ([-1], "plant index -1 is not in 0..2"),
+        ([2, 0, -1, 3], "plant index -1 is not in 0..2"),
+        ([1.0], "plant index 1.0 is not in 0..2"),
+        (np.array([0, 1, 1]), "plant index 1 is listed twice"),
+        ([0, 0], "plant index 0 is listed twice"),
+        ([2, 1, 2], "plant index 2 is listed twice"),
+    ])
+    def test_plants_it_cannot_serve_are_named(self, plants, message, monkeypatch):
+        # checked before any reachability test, scan or LP
+        calls = count_linprog(monkeypatch)
+        inst = scalar_instance([2.0, 3.0, 0.5], capacity=1, horizon=3, inputs=[0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_via_relaxation(inst, plants=plants)
+        assert calls == []
 
     def test_zero_tolerance_reaches_the_lp_polish(self, monkeypatch):
         seen = []
