@@ -118,11 +118,9 @@ def _cmd_solve(args) -> int:
             failure = SolveReport(
                 method=None,
                 plan=None,
-                schedule=[],
                 control=None,
                 verified=False,
                 residuals=[],
-                occupancy_histogram=[],
                 diagnostics=list(exc.reasons),
             )
             write_report(args.out, failure)
@@ -133,7 +131,7 @@ def _cmd_solve(args) -> int:
         # console only: timings are never serialized
         report.timings["write"] = time.perf_counter() - t0
     worst = max(report.residuals) if report.residuals else 0.0
-    occ = max((row[0] for row in report.occupancy_histogram), default=0)
+    occ = max(map(len, report.schedule), default=0)
     print(
         f"verified=true method={report.method} max_occupancy={occ} "
         f"worst_residual={worst:.3e}"

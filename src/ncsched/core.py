@@ -142,6 +142,15 @@ def checked_horizon(horizon) -> int:
     return horizon
 
 
+def checked_state(p: PlantDynamics, xi) -> np.ndarray:
+    """``xi`` as plant ``p``'s flat float state, the row of a stack of one;
+    ``ValueError`` unless it has d entries."""
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    if xi.shape[0] != p.d:
+        raise ValueError("initial state has wrong length")
+    return xi
+
+
 def _checked_sizes(capacity, horizon, n: int) -> tuple[int, int]:
     """Capacity and horizon as ints, checked against ``n`` plants."""
     capacity = _as_int("capacity", capacity)
@@ -539,9 +548,7 @@ def open_loop_hit_time(
     state counts as zero, or None when the verifier would reject its zero row.
     A horizon that is not a positive integer is a ``ValueError``, as for an
     instance."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape[0] != p.d:
-        raise ValueError("initial state has wrong length")
+    xi = checked_state(p, xi)
     horizon = checked_horizon(horizon)
     tau = int(open_loop_scan(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0][0])
     return tau or None

@@ -18,7 +18,14 @@ import warnings
 
 import numpy as np
 
-from .core import OpenLoopStates, PlantDynamics, checked_horizon, open_loop_scan, stack_plants
+from .core import (
+    OpenLoopStates,
+    PlantDynamics,
+    checked_horizon,
+    checked_state,
+    open_loop_scan,
+    stack_plants,
+)
 from .errors import IllConditionedWarning, NonFiniteError, NotReachableError, WindowOverflowError
 
 COND_WARN_LIMIT = 1e12
@@ -112,9 +119,7 @@ def windowed_inputs(
     ``WindowOverflowError``. An ill-conditioned Psi warns
     (``IllConditionedWarning``) but still returns the row.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape[0] != p.d:
-        raise ValueError("state has wrong length")
+    xi = checked_state(p, xi)
     horizon = checked_horizon(horizon)
     g = stack_plants([0], [p], [xi])
     if not g.reachable[0]:

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NcsInstance, PlantDynamics, PlantGroup, lifted_matrices, rank_and_cond
+from .core import (
+    NcsInstance,
+    PlantDynamics,
+    PlantGroup,
+    _checked_sizes,
+    lifted_matrices,
+    rank_and_cond,
+)
 from .errors import RejectionBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -57,13 +64,14 @@ def generate_instance(
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
-    The instance is built from the accepted stacks (``NcsInstance._from_groups``);
-    its ``plants`` and ``xi`` views are made on first read.
+    The sizes are checked as an instance checks them before anything is
+    drawn. The instance is built from the accepted stacks
+    (``NcsInstance._from_groups``); its ``plants`` and ``xi`` views are made
+    on first read.
     """
     if len(dims) != n:
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
-    if not 0 < capacity < n:
-        raise ValueError(f"capacity must satisfy 0 < M < N, got M={capacity}, N={n}")
+    capacity, horizon = _checked_sizes(capacity, horizon, n)
     if not (value_range > 0 and math.isfinite(2.0 * value_range)):
         raise ValueError(f"value range must be positive with 2 * range finite: {value_range!r}")
     if min(dims) < 1:

@@ -37,6 +37,7 @@ from .core import (
     ControlLogic,
     NcsInstance,
     OpenLoopStates,
+    _as_int,
     group_by_dim,
     open_loop_scan,
 )
@@ -64,6 +65,13 @@ def _check_placed_once(plant: np.ndarray, repeat: int) -> None:
         raise ValueError(f"plan places plant {plant[repeat] + 1} twice")
 
 
+def _check_integer_windows(windows: dict, what: str) -> None:
+    """``ValueError`` for the first key, in order, whose window is not an integer."""
+    if not set(map(type, windows.values())) <= {int}:
+        for key in sorted(windows):
+            _as_int(f"{what} {key + 1}", windows[key])
+
+
 def _placement_dict(plant, offset, width) -> dict[int, tuple[int, int]]:
     return dict(zip(plant.tolist(), zip(offset.tolist(), width.tolist())))
 
@@ -74,6 +82,9 @@ class BlockPlan:
 
     blocks: tuple[tuple[int, ...], ...]
     block_lengths: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_integer_windows(dict(enumerate(self.block_lengths)), "the length of block")
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -117,6 +128,9 @@ class LanePlan:
 
     lanes: tuple[tuple[int, ...], ...]
     widths: dict[int, int]
+
+    def __post_init__(self):
+        _check_integer_windows(self.widths, "the width of plant")
 
     def _widths_of(self, plants) -> list[int]:
         """The window widths of ``plants``; ``ValueError`` for the first without one."""

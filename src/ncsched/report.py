@@ -1,25 +1,24 @@
 """Solve reports: canonical JSON serialization and CSV exports for plotting.
 
-A report file (schema version 3) is one line of canonical JSON
+A report file (schema version 4) is one line of canonical JSON
 (``instances.dump_json``, the format of instance files too), read back with
 the same JSON type checks. It stores only what cannot be recomputed: the
-route, plan and schedule, the verdict, and the control inputs as their
-nonzeros, ``{"shape": [N, T], "plant": [...], "t": [...], "u": "..."}`` with
-1-based plants, 0-based steps and the entries in row-major order. ``u`` is
-one string: the nonzero inputs as little-endian IEEE float64 bytes, base64
-encoded with the standard alphabet and padding (RFC 4648), so every bit of
-every input survives and a write -> read -> write is byte-identical. A
-reader refuses a ``u`` that is not such a string, or that holds a zero or
-non-finite input. State trajectories follow from the control and the
-instance by simulation, so ``verify`` and ``plots`` replay them instead of
-reading them. Reports of versions 1 (a dense control and the state norms)
-and 2 (``u`` as a JSON list of numbers) are refused.
-``verify`` and ``plots`` pass the instance's (N, T), so a control of another
-shape is refused before its matrix is allocated.
-
-Wall-clock timings and the state norms live only on the in-memory object;
-the serialized report is fully deterministic so that identical runs produce
-byte-identical files.
+route, plan, verdict and residuals, and the control over its schedule, the
+control's nonzero pattern written once (per slot, the 1-based plants whose
+input is nonzero, ascending). The control is ``{"shape": [N, T], "u": "..."}``:
+``u`` holds those inputs in the schedule's order (slot 0's plants, then
+slot 1's, ...) as little-endian IEEE float64 bytes, base64 encoded with the
+standard alphabet and padding (RFC 4648), so every bit survives and a
+write -> read -> write is byte-identical. A reader refuses a ``u`` that is
+not such a string or holds a zero or non-finite input, a schedule that is
+not T strictly ascending slots of plants 1..N holding one plant per input,
+other than N residuals, and a null control with a schedule, residuals or
+``verified: true``. ``verify`` and ``plots`` pass the instance's (N, T), so a
+control of another shape is refused before its matrix is allocated, and
+replay the trajectories instead of reading them. Reports of versions 1
+(a dense control and the state norms), 2 (``u`` as a list of numbers) and
+3 (the nonzeros' plants and steps, and an occupancy histogram) are refused.
+Wall-clock timings and the state norms live only on the in-memory object.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,32 +35,30 @@ import numpy as np
 from .core import ControlLogic, NcsInstance
 from .errors import SchemaError
 from .instances import _ints, _numbers, dump_json
-from .sim import SimulationResult, slot_members, verify_logic
+from .sim import SimulationResult, slot_mask, slot_members, verify_logic
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # the byte layout of a control's packed inputs
 PACKED_INPUT = np.dtype("<f8")
 # the fields a solve's report builds on first read
-BUILT_ON_READ = ("plan", "schedule", "residuals", "occupancy_histogram")
+BUILT_ON_READ = ("plan", "residuals")
 
 
 @dataclass
 class SolveReport:
     """Everything one solve run produced, plus diagnostics.
 
-    Every field can be given to the constructor. A solve's report
-    (``solved``) keeps the plan object and the verifier's result instead,
-    whose slot mask and residual array give ``BUILT_ON_READ`` on first read,
-    once; a report that is written builds them inside ``report_to_dict``.
+    ``schedule`` is the control's nonzero pattern, built on first read and
+    again once ``control`` is replaced. A solve's report (``solved``) keeps
+    the plan object and the verifier's residual array, which give
+    ``BUILT_ON_READ`` on first read, once, or inside ``report_to_dict``.
     """
 
     method: str | None
     plan: dict | None
-    schedule: list[list[int]]
     control: np.ndarray | None
     verified: bool
     residuals: list[float]
-    occupancy_histogram: list[list[int]]
     # N x (T+1) state 2-norms from verification; like timings, never serialized
     state_norms: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
@@ -76,25 +75,30 @@ class SolveReport:
         rep.__dict__.update(
             method=method, control=outcome.control.u, verified=True, state_norms=outcome.norms,
             warnings=warnings, diagnostics=diagnostics, timings=timings,
-            _kept=(plan, open_loop, outcome),
+            _kept=(plan, open_loop, outcome.terminal_residuals),
         )
         return rep
+
+    @cached_property
+    def schedule(self) -> list[list[int]]:
+        """Per slot, the 1-based plants whose input is nonzero; ``[]`` for no control."""
+        return [] if self.control is None else slot_members(slot_mask(self.control), first=1)
+
+    def __setattr__(self, name, value):
+        if name == "control":  # the schedule is the control's
+            self.__dict__.pop("schedule", None)
+        super().__setattr__(name, value)
 
     def __getattr__(self, name):
         # reached only for a field that is not set: the lists of a solve's report
         kept = self.__dict__.get("_kept")
         if kept is None or name not in BUILT_ON_READ:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        plan, open_loop, outcome = kept
+        plan, open_loop, residuals = kept
         if name == "plan":
             value = None if plan is None else {**plan.to_report_dict(), "open_loop": open_loop}
-        elif name == "schedule":
-            value = slot_members(outcome.active, first=1)
-        elif name == "residuals":
-            value = outcome.terminal_residuals.tolist()
         else:
-            counts = np.bincount(outcome.active.sum(axis=1)).tolist()
-            value = [[occ, c] for occ, c in enumerate(counts) if c]
+            value = residuals.tolist()
         setattr(self, name, value)
         return value
 
@@ -118,26 +122,23 @@ def _unpack(text) -> np.ndarray:
     return np.frombuffer(raw, dtype=PACKED_INPUT)
 
 
-def _sparse_control(control) -> dict | None:
-    if control is None:
-        return None
-    u = np.asarray(control, dtype=float)
-    plant, t = np.nonzero(u)
-    return {"shape": list(u.shape), "plant": (plant + 1).tolist(), "t": t.tolist(),
-            "u": _pack(u[plant, t])}
-
-
 def report_to_dict(rep: SolveReport) -> dict:
-    """The serialized report as plain JSON types."""
+    """The serialized report as plain JSON types; the schedule and the packed
+    inputs, in its order, are read off one nonzero mask of the control."""
+    schedule, control = [], None
+    if rep.control is not None:
+        u = np.asarray(rep.control, dtype=float)
+        mask = slot_mask(u)
+        schedule = slot_members(mask, first=1)
+        control = {"shape": list(u.shape), "u": _pack(u.T[mask])}
     return {
         "schema_version": SCHEMA_VERSION,
         "method": rep.method,
         "plan": rep.plan,
-        "schedule": rep.schedule,
-        "control": _sparse_control(rep.control),
+        "schedule": schedule,
+        "control": control,
         "verified": rep.verified,
         "residuals": list(map(float, rep.residuals)),
-        "occupancy_histogram": rep.occupancy_histogram,
         "warnings": rep.warnings,
         "diagnostics": rep.diagnostics,
     }
@@ -150,12 +151,9 @@ def _strings(values, what: str) -> list[str]:
     return values
 
 
-def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
-    """The N x T float matrix of a control's nonzero triplets, checked in full.
-
-    A control whose shape is not ``expected`` (when given) is refused before
-    the matrix is allocated.
-    """
+def _dense_control(data: dict, schedule, expected: tuple[int, int] | None) -> np.ndarray:
+    """The N x T float matrix of a control's packed inputs over ``schedule``, checked
+    in full; a shape other than ``expected`` (when given) is refused before allocating."""
     shape = _ints(data["shape"], "control shape")
     if len(shape) != 2 or min(shape) < 0:
         raise SchemaError(f"control shape must be [N, T], got {shape}")
@@ -163,16 +161,18 @@ def _dense_control(data: dict, expected: tuple[int, int] | None) -> np.ndarray:
         raise SchemaError(f"control shape {shape} does not match the instance's "
                           f"[N, T] = {list(expected)}")
     n, horizon = shape
-    plant = np.array(_ints(data["plant"], "control plants"), dtype=np.int64) - 1
-    t = np.array(_ints(data["t"], "control steps"), dtype=np.int64)
+    if len(schedule) != horizon:
+        raise SchemaError(f"schedule has {len(schedule)} slots for the control's {horizon} steps")
+    sizes = [len(_ints(slot, "schedule slots")) for slot in schedule]
+    plant = np.fromiter(chain.from_iterable(schedule), dtype=np.int64, count=sum(sizes)) - 1
+    t = np.repeat(np.arange(horizon), sizes)
     u = _unpack(data["u"])
-    if not plant.size == t.size == u.size:
-        raise SchemaError("control plant, t and u counts differ")
-    if plant.size and not (plant.min() >= 0 and plant.max() < n and t.min() >= 0
-                           and t.max() < horizon):
-        raise SchemaError(f"control entry outside plants 1..{n} or steps 0..{horizon - 1}")
-    if np.any(np.diff(plant * horizon + t) <= 0):
-        raise SchemaError("control entries must be distinct and in row-major order")
+    if plant.size != u.size:
+        raise SchemaError(f"schedule holds {plant.size} plants but control packs {u.size} inputs")
+    # within a slot each plant exceeds the one before it
+    if plant.size and not (plant.min() >= 0 and plant.max() < n
+                           and np.all((np.diff(plant) > 0) | (np.diff(t) > 0))):
+        raise SchemaError(f"schedule slots must list plants 1..{n} strictly ascending")
     if np.any(u == 0):
         raise SchemaError("control lists a zero input")
     if not np.all(np.isfinite(u)):
@@ -190,23 +190,30 @@ def report_from_dict(data: dict, shape: tuple[int, int] | None = None) -> SolveR
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema_version {data['schema_version']}")
-        control = None if data["control"] is None else _dense_control(data["control"], shape)
         if type(data["verified"]) is not bool:
             raise SchemaError(f"verified must be true or false, got {data['verified']!r}")
         if data["method"] is not None and not isinstance(data["method"], str):
             raise SchemaError(f"method must be a string or null, got {data['method']!r}")
         if data["plan"] is not None and not isinstance(data["plan"], dict):
             raise SchemaError(f"plan must be an object or null, got {data['plan']!r}")
+        residuals = [float(r) for r in _numbers(data["residuals"], "residuals")]
+        control = None
+        if data["control"] is None:
+            for listed, what in ((data["schedule"] != [], "a schedule"), (residuals, "residuals"),
+                                 (data["verified"], "verified: true")):
+                if listed:
+                    raise SchemaError(f"a report with a null control lists {what}")
+        else:
+            control = _dense_control(data["control"], data["schedule"], shape)
+            if len(residuals) != len(control):
+                raise SchemaError(f"{len(residuals)} residuals for the control's "
+                                  f"{len(control)} plants")
         return SolveReport(
             method=data["method"],
             plan=data["plan"],
-            schedule=[_ints(slot, "schedule slots") for slot in data["schedule"]],
             control=control,
             verified=data["verified"],
-            residuals=[float(r) for r in _numbers(data["residuals"], "residuals")],
-            occupancy_histogram=[
-                _ints(row, "occupancy histogram rows") for row in data["occupancy_histogram"]
-            ],
+            residuals=residuals,
             warnings=_strings(data.get("warnings", []), "warnings"),
             diagnostics=_strings(data.get("diagnostics", []), "diagnostics"),
         )
@@ -249,8 +256,8 @@ def export_plots(inst: NcsInstance, report_path, out_dir) -> list[Path]:
     Plant columns are 1-based; time columns are 0-based steps. control.csv
     has a row for every (t, plant) pair, in t-major order, and
     trajectories.csv one for every (plant, t) pair up to T, in plant-major
-    order. schedule.csv has one row per active slot member, so empty slots
-    and always-silent plants simply contribute no rows.
+    order. schedule.csv has one row per member of the control's schedule,
+    so empty slots and always-silent plants simply contribute no rows.
     """
     rep = read_report(report_path, (inst.n, inst.horizon))
     if rep.control is None:
@@ -260,7 +267,7 @@ def export_plots(inst: NcsInstance, report_path, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     n, horizon = rep.control.shape
     steps, plants = np.arange(horizon + 1), np.arange(1, n + 1)
-    slots = [(t, i) for t, slot in enumerate(rep.schedule) for i in sorted(slot)]
+    slots = [(t, i) for t, slot in enumerate(rep.schedule) for i in slot]
     return [
         _write_csv(out / "control.csv", "t,plant,u", np.repeat(steps[:-1], n).tolist(),
                    np.tile(plants, horizon).tolist(), rep.control.T.ravel().tolist()),

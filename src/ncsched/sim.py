@@ -40,6 +40,7 @@ from .core import (
     SchedulingLogic,
     _in_plant_order,
     check_tolerances,
+    checked_state,
     column_norms,
     column_stack,
     column_step,
@@ -61,11 +62,10 @@ class SimulationResult:
     """Trajectories and the verdict of one closed-NCS run.
 
     ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
-    ``control`` is the thresholded logic that was simulated and judged, and
-    ``active`` the T x N mask of its nonzero inputs, slot-major: row t marks
-    the plants that use slot t. Made on first use: ``trajectories``, each
-    plant's (T+1) x d states, which the rollout replays bit for bit
-    (verification keeps none), and ``schedule``, the slots of ``active``.
+    ``control`` is the thresholded logic that was simulated and judged. Made
+    on first use: ``trajectories``, each plant's (T+1) x d states, which the
+    rollout replays bit for bit (verification keeps none), and ``schedule``,
+    the slots of the control's nonzero inputs.
     """
 
     norms: np.ndarray
@@ -73,7 +73,6 @@ class SimulationResult:
     max_column_occupancy: int
     verified: bool
     control: ControlLogic
-    active: np.ndarray
     violations: tuple[str, ...] = ()
     # the dimension groups and the zero rule they were simulated under
     _groups: tuple = field(default=(), repr=False, compare=False)
@@ -89,7 +88,7 @@ class SimulationResult:
 
     @cached_property
     def schedule(self) -> SchedulingLogic:
-        return _slots(self.active)
+        return _slots(slot_mask(self.control.u))
 
 
 def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> SchedulingLogic:
@@ -100,6 +99,12 @@ def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> Sched
     here: ``verify_logic`` judges it, and returns the same schedule.
     """
     return _slots(logic.nonzero_mask(zero_rtol).T)
+
+
+def slot_mask(u) -> np.ndarray:
+    """The T x N slot-major mask of an N x T control's nonzero inputs: row t marks
+    the plants that use slot t."""
+    return np.not_equal(np.asarray(u, dtype=float).T, 0.0, order="C")
 
 
 def slot_members(mask: np.ndarray, first: int = 0) -> list[list[int]]:
@@ -206,9 +211,10 @@ def rollout(
 ) -> np.ndarray:
     """Forward recursion of one plant; returns the (T+1) x d state array.
 
-    Raises ``NonFiniteError`` when the state overflows.
+    Raises ``NonFiniteError`` when the state overflows, and ``ValueError`` for
+    an initial state without d entries.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
+    xi = checked_state(p, xi)
     u = np.asarray(u, dtype=float).reshape(-1)
     states, _, overflow = rollout_stack(p.A[None], p.b[None], xi[None], u[None], zero_rtol)
     if overflow[0] >= 0:
@@ -245,9 +251,8 @@ def verify_logic(
     ``verified`` is true iff every relative terminal residual is at most
     ``terminal_rtol`` and no slot is over capacity. This flag is the single
     source of truth used by the solve pipeline and the acceptance tests. The
-    result carries the thresholded logic it judged and that logic's schedule,
-    which is what a solve reports. Both tolerances must lie strictly between
-    0 and 1.
+    result carries the thresholded logic it judged, which is what a solve
+    reports. Both tolerances must lie strictly between 0 and 1.
     """
     check_tolerances(zero_rtol, terminal_rtol)
     if logic.u.shape != (inst.n, inst.horizon):
@@ -256,9 +261,6 @@ def verify_logic(
             f"({inst.n}, {inst.horizon})"
         )
     zeroed = logic.thresholded(zero_rtol)
-    # the thresholded rows' nonzeros are the mask they were cut to; slot-major,
-    # as the occupancy and the schedule read it
-    active = np.not_equal(zeroed.u.T, 0.0, order="C")
     groups = group_by_dim(inst)
     norms = np.empty((inst.n, inst.horizon + 1))
     residuals = np.empty(inst.n)
@@ -270,7 +272,8 @@ def verify_logic(
     if overflow.max() >= 0:
         first = overflow[np.flatnonzero(overflow >= 0)[0]]
         raise NonFiniteError(f"state overflowed at step {first}")
-    occupancy = active.sum(axis=1)
+    # the thresholded rows' nonzeros are the mask they were cut to
+    occupancy = np.count_nonzero(zeroed.u, axis=0)
     max_occ = int(occupancy.max()) if occupancy.size else 0
 
     violations = []
@@ -292,7 +295,6 @@ def verify_logic(
         max_column_occupancy=max_occ,
         verified=not violations,
         control=zeroed,
-        active=active,
         violations=tuple(violations),
         _groups=tuple(groups),
         _zero_rtol=zero_rtol,

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import argparse
 
+import numpy as np
+
 import ncsched
 from ncsched.cli import build_parser
+from ncsched.report import SolveReport, report_to_dict
 
 
 def test_every_export_resolves():
@@ -55,3 +58,17 @@ def test_readme_flags_exist():
     }
     assert len(flags) >= 4
     assert flags - known == set()
+
+
+def test_readme_report_fields_are_the_written_keys():
+    # the key names quoted in README's report bullet: plain names, and the
+    # "quoted" keys of the control's JSON layout
+    bullet = readme_paragraph("* **report**:").split("\n* ", 1)[0]
+    quoted = re.findall(r"`([^`]+)`", bullet)
+    named = {q for q in quoted if re.fullmatch(r"[A-Za-z_]\w*", q)}
+    named |= {key for q in quoted for key in re.findall(r'"(\w+)":', q)}
+    rep = SolveReport(method="lane-plan", plan=None, control=np.array([[0.5, 0.0], [0.0, 2.0]]),
+                      verified=True, residuals=[0.0, 0.0])
+    data = report_to_dict(rep)
+    assert named == set(data) | set(data["control"])
+    assert set(data["control"]) == {"shape", "u"}

@@ -180,8 +180,7 @@ class TestCliFlow:
         inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
         write_instance(inst_path, InstanceFile(inst))
         write_report(rep_path, SolveReport(
-            method=None, plan=None, schedule=[], control=u,
-            verified=True, residuals=[], occupancy_histogram=[],
+            method=None, plan=None, control=u, verified=True, residuals=[0.0, 0.0, 0.0],
         ))
         assert main(["verify", str(inst_path), str(rep_path)]) == 2
         assert capsys.readouterr().out.splitlines() == [
@@ -225,8 +224,8 @@ class TestCliFlow:
         inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
         write_instance(inst_path, InstanceFile(huge_initial_norm_instance()))
         write_report(rep_path, SolveReport(
-            method=None, plan=None, schedule=[[]] * 6, control=np.zeros((2, 6)),
-            verified=True, residuals=[0.0, 0.0], occupancy_histogram=[[0, 6]],
+            method=None, plan=None, control=np.zeros((2, 6)), verified=True,
+            residuals=[0.0, 0.0],
         ))
         assert main(["verify", str(inst_path), str(rep_path)]) == 2
         captured = capsys.readouterr()
@@ -317,27 +316,28 @@ class TestCliFlow:
         assert main(["solve", str(inst_path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
-    # each case breaks one rule of the nonzero triplets of a 2 x 3 control
-    # whose plants are [1, 2], steps [0, 1] and inputs [0.5, -1.25], and is
-    # refused with that rule's reason
+    # each case breaks one rule of a 2 x 3 control whose schedule is
+    # [[1], [2], []] and whose packed inputs are [0.5, -1.25], or of the
+    # fields that must agree with it, and is refused with that rule's reason;
+    # "schedule", "residuals" and "control" replace the report's own fields,
+    # the other keys the control's
     @pytest.mark.parametrize("fields, reason", [
-        ({"u": packed(0.5)}, "counts differ"),
-        ({"plant": [0, 2]}, "outside plants"),
-        ({"plant": [1, 3]}, "outside plants"),
-        ({"t": [0, 3]}, "outside plants"),
-        ({"plant": [1, 1], "t": [0, 0]}, "distinct and in row-major order"),
-        ({"plant": [2, 1], "t": [1, 0], "u": packed(-1.25, 0.5)},
-         "distinct and in row-major order"),
-        ({"plant": [True, 2]}, "plants must be a list of integers"),
-        ({"t": [False, 1]}, "steps must be a list of integers"),
+        ({"u": packed(0.5)}, "schedule holds 2 plants but control packs 1 inputs"),
+        ({"schedule": [[0], [2], []]}, "plants 1..2 strictly ascending"),
+        ({"schedule": [[1], [3], []]}, "plants 1..2 strictly ascending"),
+        ({"schedule": [[1], [], [], [2]]}, "schedule has 4 slots for the control's 3 steps"),
+        ({"schedule": [[1, 1], [], []]}, "plants 1..2 strictly ascending"),
+        ({"schedule": [[2, 1], [], []], "u": packed(-1.25, 0.5)},
+         "plants 1..2 strictly ascending"),
+        ({"schedule": [[True], [2], []]}, "schedule slots must be a list of integers"),
+        ({"schedule": [[1], 2, []]}, "schedule slots must be a list of integers"),
         ({"u": packed(0.0, -1.25)}, "zero input"),
         ({"shape": [2]}, "must be [N, T]"),
         ({"shape": [2.0, 3]}, "shape must be a list of integers"),
         ({"shape": [2, -3]}, "must be [N, T]"),
         ({"shape": [2, 4]}, "does not match the instance"),
         # allocating this dense matrix would fail
-        ({"shape": [10**9, 10**9], "plant": [], "t": [], "u": ""},
-         "does not match the instance"),
+        ({"shape": [10**9, 10**9], "u": ""}, "does not match the instance"),
         # the schema-2 layout of the inputs
         ({"u": [0.5, -1.25]}, "base64 string"),
         # a lenient decoder would drop the "*" and read the two inputs
@@ -345,11 +345,17 @@ class TestCliFlow:
         ({"u": base64.b64encode(bytes(12)).decode()}, "12 bytes"),
         ({"u": packed(float("nan"), -1.25)}, "non-finite input"),
         ({"u": packed(0.5, float("-inf"))}, "non-finite input"),
+        ({"control": None}, "a report with a null control lists a schedule"),
+        ({"control": None, "schedule": []}, "a report with a null control lists residuals"),
+        ({"control": None, "schedule": [], "residuals": []},
+         "a report with a null control lists verified: true"),
+        ({"residuals": [0.0]}, "1 residuals for the control's 2 plants"),
     ], ids=[
         "unequal-lengths", "plant-0", "plant-N+1", "t-T", "duplicate", "out-of-order",
-        "bool-plant", "bool-t", "zero-u", "shape-length", "shape-float", "shape-negative",
-        "shape-not-instance", "shape-huge", "u-list", "u-bad-base64", "u-12-bytes",
-        "u-nan", "u-inf",
+        "bool-plant", "slot-not-a-list", "zero-u", "shape-length", "shape-float",
+        "shape-negative", "shape-not-instance", "shape-huge", "u-list", "u-bad-base64",
+        "u-12-bytes", "u-nan", "u-inf", "null-control-schedule", "null-control-residuals",
+        "null-control-verified", "residuals-not-N",
     ])
     def test_malformed_control_exits_3_before_writing(self, tmp_path, capsys, fields, reason):
         inst_path = tmp_path / "inst.json"
@@ -360,15 +366,18 @@ class TestCliFlow:
         assert main(["plots", str(inst_path), str(rep_path), "--out-dir",
                      str(tmp_path / "ok")]) == 0
         data = json.loads(rep_path.read_text())
+        assert data["schedule"] == [[1], [2], []]
         assert data["control"]["u"] == packed(0.5, -1.25)
-        data["control"].update(fields)
+        for key, value in fields.items():
+            (data if key in ("schedule", "residuals", "control") else data["control"])[key] = value
         rep_path.write_text(json.dumps(data))
         capsys.readouterr()
         out_dir = tmp_path / "csv"
         assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
         assert main(["verify", str(inst_path), str(rep_path)]) == 3
         err = capsys.readouterr().err
-        assert err.count(reason) == 2 and "control" in err and "Traceback" not in err
+        assert err.count(reason) == 2 and "Traceback" not in err
+        assert "control" in err or "schedule" in err
         assert list(out_dir.glob("*.csv")) == []
 
     def test_v1_report_exits_3(self, tmp_path, capsys):
@@ -412,6 +421,60 @@ class TestCliFlow:
         assert not out_dir.exists()
 
 
+    def test_v3_report_exits_3(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
+              "--seed", "4", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        # the version 3 layout: the nonzeros' plants and steps in row-major
+        # order beside the schedule, and an occupancy histogram
+        rep = read_report(rep_path)
+        data = json.loads(rep_path.read_text())
+        plant, t = np.nonzero(rep.control)
+        counts = np.bincount(list(map(len, rep.schedule))).tolist()
+        histogram = [[k, c] for k, c in enumerate(counts) if c]
+        data.update(schema_version=3, occupancy_histogram=histogram)
+        data["control"] = {"shape": [6, 20], "plant": (plant + 1).tolist(), "t": t.tolist(),
+                           "u": base64.b64encode(rep.control[plant, t].tobytes()).decode()}
+        rep_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out_dir = tmp_path / "csv"
+        assert main(["verify", str(inst_path), str(rep_path)]) == 3
+        assert main(["plots", str(inst_path), str(rep_path), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: unsupported report schema_version 3") == 2
+        assert not out_dir.exists()
+
+    def test_self_contradicting_reports_exit_3(self, tmp_path, capsys):
+        # a paper-demo report hand-edited so that its schedule, and no longer
+        # its inputs, empties slot 0 and puts 12 plants in slot 49 at M = 10;
+        # one with no control and a 250-slot schedule; one with 1 residual
+        # for 100 plants
+        inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
+        main(["gen", "--dims", "2x50,3x50", "--capacity", "10", "--horizon", "50",
+              "--seed", "12345", "--out", str(inst_path)])
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        good = json.loads(rep_path.read_text())
+        assert good["schedule"][0] == [] and len(good["schedule"][49]) != 12
+        moved = json.loads(rep_path.read_text())
+        moved["schedule"][0], moved["schedule"][49] = [], list(range(1, 13))
+        moved["occupancy_histogram"] = [[0, 50]]
+        no_control = {**good, "control": None, "schedule": [[1]] * 250}
+        one_residual = {**good, "residuals": [0.0]}
+        for data, reason in (
+            (moved, "plants but control packs"),
+            (no_control, "a report with a null control lists a schedule"),
+            (one_residual, "1 residuals for the control's 100 plants"),
+        ):
+            rep_path.write_text(json.dumps(data))
+            with pytest.raises(SchemaError, match=reason):
+                read_report(rep_path)
+            capsys.readouterr()
+            assert main(["verify", str(inst_path), str(rep_path)]) == 3
+            assert reason in capsys.readouterr().err
+
+
 def write_overflowing_replay(tmp_path):
     """Valid instance and report files whose zero control lets the 1e10
     plant's state pass the largest float at step 31: a failed verification,
@@ -421,8 +484,8 @@ def write_overflowing_replay(tmp_path):
     inst = scalar_instance([1e10, 2.0], capacity=1, horizon=40)
     write_instance(inst_path, InstanceFile(inst))
     write_report(rep_path, SolveReport(
-        method=None, plan=None, schedule=[], control=np.zeros((2, 40)),
-        verified=False, residuals=[], occupancy_histogram=[],
+        method=None, plan=None, control=np.zeros((2, 40)), verified=False,
+        residuals=[0.0, 0.0],
     ))
     return inst_path, rep_path
 
@@ -432,11 +495,9 @@ def sample_report():
         method="lane-plan",
         plan={"kind": "lane", "lanes": [[1, 2]], "widths": [[1, 2], [2, 2]],
               "open_loop": []},
-        schedule=[[1], [2], []],
         control=np.array([[0.5, 0.0, 0.0], [0.0, -1.25, 0.0]]),
         verified=True,
         residuals=[0.0, 1e-12],
-        occupancy_histogram=[[0, 1], [1, 2]],
         state_norms=np.array([[1.0, 0.5, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]]),
         warnings=["w"],
         diagnostics=["d"],
@@ -452,9 +513,10 @@ class TestReportRoundTrip:
         back = read_report(path)
         assert report_to_dict(back) == report_to_dict(rep)
         data = json.loads(path.read_text())
-        # the inputs 0.5 and -1.25 as little-endian float64 bytes, in base64
-        assert data["control"] == {"shape": [2, 3], "plant": [1, 2], "t": [0, 1],
-                                   "u": "AAAAAAAA4D8AAAAAAAD0vw=="}
+        # the schedule, and the inputs over it, 0.5 and -1.25, as
+        # little-endian float64 bytes in base64
+        assert data["schedule"] == back.schedule == rep.schedule == [[1], [2], []]
+        assert data["control"] == {"shape": [2, 3], "u": "AAAAAAAA4D8AAAAAAAD0vw=="}
         # timings and state norms are never serialized
         assert back.timings == {} and back.state_norms is None
         assert "timings" not in data and "state_norms" not in data
@@ -462,7 +524,7 @@ class TestReportRoundTrip:
     @pytest.mark.parametrize("field, value", [
         ("verified", "false"), ("verified", 0), ("verified", None),
         ("schedule", [["1"], [2], []]), ("schedule", [[True], [2], []]),
-        ("schedule", [[1.0], [2], []]), ("occupancy_histogram", [[0, 1], [1, "2"]]),
+        ("schedule", [[1.0], [2], []]), ("schedule", [[1], [2], None]),
         ("residuals", ["0.0", 1e-12]), ("residuals", [False, 1e-12]),
         ("warnings", "abc"), ("warnings", [1]), ("diagnostics", [None]), ("method", 5),
         ("plan", 5), ("plan", "abc"),
@@ -475,9 +537,9 @@ class TestReportRoundTrip:
 
     def test_unallocatable_control_is_a_schema_error(self, tmp_path):
         # no instance shape is passed, so the dense matrix is attempted; this
-        # one fails to allocate at once
+        # one, 10**15 plants over three empty slots, fails to allocate at once
         data = report_to_dict(sample_report())
-        data["control"] = {"shape": [10**9, 10**9], "plant": [], "t": [], "u": ""}
+        data["schedule"], data["control"] = [[], [], []], {"shape": [10**15, 3], "u": ""}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="cannot be allocated"):
@@ -495,8 +557,8 @@ class TestReportRoundTrip:
         # subnormal, largest finite and inexact decimal inputs of both signs
         control = np.array([[5e-324, -5e-324, 0.0],
                             [1.7976931348623157e308, -1.7976931348623157e308, -0.1]])
-        rep = SolveReport(method=None, plan=None, schedule=[], control=control,
-                          verified=False, residuals=[], occupancy_histogram=[])
+        rep = SolveReport(method=None, plan=None, control=control, verified=False,
+                          residuals=[0.0, 0.0])
         path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
         write_report(path_a, rep)
         back = read_report(path_a)
@@ -546,11 +608,9 @@ class TestExportPlots:
         rep = SolveReport(
             method="lane-plan",
             plan=None,
-            schedule=[[2], []],
             control=np.array([[0.0, 0.0], [-4.0, 0.0]]),
             verified=True,
             residuals=[0.0, 0.0],
-            occupancy_histogram=[[0, 1], [1, 1]],
         )
         rep_path = tmp_path / "rep.json"
         write_report(rep_path, rep)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestGenerateInstance:
     def test_capacity_must_be_below_plant_count(self):
         with pytest.raises(ValueError):
             generate_instance(2, 2, 5, [1, 1], seed=0)
+
+    @pytest.mark.parametrize("capacity, horizon, message", [
+        (400, 0, "horizon must be positive"),
+        (2.5, 50, "capacity must be an integer, got 2.5"),
+        (True, 50, "capacity must be an integer, got True"),
+        (4000, 50, "capacity must satisfy 0 < M < N, got M=4000, N=4000"),
+    ], ids=["horizon-0", "capacity-float", "capacity-bool", "capacity-N"])
+    def test_sizes_checked_before_any_draw(self, monkeypatch, capacity, horizon, message):
+        def no_draws(*args):
+            raise AssertionError("drew plants for sizes that no instance accepts")
+
+        monkeypatch.setattr(ncsched.instances, "_draw_plants", no_draws)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_instance(4000, capacity, horizon, [2] * 2000 + [3] * 2000, seed=0)
 
     def test_dims_length_checked(self):
         with pytest.raises(ValueError):
@@ -394,9 +409,8 @@ class TestDumpJson:
 
     def test_no_solution_report(self, tmp_path):
         rep = SolveReport(
-            method=None, plan=None, schedule=[], control=None, verified=False,
-            residuals=[], occupancy_histogram=[], state_norms=None,
-            diagnostics=["lane-plan: no lane packing found"],
+            method=None, plan=None, control=None, verified=False, residuals=[],
+            state_norms=None, diagnostics=["lane-plan: no lane packing found"],
         )
         rewrite(tmp_path, write_report, read_report, rep)
 

@@ -225,14 +225,18 @@ class TestSolveCascade:
         logic = ControlLogic(np.asarray(report.control))
         assert verify_logic(inst, logic).verified
 
-    def test_occupancy_histogram_accounts_every_slot(self, mixed_dims_instance):
+    def test_schedule_accounts_every_slot(self, mixed_dims_instance):
+        # one slot per step, each within capacity, holding the plants whose input is nonzero
         report = solve_instance(mixed_dims_instance)
-        assert sum(c for _, c in report.occupancy_histogram) == 7
-        assert max(occ for occ, _ in report.occupancy_histogram) <= 2
+        assert len(report.schedule) == 7
+        assert max(map(len, report.schedule)) <= 2
+        assert report.schedule == [
+            (np.flatnonzero(report.control[:, t]) + 1).tolist() for t in range(7)
+        ]
 
     @pytest.mark.parametrize("method", ["auto", "block"])
     def test_verified_route_computes_its_mask_once(self, demo_instance, method, monkeypatch):
-        # thresholding, verification, schedule and histogram share one mask
+        # thresholding and verification share one application of the zero rule
         calls = []
         real = ncsched.core.nonzero_entries
         for module in (ncsched.core, ncsched.sim):
@@ -376,8 +380,8 @@ class TestSolveCascade:
 
 
 class TestReportListsOnFirstRead:
-    """A solve's report keeps the plan object, the slot mask and the residual
-    array; its lists are built once, on first read."""
+    """A solve's report keeps the plan object and the residual array; its
+    lists are built once, on first read, and its schedule is its control's."""
 
     def test_lists_built_once_as_the_eager_report_built_them(self, monkeypatch):
         inst = generate_instance(100, 10, 50, [2] * 50 + [3] * 50, seed=12346).instance
@@ -387,33 +391,42 @@ class TestReportListsOnFirstRead:
             ncsched.report, "slot_members", lambda *a, **k: built.append(1) or slot_members(*a, **k)
         )
         report = solve_instance(inst)
-        assert not set(BUILT_ON_READ) & set(vars(report))
+        assert BUILT_ON_READ == ("plan", "residuals")
+        assert not {*BUILT_ON_READ, "schedule"} & set(vars(report))
         data = report_to_dict(report)
-        assert set(BUILT_ON_READ) <= set(vars(report))
-        for name in BUILT_ON_READ:
+        assert set(BUILT_ON_READ) <= set(vars(report)) and built == [1]
+        for name in (*BUILT_ON_READ, "schedule"):
             assert getattr(report, name) is getattr(report, name)
-        assert built == [1] and report_to_dict(report) == data
+        assert built == [1, 1] and report.schedule == data["schedule"]
+        assert report_to_dict(report) == data
 
         # what the pipeline built before the lists moved to first read
         outcome = verify_logic(inst, ControlLogic(report.control))
-        schedule = slot_members(outcome.active, first=1)
-        counts = np.bincount(list(map(len, schedule))).tolist()
         eager = SolveReport(
             method="lane-plan",
             plan={**find_lane_plan(inst).to_report_dict(), "open_loop": []},
-            schedule=schedule,
             control=outcome.control.u,
             verified=True,
             residuals=outcome.terminal_residuals.tolist(),
-            occupancy_histogram=[[occ, c] for occ, c in enumerate(counts) if c],
             warnings=report.warnings,
             diagnostics=report.diagnostics,
         )
         assert dump_json(data) == dump_json(report_to_dict(eager))
+        assert eager.schedule == report.schedule == [
+            sorted(i + 1 for i in slot) for slot in outcome.schedule.slots
+        ]
+
+    def test_schedule_follows_a_replaced_control(self):
+        rep = SolveReport(method=None, plan=None, control=np.array([[1.0, 0.0], [0.0, 2.0]]),
+                          verified=False, residuals=[0.0, 0.0])
+        assert rep.schedule == [[1], [2]]
+        rep.control = np.array([[0.0, 1.0], [3.0, 2.0]])
+        assert rep.schedule == [[2], [1, 2]]
+        rep.control = None
+        assert rep.schedule == []
 
     def test_fields_given_to_the_constructor_are_kept(self):
-        rep = SolveReport(method=None, plan=None, schedule=[], control=None, verified=False,
-                          residuals=[], occupancy_histogram=[])
+        rep = SolveReport(method=None, plan=None, control=None, verified=False, residuals=[])
         assert rep.plan is None and rep.schedule == [] and rep.residuals == []
         with pytest.raises(AttributeError):
             rep.no_such_field

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -345,6 +346,30 @@ class TestPlanChecks:
         assert plan.offsets == (0, 3, 5)
         assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
         assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
+
+    @pytest.mark.parametrize("make, message", [
+        # an int cast would build width 2 and verify it
+        (lambda: LanePlan(lanes=((0, 1),), widths={0: 3, 1: 2.9}),
+         "the width of plant 2 must be an integer, got 2.9"),
+        (lambda: LanePlan(lanes=((0,), (1,)), widths={1: 2.0, 0: True}),
+         "the width of plant 1 must be an integer, got True"),
+        # an int cast would build rows of length 2 while offsets said 2.7
+        (lambda: BlockPlan(blocks=((0,), (1,)), block_lengths=(2.7, 2)),
+         "the length of block 1 must be an integer, got 2.7"),
+        (lambda: BlockPlan(blocks=((0,), (1,)), block_lengths=(2, np.float64(3.0))),
+         "the length of block 2 must be an integer, got np.float64(3.0)"),
+    ], ids=["lane-float", "lane-bool", "block-float", "block-numpy-float"])
+    def test_non_integer_windows_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numpy_integer_windows_accepted(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
+        plans = (LanePlan(lanes=((0, 1),), widths={0: np.int64(2), 1: 2}),
+                 BlockPlan(blocks=((0,), (1,)), block_lengths=(np.int32(2), 2)))
+        for plan in plans:
+            assert plan.placements() == {0: (0, 2), 1: (2, 2)}
+            assert verify_logic(inst, build_from_plan(inst, plan)).verified
 
     def test_lane_report_dict_lists_lanes_and_widths_in_plant_order(self, demo_instance):
         # the report lists 1-based lanes, sliced off the window arrays, and

@@ -220,6 +220,13 @@ class TestBatchedRolloutMatchesLoop:
             u = rng.uniform(-2, 2, 30)
             assert np.array_equal(rollout(p, xi, u), reference_rollout(p, xi, u))
 
+    @pytest.mark.parametrize("xi", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+    def test_single_plant_rollout_checks_the_state_length(self, xi):
+        # a 1-entry state would broadcast across both entries of a 2-d plant
+        p = PlantDynamics(np.diag([2.0, 3.0]), [1.0, 1.0])
+        with pytest.raises(ValueError, match="^initial state has wrong length$"):
+            rollout(p, xi, np.zeros(4))
+
     def test_overflow_reports_the_first_plant_in_index_order(self):
         # a state overflows once an entry passes the largest float: plant 2 at
         # step 4 (1e400), plant 3 at step 2, and plant 2 is reported
