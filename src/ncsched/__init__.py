@@ -15,7 +15,6 @@ from .core import (
     ControlLogic,
     NcsInstance,
     PlantDynamics,
-    SchedulingLogic,
     open_loop_hit_time,
 )
 from .deadbeat import windowed_inputs
@@ -50,7 +49,7 @@ from .planner import (
     split_open_loop,
 )
 from .report import SolveReport, export_plots, read_report, write_report
-from .sim import SimulationResult, extract_schedule, rollout, verify_logic
+from .sim import SimulationResult, rollout, verify_logic
 from .sparse import (
     RelaxationResult,
     RipReport,
@@ -80,7 +79,6 @@ __all__ = [
     "RejectionBudgetError",
     "RelaxationResult",
     "RipReport",
-    "SchedulingLogic",
     "SchemaError",
     "SimulationResult",
     "SolveReport",
@@ -91,7 +89,6 @@ __all__ = [
     "exhaustive_block_plan",
     "exhaustive_lane_plan",
     "export_plots",
-    "extract_schedule",
     "find_block_plan",
     "find_lane_plan",
     "generate_instance",

@@ -11,6 +11,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from .core import TERMINAL_RTOL, ZERO_RTOL, ControlLogic
 from .errors import NcsError, NoSolutionFoundError, NonFiniteError, SchemaError
 from .instances import generate_instance, read_instance, write_instance
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--terminal-rtol", type=float, default=TERMINAL_RTOL)
     verify.add_argument("--zero-rtol", type=float, default=ZERO_RTOL)
 
-    plots = sub.add_parser("plots", help="export report CSVs, replaying the trajectories")
+    plots = sub.add_parser("plots", help="export report CSVs, replaying the state norms")
     plots.add_argument("instance", help="instance JSON path")
     plots.add_argument("report", help="report JSON path")
     plots.add_argument("--out-dir", required=True)
@@ -131,7 +133,7 @@ def _cmd_solve(args) -> int:
         # console only: timings are never serialized
         report.timings["write"] = time.perf_counter() - t0
     worst = max(report.residuals) if report.residuals else 0.0
-    occ = max(map(len, report.schedule), default=0)
+    occ = int(np.count_nonzero(report.control, axis=0).max())
     print(
         f"verified=true method={report.method} max_occupancy={occ} "
         f"worst_residual={worst:.3e}"

@@ -265,10 +265,6 @@ class NcsInstance:
         object.__setattr__(self, name, value)
         return value
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self._dim_array().tolist())
-
     def _dim_array(self) -> np.ndarray:
         """Each plant's state dimension, read off its group's stacks."""
         out = np.empty(self.n, dtype=int)
@@ -299,37 +295,15 @@ class ControlLogic:
         object.__setattr__(logic, "u", _freeze(u))
         return logic
 
-    @property
-    def horizon(self) -> int:
-        return self.u.shape[1]
-
-    def nonzero_mask(self, zero_rtol: float = ZERO_RTOL) -> np.ndarray:
-        """Boolean N x T mask of inputs that count as nonzero."""
-        return nonzero_entries(self.u, zero_rtol)
-
     def thresholded(self, zero_rtol: float = ZERO_RTOL) -> "ControlLogic":
         """Copy with sub-threshold entries set to +0.0.
 
-        The copy keeps exactly the entries of ``nonzero_mask``, all nonzero,
-        so its nonzeros are that mask. The zeroing keeps each row's largest
+        The copy keeps exactly the entries ``nonzero_entries`` marks, all
+        nonzero, so its nonzeros are that mask. The zeroing keeps each row's largest
         entry, or clears a row whose scale is 1, so the copy has the same row
         scales and mask, and thresholding it again changes nothing.
         """
-        return ControlLogic._own(np.where(self.nonzero_mask(zero_rtol), self.u, 0.0))
-
-
-@dataclass(frozen=True)
-class SchedulingLogic:
-    """Per-slot sets of plants granted channel access (0-based internally)."""
-
-    slots: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(frozenset(s) for s in self.slots))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.slots)
+        return ControlLogic._own(np.where(nonzero_entries(self.u, zero_rtol), self.u, 0.0))
 
 
 def group_by_dim(inst: NcsInstance, subset=None) -> list[PlantGroup]:

@@ -20,6 +20,7 @@ from .core import (
     NcsInstance,
     PlantDynamics,
     PlantGroup,
+    _as_int,
     _checked_sizes,
     lifted_matrices,
     rank_and_cond,
@@ -64,18 +65,22 @@ def generate_instance(
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
-    The sizes are checked as an instance checks them before anything is
-    drawn. The instance is built from the accepted stacks
-    (``NcsInstance._from_groups``); its ``plants`` and ``xi`` views are made
-    on first read.
+    The sizes are checked as an instance checks them, and the dimensions and
+    the seed as integers, before anything is drawn. The instance is built
+    from the accepted stacks (``NcsInstance._from_groups``); its ``plants``
+    and ``xi`` views are made on first read.
     """
     if len(dims) != n:
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
     capacity, horizon = _checked_sizes(capacity, horizon, n)
     if not (value_range > 0 and math.isfinite(2.0 * value_range)):
         raise ValueError(f"value range must be positive with 2 * range finite: {value_range!r}")
+    if not set(map(type, dims)) <= {int}:
+        dims = [_as_int(f"the dimension of plant {i + 1}", d) for i, d in enumerate(dims)]
     if min(dims) < 1:
         raise ValueError("plant dimensions must be positive")
+    if _as_int("seed", seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     runs: dict[int, list] = {}  # per dimension, the drawn runs' stacks
     first = 0

@@ -7,10 +7,10 @@ segment. A *lane plan* runs at most M parallel queues; each queue serves its
 plants back-to-back with per-plant window lengths, so at any instant at most
 one plant per lane is active.
 
-Either plan yields its windows as (plant, offset, width) arrays (and, from
-them, the ``placements()`` dict), and ``_assemble`` turns them into input
-rows through the one checked window path (``deadbeat.deadbeat_rows``): each
-window ends in its plant's deadbeat burst. Synthesis judges no schedule: the
+Either plan yields its windows as (plant, offset, width) arrays
+(``windows``), and ``_assemble`` turns them into input rows through the one
+checked window path (``deadbeat.deadbeat_rows``): each window ends in its
+plant's deadbeat burst. Synthesis judges no schedule: the
 plans the searches build never put more than M plants on the channel at
 once, and every route's rows, a hand-built plan's included, are judged by
 ``verify_logic``'s rule of at most M nonzero inputs per slot.
@@ -72,10 +72,6 @@ def _check_integer_windows(windows: dict, what: str) -> None:
             _as_int(f"{what} {key + 1}", windows[key])
 
 
-def _placement_dict(plant, offset, width) -> dict[int, tuple[int, int]]:
-    return dict(zip(plant.tolist(), zip(offset.tolist(), width.tolist())))
-
-
 @dataclass(frozen=True)
 class BlockPlan:
     """Consecutive horizon segments: group j owns [offsets[j], offsets[j]+block_lengths[j])."""
@@ -92,7 +88,7 @@ class BlockPlan:
         return tuple(accumulate(self.block_lengths, initial=0))[:-1]
 
     @cached_property
-    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: every member's window
         spans its segment. Raises for the first plant listed twice among the
         blocks that have a length, then for a block count that differs from
@@ -108,10 +104,6 @@ class BlockPlan:
             for column in (self.offsets, self.block_lengths)
         )
         return plant, offset, width
-
-    def placements(self) -> dict[int, tuple[int, int]]:
-        """``{plant: (offset, width)}``: every member's window spans its segment."""
-        return _placement_dict(*self._windows)
 
     def to_report_dict(self) -> dict:
         return {
@@ -143,7 +135,7 @@ class LanePlan:
         return tuple(sum(self._widths_of(lane)) for lane in self.lanes)
 
     @cached_property
-    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: each lane's windows run
         back to back from 0. Raises for the first plant, in listing order, that
         has no width or is listed twice."""
@@ -156,14 +148,10 @@ class LanePlan:
         lane_start = before[list(accumulate(sizes, initial=0))[:-1]]
         return plant, before[:-1] - np.repeat(lane_start, sizes), width
 
-    def placements(self) -> dict[int, tuple[int, int]]:
-        """``{plant: (offset, width)}``: each lane's windows run back to back from 0."""
-        return _placement_dict(*self._windows)
-
     def to_report_dict(self) -> dict:
         """1-based lanes, read off the window arrays (so a malformed plan raises as
-        ``placements()`` does), and [plant, width] pairs in plant order."""
-        listed, widths = (self._windows[0] + 1).tolist(), self.widths
+        ``windows`` does), and [plant, width] pairs in plant order."""
+        listed, widths = (self.windows[0] + 1).tolist(), self.widths
         ends = list(accumulate(map(len, self.lanes)))
         return {
             "kind": "lane",
@@ -359,7 +347,7 @@ def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover, states) -> C
     about and built by ``deadbeat_rows``. How many plants share a slot is not
     judged here.
     """
-    plant, offset, width = plan._windows
+    plant, offset, width = plan.windows
     if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
         raise ValueError("plan does not place exactly the expected plants")
     window = np.zeros((2, inst.n), dtype=int)

@@ -15,9 +15,11 @@ not T strictly ascending slots of plants 1..N holding one plant per input,
 other than N residuals, and a null control with a schedule, residuals or
 ``verified: true``. ``verify`` and ``plots`` pass the instance's (N, T), so a
 control of another shape is refused before its matrix is allocated, and
-replay the trajectories instead of reading them. Reports of versions 1
+replay the states instead of reading them. Reports of versions 1
 (a dense control and the state norms), 2 (``u`` as a list of numbers) and
-3 (the nonzeros' plants and steps, and an occupancy histogram) are refused.
+3 (the nonzeros' plants and steps, and an occupancy histogram) are refused,
+and so is a key that schema 4 does not write, at the top level or inside
+``control``.
 Wall-clock timings and the state norms live only on the in-memory object.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -48,10 +49,10 @@ BUILT_ON_READ = ("plan", "residuals")
 class SolveReport:
     """Everything one solve run produced, plus diagnostics.
 
-    ``schedule`` is the control's nonzero pattern, built on first read and
-    again once ``control`` is replaced. A solve's report (``solved``) keeps
-    the plan object and the verifier's residual array, which give
-    ``BUILT_ON_READ`` on first read, once, or inside ``report_to_dict``.
+    ``schedule`` is the control's nonzero pattern, derived at each read. A
+    solve's report (``solved``) keeps the plan object and the verifier's
+    residual array, which give ``BUILT_ON_READ`` on first read, once, or
+    inside ``report_to_dict``.
     """
 
     method: str | None
@@ -79,15 +80,10 @@ class SolveReport:
         )
         return rep
 
-    @cached_property
+    @property
     def schedule(self) -> list[list[int]]:
         """Per slot, the 1-based plants whose input is nonzero; ``[]`` for no control."""
         return [] if self.control is None else slot_members(slot_mask(self.control), first=1)
-
-    def __setattr__(self, name, value):
-        if name == "control":  # the schedule is the control's
-            self.__dict__.pop("schedule", None)
-        super().__setattr__(name, value)
 
     def __getattr__(self, name):
         # reached only for a field that is not set: the lists of a solve's report
@@ -151,10 +147,19 @@ def _strings(values, what: str) -> list[str]:
     return values
 
 
+def _refuse_unknown_keys(data: dict, known: tuple[str, ...], what: str) -> None:
+    """``SchemaError`` naming, sorted, the keys of ``data`` outside ``known``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise SchemaError(f"{what} has keys that schema {SCHEMA_VERSION} does not write: "
+                          f"{', '.join(unknown)}")
+
+
 def _dense_control(data: dict, schedule, expected: tuple[int, int] | None) -> np.ndarray:
     """The N x T float matrix of a control's packed inputs over ``schedule``, checked
     in full; a shape other than ``expected`` (when given) is refused before allocating."""
     shape = _ints(data["shape"], "control shape")
+    _refuse_unknown_keys(data, ("shape", "u"), "control")
     if len(shape) != 2 or min(shape) < 0:
         raise SchemaError(f"control shape must be [N, T], got {shape}")
     if expected is not None and shape != list(expected):
@@ -190,6 +195,8 @@ def report_from_dict(data: dict, shape: tuple[int, int] | None = None) -> SolveR
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema_version {data['schema_version']}")
+        _refuse_unknown_keys(data, ("schema_version", "method", "plan", "schedule", "control",
+                                    "verified", "residuals", "warnings", "diagnostics"), "report")
         if type(data["verified"]) is not bool:
             raise SchemaError(f"verified must be true or false, got {data['verified']!r}")
         if data["method"] is not None and not isinstance(data["method"], str):

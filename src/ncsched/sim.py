@@ -1,4 +1,4 @@
-"""Closed-NCS simulation, schedule extraction, and verification.
+"""Closed-NCS simulation and verification.
 
 The simulator applies two zeroing conventions before and during the forward
 recursion so that the reported trajectory is achievable under the reported
@@ -10,7 +10,7 @@ schedule and so that a steered state stays at rest:
   trajectory sup-norm, floored at 1) is clamped to the exact zero vector.
   Without the clamp, the ~1e-15 rounding left at a steering window's end
   regrows under an unstable state map to O(1) or far worse over the remaining
-  open-loop steps, reporting failure for trajectories whose exact-arithmetic
+  open-loop steps, reporting failure for runs whose exact-arithmetic
   counterparts are identically zero.
 
 The recursion steps only the plants that still move. A plant retires at the
@@ -26,8 +26,7 @@ never clamps, so it never retires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .core import (
     ControlLogic,
     NcsInstance,
     PlantDynamics,
-    SchedulingLogic,
-    _in_plant_order,
     check_tolerances,
     checked_state,
     column_norms,
@@ -59,13 +56,12 @@ COMPACT_MIN = 16
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Trajectories and the verdict of one closed-NCS run.
+    """State norms and the verdict of one closed-NCS run.
 
     ``norms`` holds each plant's state 2-norm at every step, N x (T+1).
-    ``control`` is the thresholded logic that was simulated and judged. Made
-    on first use: ``trajectories``, each plant's (T+1) x d states, which the
-    rollout replays bit for bit (verification keeps none), and ``schedule``,
-    the slots of the control's nonzero inputs.
+    ``control`` is the thresholded logic that was simulated and judged; its
+    nonzero pattern is the schedule (``slot_members(slot_mask(control.u))``).
+    Verification keeps no states: ``rollout_stack`` replays them bit for bit.
     """
 
     norms: np.ndarray
@@ -74,31 +70,6 @@ class SimulationResult:
     verified: bool
     control: ControlLogic
     violations: tuple[str, ...] = ()
-    # the dimension groups and the zero rule they were simulated under
-    _groups: tuple = field(default=(), repr=False, compare=False)
-    _zero_rtol: float = field(default=ZERO_RTOL, repr=False, compare=False)
-
-    @cached_property
-    def trajectories(self) -> tuple[np.ndarray, ...]:
-        states = (
-            rollout_stack(g.A, g.b, g.xi, self.control.u[g.idx], self._zero_rtol)[0]
-            for g in self._groups
-        )
-        return _in_plant_order(self._groups, states)
-
-    @cached_property
-    def schedule(self) -> SchedulingLogic:
-        return _slots(slot_mask(self.control.u))
-
-
-def extract_schedule(logic: ControlLogic, zero_rtol: float = ZERO_RTOL) -> SchedulingLogic:
-    """Channel slots implied by a control logic: plants with nonzero input.
-
-    Dropping plants whose input is zero loses nothing, since a closed-loop
-    step with zero input equals an open-loop step. Capacity is not checked
-    here: ``verify_logic`` judges it, and returns the same schedule.
-    """
-    return _slots(logic.nonzero_mask(zero_rtol).T)
 
 
 def slot_mask(u) -> np.ndarray:
@@ -115,11 +86,6 @@ def slot_members(mask: np.ndarray, first: int = 0) -> list[list[int]]:
     ends = np.cumsum(np.bincount(t, minlength=horizon)).tolist()
     plants = (plants + first).tolist()
     return [plants[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def _slots(mask: np.ndarray) -> SchedulingLogic:
-    """The schedule of a T x N slot-major mask: per slot, the plants whose entry is set."""
-    return SchedulingLogic(tuple(map(frozenset, slot_members(mask))))
 
 
 def rollout_stack(
@@ -296,6 +262,4 @@ def verify_logic(
         verified=not violations,
         control=zeroed,
         violations=tuple(violations),
-        _groups=tuple(groups),
-        _zero_rtol=zero_rtol,
     )

@@ -19,6 +19,7 @@ from ncsched import (
     write_instance,
     write_report,
 )
+import ncsched.report
 from ncsched.cli import main, parse_dims
 from ncsched.instances import instance_from_dict
 from ncsched.report import SolveReport, export_plots, report_from_dict, report_to_dict
@@ -63,6 +64,15 @@ class TestParseDims:
         err = capsys.readouterr().err
         assert err.startswith("error: value range must be positive with 2 * range finite")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_gen_with_negative_seed_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert main([
+            "gen", "--dims", "2,2,1", "--capacity", "1", "--horizon", "8",
+            "--seed", "-1", "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
     def test_gen_rejects_overflowing_draws_silently(self, tmp_path, capsys):
@@ -162,6 +172,26 @@ class TestCliFlow:
                              "--out", str(tmp_path / "rep.json")])
             assert code == 2
             assert reason in capsys.readouterr().out
+
+    def test_solve_prints_the_longest_slot_without_a_second_schedule(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the write reads the schedule off the control once; the printed
+        # occupancy counts the control's nonzeros, building no schedule
+        inst_path, rep_path = tmp_path / "inst.json", tmp_path / "rep.json"
+        main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
+              "--seed", "4", "--out", str(inst_path)])
+        built, slot_members = [], ncsched.report.slot_members
+        monkeypatch.setattr(
+            ncsched.report, "slot_members", lambda *a, **k: built.append(1) or slot_members(*a, **k)
+        )
+        capsys.readouterr()
+        assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
+        assert built == [1]
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "verified=true method=lane-plan max_occupancy=2 worst_residual=0.000e+00"
+        )
+        assert max(map(len, read_report(rep_path).schedule)) == 2
 
     def test_solve_sets_aside_a_plant_within_terminal_rtol(self, tmp_path, capsys):
         # 0.01^4 ends within terminal_rtol without input, so two windows fit
@@ -421,14 +451,16 @@ class TestCliFlow:
         assert not out_dir.exists()
 
 
-    def test_v3_report_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def write_v3_report(tmp_path):
+        """Instance and report paths; the report in the version 3 layout: the
+        nonzeros' plants and steps in row-major order beside the schedule, and
+        an occupancy histogram. Returns the paths and the report's dict."""
         inst_path = tmp_path / "inst.json"
         rep_path = tmp_path / "rep.json"
         main(["gen", "--dims", "2x3,3x3", "--capacity", "2", "--horizon", "20",
               "--seed", "4", "--out", str(inst_path)])
         assert main(["solve", str(inst_path), "--out", str(rep_path)]) == 0
-        # the version 3 layout: the nonzeros' plants and steps in row-major
-        # order beside the schedule, and an occupancy histogram
         rep = read_report(rep_path)
         data = json.loads(rep_path.read_text())
         plant, t = np.nonzero(rep.control)
@@ -438,6 +470,10 @@ class TestCliFlow:
         data["control"] = {"shape": [6, 20], "plant": (plant + 1).tolist(), "t": t.tolist(),
                            "u": base64.b64encode(rep.control[plant, t].tobytes()).decode()}
         rep_path.write_text(json.dumps(data))
+        return inst_path, rep_path, data
+
+    def test_v3_report_exits_3(self, tmp_path, capsys):
+        inst_path, rep_path, _ = self.write_v3_report(tmp_path)
         capsys.readouterr()
         out_dir = tmp_path / "csv"
         assert main(["verify", str(inst_path), str(rep_path)]) == 3
@@ -445,6 +481,31 @@ class TestCliFlow:
         err = capsys.readouterr().err
         assert err.count("error: unsupported report schema_version 3") == 2
         assert not out_dir.exists()
+
+    def test_v3_report_relabelled_4_exits_3(self, tmp_path, capsys):
+        # a version 3 report whose version is edited to 4 keeps its histogram
+        # and the nonzeros' plants and steps; the reader names them
+        inst_path, rep_path, data = self.write_v3_report(tmp_path)
+        data["schema_version"] = 4
+        top = "report has keys that schema 4 does not write: occupancy_histogram"
+        inner = "control has keys that schema 4 does not write: plant, t"
+        for reason in (top, inner):
+            rep_path.write_text(json.dumps(data))
+            with pytest.raises(SchemaError, match=f"^{reason}$"):
+                read_report(rep_path)
+            capsys.readouterr()
+            assert main(["verify", str(inst_path), str(rep_path)]) == 3
+            assert capsys.readouterr().err == f"error: {reason}\n"
+            data.pop("occupancy_histogram", None)
+
+    def test_warnings_and_diagnostics_stay_optional(self):
+        rep = SolveReport(method=None, plan=None, control=np.array([[0.5, 0.0], [0.0, 2.0]]),
+                          verified=True, residuals=[0.0, 0.0], warnings=["w"], diagnostics=["d"])
+        data = report_to_dict(rep)
+        del data["warnings"], data["diagnostics"]
+        back = report_from_dict(data)
+        assert back.warnings == back.diagnostics == []
+        assert back.schedule == [[1], [2]]
 
     def test_self_contradicting_reports_exit_3(self, tmp_path, capsys):
         # a paper-demo report hand-edited so that its schedule, and no longer
@@ -459,7 +520,6 @@ class TestCliFlow:
         assert good["schedule"][0] == [] and len(good["schedule"][49]) != 12
         moved = json.loads(rep_path.read_text())
         moved["schedule"][0], moved["schedule"][49] = [], list(range(1, 13))
-        moved["occupancy_histogram"] = [[0, 50]]
         no_control = {**good, "control": None, "schedule": [[1]] * 250}
         one_residual = {**good, "residuals": [0.0]}
         for data, reason in (

@@ -119,6 +119,28 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_instance(4000, capacity, horizon, [2] * 2000 + [3] * 2000, seed=0)
 
+    @pytest.mark.parametrize("dims, seed, message", [
+        ([2, 2.5, 3], 0, "the dimension of plant 2 must be an integer, got 2.5"),
+        ([2, 2.0, 3], 0, "the dimension of plant 2 must be an integer, got 2.0"),
+        ([True, 2, 3], 0, "the dimension of plant 1 must be an integer, got True"),
+        ([2, 2, 3], -1, "seed must be a non-negative integer, got -1"),
+        ([2, 2, 3], 1.5, "seed must be an integer, got 1.5"),
+    ], ids=["dim-float", "dim-integral-float", "dim-bool", "seed-negative", "seed-float"])
+    def test_dims_and_seed_checked_before_any_draw(self, monkeypatch, dims, seed, message):
+        def no_draws(*args):
+            raise AssertionError("drew plants for dimensions or a seed that are refused")
+
+        monkeypatch.setattr(ncsched.instances, "_draw_plants", no_draws)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_instance(3, 1, 5, dims, seed=seed)
+
+    def test_numpy_integer_dims_and_seed_accepted(self):
+        want = generate_instance(3, 1, 5, [1, 2, 2], seed=3)
+        got = generate_instance(3, 1, 5, list(np.array([1, 2, 2])), seed=np.int64(3))
+        assert got.seed == 3 and got.provenance == want.provenance
+        for a, b in zip(got.instance.groups, want.instance.groups, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
     def test_dims_length_checked(self):
         with pytest.raises(ValueError):
             generate_instance(3, 1, 5, [1, 1], seed=0)

@@ -17,13 +17,13 @@ from ncsched import (
     WindowOverflowError,
     build_from_plan,
     exhaustive_lane_plan,
-    extract_schedule,
     find_block_plan,
     find_lane_plan,
     split_open_loop,
     verify_logic,
 )
 from ncsched.deadbeat import COND_WARN_LIMIT
+from ncsched.sim import slot_mask, slot_members
 
 from conftest import (
     companion_plant,
@@ -344,7 +344,7 @@ class TestPlanChecks:
     def test_block_offsets_are_the_running_sum(self):
         plan = BlockPlan(blocks=((0, 1), (2,), ()), block_lengths=(3, 2, 1))
         assert plan.offsets == (0, 3, 5)
-        assert plan.placements() == {0: (0, 3), 1: (0, 3), 2: (3, 2)}
+        assert windows_of(plan) == [(0, 0, 3), (1, 0, 3), (2, 3, 2)]
         assert BlockPlan(blocks=(), block_lengths=()).offsets == ()
 
     @pytest.mark.parametrize("make, message", [
@@ -368,7 +368,7 @@ class TestPlanChecks:
         plans = (LanePlan(lanes=((0, 1),), widths={0: np.int64(2), 1: 2}),
                  BlockPlan(blocks=((0,), (1,)), block_lengths=(np.int32(2), 2)))
         for plan in plans:
-            assert plan.placements() == {0: (0, 2), 1: (2, 2)}
+            assert windows_of(plan) == [(0, 0, 2), (1, 2, 2)]
             assert verify_logic(inst, build_from_plan(inst, plan)).verified
 
     def test_lane_report_dict_lists_lanes_and_widths_in_plant_order(self, demo_instance):
@@ -404,9 +404,7 @@ class TestPlanChecks:
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=6)
         plan = LanePlan(lanes=((0,), (1,), (2,)), widths={0: 2, 1: 4, 2: 6})
         logic = build_from_plan(inst, plan)
-        assert extract_schedule(logic).slots == tuple(
-            map(frozenset, ([], [0], [], [1], [], [2]))
-        )
+        assert slot_members(slot_mask(logic.u)) == [[], [0], [], [1], [], [2]]
         assert verify_logic(inst, logic).verified
 
     def test_window_not_longer_than_dimension_rejected(self, mixed_dims_instance):
@@ -424,7 +422,7 @@ class TestPlanChecks:
     def test_lane_plant_without_width_rejected(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         plan = LanePlan(lanes=((0, 1),), widths={0: 2})
-        for call in (lambda: build_from_plan(inst, plan), plan.placements, plan.lane_loads):
+        for call in (lambda: build_from_plan(inst, plan), lambda: plan.windows, plan.lane_loads):
             with pytest.raises(ValueError, match="plan gives plant 2 no width"):
                 call()
 
@@ -503,25 +501,29 @@ def reference_lane_plan(inst):
     return LanePlan(lanes=tuple(tuple(lane) for lane in lanes), widths=widths)
 
 
-def reference_placements(plan):
-    """``{plant: (offset, width)}`` window by window, as the plans listed them."""
+def windows_of(plan):
+    """A plan's ``windows`` arrays as (plant, offset, width) triples, in listing order."""
+    return list(zip(*(column.tolist() for column in plan.windows)))
+
+
+def reference_windows(plan):
+    """(plant, offset, width) window by window, as the plans listed them."""
     if isinstance(plan, BlockPlan):
-        windows = [(i, off, width) for blk, off, width
-                   in zip(plan.blocks, plan.offsets, plan.block_lengths) for i in blk]
-    else:
-        windows = []
-        for lane in plan.lanes:
-            off = 0
-            for i in lane:
-                windows.append((i, off, plan.widths[i]))
-                off += plan.widths[i]
-    return {i: (off, width) for i, off, width in windows}
+        return [(i, off, width) for blk, off, width
+                in zip(plan.blocks, plan.offsets, plan.block_lengths) for i in blk]
+    windows = []
+    for lane in plan.lanes:
+        off = 0
+        for i in lane:
+            windows.append((i, off, plan.widths[i]))
+            off += plan.widths[i]
+    return windows
 
 
-def reference_rows(inst, placements):
+def reference_rows(inst, windows):
     """Input rows window by window, in plant order, with each window's warning."""
     u = np.zeros((inst.n, inst.horizon))
-    for i, (off, width) in sorted(placements.items()):
+    for i, off, width in sorted(windows):
         p = inst.plants[i]
         cols = [p.b]
         for _ in range(p.d - 1):
@@ -582,7 +584,7 @@ class TestBatchedPlannerMatchesLoop:
             assert plan == want
             if plan is not None:
                 assert plan.to_report_dict() == want.to_report_dict()
-                assert plan.placements() == reference_placements(want)
+                assert windows_of(plan) == reference_windows(want)
             outcomes.add((plan is None, capacity == inst.n - 1))
         assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
         assert plan is not None and len(plan.lanes) == 400
@@ -594,14 +596,14 @@ class TestBatchedPlannerMatchesLoop:
             inst = random_instance(rng, n, max(1, n // 3), 60, max_d=4)
             lane = find_lane_plan(inst)
             assert np.array_equal(
-                build_from_plan(inst, lane).u, reference_rows(inst, reference_placements(lane))
+                build_from_plan(inst, lane).u, reference_rows(inst, reference_windows(lane))
             )
             block = find_block_plan(inst)
             if block is not None:
-                assert block.placements() == reference_placements(block)
+                assert windows_of(block) == reference_windows(block)
                 assert np.array_equal(
                     build_from_plan(inst, block).u,
-                    reference_rows(inst, reference_placements(block)),
+                    reference_rows(inst, reference_windows(block)),
                 )
 
     def test_warnings_come_out_in_plant_order(self):
@@ -617,7 +619,7 @@ class TestBatchedPlannerMatchesLoop:
         inst = NcsInstance(plants, xi, capacity=2, horizon=12)
         plan = find_lane_plan(inst)
         got, got_warnings = recorded(build_from_plan, inst, plan)
-        want, want_warnings = recorded(reference_rows, inst, plan.placements())
+        want, want_warnings = recorded(reference_rows, inst, windows_of(plan))
         assert np.array_equal(got.u, want)
         assert len(want_warnings) == 3
         assert got_warnings == want_warnings

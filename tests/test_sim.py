@@ -9,7 +9,6 @@ from ncsched import (
     NonFiniteError,
     PlantDynamics,
     build_from_plan,
-    extract_schedule,
     find_lane_plan,
     rollout,
     solve_instance,
@@ -17,8 +16,8 @@ from ncsched import (
     windowed_inputs,
 )
 from ncsched import core, sim
-from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step
-from ncsched.sim import steers_to_zero, terminal_residuals
+from ncsched.core import TERMINAL_RTOL, ZERO_RTOL, column_step, nonzero_entries
+from ncsched.sim import slot_mask, slot_members, steers_to_zero, terminal_residuals
 
 from conftest import (
     huge_initial_norm_instance,
@@ -30,16 +29,31 @@ from conftest import (
 )
 
 
-class TestExtractSchedule:
+def schedule_of(logic, zero_rtol=ZERO_RTOL):
+    """Per slot, the 0-based plants whose input the verifier keeps."""
+    return slot_members(slot_mask(logic.thresholded(zero_rtol).u))
+
+
+def replayed_states(inst, logic, zero_rtol=ZERO_RTOL):
+    """Each plant's (T+1) x d states under the thresholded logic, one
+    ``rollout_stack`` per dimension group, in plant order."""
+    u = logic.thresholded(zero_rtol).u
+    states = [None] * inst.n
+    for g in inst.groups:
+        rolled = sim.rollout_stack(g.A, g.b, g.xi, u[g.idx], zero_rtol)[0]
+        for i, x in zip(g.idx.tolist(), rolled):
+            states[i] = x
+    return states
+
+
+class TestScheduleOfALogic:
     def test_single_active_plant(self):
         logic = ControlLogic(np.array([[0.0, 0.0], [-4.0, 0.0]]))
-        sched = extract_schedule(logic)
-        assert sched.slots == (frozenset({1}), frozenset())
+        assert schedule_of(logic) == [[1], []]
 
     def test_all_zero_logic(self):
         logic = ControlLogic(np.zeros((3, 4)))
-        sched = extract_schedule(logic)
-        assert sched.slots == (frozenset(),) * 4
+        assert schedule_of(logic) == [[]] * 4
 
     def test_idempotent_after_thresholding(self):
         rng = np.random.default_rng(3)
@@ -49,7 +63,7 @@ class TestExtractSchedule:
         once = logic.thresholded()
         twice = once.thresholded()
         np.testing.assert_array_equal(once.u, twice.u)
-        assert extract_schedule(once).slots == extract_schedule(twice).slots
+        assert schedule_of(once) == schedule_of(twice)
 
 
 class TestSimulate:
@@ -61,7 +75,7 @@ class TestSimulate:
         logic = ControlLogic(np.array([[0.0, -4.0], [0.0, 0.0]]))
         result = verify_logic(inst, logic)
         np.testing.assert_allclose(
-            np.concatenate(result.trajectories[0]), [1.0, 2.0, 0.0]
+            np.concatenate(replayed_states(inst, result.control)[0]), [1.0, 2.0, 0.0]
         )
         assert result.terminal_residuals[0] == 0.0
         assert result.verified
@@ -74,13 +88,13 @@ class TestSimulate:
         xi = (np.array([1.0, 1.0]), np.array([1.0]))
         inst = NcsInstance(plants, xi, capacity=1, horizon=2)
         result = verify_logic(inst, ControlLogic(np.zeros((2, 2))))
-        np.testing.assert_array_equal(result.trajectories[0][-1], np.zeros(2))
+        np.testing.assert_array_equal(replayed_states(inst, result.control)[0][-1], np.zeros(2))
         assert result.verified
 
     def test_open_loop_growth_not_verified(self):
         inst = scalar_instance([2.0, 0.0], capacity=1, horizon=3)
         result = verify_logic(inst, ControlLogic(np.zeros((2, 3))))
-        assert result.trajectories[0][-1][0] == 8.0
+        assert replayed_states(inst, result.control)[0][-1][0] == 8.0
         assert not result.verified
         assert result.violations
 
@@ -108,8 +122,7 @@ class TestSimulate:
         u[0, 2] = 1e-14
         logic = ControlLogic(u)
         zeroed = logic.thresholded()
-        sched = extract_schedule(logic)
-        for t, slot in enumerate(sched.slots):
+        for t, slot in enumerate(schedule_of(logic)):
             for i in range(3):
                 if i not in slot:
                     assert zeroed.u[i, t] == 0.0
@@ -186,7 +199,7 @@ def mixed_instance(rng, n, horizon):
 def assert_matches_reference(inst, logic):
     result = verify_logic(inst, logic)
     trajectories, residuals, state_norms = reference_simulate(inst, logic)
-    for got, want in zip(result.trajectories, trajectories):
+    for got, want in zip(replayed_states(inst, logic), trajectories, strict=True):
         assert np.array_equal(got, want)
     assert np.array_equal(result.terminal_residuals, residuals)
     assert result.norms.tolist() == state_norms
@@ -209,7 +222,7 @@ class TestBatchedRolloutMatchesLoop:
         logic = build_from_plan(inst, find_lane_plan(inst))
         result = assert_matches_reference(inst, logic)
         assert result.verified
-        clamped = [traj for traj in result.trajectories if not traj[-1].any()]
+        clamped = [traj for traj in replayed_states(inst, logic) if not traj[-1].any()]
         assert len(clamped) == inst.n
 
     def test_single_plant_rollout_is_a_stack_of_one(self):
@@ -524,7 +537,7 @@ class TestThresholdOnce:
         for r in (ZERO_RTOL, 1e-6):
             z = noisy.thresholded(r)
             assert np.array_equal(z.thresholded(r).u, z.u)
-            assert np.array_equal(z.u, np.where(noisy.nonzero_mask(r), noisy.u, 0.0))
+            assert np.array_equal(z.u, np.where(nonzero_entries(noisy.u, r), noisy.u, 0.0))
             results = [
                 verify_logic(demo_instance, given, zero_rtol=r)
                 for given in (noisy, z, ControlLogic(z.u))
@@ -533,7 +546,8 @@ class TestThresholdOnce:
                 assert other.verified == results[0].verified
                 assert np.array_equal(other.norms, results[0].norms)
                 assert np.array_equal(other.terminal_residuals, results[0].terminal_residuals)
-            # each result carries the rows it judged and their schedule
+            # each result carries the rows it judged, whose nonzero pattern
+            # is the given logic's nonzero entries
             for result in results:
                 assert np.array_equal(result.control.u, z.u)
-                assert result.schedule == extract_schedule(noisy, r)
+                assert np.array_equal(result.control.u != 0, nonzero_entries(noisy.u, r))

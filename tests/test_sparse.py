@@ -18,7 +18,6 @@ from ncsched import (
     RipReport,
     SolverStallError,
     TooLargeError,
-    extract_schedule,
     generate_instance,
     l0_feasible_bruteforce,
     min_l1,
@@ -419,7 +418,7 @@ class TestBruteForce:
         logic = l0_feasible_bruteforce(inst)
         assert logic is not None
         # one slot per plant
-        assert (logic.nonzero_mask().sum(axis=1) == 1).all()
+        assert (nonzero_entries(logic.u).sum(axis=1) == 1).all()
         assert verify_logic(inst, logic).verified
 
     def test_enumeration_cap(self):
@@ -456,7 +455,7 @@ class TestBruteForce:
             assert (logic is not None) == feasible
             assert (expected is not None) == feasible
             if feasible:
-                assert extract_schedule(logic) == extract_schedule(expected)
+                assert np.array_equal(nonzero_entries(logic.u), nonzero_entries(expected.u))
                 assert verify_logic(inst, logic).verified
                 assert verify_logic(inst, expected).verified
 
