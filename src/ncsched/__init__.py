@@ -4,9 +4,8 @@ Given N single-input linear plants sharing a channel that serves at most M of
 them per step, the package constructs a per-step access schedule and the
 matching control inputs so that every plant's nonzero initial state reaches
 zero within a given horizon. Construction routes: sequential block/lane
-deadbeat plans, a per-plant minimum-l1 relaxation with exhaustive
-restricted-isometry certificates, and an exact brute-force search at desk
-scale; a simulator verifies every produced schedule.
+deadbeat plans, a per-plant minimum-l1 relaxation, and an exact brute-force
+search at desk scale; a simulator verifies every produced schedule.
 """
 
 from .core import (

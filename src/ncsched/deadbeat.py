@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     OpenLoopStates,
     PlantDynamics,
+    _as_int,
     checked_horizon,
     checked_state,
     open_loop_scan,
@@ -113,14 +114,16 @@ def windowed_inputs(
     with the state stepped by the open-loop scan of a stack of one), so the
     state is zero from ``offset + width`` through the horizon.
     A horizon that is not a positive integer is a ``ValueError``, as for an
-    instance. An unreachable plant raises ``NotReachableError``; the window is
-    checked as a plan's are (``deadbeat_rows``, the plant counting as plant 1):
+    instance, and so is an offset or width that is not an integer. An
+    unreachable plant raises ``NotReachableError``; the window is checked as
+    a plan's are (``deadbeat_rows``, the plant counting as plant 1):
     one not longer than d is a ``ValueError``, one outside [0, horizon) a
     ``WindowOverflowError``. An ill-conditioned Psi warns
     (``IllConditionedWarning``) but still returns the row.
     """
     xi = checked_state(p, xi)
     horizon = checked_horizon(horizon)
+    offset, width = _as_int("offset", offset), _as_int("width", width)
     g = stack_plants([0], [p], [xi])
     if not g.reachable[0]:
         raise NotReachableError()

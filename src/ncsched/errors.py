@@ -35,7 +35,7 @@ class HorizonTooShortError(NcsError):
 
 
 class TooLargeError(NcsError):
-    """A combinatorial routine was asked to exceed its enumeration cap."""
+    """A combinatorial routine was asked to enumerate more than its cap allows."""
 
 
 class SolverStallError(NcsError):

@@ -65,12 +65,12 @@ def generate_instance(
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
-    The sizes are checked as an instance checks them, and the dimensions and
-    the seed as integers, before anything is drawn. The instance is built
-    from the accepted stacks (``NcsInstance._from_groups``); its ``plants``
-    and ``xi`` views are made on first read.
+    The sizes are checked as an instance checks them, and the plant count,
+    the dimensions and the seed as integers, before anything is drawn. The
+    instance is built from the accepted stacks (``NcsInstance._from_groups``);
+    its ``plants`` and ``xi`` views are made on first read.
     """
-    if len(dims) != n:
+    if len(dims) != _as_int("n", n):
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
     capacity, horizon = _checked_sizes(capacity, horizon, n)
     if not (value_range > 0 and math.isfinite(2.0 * value_range)):

@@ -1,4 +1,4 @@
-"""Sparsity-constrained feasibility: brute-force search, l1 relaxation, RIP checks.
+"""Sparsity-constrained feasibility: brute-force search, l1 relaxation, isometry constants.
 
 The stacked feasibility problem asks for input rows that zero every plant's
 terminal state while at most M rows are nonzero in any column. Three routes
@@ -11,11 +11,8 @@ are exposed:
   as a split-variable LP;
 * ``solve_via_relaxation`` solves every plant's l1 program as one LP
   (``min_l1_stack``: the split systems are blocks of one block-diagonal
-  equality system), stacks the rows (the solve cascade's verifier alone
-  judges whether they reach zero with at most M inputs per slot) and
-  certifies each plant's solution as the sparsest possible whenever the
-  lifted matrix passes the restricted-isometry test at twice the observed
-  sparsity.
+  equality system) and stacks the rows; the solve cascade's verifier alone
+  judges whether they reach zero with at most M inputs per slot.
 
 Both instance routes read every plant's terminal system ``Phi u = -A^T xi``
 from its dimension group's stacks (``core.terminal_systems``), whose target is
@@ -40,6 +37,7 @@ from .core import (
     ControlLogic,
     NcsInstance,
     OpenLoopStates,
+    _as_int,
     check_tolerances,
     group_by_dim,
     nonzero_entries,
@@ -83,19 +81,12 @@ class RelaxationResult:
 
     logic: ControlLogic
     supports: dict[int, tuple[int, ...]]
-    rip_reports: dict[int, RipReport]
-    certification: dict[int, str]
     warnings: list[str] = field(default_factory=list)
 
     def to_report_dict(self) -> dict:
         return {
             "kind": "relaxation",
             "sparsity": [[i + 1, len(supp)] for i, supp in sorted(self.supports.items())],
-            "certification": [[i + 1, c] for i, c in sorted(self.certification.items())],
-            "rip": [
-                [i + 1, rep.order, rep.delta, rep.certified]
-                for i, rep in sorted(self.rip_reports.items())
-            ],
         }
 
 
@@ -157,14 +148,19 @@ def min_l1_stack(gammas, targets, zero_rtol: float = ZERO_RTOL) -> list[np.ndarr
     coordinates. No residual is judged here: the solve cascade's verifier is
     the only test of whether a row steers its plant to zero. When a system
     has several minimizers, the vertex HiGHS returns for it may depend on the
-    other systems in the stack. An inconsistent system, a projected target
-    entry of ``LP_INFINITE_BOUND`` or more (refused before the LP runs) or a
-    failed LP raises ``SolverStallError``.
+    other systems in the stack. A system whose matrix or target is not
+    finite is a ``ValueError`` naming it, raised before any SVD or LP. An
+    inconsistent system, a projected target entry of ``LP_INFINITE_BOUND`` or
+    more (refused before the LP runs) or a failed LP raises
+    ``SolverStallError``.
     """
     systems = [
         (np.asarray(g, dtype=float), np.asarray(t, dtype=float).reshape(-1))
         for g, t in zip(gammas, targets, strict=True)
     ]
+    for k, (g, t) in enumerate(systems):
+        if not (np.isfinite(g).all() and np.isfinite(t).all()):
+            raise ValueError(f"system {k + 1} of {len(systems)}: matrix or target is not finite")
     if not systems:
         return []
     projected = [_row_space_system(g, t) for g, t in systems]
@@ -210,8 +206,10 @@ def rip_delta(gamma: np.ndarray, order: int) -> RipReport:
     support count is capped at ``RIP_SUPPORT_CAP`` to keep it at desk scale.
     The sub-Gram matrices are stacked in chunks of supports, one batched
     eigenvalue call each. A support whose spectrum is not finite (overflowed
-    Gram entries) gives ``delta = inf``, never a certificate.
+    Gram entries) gives ``delta = inf``, never a certificate. An ``order``
+    that is not an integer is a ``ValueError``.
     """
+    order = _as_int("order", order)
     gamma = np.asarray(gamma, dtype=float)
     width = gamma.shape[1]
     if not 1 <= order <= width:
@@ -335,13 +333,12 @@ def solve_via_relaxation(
     *,
     states: dict[int, OpenLoopStates] | None = None,
 ) -> RelaxationResult:
-    """Stacked l1 route: one LP for every plant's l1 program, stacked rows,
-    RIP certificates.
+    """Stacked l1 route: one LP for every plant's l1 program, stacked rows.
 
     ``plants`` restricts the route to a subset (the solve cascade passes the
     plants whose zero rows the verifier rejects; the rest keep them); an index
-    that is not an integer in 0..N-1, or is listed twice, is a ``ValueError``
-    naming it. All
+    that is not an integer (``core._as_int``'s rule: no bool, no float), is
+    not in 0..N-1 or is listed twice is a ``ValueError`` naming it. All
     selected plants must be reachable (one stacked rank test; the
     ``NotReachableError`` lists every unreachable plant) with horizon greater
     than their dimension. Every plant's lifted matrix and target is read from
@@ -356,18 +353,13 @@ def solve_via_relaxation(
     ``verify_logic`` thresholds the rows at ``zero_rtol`` and judges both the
     terminal states and the channel rule (at most M nonzero inputs per slot).
 
-    Certification per plant with sparsity s and dimension d: "trivial" for
-    the all-zero row; "uncertified" when 2s > d, since any 2s columns of the
-    d-row lifted matrix are then dependent, so delta >= 1 and the test cannot
-    pass; otherwise the exhaustive restricted-isometry test at order 2s gives
-    "certified" or "uncertified", or "cap-exceeded" when it would enumerate
-    more than ``RIP_SUPPORT_CAP`` supports. Uniqueness of the l1 minimizer is
-    assumed, not checked; the result carries that warning. Where a plant's
-    minimizers tie, the vertex chosen for it may depend on the other plants
-    in the stack.
+    Uniqueness of the l1 minimizer is assumed, not checked; the result
+    carries that warning. Where a plant's minimizers tie, the vertex chosen
+    for it may depend on the other plants in the stack.
     """
-    subset = sorted(range(inst.n) if plants is None else plants)
-    outside = [i for i in subset if not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n]
+    listed = range(inst.n) if plants is None else [_as_int("plant index", i) for i in plants]
+    subset = sorted(listed)
+    outside = [i for i in subset if not 0 <= i < inst.n]
     if outside:
         raise ValueError(f"plant index {outside[0]} is not in 0..{inst.n - 1}")
     repeated = [i for i, j in zip(subset, subset[1:]) if i == j]
@@ -389,34 +381,11 @@ def solve_via_relaxation(
     rows = min_l1_stack(phis, [systems[i][1] for i in subset], zero_rtol=zero_rtol)
 
     u = np.zeros((inst.n, inst.horizon))
-    supports: dict[int, tuple[int, ...]] = {}
-    rip_reports: dict[int, RipReport] = {}
-    certification: dict[int, str] = {}
-    warnings_out = [
-        "l1 minimizer uniqueness is assumed for every plant, not certified"
-    ]
-    for i, phi, row in zip(subset, phis, rows):
-        u[i] = row
-        supports[i] = tuple(np.flatnonzero(nonzero_entries(row[None], zero_rtol)).tolist())
-        order = 2 * len(supports[i])
-        if order == 0:
-            certification[i] = "trivial"
-        elif order > phi.shape[0]:
-            certification[i] = "uncertified"
-        elif math.comb(inst.horizon, order) > RIP_SUPPORT_CAP:
-            certification[i] = "cap-exceeded"
-            warnings_out.append(
-                f"plant {i + 1}: isometry check at order {order} exceeds the "
-                "enumeration cap; l1 optimality uncertified"
-            )
-        else:
-            rip_reports[i] = rip_delta(phi, order)
-            certification[i] = "certified" if rip_reports[i].certified else "uncertified"
-
+    u[subset] = np.reshape(rows, (-1, inst.horizon))
+    masks = nonzero_entries(u[subset], zero_rtol)
+    supports = {i: tuple(np.flatnonzero(mask).tolist()) for i, mask in zip(subset, masks)}
     return RelaxationResult(
         logic=ControlLogic(u),
         supports=supports,
-        rip_reports=rip_reports,
-        certification=certification,
-        warnings=warnings_out,
+        warnings=["l1 minimizer uniqueness is assumed for every plant, not certified"],
     )

@@ -83,8 +83,9 @@ def huge_initial_norm_instance():
 def one_burst_instance():
     """A 2-d plant that one input at slot 0 zeroes, plus a scalar plant; M=1, T=3.
 
-    The 2-d plant's l1 row has sparsity s=1, so 2s = d and the relaxation
-    route runs its restricted-isometry check at order 2.
+    Each plant's l1 row has one nonzero: the 2-d plant's at slot 0, the
+    scalar plant's at slot 2, so the relaxation route's plan reports
+    sparsity 1 for both.
     """
     plants = (
         PlantDynamics([[2.0, 0.0], [0.0, 3.0]], [2.0, 3.0]),

@@ -34,6 +34,18 @@ class TestDeadbeatInputs:
         np.testing.assert_array_equal(windowed_inputs(p, [1.0], 0, 2, np.int64(4)),
                                       windowed_inputs(p, [1.0], 0, 2, 4))
 
+    @pytest.mark.parametrize("offset, width, message", [
+        (0.5, 3, "offset must be an integer, got 0.5"),
+        (0, 3.0, "width must be an integer, got 3.0"),
+        (0, True, "width must be an integer, got True"),
+    ])
+    def test_window_checked_for_integers(self, offset, width, message):
+        p = PlantDynamics([[2.0]], [1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            windowed_inputs(p, [1.0], offset, width, 5)
+        np.testing.assert_array_equal(windowed_inputs(p, [1.0], np.int64(1), np.int32(3), 5),
+                                      windowed_inputs(p, [1.0], 1, 3, 5))
+
     def test_scalar_window(self):
         p = PlantDynamics([[2.0]], [1.0])
         np.testing.assert_allclose(windowed_inputs(p, [1.0], 0, 2, 2), [0.0, -4.0])

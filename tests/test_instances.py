@@ -119,20 +119,22 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_instance(4000, capacity, horizon, [2] * 2000 + [3] * 2000, seed=0)
 
-    @pytest.mark.parametrize("dims, seed, message", [
-        ([2, 2.5, 3], 0, "the dimension of plant 2 must be an integer, got 2.5"),
-        ([2, 2.0, 3], 0, "the dimension of plant 2 must be an integer, got 2.0"),
-        ([True, 2, 3], 0, "the dimension of plant 1 must be an integer, got True"),
-        ([2, 2, 3], -1, "seed must be a non-negative integer, got -1"),
-        ([2, 2, 3], 1.5, "seed must be an integer, got 1.5"),
-    ], ids=["dim-float", "dim-integral-float", "dim-bool", "seed-negative", "seed-float"])
-    def test_dims_and_seed_checked_before_any_draw(self, monkeypatch, dims, seed, message):
+    @pytest.mark.parametrize("n, dims, seed, message", [
+        (3, [2, 2.5, 3], 0, "the dimension of plant 2 must be an integer, got 2.5"),
+        (3, [2, 2.0, 3], 0, "the dimension of plant 2 must be an integer, got 2.0"),
+        (3, [True, 2, 3], 0, "the dimension of plant 1 must be an integer, got True"),
+        (3, [2, 2, 3], -1, "seed must be a non-negative integer, got -1"),
+        (3, [2, 2, 3], 1.5, "seed must be an integer, got 1.5"),
+        (3.0, [1, 2, 2], 1, "n must be an integer, got 3.0"),
+    ], ids=["dim-float", "dim-integral-float", "dim-bool", "seed-negative", "seed-float",
+            "n-float"])
+    def test_dims_and_seed_checked_before_any_draw(self, monkeypatch, n, dims, seed, message):
         def no_draws(*args):
             raise AssertionError("drew plants for dimensions or a seed that are refused")
 
         monkeypatch.setattr(ncsched.instances, "_draw_plants", no_draws)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            generate_instance(3, 1, 5, dims, seed=seed)
+            generate_instance(n, 1, 5, dims, seed=seed)
 
     def test_numpy_integer_dims_and_seed_accepted(self):
         want = generate_instance(3, 1, 5, [1, 2, 2], seed=3)
@@ -418,11 +420,13 @@ class TestDumpJson:
         rewrite(tmp_path, write_report, read_report, solve_instance(demo_instance, method=method))
 
     def test_relaxation_report(self, tmp_path):
-        # rip rows mix ints, a float and a bool: [plant, order, delta, certified]
+        # one input per plant: the 2-d plant's at slot 0, the scalar plant's at slot 2
         rep = solve_instance(one_burst_instance(), method="relax")
-        assert any(isinstance(row[3], bool) for row in report_to_dict(rep)["plan"]["rip"])
+        assert rep.schedule == [[1], [], [2]]
+        plan = {"kind": "relaxation", "sparsity": [[1, 1], [2, 1]], "open_loop": []}
+        assert report_to_dict(rep)["plan"] == plan
         text = rewrite(tmp_path, write_report, read_report, rep)
-        assert json.loads(text)["plan"] == report_to_dict(rep)["plan"]
+        assert json.loads(text)["plan"] == plan
 
     def test_bruteforce_report(self, tmp_path):
         rep = solve_instance(scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=3))

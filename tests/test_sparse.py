@@ -31,7 +31,7 @@ from ncsched.core import group_by_dim, lifted_matrices, nonzero_entries
 from ncsched.sparse import _mask_table, min_l1_stack
 from ncsched.sim import steers_to_zero
 
-from conftest import one_burst_instance, scalar_instance, step_left_to_right
+from conftest import scalar_instance, step_left_to_right
 
 
 def per_plant_systems(inst, plants=None):
@@ -325,6 +325,26 @@ class TestMinL1Stack:
         assert ncsched.sparse.min_l1_stack([], []) == []
         assert calls == []
 
+    @pytest.mark.parametrize("gammas, targets, label", [
+        ([np.array([[np.nan, 1.0]])], [[1.0]], "system 1 of 1"),
+        ([np.eye(2)], [[np.inf, 1.0]], "system 1 of 1"),
+        ([np.eye(2), np.array([[1.0, -np.inf]])], [[1.0, 1.0], [1.0]], "system 2 of 2"),
+        ([np.eye(1), np.eye(1), np.eye(1)], [[1.0], [np.nan], [-np.inf]], "system 2 of 3"),
+    ], ids=["nan-matrix", "inf-target", "second-matrix", "first-of-two-bad-targets"])
+    def test_non_finite_system_refused_before_any_svd(self, monkeypatch, gammas, targets, label):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("decomposed a system that is refused")
+
+        calls = count_linprog(monkeypatch)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        message = f"^{label}: matrix or target is not finite$"
+        with pytest.raises(ValueError, match=message):
+            min_l1_stack(gammas, targets)
+        if len(gammas) == 1:
+            with pytest.raises(ValueError, match=message):
+                min_l1(gammas[0], np.asarray(targets[0]))
+        assert calls == []
+
 
 class TestL1MinInputs:
     """One plant's minimum-l1 row, through the relaxation route on a subset."""
@@ -337,7 +357,7 @@ class TestL1MinInputs:
         # A = 0: the terminal target -A^T xi is zero, so the row is zero
         res = solve_via_relaxation(scalar_instance([0.0, 2.0], capacity=1, horizon=3), plants=[0])
         np.testing.assert_allclose(res.logic.u, np.zeros((2, 3)), atol=1e-12)
-        assert res.certification == {0: "trivial"}
+        assert res.supports == {0: ()}
 
     def test_horizon_at_dimension_rejected(self):
         # the short plant is the second one, in the second dimension group
@@ -375,6 +395,10 @@ class TestRipDelta:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rip_delta(np.eye(3), 4)
+        for order in (True, 2.0):
+            with pytest.raises(ValueError, match=f"^order must be an integer, got {order}$"):
+                rip_delta(np.eye(3), order)
+        assert rip_delta(np.eye(3), np.int64(2)) == rip_delta(np.eye(3), 2)
 
     @pytest.mark.parametrize("chunk_entries", [1 << 20, 12])
     def test_matches_per_support_loop(self, chunk_entries, monkeypatch):
@@ -654,10 +678,12 @@ class TestSolveViaRelaxation:
         ([5], "plant index 5 is not in 0..2"),
         ([-1], "plant index -1 is not in 0..2"),
         ([2, 0, -1, 3], "plant index -1 is not in 0..2"),
-        ([1.0], "plant index 1.0 is not in 0..2"),
+        ([1.0], "plant index must be an integer, got 1.0"),
         (np.array([0, 1, 1]), "plant index 1 is listed twice"),
         ([0, 0], "plant index 0 is listed twice"),
         ([2, 1, 2], "plant index 2 is listed twice"),
+        ([True], "plant index must be an integer, got True"),
+        ([0.0], "plant index must be an integer, got 0.0"),
     ])
     def test_plants_it_cannot_serve_are_named(self, plants, message, monkeypatch):
         # checked before any reachability test, scan or LP
@@ -724,36 +750,3 @@ class TestSolveViaRelaxation:
         assert "groups" not in report.plan
         assert solve_instance(inst).method == "relaxation"
         assert solve_instance(inst, method="brute").schedule == [[1, 2], [1, 3], [2, 3]]
-
-    def test_rank_rule_skips_isometry_enumeration(self, monkeypatch):
-        # scalar plants with one burst: 2s = 2 > d = 1, so delta >= 1 for sure
-        def refuse(*args, **kwargs):
-            raise AssertionError("rip_delta called at an order above the rank")
-
-        monkeypatch.setattr(ncsched.sparse, "rip_delta", refuse)
-        res = solve_via_relaxation(scalar_instance([2.0, 0.5], capacity=1, horizon=3))
-        assert res.certification == {0: "uncertified", 1: "uncertified"}
-        assert res.rip_reports == {}
-        assert not any("enumeration cap" in w for w in res.warnings)
-
-    def test_isometry_enumerated_when_order_fits_dimension(self):
-        res = solve_via_relaxation(one_burst_instance())
-        assert res.supports == {0: (0,), 1: (2,)}
-        assert set(res.rip_reports) == {0}
-        rep = res.rip_reports[0]
-        assert rep.order == 2
-        assert res.certification[0] == ("certified" if rep.certified else "uncertified")
-        plan = res.to_report_dict()
-        assert plan["rip"] == [[1, 2, rep.delta, rep.certified]]
-        assert plan["sparsity"] == [[1, 1], [2, 1]]
-
-    def test_isometry_check_over_the_cap_is_not_run(self, monkeypatch):
-        # C(3, 2) = 3 supports at order 2, one more than the cap
-        monkeypatch.setattr(ncsched.sparse, "RIP_SUPPORT_CAP", 2)
-        res = solve_via_relaxation(one_burst_instance())
-        assert res.certification == {0: "cap-exceeded", 1: "uncertified"}
-        assert res.rip_reports == {}
-        assert res.warnings[1:] == [
-            "plant 1: isometry check at order 2 exceeds the enumeration cap; "
-            "l1 optimality uncertified"
-        ]
