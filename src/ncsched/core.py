@@ -35,6 +35,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,14 +51,14 @@ TERMINAL_RTOL = 1e-6
 SCAN_CHECK = 8
 
 
-def check_tolerances(zero_rtol: float, terminal_rtol: float) -> None:
-    """Raise ``ValueError`` unless both tolerances lie strictly between 0 and 1.
+def check_tolerances(zero_rtol: float, terminal_rtol: float = TERMINAL_RTOL) -> None:
+    """Raise ``ValueError`` unless both tolerances are real numbers in (0, 1).
 
     Outside that range the zero tests turn vacuous: at 1 or above (or NaN) a
     state that never moved counts as steered to zero.
     """
     for name, value in (("zero_rtol", zero_rtol), ("terminal_rtol", terminal_rtol)):
-        if not 0 < value < 1:
+        if not isinstance(value, numbers.Real) or not 0 < value < 1:
             raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
@@ -521,7 +522,8 @@ def open_loop_hit_time(
     """``open_loop_scan`` of one plant: the step at which its uncontrolled
     state counts as zero, or None when the verifier would reject its zero row.
     A horizon that is not a positive integer is a ``ValueError``, as for an
-    instance."""
+    instance, as is a tolerance ``check_tolerances`` refuses."""
+    check_tolerances(zero_rtol, terminal_rtol)
     xi = checked_state(p, xi)
     horizon = checked_horizon(horizon)
     tau = int(open_loop_scan(p.A[None], xi[None], horizon, zero_rtol, terminal_rtol)[0][0])

@@ -38,6 +38,7 @@ from .core import (
     NcsInstance,
     OpenLoopStates,
     _as_int,
+    check_tolerances,
     group_by_dim,
     open_loop_scan,
 )
@@ -48,9 +49,19 @@ EXHAUSTIVE_LIMIT = 10
 
 
 def _listed(groups) -> tuple[np.ndarray, list[int]]:
-    """The plants of a sequence of groups, concatenated, and each group's size."""
+    """The plants of ``groups`` concatenated (integers by ``_as_int``) and each group's size."""
     sizes = [len(group) for group in groups]
-    return np.fromiter(chain.from_iterable(groups), dtype=int, count=sum(sizes)), sizes
+    plants = list(chain.from_iterable(groups))
+    if not set(map(type, plants)) <= {int}:
+        plants = [_as_int("a listed plant", i) for i in plants]
+    return np.fromiter(plants, dtype=int, count=sum(sizes)), sizes
+
+
+def _one_based(plant: np.ndarray, groups) -> list[list[int]]:
+    """``plant``, the plants of ``groups`` in listing order, 1-based and split into the groups."""
+    listed = (plant + 1).tolist()
+    ends = list(accumulate(map(len, groups)))
+    return [listed[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _first_repeat(plant: np.ndarray) -> int:
@@ -90,9 +101,9 @@ class BlockPlan:
     @cached_property
     def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: every member's window
-        spans its segment. Raises for the first plant listed twice among the
-        blocks that have a length, then for a block count that differs from
-        the length count."""
+        spans its segment. Raises for the first plant that is not an integer or
+        is listed twice among the blocks that have a length, then for a block
+        count that differs from the length count."""
         plant, sizes = _listed(self.blocks[: len(self.block_lengths)])
         _check_placed_once(plant, _first_repeat(plant))
         if len(self.blocks) != len(self.block_lengths):
@@ -106,9 +117,10 @@ class BlockPlan:
         return plant, offset, width
 
     def to_report_dict(self) -> dict:
+        """1-based blocks read off ``windows`` (so a malformed plan raises), lengths, offsets."""
         return {
             "kind": "block",
-            "blocks": [[i + 1 for i in blk] for blk in self.blocks],
+            "blocks": _one_based(self.windows[0], self.blocks),
             "lengths": list(self.block_lengths),
             "offsets": list(self.offsets),
         }
@@ -138,11 +150,15 @@ class LanePlan:
     def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: each lane's windows run
         back to back from 0. Raises for the first plant, in listing order, that
-        has no width or is listed twice."""
+        is not an integer, has no width or is listed twice, then for the first
+        plant given a width that no lane lists."""
         plant, sizes = _listed(self.lanes)
         repeat = _first_repeat(plant)
         width = np.array(self._widths_of(plant[:repeat].tolist()), dtype=int)
         _check_placed_once(plant, repeat)
+        if len(self.widths) > plant.size:  # the listed plants are distinct, all with widths
+            extra = min(self.widths.keys() - set(plant.tolist()))
+            raise ValueError(f"plan gives plant {extra + 1} a width but no lane lists it")
         # a window starts where the ones before it end, less its lane's start
         before = np.concatenate(([0], np.cumsum(width)))
         lane_start = before[list(accumulate(sizes, initial=0))[:-1]]
@@ -151,12 +167,10 @@ class LanePlan:
     def to_report_dict(self) -> dict:
         """1-based lanes, read off the window arrays (so a malformed plan raises as
         ``windows`` does), and [plant, width] pairs in plant order."""
-        listed, widths = (self.windows[0] + 1).tolist(), self.widths
-        ends = list(accumulate(map(len, self.lanes)))
         return {
             "kind": "lane",
-            "lanes": [listed[start:end] for start, end in zip([0, *ends], ends)],
-            "widths": [[i + 1, widths[i]] for i in sorted(widths)],
+            "lanes": _one_based(self.windows[0], self.lanes),
+            "widths": [[i + 1, self.widths[i]] for i in sorted(self.widths)],
         }
 
 
@@ -167,7 +181,8 @@ def split_open_loop(
     the rest, and give each dimension group's scanned states, keyed by dimension:
     the one scan of a solve, from which ``_assemble`` builds the bursts and the
     relaxation and brute force read their targets (``terminal_systems``). The
-    states do not depend on the tolerances."""
+    states do not depend on the tolerances, which ``check_tolerances`` checks."""
+    check_tolerances(zero_rtol, terminal_rtol)
     taus = np.zeros(inst.n, dtype=int)
     states = {}
     for g in group_by_dim(inst):

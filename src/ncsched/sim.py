@@ -13,14 +13,14 @@ schedule and so that a steered state stays at rest:
   open-loop steps, reporting failure for runs whose exact-arithmetic
   counterparts are identically zero.
 
-The recursion steps only the plants that still move. A plant retires at the
-first step whose state is clamped while its input row has no nonzero entry
-left. Retiring is exact, bit for bit: from then on the full recursion would
-compute ``A @ 0 + b * 0``, a vector of signed zeros whose norm, 0, is below
-any threshold (the running sup-norm is at least 1, or infinite), so every
-later state is clamped to +0.0 again and every later norm is written as +0.0,
-which is what the buffers hold from the start. A plant whose sup-norm is NaN
-never clamps, so it never retires.
+The recursion steps every plant of a stack at every step, and stops after
+the first step that is at or past the stack's last nonzero input and at which
+every state is clamped. Stopping is exact, bit for bit: from then on the full
+recursion would compute ``A @ 0 + b * 0``, a vector of signed zeros whose
+norm, 0, is below any threshold (the running sup-norm is at least 1, or
+infinite), so every later state is clamped to +0.0 again and every later norm
+is written as +0.0, which is what the buffers hold from the start. A plant
+whose sup-norm is NaN never clamps, so its stack is stepped to the horizon.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ from .core import (
     sum_squares,
 )
 from .errors import NonFiniteError
-
-# rollout_stack drops the retired plants from the stepped stack once they
-# make up this share of it and number at least COMPACT_MIN: stepping a few
-# plants more costs less than copying the stack
-COMPACT_SHARE = 0.125
-COMPACT_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -102,70 +96,51 @@ def rollout_stack(
     the n x (T+1) x d states (None unless ``keep_states``), their n x (T+1)
     2-norms, and per plant the first step whose state leaves the float range
     (-1 when none; step 0 counts, and later states of such a plant are
-    meaningless). Each step is one ``column_step`` over the stepped plants'
-    columns of ``A`` and ``b``, held d-major; norms are ``sqrt(sum_squares(x))``
-    in that layout, retaken by ``column_norms`` where that overflows. States
-    are clamped to exact zero once below the running-sup zero threshold (see
-    module docstring); initial states never are. The states and norms are
-    transposed views of time-major buffers, (T+1) x d x n and (T+1) x n, so
-    neither is C-contiguous.
-
-    Only the plants that still move are stepped (see module docstring): the
-    retired ones drop out of the column stack once they make up
-    ``COMPACT_SHARE`` of it (and number ``COMPACT_MIN``), and the loop ends
-    when every stepped plant has retired.
+    meaningless). Each step is one ``column_step`` over every plant's columns
+    of ``A`` and ``b``, held d-major; norms are ``sqrt(sum_squares(x))`` in
+    that layout, retaken by ``column_norms`` where that overflows. States are
+    clamped to exact zero once below the running-sup zero threshold (see
+    module docstring); initial states never are. The loop stops once every
+    state is clamped with no input left in any row (see module docstring).
+    The states and norms are transposed views of time-major buffers,
+    (T+1) x d x n and (T+1) x n, so neither is C-contiguous.
     """
     n, horizon = u.shape
     d = A.shape[-1]
     states = np.zeros((horizon + 1, d, n)) if keep_states else None
     norms = np.zeros((horizon + 1, n))
     overflow = np.full(n, -1)
-    # the last step with a nonzero input, -1 for a row without one
-    last = ((u != 0) * np.arange(1, horizon + 1)).max(axis=1, initial=0) - 1
-    # the inputs time-major, so that compaction leaves them alone: each step
-    # reads its column at the stepped plants' rows
-    inputs = u.T
+    # the last slot with a nonzero input in any row, -1 when there is none
+    last = np.flatnonzero(u.any(axis=0)).max(initial=-1)
     cols = column_stack(A, b)
     work = np.empty(cols.shape)
-    # the stepped plants' states, then their inputs: one column per plant
+    # the plants' states, then their inputs: one column per plant
     v = np.empty((d + 1, n))
     x = v[:d]
     x[...] = xi.T
     if keep_states:
         states[0] = x
-    rows = slice(None)  # the buffer columns of the stepped plants: all until the first compaction
     with np.errstate(over="ignore", invalid="ignore"):
         norms[0] = column_norms(x)
         overflow[~np.isfinite(norms[0])] = 0
-        live, sup = np.arange(n), np.maximum(1.0, norms[0])
+        sup = np.maximum(1.0, norms[0])
         for t in range(horizon):
-            v[d] = inputs[t, rows]
+            v[d] = u[:, t]
             column_step(cols, v, work, out=x)
-            norm = np.sqrt(sum_squares(x))
+            norm = np.sqrt(sum_squares(x), out=norms[t + 1])
             # norms are nonnegative, so their sum is finite only if each one is
             if not math.isfinite(norm.sum()):
                 big = ~np.isfinite(norm)
                 norm[big] = column_norms(x[:, big])
-                first = ~np.isfinite(norm) & (overflow[live] < 0)
-                overflow[live[first]] = t + 1
+                overflow[~np.isfinite(norm) & (overflow < 0)] = t + 1
             sup = np.maximum(sup, norm)
             clamp = norm <= zero_rtol * sup
             x[:, clamp] = 0.0
             norm[clamp] = 0.0
             if keep_states:
-                states[t + 1][:, rows] = x
-            norms[t + 1, rows] = norm
-            # a retired plant's zero state clamps again at every later step
-            retired = clamp & (last <= t)
-            retiring = np.count_nonzero(retired)
-            if retiring == live.size:
+                states[t + 1] = x
+            if t >= last and clamp.all():
                 break
-            if retiring >= max(COMPACT_MIN, COMPACT_SHARE * live.size):
-                keep = ~retired
-                live, sup, last = (a[keep] for a in (live, sup, last))
-                cols, v = cols[:, :, keep], v[:, keep]
-                work, x = np.empty(cols.shape), v[:d]
-                rows = live
     return (states.transpose(2, 0, 1) if keep_states else None), norms.T, overflow
 
 
@@ -178,11 +153,15 @@ def rollout(
     """Forward recursion of one plant; returns the (T+1) x d state array.
 
     Raises ``NonFiniteError`` when the state overflows, and ``ValueError`` for
-    an initial state without d entries.
+    an initial state without d entries, an input row that is not 1-D or not
+    finite (as ``ControlLogic`` checks), or a refused ``zero_rtol``.
     """
+    check_tolerances(zero_rtol)
     xi = checked_state(p, xi)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    states, _, overflow = rollout_stack(p.A[None], p.b[None], xi[None], u[None], zero_rtol)
+    if np.ndim(u) != 1:
+        raise ValueError(f"input row must be one-dimensional, got shape {np.shape(u)}")
+    u = ControlLogic([u]).u
+    states, _, overflow = rollout_stack(p.A[None], p.b[None], xi[None], u, zero_rtol)
     if overflow[0] >= 0:
         raise NonFiniteError(f"state overflowed at step {overflow[0]}")
     return states[0]
@@ -218,9 +197,12 @@ def verify_logic(
     ``terminal_rtol`` and no slot is over capacity. This flag is the single
     source of truth used by the solve pipeline and the acceptance tests. The
     result carries the thresholded logic it judged, which is what a solve
-    reports. Both tolerances must lie strictly between 0 and 1.
+    reports. ``logic`` must be a ``ControlLogic``, and both tolerances must
+    lie strictly between 0 and 1.
     """
     check_tolerances(zero_rtol, terminal_rtol)
+    if not isinstance(logic, ControlLogic):
+        raise ValueError(f"logic must be a ControlLogic, got {type(logic).__name__}")
     if logic.u.shape != (inst.n, inst.horizon):
         raise ValueError(
             f"control logic shape {logic.u.shape} does not match instance "

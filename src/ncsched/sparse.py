@@ -347,7 +347,7 @@ def solve_via_relaxation(
     overflow, an unreachable plant or a short horizon fails the route before
     the LP runs. The targets are read off ``states`` (``split_open_loop``), or
     off the route's own scan, run after those refusals, when it is None.
-    ``zero_rtol`` picks both the LP polish support and the reported supports.
+    ``zero_rtol`` (``check_tolerances``) picks the polish and reported supports.
     The rows are returned as the LP and its polish left them, with nothing
     judged: the solve cascade verifies every route's output, and
     ``verify_logic`` thresholds the rows at ``zero_rtol`` and judges both the
@@ -357,6 +357,7 @@ def solve_via_relaxation(
     carries that warning. Where a plant's minimizers tie, the vertex chosen
     for it may depend on the other plants in the stack.
     """
+    check_tolerances(zero_rtol)
     listed = range(inst.n) if plants is None else [_as_int("plant index", i) for i in plants]
     subset = sorted(listed)
     outside = [i for i in subset if not 0 <= i < inst.n]

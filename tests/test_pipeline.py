@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,10 @@ from ncsched import (
     find_lane_plan,
     generate_instance,
     l0_feasible_bruteforce,
+    rollout,
     solve_instance,
     solve_via_relaxation,
+    split_open_loop,
     verify_logic,
 )
 from ncsched.instances import dump_json
@@ -377,6 +381,45 @@ class TestSolveCascade:
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=3)
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             solve_instance(inst, **tolerances)
+
+
+def tolerance_entry_points() -> dict:
+    """Each entry point that takes tolerances: a call taking them as keywords,
+    and their names."""
+    inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)
+    p, xi = inst.plants[0], inst.xi[0]
+    both, zero = ("zero_rtol", "terminal_rtol"), ControlLogic(np.zeros((3, 6)))
+    return {
+        "solve_instance": (lambda **tol: solve_instance(inst, **tol), both),
+        "verify_logic": (lambda **tol: verify_logic(inst, zero, **tol), both),
+        "l0_feasible_bruteforce": (lambda **tol: l0_feasible_bruteforce(inst, **tol), both),
+        "split_open_loop": (lambda **tol: split_open_loop(inst, **tol), both),
+        "open_loop_hit_time": (
+            lambda **tol: ncsched.core.open_loop_hit_time(p, xi, 6, **tol), both
+        ),
+        "rollout": (lambda **tol: rollout(p, xi, np.zeros(6), **tol), ("zero_rtol",)),
+        "solve_via_relaxation": (
+            lambda **tol: solve_via_relaxation(inst, **tol), ("zero_rtol",)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [
+        pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+        for entry, (_, names) in tolerance_entry_points().items()
+        for name in names
+        for value in ("1e-9", None, 1e-9j, 2.0, float("nan"))
+    ],
+)
+def test_every_entry_point_checks_its_tolerances(entry, name, value):
+    # a string, None or a complex number leaked TypeError from the range test;
+    # at 2.0 the zero tests turn vacuous and every plant "steers to zero"
+    call, _ = tolerance_entry_points()[entry]
+    message = f"^{name} must lie strictly between 0 and 1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(**{name: value})
 
 
 class TestReportListsOnFirstRead:

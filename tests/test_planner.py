@@ -371,6 +371,40 @@ class TestPlanChecks:
             assert windows_of(plan) == [(0, 0, 2), (1, 2, 2)]
             assert verify_logic(inst, build_from_plan(inst, plan)).verified
 
+    @pytest.mark.parametrize("make, bad", [
+        # an int cast would place plant 2 where the plan lists 1.7 or True
+        (lambda w: LanePlan(lanes=((0, 1.7), (2,)), widths=w), "1.7"),
+        (lambda w: LanePlan(lanes=((0, True), (2,)), widths=w), "True"),
+        (lambda w: LanePlan(lanes=((0, 1), (np.float64(2.0),)), widths=w), "np.float64(2.0)"),
+        (lambda w: BlockPlan(blocks=((0, 1.0), (2,)), block_lengths=(2, 2)), "1.0"),
+        (lambda w: BlockPlan(blocks=((False, 1), (2,)), block_lengths=(2, 2)), "False"),
+    ], ids=["lane-float", "lane-bool", "lane-numpy-float", "block-float", "block-bool"])
+    def test_non_integer_plants_rejected(self, make, bad):
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)
+        plan = make({0: 2, 1: 2, 2: 2})
+        message = f"^a listed plant must be an integer, got {re.escape(bad)}$"
+        for call in (lambda: build_from_plan(inst, plan), plan.to_report_dict):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_numpy_integer_plants_accepted(self):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
+        plans = (LanePlan(lanes=((np.int64(0), 1),), widths={0: 2, 1: 2}),
+                 BlockPlan(blocks=((0,), (np.int32(1),)), block_lengths=(2, 2)))
+        for plan in plans:
+            assert windows_of(plan) == [(0, 0, 2), (1, 2, 2)]
+            assert verify_logic(inst, build_from_plan(inst, plan)).verified
+        assert json.dumps(plans[0].to_report_dict()["lanes"]) == "[[1, 2]]"
+        assert json.dumps(plans[1].to_report_dict()["blocks"]) == "[[1], [2]]"
+
+    def test_width_of_a_plant_no_lane_lists_rejected(self):
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)
+        plan = LanePlan(lanes=((0, 1), (2,)), widths={0: 2, 1: 2, 2: 2, 9: 5})
+        message = "^plan gives plant 10 a width but no lane lists it$"
+        for call in (lambda: build_from_plan(inst, plan), plan.to_report_dict):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_lane_report_dict_lists_lanes_and_widths_in_plant_order(self, demo_instance):
         # the report lists 1-based lanes, sliced off the window arrays, and
         # [plant, width] pairs in plant order, whatever the widths' key order
@@ -380,9 +414,10 @@ class TestPlanChecks:
 
         found = find_lane_plan(demo_instance)
         shuffled = LanePlan(found.lanes, dict(reversed(list(found.widths.items()))))
-        extra = LanePlan(((2,), (0,)), {5: 3, 2: 2, 0: 4})  # a width no lane uses
-        for plan in (found, shuffled, extra):
+        for plan in (found, shuffled):
             assert json.dumps(plan.to_report_dict()) == json.dumps(reference(plan))
+        with pytest.raises(ValueError, match="gives plant 6 a width but no lane lists it"):
+            LanePlan(((2,), (0,)), {5: 3, 2: 2, 0: 4}).to_report_dict()
         with pytest.raises(ValueError, match="places plant 2 twice"):
             LanePlan(lanes=((0, 1), (1,)), widths={0: 2, 1: 2}).to_report_dict()
 

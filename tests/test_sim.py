@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -132,6 +133,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             verify_logic(inst, ControlLogic(np.zeros((2, 3))))
 
+    @pytest.mark.parametrize("logic", [np.zeros((2, 4)), [[0.0] * 4] * 2, None],
+                             ids=["array", "list", "none"])
+    def test_logic_that_is_not_a_control_logic_rejected(self, logic):
+        inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
+        message = f"^logic must be a ControlLogic, got {type(logic).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            verify_logic(inst, logic)
+
     @pytest.mark.parametrize(
         "tolerances",
         [{"terminal_rtol": float("nan")}, {"terminal_rtol": 1.0}, {"zero_rtol": 1.0}],
@@ -240,6 +249,19 @@ class TestBatchedRolloutMatchesLoop:
         with pytest.raises(ValueError, match="^initial state has wrong length$"):
             rollout(p, xi, np.zeros(4))
 
+    @pytest.mark.parametrize("u, message", [
+        # flattened, a 2 x 6 row would roll out 12 steps
+        (np.zeros((2, 6)), "input row must be one-dimensional, got shape (2, 6)"),
+        (0.0, "input row must be one-dimensional, got shape ()"),
+        # a NaN input would read as an overflow at step 1
+        (np.full(6, np.nan), "control logic entries must be finite"),
+        ([0.0, np.inf, 0.0], "control logic entries must be finite"),
+    ], ids=["matrix", "scalar", "nan", "inf"])
+    def test_single_plant_rollout_checks_the_input_row(self, u, message):
+        p = PlantDynamics(np.diag([2.0, 3.0]), [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rollout(p, [1.0, 1.0], u)
+
     def test_overflow_reports_the_first_plant_in_index_order(self):
         # a state overflows once an entry passes the largest float: plant 2 at
         # step 4 (1e400), plant 3 at step 2, and plant 2 is reported
@@ -342,9 +364,9 @@ def stacked(plants, states):
 
 
 class TestLiveSetRolloutIsExact:
-    """Plants retire from the stepped stack once clamped with no input left;
-    every state, norm, residual, overflow step and zero's sign stays that of
-    the full recursion."""
+    """Every plant is stepped until each state is clamped with no input left in
+    any row; every state, norm, residual, overflow step and zero's sign stays
+    that of the full recursion, which steps to the horizon."""
 
     def test_row_steered_to_zero_then_driven_again_keeps_moving(self):
         rng = np.random.default_rng(11)
@@ -365,8 +387,8 @@ class TestLiveSetRolloutIsExact:
         u = np.array([windowed_inputs(p, x, k, 4, 30) for k, (p, x) in enumerate(zip(plants, xi))])
         steps = count_rollout_steps(monkeypatch)
         states, norms, _ = assert_stack_matches_reference(*stacked(plants, xi), u)
-        # the last window ends at step 9; every plant has retired after it, in
-        # the rollout that keeps states and in the verifier's
+        # the last window ends at step 9; the stack stops after it, in the
+        # rollout that keeps states and in the verifier's
         assert len(steps) == 2 * 9 and 9 < u.shape[1]
         assert not states[:, 9:].any() and not norms[:, 9:].any()
 
@@ -454,7 +476,7 @@ class TestLiveSetRolloutIsExact:
             b = rng.uniform(-1, 1, (n, d))
             xi = rng.uniform(-1, 1, (n, d))
             u = rng.uniform(-1, 1, (n, horizon)) * (rng.uniform(size=(n, horizon)) < 0.2)
-            u[: n // 2] = 0.0  # half the stack retires once clamped
+            u[: n // 2] = 0.0  # half the stack has no input at all
             assert_stack_matches_reference(A, b, xi, u)
             zero = np.zeros((n, horizon))
             got = open_loop_hit_times(A, xi, horizon)
@@ -508,11 +530,11 @@ def count_rollout_steps(monkeypatch) -> list[int]:
     return advanced
 
 
-def test_verification_steps_few_plants_after_their_windows(demo_instance, monkeypatch):
-    """A guard on the work, not the time: after its deadbeat window a plant
-    sits at exact zero, so verifying the demo's lane solve advances some, and
-    at most 0.45, of the N*T plant-steps that stepping every plant would take,
-    and none through core's stacked ``matvec``."""
+def test_verification_steps_each_group_to_its_last_input(demo_instance, monkeypatch):
+    """A guard on the work, not the time: verifying the demo's lane solve steps
+    each dimension group once per slot up to its last nonzero input, every call
+    advancing the whole group (every plant sits at exact zero after its
+    deadbeat window), and takes no product through core's stacked ``matvec``."""
     logic = ControlLogic(solve_instance(demo_instance, method="lane").control)
     advanced = count_rollout_steps(monkeypatch)
     products, matvec = [], core.matvec
@@ -524,8 +546,14 @@ def test_verification_steps_few_plants_after_their_windows(demo_instance, monkey
     monkeypatch.setattr(core, "matvec", counted)
     # and under the name sim would call it by, were it imported there
     monkeypatch.setattr(sim, "matvec", counted, raising=False)
-    assert verify_logic(demo_instance, logic).verified
-    assert 0 < sum(advanced) <= 0.45 * demo_instance.n * demo_instance.horizon
+    result = verify_logic(demo_instance, logic)
+    assert result.verified
+    groups = demo_instance.groups
+    # each group's calls: its last slot with a nonzero input, plus one
+    calls = [int(np.flatnonzero(result.control.u[g.idx].any(axis=0))[-1]) + 1 for g in groups]
+    assert calls == [15, 35]
+    assert advanced == [g.idx.size for g, k in zip(groups, calls) for _ in range(k)]
+    assert sum(advanced) == 2500
     assert not products
 
 
