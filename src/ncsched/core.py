@@ -12,9 +12,11 @@ Conventions used throughout the package:
   open-loop scan applies both tests, as the verifier does, and state norms
   span the float range (``column_norms``);
 * numerics run on plants of one dimension stacked into arrays
-  (``group_by_dim``), whose controllability matrices, rank test and condition
-  numbers are computed once, when the instance is built (a generated instance
-  takes its stacks, and those facts, from the generator's draws); the
+  (``group_by_dim``), whose controllability matrices and rank test are
+  computed once, when the instance is built (a generated instance takes its
+  stacks, and those facts, from the generator's draws): a determinant
+  certificate (``well_conditioned``) settles almost every matrix, and only
+  the rest go to an SVD (``rank_and_cond``); the
   relaxation and brute force read each group's terminal system
   (``terminal_systems``), and the single-plant scan, rollout and deadbeat
   window run as stacks of one, so both give the same bits;
@@ -49,6 +51,11 @@ TERMINAL_RTOL = 1e-6
 # running sup once per this many steps: a check takes several numpy calls, and
 # norms taken over the whole buffer after the last step measured slower
 SCAN_CHECK = 8
+# the determinant certificates (``well_conditioned``, ``instances._unstable``)
+# hold when a bound clears its threshold by this much times the bound's scale:
+# a million times the O(d eps) by which rounding, or LAPACK's backward error,
+# may move the bound
+CERTIFICATE_SLACK = 1e-8
 
 
 def check_tolerances(zero_rtol: float, terminal_rtol: float = TERMINAL_RTOL) -> None:
@@ -108,7 +115,9 @@ class PlantGroup(NamedTuple):
     Row k of ``A`` (n_d x d x d), ``b`` and ``xi`` (n_d x d) belongs to plant
     ``idx[k]``; the indices are 0-based and ascending. ``psi`` holds the
     controllability matrices [A^(d-1) b, ..., A b, b] (non-finite if they
-    overflow), ``reachable`` and ``cond`` their ``rank_and_cond``.
+    overflow), ``reachable`` and ``settled`` their ``reachability``: numpy's
+    full-rank verdict, and whether the determinant certificate gave it, which
+    puts numpy's condition number below 1 / ``CERTIFICATE_SLACK``.
     """
 
     idx: np.ndarray
@@ -117,7 +126,7 @@ class PlantGroup(NamedTuple):
     xi: np.ndarray
     psi: np.ndarray
     reachable: np.ndarray
-    cond: np.ndarray
+    settled: np.ndarray
 
 
 def stack_plants(idx, plants, xi) -> PlantGroup:
@@ -125,7 +134,7 @@ def stack_plants(idx, plants, xi) -> PlantGroup:
     A = np.array([plants[i].A for i in idx])
     b = np.array([plants[i].b for i in idx])
     psi = lifted_matrices(A, b, A.shape[-1])
-    stacked = (np.array(idx), A, b, np.array([xi[i] for i in idx]), psi, *rank_and_cond(psi))
+    stacked = (np.array(idx), A, b, np.array([xi[i] for i in idx]), psi, *reachability(psi))
     return PlantGroup(*map(_freeze, stacked))
 
 
@@ -351,8 +360,64 @@ def lifted_matrices(A: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
+def det(A: np.ndarray) -> np.ndarray:
+    """Determinants of the stacked square matrices ``A``: the cofactor
+    expansion for d <= 3, LAPACK's LU (``np.linalg.det``) above. Either is
+    within O(d eps) times the permanent of |A| of the exact value (LU's also
+    times its pivot growth, at most 2^(d-1))."""
+    d = A.shape[-1]
+    if d > 3:
+        return np.linalg.det(A)
+    a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i, j] holds entry (i, j) of every matrix
+    if d == 1:
+        return a[0, 0].copy()
+    if d == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return (
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+
+
+def well_conditioned(psi: np.ndarray) -> np.ndarray:
+    """Which stacked square matrices ``psi`` a determinant certifies: full rank
+    by numpy's test, with numpy's 2-norm condition number at most about
+    1 / ``CERTIFICATE_SLACK``.
+
+    The singular values satisfy sigma_min sigma_max^(d-1) >= |det psi| and
+    sigma_max <= ||psi||_F, so |det psi| > ``CERTIFICATE_SLACK`` ||psi||_F^d
+    puts sigma_min / sigma_max above the slack. Rounding moves the computed
+    determinant by O(d eps) times the permanent of |psi|, at most ||psi||_F^d,
+    and LAPACK's singular values are exact for some psi + E with ||E|| of
+    order eps ||psi|| (backward stability), so a certified matrix clears
+    numpy's rank cutoff of d eps sigma_max by far. The bound must be a finite
+    normal float: where ||psi||_F^d overflows, or underflows toward the
+    subnormals, whose rounding is absolute and can leave a determinant
+    nonzero by noise alone, nothing is certified; nor is a matrix holding NaN
+    or inf.
+    """
+    with np.errstate(all="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", psi, psi))
+        floor = CERTIFICATE_SLACK * norm ** psi.shape[-1]
+        size = np.abs(det(psi))
+    return (size > floor) & (floor >= np.finfo(float).tiny)
+
+
+def reachability(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked controllability matrix, numpy's full-rank verdict and
+    whether ``well_conditioned`` settled it; ``rank_and_cond`` decides the rest."""
+    settled = well_conditioned(psi)
+    reachable = settled.copy()
+    rest = ~settled
+    if rest.any():
+        reachable[rest] = rank_and_cond(psi[rest])[0]
+    return reachable, settled
+
+
 def rank_and_cond(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix full numerical rank and 2-norm condition number, one SVD.
+    """Per-matrix full numerical rank and 2-norm condition number, one SVD:
+    the exact fallback for the matrices ``well_conditioned`` leaves open.
 
     Rank counts singular values above d * eps * sigma_max, numpy's default
     scale-free cutoff; the bits are those of numpy's rank and ``cond``, which

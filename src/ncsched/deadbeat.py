@@ -25,6 +25,7 @@ from .core import (
     checked_horizon,
     checked_state,
     open_loop_scan,
+    rank_and_cond,
     stack_plants,
 )
 from .errors import IllConditionedWarning, NonFiniteError, NotReachableError, WindowOverflowError
@@ -76,14 +77,15 @@ def deadbeat_rows(groups, states, offset, width, horizon: int) -> np.ndarray:
     The lowest-index plant of ``groups`` with a bad window raises: a
     ``ValueError`` when the window is not longer than its dimension, else a
     ``WindowOverflowError`` when it leaves [0, horizon). Then every plant
-    whose Psi condition number (its group's ``cond``) exceeds
+    whose Psi condition number, as numpy computes it, exceeds
     ``COND_WARN_LIMIT`` warns (``IllConditionedWarning``), in plant order,
-    and the kernel builds the rows. The callers decide reachability.
+    and the kernel builds the rows. A settled plant's is below
+    1 / ``CERTIFICATE_SLACK``, under the limit, so only the others' are
+    computed (``rank_and_cond``). The callers decide reachability.
     """
     dims = np.zeros(offset.size, dtype=int)
-    cond = np.zeros(offset.size)
     for g in groups:
-        dims[g.idx], cond[g.idx] = g.A.shape[-1], g.cond
+        dims[g.idx] = g.A.shape[-1]
     short, outside = width <= dims, (offset < 0) | (offset + width > horizon)
     for i in np.flatnonzero((dims > 0) & (short | outside))[:1]:
         if short[i]:
@@ -93,6 +95,10 @@ def deadbeat_rows(groups, states, offset, width, horizon: int) -> np.ndarray:
         raise WindowOverflowError(
             f"window [{offset[i]}, {offset[i] + width[i]}) exceeds horizon {horizon}"
         )
+    cond = np.zeros(offset.size)
+    for g in groups:
+        if not g.settled.all():
+            cond[g.idx[~g.settled]] = rank_and_cond(g.psi[~g.settled])[1]
     for i in np.flatnonzero(cond > COND_WARN_LIMIT):
         warnings.warn(
             f"controllability matrix condition number {cond[i]:.2e} exceeds "

@@ -17,25 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    CERTIFICATE_SLACK,
     NcsInstance,
     PlantDynamics,
     PlantGroup,
     _as_int,
     _checked_sizes,
+    det,
     lifted_matrices,
-    rank_and_cond,
+    reachability,
 )
 from .errors import RejectionBudgetError, SchemaError
 
 SCHEMA_VERSION = 1
 SPECTRAL_RADIUS_MIN = 1.0 + 1e-9
 REJECTION_BUDGET = 10_000
-# a bound on the spectral radius certifies a candidate unstable when it clears
-# the threshold by this much times max(1, sum |a_ij|)^max(d, 2), a million
-# times the O(d eps) by which LAPACK's computed spectrum may move the bound
-CERTIFICATE_SLACK = 1e-8
-# smaller blocks go straight to eigvals: the certificate's dozen numpy calls
-# cost more than the eigenvalue work it saves on them
+# smaller blocks go straight to eigvals: the instability certificate's dozen
+# numpy calls cost more than the eigenvalue work it saves on them
 CERTIFICATE_MIN_BLOCK = 32
 
 
@@ -93,9 +91,9 @@ def generate_instance(
     states = _draw_states(rng, dims, starts)
     groups = []
     for d, parts in sorted(runs.items()):
-        idx, A, b, psi, reachable, cond = (np.concatenate(f) for f in zip(*parts))
+        idx, A, b, psi, reachable, settled = (np.concatenate(f) for f in zip(*parts))
         xi = states[starts[idx, None] + np.arange(d)]
-        groups.append(PlantGroup(idx, A, b, xi, psi, reachable, cond))
+        groups.append(PlantGroup(idx, A, b, xi, psi, reachable, settled))
     instance = NcsInstance._from_groups(groups, capacity, horizon)
     provenance = (
         f"generated: n={n} capacity={capacity} horizon={horizon} "
@@ -113,16 +111,17 @@ def _draw_plants(
 ) -> tuple[np.ndarray, ...]:
     """``need`` consecutive plants of dimension ``d``, numbered from ``first``.
 
-    Returns the stacks ``A``, ``b``, ``psi``, ``reachable`` and ``cond`` of a
-    ``PlantGroup``. Every candidate, accepted or not, takes the next
+    Returns the stacks ``A``, ``b``, ``psi``, ``reachable`` and ``settled`` of
+    a ``PlantGroup``. Every candidate, accepted or not, takes the next
     ``d*d + d`` uniforms (A row-major, then b), so blocks of candidates are
     drawn and checked at once: the instability test by ``_unstable``, which
     certifies most candidates without ``eigvals``, then the rank test of the
-    unstable ones. The first block holds as many candidates as
-    plants are needed, and each later one as many as the acceptance rate
-    seen so far says the rest need, plus a tenth. The stream is then rewound
-    and advanced past the last acceptance, leaving the generator where
-    drawing one candidate at a time would have left it.
+    unstable ones by ``reachability``, which settles most of them without an
+    SVD. The first block holds as many candidates as plants are needed, and
+    each later one as many as the acceptance rate seen so far says the rest
+    need plus a tenth; each then takes 8 more, within the rejection budget.
+    The stream is then rewound and advanced past the last acceptance, leaving
+    the generator where drawing one candidate at a time would have left it.
     """
     width = d * d + d
     state = rng.bit_generator.state
@@ -143,19 +142,19 @@ def _draw_plants(
         A = block[:, : d * d].reshape(size, d, d)
         unstable = _unstable(A)
         psi = lifted_matrices(A[unstable], block[unstable, d * d :], d)
-        full, cond = rank_and_cond(psi)
+        full, settled = reachability(psi)
         # the block ends within REJECTION_BUDGET draws of the previous
         # acceptance, so an acceptance inside it is always within the budget
         take = np.flatnonzero(full)[:left]
         if take.size:
-            kept.append((block[unstable[take]], psi[take], full[take], cond[take]))
+            kept.append((block[unstable[take]], psi[take], full[take], settled[take]))
             accepted += take.size
             last = drawn + unstable[take[-1]]
         drawn += size
     rng.bit_generator.state = state
     rng.uniform(-value_range, value_range, (last + 1) * width)
-    rows, psi, reachable, cond = (np.concatenate(f) for f in zip(*kept))
-    return rows[:, : d * d].reshape(need, d, d), rows[:, d * d :], psi, reachable, cond
+    rows, psi, reachable, settled = (np.concatenate(f) for f in zip(*kept))
+    return rows[:, : d * d].reshape(need, d, d), rows[:, d * d :], psi, reachable, settled
 
 
 def _unstable(A: np.ndarray) -> np.ndarray:
@@ -166,7 +165,9 @@ def _unstable(A: np.ndarray) -> np.ndarray:
     rho^d >= |det A| and rho^2 >= |tr A^2| / d. LAPACK's eigenvalues are the
     exact ones of some A + E with ||E|| of order eps ||A|| (backward
     stability), so their determinant and trace of the square differ from A's
-    by O(d eps max(1, sum |a_ij|)^max(d, 2)). A bound that clears the threshold
+    by O(d eps max(1, sum |a_ij|)^max(d, 2)), as do the computed ones
+    (``core.det`` is within O(d eps) of the permanent of |A|, at most
+    (sum |a_ij|)^d). A bound that clears the threshold
     by ``CERTIFICATE_SLACK`` times that scale therefore gives LAPACK's
     verdict; a bound that is not finite certifies nothing. Only the other
     candidates go to ``eigvals``, and so do blocks of fewer than
@@ -177,7 +178,7 @@ def _unstable(A: np.ndarray) -> np.ndarray:
     d = A.shape[-1]
     with np.errstate(all="ignore"):
         slack = CERTIFICATE_SLACK * np.maximum(1.0, np.abs(A).sum(axis=(1, 2))) ** max(d, 2)
-        bounds = np.abs([np.linalg.det(A), np.einsum("kij,kji->k", A, A) / d])
+        bounds = np.abs([det(A), np.einsum("kij,kji->k", A, A) / d])
         need = np.array([[SPECTRAL_RADIUS_MIN**d], [SPECTRAL_RADIUS_MIN**2]]) + slack
         sure = ((bounds > need) & (bounds < np.inf)).any(axis=0)
     rest = np.flatnonzero(~sure)

@@ -48,12 +48,22 @@ from .errors import NotReachableError, TooLargeError
 EXHAUSTIVE_LIMIT = 10
 
 
+def _plant_index(name: str, value) -> int:
+    """``value`` as a plant index: ``ValueError`` unless it is an integer
+    (by ``_as_int``'s rule) and nonnegative."""
+    index = _as_int(name, value)
+    if index < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return index
+
+
 def _listed(groups) -> tuple[np.ndarray, list[int]]:
-    """The plants of ``groups`` concatenated (integers by ``_as_int``) and each group's size."""
+    """The plants of ``groups`` concatenated and each group's size; ``ValueError``
+    for the first plant that is not a plant index (``_plant_index``)."""
     sizes = [len(group) for group in groups]
     plants = list(chain.from_iterable(groups))
-    if not set(map(type, plants)) <= {int}:
-        plants = [_as_int("a listed plant", i) for i in plants]
+    if not set(map(type, plants)) <= {int} or min(plants, default=0) < 0:
+        plants = [_plant_index("a listed plant", i) for i in plants]
     return np.fromiter(plants, dtype=int, count=sum(sizes)), sizes
 
 
@@ -101,9 +111,9 @@ class BlockPlan:
     @cached_property
     def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: every member's window
-        spans its segment. Raises for the first plant that is not an integer or
-        is listed twice among the blocks that have a length, then for a block
-        count that differs from the length count."""
+        spans its segment. Raises for the first plant that is not a nonnegative
+        integer or is listed twice among the blocks that have a length, then
+        for a block count that differs from the length count."""
         plant, sizes = _listed(self.blocks[: len(self.block_lengths)])
         _check_placed_once(plant, _first_repeat(plant))
         if len(self.blocks) != len(self.block_lengths):
@@ -128,12 +138,19 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class LanePlan:
-    """Parallel queues; lane members are served sequentially in listed order."""
+    """Parallel queues; lane members are served sequentially in listed order.
+
+    Making a plan checks that every width is keyed by a plant index
+    (``_plant_index``) and is an integer; the lanes are checked on first read
+    of ``windows``."""
 
     lanes: tuple[tuple[int, ...], ...]
     widths: dict[int, int]
 
     def __post_init__(self):
+        if not set(map(type, self.widths)) <= {int} or min(self.widths, default=0) < 0:
+            for key in self.widths:
+                _plant_index("a plant given a width", key)
         _check_integer_windows(self.widths, "the width of plant")
 
     def _widths_of(self, plants) -> list[int]:
@@ -150,8 +167,8 @@ class LanePlan:
     def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plant, offset, width) arrays in listing order: each lane's windows run
         back to back from 0. Raises for the first plant, in listing order, that
-        is not an integer, has no width or is listed twice, then for the first
-        plant given a width that no lane lists."""
+        is not a nonnegative integer, has no width or is listed twice, then for
+        the first plant given a width that no lane lists."""
         plant, sizes = _listed(self.lanes)
         repeat = _first_repeat(plant)
         width = np.array(self._widths_of(plant[:repeat].tolist()), dtype=int)
@@ -358,13 +375,18 @@ def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover, states) -> C
     last d slots, [o + w - d, o + w), and zeros elsewhere; unplaced plants get
     zero rows. ``states`` are the instance's open-loop scans (``split_open_loop``),
     which the bursts cancel at their windows' ends. A plan that does not place
-    exactly ``cover`` is a ``ValueError``; the windows are checked, warned
-    about and built by ``deadbeat_rows``. How many plants share a slot is not
-    judged here.
+    exactly ``cover`` is a ``ValueError`` naming the lowest plant it places
+    outside ``cover``, else the lowest it leaves out; the windows are checked,
+    warned about and built by ``deadbeat_rows``. How many plants share a slot
+    is not judged here.
     """
     plant, offset, width = plan.windows
-    if not np.array_equal(np.sort(plant), np.unique(np.fromiter(cover, dtype=int))):
-        raise ValueError("plan does not place exactly the expected plants")
+    placed, wanted = np.sort(plant), np.unique(np.fromiter(cover, dtype=int))
+    if not np.array_equal(placed, wanted):
+        extra = np.setdiff1d(placed, wanted)
+        if extra.size:
+            raise ValueError(f"plan places plant {extra[0] + 1}, which is not one to place")
+        raise ValueError(f"plan leaves plant {np.setdiff1d(wanted, placed)[0] + 1} unplaced")
     window = np.zeros((2, inst.n), dtype=int)
     window[:, plant] = offset, width
     rows = deadbeat_rows(group_by_dim(inst, plant), states, *window, inst.horizon)

@@ -8,8 +8,24 @@ DEMO_SEED = 12345
 
 
 def is_reachable(p):
-    """The rank test an instance's group runs, on a stack of one plant."""
+    """numpy's full-rank verdict on the plant's Psi (``rank_and_cond``, one SVD),
+    which an instance's group gives by certificate or by that SVD."""
     return bool(rank_and_cond(lifted_matrices(p.A[None], p.b[None], p.d))[0][0])
+
+
+def count_factorizations(monkeypatch):
+    """From now on, list each numpy SVD-based call made, as (name, number of
+    matrices it factors)."""
+    calls = []
+    for name in ("svd", "matrix_rank"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, int(np.prod(np.shape(a)[:-2]))))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def open_loop_hit_times(A, xi, horizon, *tolerances):

@@ -24,12 +24,14 @@ from ncsched.core import (
     nonzero_entries,
     rank_and_cond,
     stack_plants,
+    well_conditioned,
 )
 from ncsched.planner import _assemble
 from ncsched.sim import steers_to_zero
 
 from conftest import (
     companion_plant,
+    count_factorizations,
     is_reachable,
     norm_left_to_right,
     open_loop_hit_times,
@@ -506,20 +508,6 @@ def hard_stack(rng, d, n=40):
     return A, b
 
 
-def count_factorizations(monkeypatch):
-    """From now on, list the name of every numpy SVD-based call made."""
-    calls = []
-    for name in ("svd", "matrix_rank"):
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
 class TestControllabilityOncePerGroup:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_kernels_match_removed_loops_on_benchmark_families(self, family):
@@ -534,7 +522,8 @@ class TestControllabilityOncePerGroup:
                 assert np.array_equal(cond, np.linalg.cond(psi))
                 assert np.array_equal(g.psi, psi)
                 assert np.array_equal(g.reachable, full)
-                assert np.array_equal(g.cond, cond)
+                assert np.array_equal(g.settled, well_conditioned(psi))
+                assert (cond[g.settled] <= 1.0001e8).all()
                 lifted = lifted_matrices(g.A, g.b, horizon)
                 # the single-plant loop samples about 25 plants per group
                 for k in range(0, len(g.idx), max(1, len(g.idx) // 25)):
@@ -584,10 +573,9 @@ class TestControllabilityOncePerGroup:
             assert sorted(np.concatenate([g.idx for g in picked]).tolist()) == sorted(subset)
             for g in picked:
                 psi = lifted_matrices(g.A, g.b, g.A.shape[-1])
-                full, cond = rank_and_cond(psi)
                 assert np.array_equal(g.psi, psi)
-                assert np.array_equal(g.reachable, full)
-                assert np.array_equal(g.cond, cond)
+                assert np.array_equal(g.reachable, rank_and_cond(psi)[0])
+                assert np.array_equal(g.settled, well_conditioned(psi))
                 for got, want in zip(g, stack_plants(g.idx, inst.plants, inst.xi), strict=True):
                     assert np.array_equal(got, want)
 
@@ -614,7 +602,7 @@ class TestControllabilityOncePerGroup:
         assert factorizations == []
         # the counter sees a rank test made outside the routes
         is_reachable(insts[0].plants[0])
-        assert factorizations == ["svd"]
+        assert factorizations == [("svd", 1)]
 
     @pytest.mark.parametrize("big", [
         PlantDynamics([[1e200, 0.0], [0.0, 2.0]], [1e200, 1.0]),
@@ -636,3 +624,73 @@ class TestControllabilityOncePerGroup:
                 with pytest.raises(NoSolutionFoundError) as info:
                     solve_instance(inst, method=method)
                 assert "plants not reachable (1-based): 2, 4" in str(info.value)
+
+
+def adversarial_psi(rng, d):
+    """Named stacks of d x d matrices on which the determinant certificate is
+    easiest to get wrong."""
+    yield "uniform", rng.uniform(-2, 2, (4000, d, d))
+    # the last column within relative distance delta of three times the first
+    delta = np.repeat(10.0 ** -np.arange(3, 19), 20)
+    near = rng.uniform(-1, 1, (delta.size, d, d))
+    if d > 1:
+        offset = rng.uniform(-1, 1, (delta.size, d))
+        offset *= (delta * np.linalg.norm(near[..., 0], axis=-1))[:, None]
+        near[..., -1] = 3 * near[..., 0] + offset
+    yield "near-dependent columns", near
+    # graded columns: column j scaled by delta^j
+    yield "graded columns", near * delta[:, None, None] ** np.arange(d)
+    A = rng.uniform(-2, 2, (40, d, d))
+    yield "zero b", lifted_matrices(A, np.zeros((40, d)), d)
+    yield "controllability matrices", lifted_matrices(A, rng.uniform(-2, 2, (40, d)), d)
+    # where ||psi||_F^d, or the determinant, underflows or overflows
+    for scale in (1e-160, 1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e154, 1e160, 1e200):
+        yield f"uniform times {scale:g}", scale * rng.uniform(-2, 2, (40, d, d))
+        yield f"near-dependent times {scale:g}", scale * near[::8]
+    if d > 1:
+        # condition number about 2e8, so small that the determinant's products
+        # round on the subnormal grid, where noise alone can leave it nonzero
+        tiny = np.tile(np.eye(d), (1000, 1, 1))
+        tiny[:, :2, :2] = [[1.0, 1.0], [1.0, 1.0 + 2e-8]]
+        yield "tiny, ill-conditioned", tiny * 2.0 ** ((rng.uniform(size=(1000, 1, 1)) - 1053) / d)
+    bad = rng.uniform(-2, 2, (24, d, d))
+    bad[:8, 0, -1] = np.nan
+    bad[8:16, -1, 0] = np.inf
+    bad[16:, 0, 0] = -np.inf
+    yield "not finite", bad
+
+
+class TestDeterminantCertificate:
+    """``well_conditioned`` settles a Psi only when numpy finds it full rank
+    with condition number at most about 1 / CERTIFICATE_SLACK; ``reachability``
+    gives numpy's rank verdict on every matrix."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_det_is_lapacks_up_to_rounding(self, d):
+        A = np.random.default_rng(30 + d).uniform(-2, 2, (500, d, d))
+        got, want = core.det(A), np.linalg.det(A)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(A).sum(axis=(1, 2)) ** d)
+        if d > 3:
+            assert np.array_equal(got, want)
+        assert [core.det(a) for a in A[:5]] == got[:5].tolist()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_numpy_on_adversarial_stacks(self, d):
+        rng = np.random.default_rng(40 + d)
+        counts = {"settled": 0, "open": 0}
+        for name, psi in adversarial_psi(rng, d):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reachable, settled = core.reachability(psi)
+            # each matrix alone, and as a stack of one, gets the stack's verdict
+            alone = [well_conditioned(m) for m in psi[::7]]
+            assert np.array_equal(alone, settled[::7]), name
+            assert all(core.reachability(psi[k : k + 1])[1][0] == settled[k] for k in range(3))
+            finite = np.isfinite(psi).all(axis=(1, 2))
+            assert not (reachable | settled)[~finite].any(), name
+            assert np.array_equal(reachable[finite], reference_full_rank(psi[finite])), name
+            assert (np.linalg.cond(psi[settled]) <= 1.0001e8).all(), name
+            counts["settled"] += int(settled.sum())
+            counts["open"] += int((~settled).sum())
+        # most matrices are settled, and many are left to the SVD
+        assert counts["settled"] > 4000 and counts["open"] > 200

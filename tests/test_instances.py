@@ -32,7 +32,7 @@ from ncsched.instances import (
 )
 from ncsched.report import report_to_dict
 
-from conftest import is_reachable, one_burst_instance, scalar_instance
+from conftest import count_factorizations, is_reachable, one_burst_instance, scalar_instance
 
 # the four benchmark families (perfbench/workloads.py) and interleaved
 # dimensions, where every run of equal dimensions has length one or two
@@ -324,6 +324,19 @@ class TestInstabilityCertificate:
         generate_instance(1000, 100, 50, [2] * 500 + [3] * 500, seed=12345)
         # about 0.8 of the 2-d and 0.97 of the 3-d candidates are unstable
         assert sum(solved) < 400
+
+    def test_generation_runs_svd_on_few_candidates(self, monkeypatch):
+        candidates = []
+        unstable = ncsched.instances._unstable
+        monkeypatch.setattr(
+            ncsched.instances, "_unstable", lambda A: candidates.append(len(A)) or unstable(A)
+        )
+        factorizations = count_factorizations(monkeypatch)
+        inst = generate_instance(1000, 100, 50, [2] * 500 + [3] * 500, seed=12345).instance
+        # the determinant certificate settles the unstable candidates' rank tests
+        assert sum(candidates) > 1000
+        assert sum(n for _, n in factorizations) < 0.01 * sum(candidates)
+        assert all(g.settled.mean() > 0.99 for g in inst.groups)
 
 
 class TestViewsOnFirstRead:

@@ -19,9 +19,12 @@ from ncsched import (
     exhaustive_lane_plan,
     find_block_plan,
     find_lane_plan,
+    solve_instance,
     split_open_loop,
     verify_logic,
+    windowed_inputs,
 )
+from ncsched.core import CERTIFICATE_SLACK, lifted_matrices
 from ncsched.deadbeat import COND_WARN_LIMIT
 from ncsched.sim import slot_mask, slot_members
 
@@ -405,6 +408,33 @@ class TestPlanChecks:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    def test_negative_plants_and_non_integer_width_keys_rejected(self):
+        # a negative member once came out as plant 0 of a 1-based report, and
+        # a width keyed 1.0 was found by plant 1's lookup and written as 2.0
+        key = "^a plant given a width must be "
+        with pytest.raises(ValueError, match=key + "nonnegative, got -1$"):
+            LanePlan(lanes=((0, -1), (2,)), widths={0: 2, -1: 2, 2: 2})
+        with pytest.raises(ValueError, match=key + r"an integer, got 1\.0$"):
+            LanePlan(lanes=((1,),), widths={1.0: 2})
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)
+        plans = (LanePlan(lanes=((0, -1), (2,)), widths={0: 2, 2: 2}),
+                 BlockPlan(blocks=((0, -1),), block_lengths=(3,)))
+        message = "^a listed plant must be nonnegative, got -1$"
+        for plan in plans:
+            for call in (lambda: build_from_plan(inst, plan), plan.to_report_dict):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_plan_that_misplaces_a_plant_names_it(self):
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)
+        widths = {0: 2, 1: 2, 2: 2, 3: 2}
+        beyond = LanePlan(lanes=((0, 1), (2, 3)), widths=widths)
+        with pytest.raises(ValueError, match="^plan places plant 4, which is not one to place$"):
+            build_from_plan(inst, beyond)
+        short = BlockPlan(blocks=((0, 2),), block_lengths=(2,))
+        with pytest.raises(ValueError, match="^plan leaves plant 2 unplaced$"):
+            build_from_plan(inst, short)
+
     def test_lane_report_dict_lists_lanes_and_widths_in_plant_order(self, demo_instance):
         # the report lists 1-based lanes, sliced off the window arrays, and
         # [plant, width] pairs in plant order, whatever the widths' key order
@@ -658,3 +688,35 @@ class TestBatchedPlannerMatchesLoop:
         assert np.array_equal(got.u, want)
         assert len(want_warnings) == 3
         assert got_warnings == want_warnings
+
+
+class TestConditioningWarningBoundaries:
+    """Only plants the determinant certificate leaves open have their Psi
+    condition number computed, and only those past ``COND_WARN_LIMIT`` warn."""
+
+    def test_settled_plants_never_warn(self):
+        # a settled plant's condition number is below about 1 / CERTIFICATE_SLACK
+        assert 1 / CERTIFICATE_SLACK < COND_WARN_LIMIT
+
+    def test_unsettled_plants_warn_only_past_the_limit(self):
+        plants = (ill_conditioned_plant(2, 1e-10), ill_conditioned_plant(2, 1e-13))
+        conds = [np.linalg.cond(lifted_matrices(p.A[None], p.b[None], p.d)[0]) for p in plants]
+        # neither is settled; only the second passes the limit
+        assert 1 / CERTIFICATE_SLACK < conds[0] <= COND_WARN_LIMIT < conds[1]
+        xi = (np.array([1.0, -0.5]), np.array([0.25, 1.0]))
+        inst = NcsInstance(plants, xi, capacity=1, horizon=6)
+        assert not inst.groups[0].settled.any()
+        plan = find_lane_plan(inst)
+        want, want_warnings = recorded(reference_rows, inst, windows_of(plan))
+        assert want_warnings == [
+            f"controllability matrix condition number {conds[1]:.2e} exceeds 1e+12; "
+            "window accuracy may degrade"
+        ]
+        got, got_warnings = recorded(build_from_plan, inst, plan)
+        assert np.array_equal(got.u, want)
+        assert got_warnings == want_warnings
+        report = solve_instance(inst, method="lane")
+        assert report.verified and report.warnings == want_warnings
+        for p, x, warned in zip(plants, xi, ([], want_warnings)):
+            _, got_warnings = recorded(windowed_inputs, p, x, 0, 3, 6)
+            assert got_warnings == warned
