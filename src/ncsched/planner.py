@@ -86,11 +86,13 @@ def _check_placed_once(plant: np.ndarray, repeat: int) -> None:
         raise ValueError(f"plan places plant {plant[repeat] + 1} twice")
 
 
-def _check_integer_windows(windows: dict, what: str) -> None:
-    """``ValueError`` for the first key, in order, whose window is not an integer."""
-    if not set(map(type, windows.values())) <= {int}:
-        for key in sorted(windows):
-            _as_int(f"{what} {key + 1}", windows[key])
+def _integer_windows(windows: dict, what: str) -> dict:
+    """``windows`` itself when every window is a Python int, else a copy with
+    each converted (so a plan holding numpy integers serializes); ``ValueError``
+    for the first key, in order, whose window is not an integer."""
+    if set(map(type, windows.values())) <= {int}:
+        return windows
+    return {key: _as_int(f"{what} {key + 1}", windows[key]) for key in sorted(windows)}
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,10 @@ class BlockPlan:
     block_lengths: tuple[int, ...]
 
     def __post_init__(self):
-        _check_integer_windows(dict(enumerate(self.block_lengths)), "the length of block")
+        lengths = dict(enumerate(self.block_lengths))
+        checked = _integer_windows(lengths, "the length of block")
+        if checked is not lengths:
+            object.__setattr__(self, "block_lengths", tuple(checked.values()))
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -141,17 +146,17 @@ class LanePlan:
     """Parallel queues; lane members are served sequentially in listed order.
 
     Making a plan checks that every width is keyed by a plant index
-    (``_plant_index``) and is an integer; the lanes are checked on first read
-    of ``windows``."""
+    (``_plant_index``) and is an integer, and keeps numpy integer keys and
+    widths as Python ints; the lanes are checked on first read of ``windows``."""
 
     lanes: tuple[tuple[int, ...], ...]
     widths: dict[int, int]
 
     def __post_init__(self):
-        if not set(map(type, self.widths)) <= {int} or min(self.widths, default=0) < 0:
-            for key in self.widths:
-                _plant_index("a plant given a width", key)
-        _check_integer_windows(self.widths, "the width of plant")
+        widths = self.widths
+        if not set(map(type, widths)) <= {int} or min(widths, default=0) < 0:
+            widths = {_plant_index("a plant given a width", key): widths[key] for key in widths}
+        object.__setattr__(self, "widths", _integer_windows(widths, "the width of plant"))
 
     def _widths_of(self, plants) -> list[int]:
         """The window widths of ``plants``; ``ValueError`` for the first without one."""

@@ -19,6 +19,12 @@ from its dimension group's stacks (``core.terminal_systems``), whose target is
 the open-loop state at T, not a matrix power, read off the solve's one
 open-loop scan: the cascade passes the states ``split_open_loop`` gave it, and
 a direct call, given none, runs that scan itself (``_scanned``).
+
+scipy is loaded only by the l1 relaxation, on the first LP of a process:
+``min_l1_stack`` imports ``linprog`` and ``block_diag`` where it calls them.
+``import ncsched``, generation, the lane, block and brute-force routes,
+verification and report export run on numpy alone, and do not pay scipy's
+import, which was about three quarters of ``import ncsched``.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import block_diag
 
 from .core import (
     TERMINAL_RTOL,
@@ -171,6 +175,10 @@ def min_l1_stack(gammas, targets, zero_rtol: float = ZERO_RTOL) -> list[np.ndarr
                 f"system {k + 1} of {len(systems)}: its projected target reaches "
                 f"{peak:.3g}, at or past the LP backend's infinite bound {LP_INFINITE_BOUND:g}"
             )
+    # imported here, not at the top: only the LP needs scipy, and it costs most of `import ncsched`
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
     a_eq = block_diag([np.hstack([rows, -rows]) for rows, _ in projected], format="csc")
     res = linprog(
         np.ones(a_eq.shape[1]),

@@ -84,6 +84,21 @@ def scalar_instance(gains, capacity, horizon, inputs=None, states=None):
     return NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
 
 
+def triangle_instance():
+    """Three 2-d plants, M=2, T=3, with l1 supports {0,1}, {1,2} and {0,2}.
+
+    Every slot holds two bursts, so the stacked rows keep the channel rule,
+    yet no two of the three supports are disjoint.
+    """
+    plants = (
+        PlantDynamics([[1.5, 1.7], [0.8, 0.2]], [1.7, -1.6]),
+        PlantDynamics([[-0.7, 0.8], [-0.8, 1.0]], [-0.9, 1.1]),
+        PlantDynamics([[1.5, -0.9], [0.4, 1.1]], [0.9, 1.7]),
+    )
+    xi = (np.array([-0.3, 0.2]), np.array([1.0, 1.0]), np.array([0.7, 0.8]))
+    return NcsInstance(plants, xi, capacity=2, horizon=3)
+
+
 def huge_initial_norm_instance():
     """A decaying 2-d plant whose initial norm, 2.1e308, passes the largest
     float although each entry is finite, plus a scalar A=2 plant; M=1, T=6.

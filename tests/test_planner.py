@@ -26,6 +26,7 @@ from ncsched import (
 )
 from ncsched.core import CERTIFICATE_SLACK, lifted_matrices
 from ncsched.deadbeat import COND_WARN_LIMIT
+from ncsched.instances import dump_json
 from ncsched.sim import slot_mask, slot_members
 
 from conftest import (
@@ -424,6 +425,22 @@ class TestPlanChecks:
             for call in (lambda: build_from_plan(inst, plan), plan.to_report_dict):
                 with pytest.raises(ValueError, match=message):
                     call()
+
+    def test_numpy_integer_plans_serialize_as_their_python_twins(self):
+        # a numpy width, width key or block length once reached the report as
+        # given, and json refused it ("Object of type int64 is not JSON serializable")
+        three, zero = np.int64(3), np.int64(0)
+        pairs = [
+            (LanePlan(lanes=((0, 1),), widths={0: three, 1: 3}),
+             LanePlan(lanes=((0, 1),), widths={0: 3, 1: 3})),
+            (LanePlan(lanes=((0, 1),), widths={zero: 3, 1: np.int32(3)}),
+             LanePlan(lanes=((0, 1),), widths={0: 3, 1: 3})),
+            (BlockPlan(blocks=((0,), (1,)), block_lengths=(three, 3)),
+             BlockPlan(blocks=((0,), (1,)), block_lengths=(3, 3))),
+        ]
+        for plan, twin in pairs:
+            assert plan == twin
+            assert dump_json(plan.to_report_dict()) == dump_json(twin.to_report_dict())
 
     def test_plan_that_misplaces_a_plant_names_it(self):
         inst = scalar_instance([2.0, 3.0, 1.5], capacity=2, horizon=6)

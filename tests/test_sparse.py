@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 import ncsched.sparse
@@ -31,7 +32,7 @@ from ncsched.core import group_by_dim, lifted_matrices, nonzero_entries
 from ncsched.sparse import _mask_table, min_l1_stack
 from ncsched.sim import steers_to_zero
 
-from conftest import scalar_instance, step_left_to_right
+from conftest import scalar_instance, step_left_to_right, triangle_instance
 
 
 def per_plant_systems(inst, plants=None):
@@ -147,15 +148,15 @@ def reference_min_l1(gamma, target, residual_rtol=1e-8, zero_rtol=1e-9):
 
 
 def count_linprog(monkeypatch):
-    """Counts the LP backend calls the sparse module makes."""
+    """Counts the LP backend calls the sparse module makes: ``min_l1_stack``
+    reads ``scipy.optimize.linprog`` at each call."""
     calls = []
-    backend = ncsched.sparse.linprog
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return backend(*args, **kwargs)
+        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(ncsched.sparse, "linprog", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     return calls
 
 
@@ -566,21 +567,6 @@ class TestPlantedRecovery:
             np.testing.assert_allclose(u, planted, atol=1e-6)
             oracle = l0_min_by_enumeration(gamma, gamma @ planted)
             np.testing.assert_allclose(oracle, planted, atol=1e-6)
-
-
-def triangle_instance():
-    """Three 2-d plants, M=2, T=3, with l1 supports {0,1}, {1,2} and {0,2}.
-
-    Every slot holds two bursts, so the stacked rows keep the channel rule,
-    yet no two of the three supports are disjoint.
-    """
-    plants = (
-        PlantDynamics([[1.5, 1.7], [0.8, 0.2]], [1.7, -1.6]),
-        PlantDynamics([[-0.7, 0.8], [-0.8, 1.0]], [-0.9, 1.1]),
-        PlantDynamics([[1.5, -0.9], [0.4, 1.1]], [0.9, 1.7]),
-    )
-    xi = (np.array([-0.3, 0.2]), np.array([1.0, 1.0]), np.array([0.7, 0.8]))
-    return NcsInstance(plants, xi, capacity=2, horizon=3)
 
 
 class TestSolveViaRelaxation:
