@@ -42,7 +42,6 @@ from .planner import (
     LanePlan,
     build_from_plan,
     exhaustive_block_plan,
-    exhaustive_lane_plan,
     find_block_plan,
     find_lane_plan,
     split_open_loop,
@@ -86,7 +85,6 @@ __all__ = [
     "WindowOverflowError",
     "build_from_plan",
     "exhaustive_block_plan",
-    "exhaustive_lane_plan",
     "export_plots",
     "find_block_plan",
     "find_lane_plan",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,14 +64,17 @@ def generate_instance(
     states are uniform on [-1, 1]^d, redrawn if exactly zero. Deterministic
     for a fixed seed: the draws come in this order, one plant after the
     other, and only the checks of each run of equal dimensions are batched.
-    The sizes are checked as an instance checks them, and the plant count,
-    the dimensions and the seed as integers, before anything is drawn. The
-    instance is built from the accepted stacks (``NcsInstance._from_groups``);
-    its ``plants`` and ``xi`` views are made on first read.
+    The sizes are checked as an instance checks them, the plant count, the
+    dimensions and the seed as integers and the value range as a non-bool
+    real, before anything is drawn. The instance is built from the accepted
+    stacks (``NcsInstance._from_groups``); its ``plants`` and ``xi`` views
+    are made on first read.
     """
     if len(dims) != _as_int("n", n):
         raise ValueError(f"got {len(dims)} dimensions for {n} plants")
     capacity, horizon = _checked_sizes(capacity, horizon, n)
+    if not isinstance(value_range, numbers.Real) or isinstance(value_range, bool):
+        raise ValueError(f"value range must be a real number, got {value_range!r}")
     if not (value_range > 0 and math.isfinite(2.0 * value_range)):
         raise ValueError(f"value range must be positive with 2 * range finite: {value_range!r}")
     if not set(map(type, dims)) <= {int}:

@@ -5,14 +5,15 @@ Route order for ``method="auto"``:
 1. plants whose all-zero rows the verifier's rule accepts keep them, and
    infeasibility is reported if the rest outnumber what T slots of capacity
    M serve;
-2. lane plan over the remaining plants: balanced decreasing packing, backed
-   by the complete search when it fails on at most 10 plants;
+2. lane plan over the remaining plants (``planner._lane_plan_for``: balanced
+   decreasing packing, backed by the complete search on at most 10 plants);
 3. block plan over the remaining plants (the greedy grouping is complete);
 4. stacked l1 relaxation over the remaining plants;
 5. brute-force enumeration over the full instance, when within its cap.
 
 The first route whose output the simulator verifies wins; the report records
-which route succeeded and why the earlier ones failed.
+which route succeeded, the warnings that route raised, and why the earlier
+ones failed.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import warnings as warnings_mod
 from .core import TERMINAL_RTOL, ZERO_RTOL, NcsInstance, check_tolerances
 from .errors import NcsError, NoSolutionFoundError
 from .planner import (
-    EXHAUSTIVE_LIMIT,
     _assemble,
     _block_plan_for,
-    _exhaustive_lane_for,
     _lane_plan_for,
     _require_reachable,
     split_open_loop,
@@ -58,16 +57,17 @@ def solve_instance(
     verdict. Plants whose zero rows the verifier's rule accepts keep them (one
     diagnostic line names them). A failed block route and a failed lane route
     on at most 10 plants are proofs that no such plan exists; only a lane
-    failure on more plants is marked as heuristic. Both tolerances must lie
-    strictly between 0 and 1 (``ValueError`` otherwise).
+    failure on more plants is marked as heuristic. The report lists the
+    warnings that the winning route raised, each text once. ``method`` must
+    name a route set and both tolerances must lie strictly between 0 and 1
+    (``ValueError`` otherwise).
     """
-    if method not in _METHOD_ROUTES:
+    if not isinstance(method, str) or method not in _METHOD_ROUTES:
         raise ValueError(f"unknown method {method!r}")
     check_tolerances(zero_rtol, terminal_rtol)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     diagnostics: list[str] = []
-    captured: list[str] = []
 
     hits, closed, states = split_open_loop(inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol)
     needed = math.ceil(len(closed) / inst.capacity)
@@ -96,54 +96,43 @@ def solve_instance(
     attempts: list[str] = []
 
     def run_route(name: str):
-        """Returns (logic, plan, extra_warnings) or raises NcsError.
+        """Returns (logic, plan) or raises NcsError.
 
         ``plan`` gives the report's plan dict through ``to_report_dict()``;
         brute force has none.
         """
         if name in ("lane-plan", "block-plan"):
-            lane = name == "lane-plan"
             _require_reachable(inst, closed)
-            plan = (_lane_plan_for if lane else _block_plan_for)(inst, closed)
-            complete = not lane or len(closed) <= EXHAUSTIVE_LIMIT
-            if plan is None and lane and complete:
-                plan = _exhaustive_lane_for(inst, closed)
-            if plan is None:
-                found = "lane packing found" if lane else "block partition fits the horizon"
-                qualifier = "" if complete else " (heuristic; not a proof of nonexistence)"
-                raise NoSolutionFoundError(f"no {found}{qualifier}")
-            return _assemble(inst, plan, closed, states), plan, []
+            plan = (_lane_plan_for if name == "lane-plan" else _block_plan_for)(inst, closed)
+            return _assemble(inst, plan, closed, states), plan
         if name == "relaxation":
             res = solve_via_relaxation(inst, plants=closed, zero_rtol=zero_rtol, states=states)
-            return res.logic, res, list(res.warnings)
-        if name == "bruteforce":
-            logic = l0_feasible_bruteforce(
-                inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol, states=states
+            return res.logic, res
+        logic = l0_feasible_bruteforce(
+            inst, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol, states=states
+        )
+        if logic is None:
+            raise NoSolutionFoundError(
+                f"no assignment of at most {inst.capacity} plants per slot has "
+                "least-squares rows that pass the verifier at "
+                f"zero_rtol={zero_rtol:g}, terminal_rtol={terminal_rtol:g}"
             )
-            if logic is None:
-                raise NoSolutionFoundError(
-                    f"no assignment of at most {inst.capacity} plants per slot has "
-                    "least-squares rows that pass the verifier at "
-                    f"zero_rtol={zero_rtol:g}, terminal_rtol={terminal_rtol:g}"
-                )
-            return logic, None, []
-        raise ValueError(name)
+        return logic, None
 
     for route in _METHOD_ROUTES[method]:
         t0 = time.perf_counter()
         try:
             with warnings_mod.catch_warnings(record=True) as caught:
                 warnings_mod.simplefilter("always")
-                logic, plan, extra = run_route(route)
-            captured.extend(str(w.message) for w in caught)
+                logic, plan = run_route(route)
             outcome = verify_logic(
                 inst, logic, zero_rtol=zero_rtol, terminal_rtol=terminal_rtol
             )
         except NcsError as exc:
-            timings[route] = time.perf_counter() - t0
             attempts.append(f"{route}: {exc}")
             continue
-        timings[route] = time.perf_counter() - t0
+        finally:
+            timings[route] = time.perf_counter() - t0
         if not outcome.verified:
             attempts.append(
                 f"{route}: produced a logic that failed verification "
@@ -151,8 +140,7 @@ def solve_instance(
             )
             continue
         diagnostics.extend(attempts)
-        seen = set()
-        warn_list = [w for w in captured + extra if not (w in seen or seen.add(w))]
+        warn_list = list(dict.fromkeys(str(w.message) for w in caught))
         report = SolveReport.solved(route, plan, open_loop, outcome, warn_list, diagnostics,
                                     timings)
         timings["total"] = time.perf_counter() - t_start

@@ -15,12 +15,13 @@ plans the searches build never put more than M plants on the channel at
 once, and every route's rows, a hand-built plan's included, are judged by
 ``verify_logic``'s rule of at most M nonzero inputs per slot.
 
+Each layout has one search, shared by the solve cascade and ``find_*_plan``.
 The block search is complete: chunking the plants by decreasing dimension
 gives the shortest block plan, so when it does not fit none does. The lane
 search is balanced decreasing packing (LPT), run one width at a time
-(``_cheapest_offers``), which can miss a packing; ``exhaustive_lane_plan``
-(at most 10 plants) is complete and backs it up.
-All searches are deterministic.
+(``_cheapest_offers``), which can miss a packing; on at most 10 plants a
+complete walk over the partitions into lanes backs it up. All searches are
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .core import (
     open_loop_scan,
 )
 from .deadbeat import deadbeat_rows
-from .errors import NotReachableError, TooLargeError
+from .errors import NoSolutionFoundError, NotReachableError
 
 EXHAUSTIVE_LIMIT = 10
 
@@ -229,7 +230,8 @@ def _default_widths(inst: NcsInstance, subset) -> dict[int, int]:
     return dict(zip(plant.tolist(), (inst._dim_array()[plant] + 1).tolist()))
 
 
-def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
+def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan:
+    """``find_block_plan`` over ``subset``; ``NoSolutionFoundError`` if it does not fit."""
     plant = np.fromiter(subset, dtype=int)
     dims = inst._dim_array()[plant]
     order = np.lexsort((plant, -dims))
@@ -238,7 +240,7 @@ def _block_plan_for(inst: NcsInstance, subset) -> BlockPlan | None:
     # each chunk's first plant has its largest dimension
     lengths = (1 + dims[order][::step]).tolist()
     if sum(lengths) > inst.horizon:
-        return None
+        raise NoSolutionFoundError("no block partition fits the horizon")
     return BlockPlan(blocks=tuple(blocks), block_lengths=tuple(lengths))
 
 
@@ -266,7 +268,8 @@ def _cheapest_offers(loads: np.ndarray, width: int, k: int, limit: int) -> np.nd
     return lane[np.lexsort((lane, loads[lane] + rank * width))[:k]]
 
 
-def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
+def _packed_lanes(inst: NcsInstance, subset) -> LanePlan | None:
+    """The balanced decreasing packing of ``subset`` into lanes; None when it fails."""
     widths = _default_widths(inst, subset)
     plant = np.fromiter(widths, dtype=int, count=len(widths))
     width = np.fromiter(widths.values(), dtype=int, count=len(widths))
@@ -294,6 +297,65 @@ def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan | None:
     return LanePlan(lanes=tuple(sorted(lanes)), widths=widths)
 
 
+def _first_fit_lanes(items: list[int], weights: dict[int, int], max_lanes: int, cap: int):
+    """The first partition of ``items`` (ascending) into at most ``max_lanes``
+    lanes of load at most ``cap``, or None: each item joins the earliest lane
+    it fits, else opens the next, and a choice that strands a later item is
+    undone for the next one. Each lane lists its items ascending, the lanes in
+    the order of their first items."""
+    lane_of, loads = [0] * len(items), []
+
+    def place(k: int) -> bool:
+        if k == len(items):
+            return True
+        w = weights[items[k]]
+        for j in range(min(len(loads) + 1, max_lanes)):
+            opened = j == len(loads)
+            if opened:
+                loads.append(0)
+            if loads[j] + w <= cap:
+                loads[j] += w
+                lane_of[k] = j
+                if place(k + 1):
+                    return True
+                loads[j] -= w
+            if opened:
+                loads.pop()
+        return False
+
+    if not place(0):
+        return None
+    return tuple(tuple(i for i, j in zip(items, lane_of) if j == n) for n in range(len(loads)))
+
+
+def _lane_plan_for(inst: NcsInstance, subset) -> LanePlan:
+    """The balanced packing of ``subset`` into lanes, else, on at most
+    ``EXHAUSTIVE_LIMIT`` plants, the first partition that fits; else
+    ``NoSolutionFoundError``, a proof within the limit and a heuristic past it."""
+    plan = _packed_lanes(inst, subset)
+    if plan is not None:
+        return plan
+    subset = sorted(subset)
+    if len(subset) > EXHAUSTIVE_LIMIT:
+        raise NoSolutionFoundError(
+            "no lane packing found (heuristic; not a proof of nonexistence)"
+        )
+    widths = _default_widths(inst, subset)
+    lanes = _first_fit_lanes(subset, widths, inst.capacity, inst.horizon)
+    if lanes is None:
+        raise NoSolutionFoundError("no lane packing found")
+    return LanePlan(lanes=lanes, widths=widths)
+
+
+def _whole(search, inst: NcsInstance):
+    """``search``'s plan over every plant, all checked reachable; None where it finds none."""
+    _require_reachable(inst, range(inst.n))
+    try:
+        return search(inst, range(inst.n))
+    except NoSolutionFoundError:
+        return None
+
+
 def find_block_plan(inst: NcsInstance) -> BlockPlan | None:
     """The block plan of least total length; None proves that no block plan fits.
 
@@ -307,8 +369,7 @@ def find_block_plan(inst: NcsInstance) -> BlockPlan | None:
     bounds every grouping's length below by the chunks' length.
     Deterministic for a given instance.
     """
-    _require_reachable(inst, range(inst.n))
-    return _block_plan_for(inst, range(inst.n))
+    return _whole(_block_plan_for, inst)
 
 
 # the greedy block search is already complete; the old name stays an alias
@@ -316,61 +377,9 @@ exhaustive_block_plan = find_block_plan
 
 
 def find_lane_plan(inst: NcsInstance) -> LanePlan | None:
-    """Search for a valid lane plan covering every plant; None if the packing fails."""
-    _require_reachable(inst, range(inst.n))
-    return _lane_plan_for(inst, range(inst.n))
-
-
-def _partitions(items: list[int], weights: dict[int, int], max_parts: int, cap: int):
-    """All set partitions of ``items`` into at most max_parts parts of weight at most cap.
-
-    Canonical enumeration: each item joins an earlier part or opens a new one,
-    so the first part always holds the first item. A part is never extended
-    past ``cap``, so no branch that cannot fit is explored. Deterministic.
-    """
-    parts: list[list[int]] = []
-    loads: list[int] = []
-
-    def rec(k: int):
-        if k == len(items):
-            yield [tuple(p) for p in parts]
-            return
-        i = items[k]
-        for j, p in enumerate(parts):
-            if loads[j] + weights[i] <= cap:
-                p.append(i)
-                loads[j] += weights[i]
-                yield from rec(k + 1)
-                loads[j] -= weights[i]
-                p.pop()
-        if len(parts) < max_parts and weights[i] <= cap:
-            parts.append([i])
-            loads.append(weights[i])
-            yield from rec(k + 1)
-            loads.pop()
-            parts.pop()
-
-    yield from rec(0)
-
-
-def _exhaustive_lane_for(inst: NcsInstance, subset) -> LanePlan | None:
-    subset = sorted(subset)
-    if len(subset) > EXHAUSTIVE_LIMIT:
-        raise TooLargeError(
-            f"exhaustive search limited to {EXHAUSTIVE_LIMIT} plants, got {len(subset)}"
-        )
-    widths = _default_widths(inst, subset)
-    parts = next(_partitions(subset, widths, inst.capacity, inst.horizon), None)
-    if parts is None:
-        return None
-    lanes = sorted((tuple(sorted(lane)) for lane in parts), key=lambda lane: lane[0])
-    return LanePlan(lanes=tuple(lanes), widths=widths)
-
-
-def exhaustive_lane_plan(inst: NcsInstance) -> LanePlan | None:
-    """Complete lane-plan search for at most 10 plants; None proves nonexistence."""
-    _require_reachable(inst, range(inst.n))
-    return _exhaustive_lane_for(inst, range(inst.n))
+    """The solve cascade's lane plan over every plant; None when it finds none,
+    which on at most ``EXHAUSTIVE_LIMIT`` plants proves that none exists."""
+    return _whole(_lane_plan_for, inst)
 
 
 def _assemble(inst: NcsInstance, plan: BlockPlan | LanePlan, cover, states) -> ControlLogic:

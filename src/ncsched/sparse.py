@@ -30,7 +30,8 @@ import, which was about three quarters of ``import ncsched``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
@@ -85,7 +86,6 @@ class RelaxationResult:
 
     logic: ControlLogic
     supports: dict[int, tuple[int, ...]]
-    warnings: list[str] = field(default_factory=list)
 
     def to_report_dict(self) -> dict:
         return {
@@ -361,9 +361,9 @@ def solve_via_relaxation(
     ``verify_logic`` thresholds the rows at ``zero_rtol`` and judges both the
     terminal states and the channel rule (at most M nonzero inputs per slot).
 
-    Uniqueness of the l1 minimizer is assumed, not checked; the result
-    carries that warning. Where a plant's minimizers tie, the vertex chosen
-    for it may depend on the other plants in the stack.
+    Uniqueness of the l1 minimizer is assumed, not checked; a ``UserWarning``
+    says so. Where a plant's minimizers tie, the vertex chosen for it may
+    depend on the other plants in the stack.
     """
     check_tolerances(zero_rtol)
     listed = range(inst.n) if plants is None else [_as_int("plant index", i) for i in plants]
@@ -393,8 +393,7 @@ def solve_via_relaxation(
     u[subset] = np.reshape(rows, (-1, inst.horizon))
     masks = nonzero_entries(u[subset], zero_rtol)
     supports = {i: tuple(np.flatnonzero(mask).tolist()) for i, mask in zip(subset, masks)}
-    return RelaxationResult(
-        logic=ControlLogic(u),
-        supports=supports,
-        warnings=["l1 minimizer uniqueness is assumed for every plant, not certified"],
+    warnings.warn(
+        "l1 minimizer uniqueness is assumed for every plant, not certified", stacklevel=2
     )
+    return RelaxationResult(logic=ControlLogic(u), supports=supports)

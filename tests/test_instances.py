@@ -157,6 +157,13 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match=r"value range must be positive with 2 \* range finite"):
             generate_instance(3, 1, 5, [1, 1, 2], value_range=value_range, seed=0)
 
+    @pytest.mark.parametrize("value_range", ["2", None, 1j, True])
+    def test_range_must_be_a_real_number(self, value_range):
+        # compared with 0, a string, None or a complex number raises TypeError
+        message = f"^value range must be a real number, got {re.escape(repr(value_range))}$"
+        with pytest.raises(ValueError, match=message):
+            generate_instance(3, 1, 5, [1, 1, 2], value_range=value_range, seed=0)
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_sequential_loop(self, family):
         dims, capacity, horizon = FAMILIES[family]

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,12 @@ from ncsched import (
 from ncsched.instances import dump_json
 from ncsched.report import BUILT_ON_READ, report_to_dict
 
-from conftest import companion_plant, huge_initial_norm_instance, scalar_instance
+from conftest import (
+    companion_plant,
+    huge_initial_norm_instance,
+    one_burst_instance,
+    scalar_instance,
+)
 
 
 def mixed_plant(rng, kind):
@@ -256,6 +262,30 @@ class TestSolveCascade:
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=4)
         with pytest.raises(ValueError):
             solve_instance(inst, method="magic")
+        # a list is not hashable, so a bare lookup would raise TypeError
+        with pytest.raises(ValueError, match=re.escape("unknown method ['auto']")):
+            solve_instance(inst, method=["auto"])
+
+    def test_report_lists_only_the_winning_routes_warnings(self, monkeypatch):
+        # both plan routes warn and return rows the verifier rejects; brute
+        # force wins and raises no warning of its own
+        def warned_zero_rows(inst, plan, cover, states):
+            warnings.warn("stub synthesis")
+            return ControlLogic(np.zeros((inst.n, inst.horizon)))
+
+        monkeypatch.setattr(ncsched.pipeline, "_assemble", warned_zero_rows)
+        inst = scalar_instance([2.0, 3.0, 1.5], capacity=1, horizon=6)
+        report = solve_instance(inst)
+        assert report.method == "bruteforce"
+        assert [line.split(": ")[0] for line in report.diagnostics[1:3]] == [
+            "lane-plan", "block-plan"
+        ]
+        assert report.warnings == []
+        # a winning relaxation reports its own uniqueness note
+        relaxed = solve_instance(one_burst_instance(), method="relax")
+        assert relaxed.warnings == [
+            "l1 minimizer uniqueness is assumed for every plant, not certified"
+        ]
 
     def test_overflow_in_verification_fails_only_that_route(self):
         # plant 1's open-loop states stay finite through its window [0, 3) and
@@ -540,7 +570,6 @@ TRACED_NAMES = (
     "_require_reachable",
     "_lane_plan_for",
     "_block_plan_for",
-    "_exhaustive_lane_for",
     "_assemble",
     "verify_logic",
     "solve_via_relaxation",
@@ -550,19 +579,32 @@ TRACED_NAMES = (
 
 def test_cascade_calls_every_traced_name_through_the_pipeline(mixed_dims_instance, monkeypatch):
     calls = dict.fromkeys(TRACED_NAMES, 0)
+    active = []  # the traced calls now open, outermost first
+    walks = []  # for each run of the complete lane walk, the traced calls around it
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
 
         return wrapper
 
     for name in TRACED_NAMES:
         monkeypatch.setattr(ncsched.pipeline, name, counting(name, getattr(ncsched.pipeline, name)))
+    walk = ncsched.planner._first_fit_lanes
+    monkeypatch.setattr(
+        ncsched.planner, "_first_fit_lanes", lambda *a: walks.append(tuple(active)) or walk(*a)
+    )
     # desk-cascade: every plan route fails, then the relaxation, and brute force wins
     desk = generate_instance(4, 2, 5, [1, 2, 3, 4], seed=12345).instance
     assert solve_instance(desk).method == "bruteforce"
+    # the packing misses, and the walk behind it runs inside the traced lane search
+    assert walks == [("_lane_plan_for",)]
     # lanes of loads 7 and 7 fit T = 7
     assert solve_instance(mixed_dims_instance).method == "lane-plan"
     assert [name for name, count in calls.items() if not count] == []
+    assert walks == [("_lane_plan_for",)]

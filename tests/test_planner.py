@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ncsched.planner
 from ncsched import (
     BlockPlan,
     IllConditionedWarning,
@@ -13,10 +14,8 @@ from ncsched import (
     NonFiniteError,
     NotReachableError,
     PlantDynamics,
-    TooLargeError,
     WindowOverflowError,
     build_from_plan,
-    exhaustive_lane_plan,
     find_block_plan,
     find_lane_plan,
     solve_instance,
@@ -27,6 +26,7 @@ from ncsched import (
 from ncsched.core import CERTIFICATE_SLACK, lifted_matrices
 from ncsched.deadbeat import COND_WARN_LIMIT
 from ncsched.instances import dump_json
+from ncsched.planner import _packed_lanes
 from ncsched.sim import slot_mask, slot_members
 
 from conftest import (
@@ -183,7 +183,6 @@ class TestFindLanePlan:
     def test_single_lane_infeasible(self):
         inst = scalar_instance([2.0, 3.0], capacity=1, horizon=3)
         assert find_lane_plan(inst) is None
-        assert exhaustive_lane_plan(inst) is None
 
     def test_random_plans_satisfy_invariants_and_verify(self):
         rng = np.random.default_rng(23)
@@ -216,7 +215,7 @@ class TestCompleteSearches:
             if block is not None:
                 assert_block_plan_valid(inst, block)
                 # a block plan's groups also pack as lanes
-                assert exhaustive_lane_plan(inst) is not None
+                assert find_lane_plan(inst) is not None
             outcomes.add(block is None)
         assert outcomes == {True, False}
 
@@ -234,42 +233,46 @@ class TestCompleteSearches:
         more, so the plant lands at most at S_j + L_j = S_(j+1). As
         S_(j+1) <= sum(L) <= T, no window overruns the horizon. Hence in
         ``auto`` the block route can win only after a lane plan was found
-        and failed synthesis or verification.
+        and failed synthesis or verification. The packing step is called on
+        its own, since the complete walk behind it would hide a packing miss.
         """
         outcomes = set()
         for inst in random_small_instances(53, 1000):
             block = find_block_plan(inst)
             if block is not None:
-                assert find_lane_plan(inst) is not None
+                assert _packed_lanes(inst, range(inst.n)) is not None
             outcomes.add(block is None)
         assert outcomes == {True, False}
 
-    def test_load_pruned_lane_search_matches_enumeration(self):
+    def test_load_pruned_lane_search_matches_enumeration(self, monkeypatch):
+        # the lane search fails exactly when no partition into lanes fits
+        cases = [(inst, reference_lane_plan_complete(inst))
+                 for inst in random_small_instances(47, 300)]
         outcomes = set()
-        for inst in random_small_instances(47, 300):
-            plan = exhaustive_lane_plan(inst)
-            assert plan == reference_lane_plan_complete(inst)
+        for inst, want in cases:
+            plan = find_lane_plan(inst)
+            assert (plan is None) == (want is None)
             if plan is not None:
                 assert_lane_plan_valid(inst, plan)
             outcomes.add(plan is None)
         assert outcomes == {True, False}
+        # the packing never misses here; without it, the walk behind it finds
+        # the enumeration's first partition
+        monkeypatch.setattr(ncsched.planner, "_packed_lanes", lambda inst, subset: None)
+        for inst, want in cases:
+            assert find_lane_plan(inst) == want
 
     def test_lane_search_finds_what_packing_misses(self):
         # widths 3, 3, 2, 2, 2 in two lanes of 6: balanced packing puts the
         # two 3s apart and strands a 2; the complete search pairs them
         inst = companion_instance([2, 2, 1, 1, 1], capacity=2, horizon=6)
-        assert find_lane_plan(inst) is None
-        plan = exhaustive_lane_plan(inst)
+        assert _packed_lanes(inst, range(inst.n)) is None
+        plan = find_lane_plan(inst)
         assert [[i + 1 for i in lane] for lane in plan.lanes] == [[1, 2], [3, 4, 5]]
 
     def test_window_wider_than_horizon_is_never_placed(self):
         inst = companion_instance([4] + [1] * 9, capacity=9, horizon=4)
-        assert exhaustive_lane_plan(inst) is None
-
-    def test_lane_search_limited_to_ten_plants(self):
-        inst = companion_instance([1] * 11, capacity=2, horizon=20)
-        with pytest.raises(TooLargeError, match="limited to 10 plants, got 11"):
-            exhaustive_lane_plan(inst)
+        assert find_lane_plan(inst) is None
 
 
 class TestBuildFromBlockPlan:
@@ -662,7 +665,7 @@ class TestBatchedPlannerMatchesLoop:
             plants = tuple(companion_plant(int(d), gain=1.5) for d in dims)
             xi = tuple(np.ones(int(d)) for d in dims)
             inst = NcsInstance(plants, xi, capacity=capacity, horizon=horizon)
-            plan, want = find_lane_plan(inst), reference_lane_plan(inst)
+            plan, want = _packed_lanes(inst, range(inst.n)), reference_lane_plan(inst)
             assert plan == want
             if plan is not None:
                 assert plan.to_report_dict() == want.to_report_dict()

@@ -701,8 +701,8 @@ class TestSolveViaRelaxation:
 
     def test_uniqueness_reported_as_assumption(self):
         inst = scalar_instance([2.0, 0.5], capacity=1, horizon=3)
-        res = solve_via_relaxation(inst)
-        assert any("uniqueness" in w for w in res.warnings)
+        with pytest.warns(UserWarning, match="^l1 minimizer uniqueness is assumed"):
+            solve_via_relaxation(inst)
 
     def test_demo_family_reaches_grouping_stage(self, demo_instance):
         res = solve_via_relaxation(demo_instance)
